@@ -493,7 +493,7 @@ std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& sc
       csv += ",,\n";  // empty worker_exit + error
     } else {
       // 26 empty metric columns, then the harness diagnostics.
-      csv += ",,,,,,,,,,,,,,,,,,,,,,,,,,\"" + r.worker_exit + "\",\"" + r.error + "\"\n";
+      csv += ",,,,,,,,,,,,,,,,,,,,,,,,,,,\"" + r.worker_exit + "\",\"" + r.error + "\"\n";
     }
   }
   return csv;
