@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
+#include <variant>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -50,11 +52,8 @@ ScenarioAgg aggregate_scenario(const CampaignOutcome& outcome, std::size_t scena
   for (int rep = 0; rep < reps; ++rep) {
     const ScenarioResult& r =
         outcome.results[scenario * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep)];
-    if (r.ok) {
-      agg.times.push_back(r.simulated_time);
-    } else {
-      agg.complete = false;
-    }
+    if (r.ok) agg.times.push_back(r.simulated_time);
+    agg.complete = agg.complete && r.ok;
   }
   if (!agg.times.empty()) {
     agg.stats = util::summarize_sample(agg.times);
@@ -123,12 +122,6 @@ RankStability rank_stability(const CampaignOutcome& outcome,
   return rs;
 }
 
-util::JsonValue params_json(const Scenario& scenario) {
-  util::JsonValue params = util::JsonValue::object();
-  for (const auto& [key, value] : scenario.params) params.set(key, value);
-  return params;
-}
-
 const char* base_kind_name(CampaignSpec::BaseKind kind) {
   switch (kind) {
     case CampaignSpec::BaseKind::kFlat: return "flat";
@@ -139,160 +132,139 @@ const char* base_kind_name(CampaignSpec::BaseKind kind) {
   SMPI_UNREACHABLE("bad base kind");
 }
 
-// The result fields shared by single-run scenario rows and per-replication
-// entries. `baseline` is the matching baseline run (same replication), for
-// the paired speedup.
-void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
-                       const ScenarioResult& baseline) {
-  row.set("ok", util::JsonValue::boolean(r.ok));
-  row.set("retries", util::JsonValue::number(r.retries));
-  if (!r.ok) {
-    row.set("error", util::JsonValue::string(r.error));
-    if (r.timed_out) row.set("timed_out", util::JsonValue::boolean(true));
-    if (!r.worker_exit.empty()) {
-      row.set("worker_exit", util::JsonValue::string(r.worker_exit));
-    }
-    return;
-  }
-  row.set("simulated_time", util::JsonValue::number(r.simulated_time));
-  row.set("speedup_vs_baseline", util::JsonValue::number(speedup_vs_baseline(baseline, r)));
-  row.set("wall_s", util::JsonValue::number(r.wall_s));
-  row.set("records", util::JsonValue::number(static_cast<double>(r.records)));
-  row.set("ranks", util::JsonValue::number(r.ranks));
-  row.set("arena_bytes", util::JsonValue::number(static_cast<double>(r.arena_bytes)));
-  util::JsonValue breakdown = util::JsonValue::object();
-  breakdown.set("compute_total_s", util::JsonValue::number(r.compute_total_s()));
-  breakdown.set("comm_total_s", util::JsonValue::number(r.comm_total_s()));
-  breakdown.set("compute_max_s", util::JsonValue::number(r.compute_max_s()));
-  breakdown.set("comm_max_s", util::JsonValue::number(r.comm_max_s()));
-  util::JsonValue per_rank_compute = util::JsonValue::array();
-  util::JsonValue per_rank_comm = util::JsonValue::array();
-  for (double v : r.rank_compute_s) per_rank_compute.append(util::JsonValue::number(v));
-  for (double v : r.rank_comm_s) per_rank_comm.append(util::JsonValue::number(v));
-  breakdown.set("rank_compute_s", std::move(per_rank_compute));
-  breakdown.set("rank_comm_s", std::move(per_rank_comm));
-  row.set("breakdown", std::move(breakdown));
-  util::JsonValue solver = util::JsonValue::object();
-  solver.set("solves", util::JsonValue::number(static_cast<double>(r.solver_solves)));
-  solver.set("vars_touched",
-             util::JsonValue::number(static_cast<double>(r.solver_vars_touched)));
-  solver.set("cons_touched",
-             util::JsonValue::number(static_cast<double>(r.solver_cons_touched)));
-  row.set("solver", std::move(solver));
-  util::JsonValue p2p = util::JsonValue::object();
-  p2p.set("pool_hits", util::JsonValue::number(static_cast<double>(r.p2p.pool_hits)));
-  p2p.set("pool_misses", util::JsonValue::number(static_cast<double>(r.p2p.pool_misses)));
-  p2p.set("eager_snapshots",
-          util::JsonValue::number(static_cast<double>(r.p2p.eager_snapshots)));
-  p2p.set("eager_copy_elided",
-          util::JsonValue::number(static_cast<double>(r.p2p.eager_copy_elided)));
-  p2p.set("eager_flush_snapshots",
-          util::JsonValue::number(static_cast<double>(r.p2p.eager_flush_snapshots)));
-  p2p.set("bytes_not_copied",
-          util::JsonValue::number(static_cast<double>(r.p2p.bytes_not_copied)));
-  row.set("p2p", std::move(p2p));
-  if (r.analyzed) {
-    util::JsonValue analysis = util::JsonValue::object();
-    analysis.set("wait_fraction", util::JsonValue::number(r.wait_fraction));
-    analysis.set("critical_path_s", util::JsonValue::number(r.critical_path_s));
-    analysis.set("cp_compute_s", util::JsonValue::number(r.cp_compute_s));
-    analysis.set("cp_comm_s", util::JsonValue::number(r.cp_comm_s));
-    analysis.set("dominant_wait", util::JsonValue::string(r.dominant_wait));
-    util::JsonValue per_rank_wait = util::JsonValue::array();
-    util::JsonValue per_rank_transfer = util::JsonValue::array();
-    for (double v : r.rank_wait_s) per_rank_wait.append(util::JsonValue::number(v));
-    for (double v : r.rank_transfer_s) per_rank_transfer.append(util::JsonValue::number(v));
-    analysis.set("rank_wait_s", std::move(per_rank_wait));
-    analysis.set("rank_transfer_s", std::move(per_rank_transfer));
-    row.set("analysis", std::move(analysis));
-  }
-  if (r.resources_analyzed) {
-    util::JsonValue resources = util::JsonValue::object();
-    resources.set("top_bottleneck", util::JsonValue::string(r.top_bottleneck));
-    resources.set("bottleneck_saturated_s",
-                  util::JsonValue::number(r.bottleneck_saturated_s));
-    resources.set("max_link_utilization",
-                  util::JsonValue::number(r.max_link_utilization));
-    row.set("resources", std::move(resources));
-  }
+// --- the row schema ----------------------------------------------------------
+//
+// One table drives every per-run surface: report rows and replication
+// entries, the worker capsule, resume parsing and the CSV. A field names its
+// JSON group ("" = the row itself) and key, the rows that carry it, and its
+// value. Its CSV column is the key (or `column`); the columns follow table
+// order within three zones: kCsvHead, then the axis columns, then the rest,
+// then kCsvTail.
+
+// A ScenarioResult member, or a report-side value derived from the run and
+// its same-rep baseline (empty without one: capsules and resume skip it).
+using Value = std::variant<std::monostate, bool*, int*, long long*, std::uint64_t*, double*,
+                           std::string*, std::vector<double>*, double>;
+
+enum Rows { kAll, kFailed, kOk, kAnalyzed, kResources };  // which rows carry a field
+
+constexpr unsigned kLegacy = 1;     // older reports may lack it: resumes as zero/empty
+constexpr unsigned kOmitUnset = 2;  // JSON leaves it out while false/empty
+constexpr unsigned kBare = 4;       // CSV text unquoted
+constexpr unsigned kJsonOnly = 8;   // no CSV column
+constexpr unsigned kCsvHead = 16, kCsvTail = 32;
+
+struct Field {
+  Rows rows;
+  const char* group;
+  const char* key;
+  Value (*value)(ScenarioResult& r, const ScenarioResult* baseline);
+  unsigned flags = 0;
+  const char* column = nullptr;
+};
+
+#define MEMBER(m) [](ScenarioResult& r, const ScenarioResult*) -> Value { return &r.m; }
+#define DERIVED(e) [](ScenarioResult& r, const ScenarioResult* b) { return b ? Value{e} : Value{}; }
+
+const Field kFields[] = {
+    {kAll, "", "ok", MEMBER(ok), kCsvHead},
+    {kAll, "", "retries", MEMBER(retries), kCsvHead | kLegacy},
+    {kOk, "", "simulated_time", MEMBER(simulated_time)},
+    {kOk, "", "speedup_vs_baseline", DERIVED(speedup_vs_baseline(*b, r))},
+    {kOk, "", "wall_s", MEMBER(wall_s)},
+    {kOk, "", "records", MEMBER(records)},
+    {kOk, "", "ranks", MEMBER(ranks)},
+    {kOk, "", "arena_bytes", MEMBER(arena_bytes), kJsonOnly},
+    {kOk, "breakdown", "compute_total_s", DERIVED(r.compute_total_s())},
+    {kOk, "breakdown", "comm_total_s", DERIVED(r.comm_total_s())},
+    {kOk, "breakdown", "compute_max_s", DERIVED(r.compute_max_s())},
+    {kOk, "breakdown", "comm_max_s", DERIVED(r.comm_max_s())},
+    {kOk, "breakdown", "rank_compute_s", MEMBER(rank_compute_s), kJsonOnly},
+    {kOk, "breakdown", "rank_comm_s", MEMBER(rank_comm_s), kJsonOnly},
+    {kOk, "solver", "solves", MEMBER(solver_solves), 0, "solver_solves"},
+    {kOk, "solver", "vars_touched", MEMBER(solver_vars_touched), 0, "solver_vars_touched"},
+    {kOk, "solver", "cons_touched", MEMBER(solver_cons_touched), 0, "solver_cons_touched"},
+    {kOk, "p2p", "pool_hits", MEMBER(p2p.pool_hits), kLegacy},
+    {kOk, "p2p", "pool_misses", MEMBER(p2p.pool_misses), kLegacy},
+    {kOk, "p2p", "eager_snapshots", MEMBER(p2p.eager_snapshots), kLegacy},
+    {kOk, "p2p", "eager_copy_elided", MEMBER(p2p.eager_copy_elided), kLegacy},
+    {kOk, "p2p", "eager_flush_snapshots", MEMBER(p2p.eager_flush_snapshots), kLegacy},
+    {kOk, "p2p", "bytes_not_copied", MEMBER(p2p.bytes_not_copied), kLegacy},
+    {kAnalyzed, "analysis", "wait_fraction", MEMBER(wait_fraction)},
+    {kAnalyzed, "analysis", "critical_path_s", MEMBER(critical_path_s)},
+    {kAnalyzed, "analysis", "cp_compute_s", MEMBER(cp_compute_s)},
+    {kAnalyzed, "analysis", "cp_comm_s", MEMBER(cp_comm_s)},
+    {kAnalyzed, "analysis", "dominant_wait", MEMBER(dominant_wait), kBare},
+    {kAnalyzed, "analysis", "rank_wait_s", MEMBER(rank_wait_s), kJsonOnly},
+    {kAnalyzed, "analysis", "rank_transfer_s", MEMBER(rank_transfer_s), kJsonOnly},
+    {kResources, "resources", "top_bottleneck", MEMBER(top_bottleneck)},
+    {kResources, "resources", "bottleneck_saturated_s", MEMBER(bottleneck_saturated_s)},
+    {kResources, "resources", "max_link_utilization", MEMBER(max_link_utilization)},
+    {kFailed, "", "error", MEMBER(error), kCsvTail | kLegacy},
+    {kAll, "", "timed_out", MEMBER(timed_out), kCsvHead | kOmitUnset},
+    {kFailed, "", "worker_exit", MEMBER(worker_exit), kOmitUnset},
+};
+
+#undef MEMBER
+#undef DERIVED
+
+bool carried(Rows rows, const ScenarioResult& r) {
+  if (rows == kAll) return true;
+  if (rows == kFailed) return !r.ok;
+  return r.ok && (rows == kOk || (rows == kAnalyzed ? r.analyzed : r.resources_analyzed));
 }
 
-// Inverse of set_result_fields, reading a resumed report's row or
-// replication entry back into a ScenarioResult.
-void read_result_fields(const util::JsonValue& row, ScenarioResult& r) {
-  r.ok = row.at("ok", "resume report row").as_bool();
-  // Lenient: reports written before the hardened harness carry none of
-  // these fields.
-  if (const auto* retries = row.find("retries")) r.retries = static_cast<int>(retries->as_int());
-  if (!r.ok) {
-    if (const auto* error = row.find("error")) r.error = error->as_string();
-    if (const auto* timed_out = row.find("timed_out")) r.timed_out = timed_out->as_bool();
-    if (const auto* worker_exit = row.find("worker_exit")) {
-      r.worker_exit = worker_exit->as_string();
-    }
-    return;
-  }
-  r.error.clear();
-  r.simulated_time = row.at("simulated_time", "resume report row").as_number();
-  r.wall_s = row.at("wall_s", "resume report row").as_number();
-  r.records = row.at("records", "resume report row").as_int();
-  r.ranks = static_cast<int>(row.at("ranks", "resume report row").as_int());
-  r.arena_bytes =
-      static_cast<std::uint64_t>(row.at("arena_bytes", "resume report row").as_int());
-  const auto& breakdown = row.at("breakdown", "resume report row");
-  for (const auto& v : breakdown.at("rank_compute_s", "resume breakdown").items()) {
-    r.rank_compute_s.push_back(v.as_number());
-  }
-  for (const auto& v : breakdown.at("rank_comm_s", "resume breakdown").items()) {
-    r.rank_comm_s.push_back(v.as_number());
-  }
-  const auto& solver = row.at("solver", "resume report row");
-  r.solver_solves =
-      static_cast<std::uint64_t>(solver.at("solves", "resume solver").as_int());
-  r.solver_vars_touched =
-      static_cast<std::uint64_t>(solver.at("vars_touched", "resume solver").as_int());
-  r.solver_cons_touched =
-      static_cast<std::uint64_t>(solver.at("cons_touched", "resume solver").as_int());
-  // Lenient: reports written before the p2p counters existed resume fine
-  // (the counters simply stay zero for adopted rows).
-  if (const auto* p2p = row.find("p2p")) {
-    auto u64 = [&](const char* key) {
-      const auto* v = p2p->find(key);
-      return v == nullptr ? std::uint64_t{0} : static_cast<std::uint64_t>(v->as_int());
-    };
-    r.p2p.pool_hits = u64("pool_hits");
-    r.p2p.pool_misses = u64("pool_misses");
-    r.p2p.eager_snapshots = u64("eager_snapshots");
-    r.p2p.eager_copy_elided = u64("eager_copy_elided");
-    r.p2p.eager_flush_snapshots = u64("eager_flush_snapshots");
-    r.p2p.bytes_not_copied = u64("bytes_not_copied");
-  }
-  // Lenient likewise for the analysis block (reports written before it
-  // existed, or with "analysis": false in the spec).
-  if (const auto* analysis = row.find("analysis")) {
-    r.analyzed = true;
-    r.wait_fraction = analysis->at("wait_fraction", "resume analysis").as_number();
-    r.critical_path_s = analysis->at("critical_path_s", "resume analysis").as_number();
-    r.cp_compute_s = analysis->at("cp_compute_s", "resume analysis").as_number();
-    r.cp_comm_s = analysis->at("cp_comm_s", "resume analysis").as_number();
-    r.dominant_wait = analysis->at("dominant_wait", "resume analysis").as_string();
-    for (const auto& v : analysis->at("rank_wait_s", "resume analysis").items()) {
-      r.rank_wait_s.push_back(v.as_number());
-    }
-    for (const auto& v : analysis->at("rank_transfer_s", "resume analysis").items()) {
-      r.rank_transfer_s.push_back(v.as_number());
-    }
-  }
-  // And for the resource-bottleneck block ("resources": false, or older
-  // reports).
-  if (const auto* resources = row.find("resources")) {
-    r.resources_analyzed = true;
-    r.top_bottleneck = resources->at("top_bottleneck", "resume resources").as_string();
-    r.bottleneck_saturated_s =
-        resources->at("bottleneck_saturated_s", "resume resources").as_number();
-    r.max_link_utilization =
-        resources->at("max_link_utilization", "resume resources").as_number();
-  }
+template <typename... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+template <typename... F>
+Overloaded(F...) -> Overloaded<F...>;
+
+util::JsonValue to_json(const Value& value) {
+  return std::visit(
+      Overloaded{[](std::monostate) { return util::JsonValue::null(); },
+                 [](double v) { return util::JsonValue::number(v); },
+                 [](bool* v) { return util::JsonValue::boolean(*v); },
+                 [](std::string* v) { return util::JsonValue::string(*v); },
+                 [](std::vector<double>* v) {
+                   util::JsonValue array = util::JsonValue::array();
+                   for (double x : *v) array.append(util::JsonValue::number(x));
+                   return array;
+                 },
+                 [](auto* v) { return util::JsonValue::number(static_cast<double>(*v)); }},
+      value);
+}
+
+void from_json(const util::JsonValue& json, const Value& value) {
+  std::visit(
+      Overloaded{[](std::monostate) {}, [](double) {},
+                 [&](bool* v) { *v = json.as_bool(); },
+                 [&](double* v) { *v = json.as_number(); },
+                 [&](std::string* v) { *v = json.as_string(); },
+                 [&](std::vector<double>* v) {
+                   for (const auto& x : json.items()) v->push_back(x.as_number());
+                 },
+                 [&](auto* v) { *v = static_cast<std::decay_t<decltype(*v)>>(json.as_int()); }},
+      value);
+}
+
+std::string to_csv(const Value& value, bool bare) {
+  return std::visit(
+      Overloaded{[](std::monostate) { return std::string(); },
+                 [](std::vector<double>*) { return std::string(); },
+                 [](double v) { return format_double(v); },
+                 [](double* v) { return format_double(*v); },
+                 [](bool* v) { return std::string(*v ? "1" : "0"); },
+                 [&](std::string* v) { return bare ? *v : "\"" + *v + "\""; },
+                 [](auto* v) { return std::to_string(*v); }},
+      value);
+}
+
+// A field's value for output. The accessors hand out mutable pointers so
+// read_result_fields can store through them; output only reads.
+Value output_value(const Field& f, const ScenarioResult& r, const ScenarioResult* baseline) {
+  return f.value(const_cast<ScenarioResult&>(r), baseline);
 }
 
 std::vector<ScenarioAgg> aggregate_all(const CampaignSpec& spec,
@@ -307,6 +279,48 @@ std::vector<ScenarioAgg> aggregate_all(const CampaignSpec& spec,
 }
 
 }  // namespace
+
+void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
+                       const ScenarioResult* baseline) {
+  std::string open;  // the JSON group being filled ("" = the row itself)
+  util::JsonValue group;
+  for (const Field& f : kFields) {
+    if (!carried(f.rows, r)) continue;
+    const Value value = output_value(f, r, baseline);
+    if (std::holds_alternative<std::monostate>(value)) continue;
+    util::JsonValue json = to_json(value);
+    const bool set = json.is_bool() ? json.as_bool() : !json.is_string() || json.as_string() != "";
+    if (!set && (f.flags & kOmitUnset) != 0) continue;
+    if (open != f.group) {
+      if (!open.empty()) row.set(open, std::move(group));
+      open = f.group;
+      group = util::JsonValue::object();
+    }
+    (open.empty() ? row : group).set(f.key, std::move(json));
+  }
+  if (!open.empty()) row.set(open, std::move(group));
+}
+
+ScenarioResult read_result_fields(const util::JsonValue& row, int id, int rep) {
+  ScenarioResult r;
+  r.id = id;
+  r.rep = rep;
+  for (const Field& f : kFields) {
+    const util::JsonValue* scope = *f.group == '\0' ? &row : row.find(f.group);
+    if (f.rows == kAnalyzed) r.analyzed = r.ok && scope != nullptr;
+    if (f.rows == kResources) r.resources_analyzed = r.ok && scope != nullptr;
+    const Value member = f.value(r, nullptr);
+    if (!carried(f.rows, r) || std::holds_alternative<std::monostate>(member)) continue;
+    const util::JsonValue* json = scope == nullptr ? nullptr : scope->find(f.key);
+    if (json == nullptr) {
+      SMPI_REQUIRE((f.flags & (kLegacy | kOmitUnset)) != 0,
+                   std::string("campaign result row lacks '") + f.key + "'");
+      continue;
+    }
+    from_json(*json, member);
+  }
+  return r;
+}
 
 util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                             const CampaignOutcome& outcome) {
@@ -353,9 +367,11 @@ util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario
     util::JsonValue row = util::JsonValue::object();
     row.set("id", util::JsonValue::number(scenario.id));
     row.set("label", util::JsonValue::string(scenario.label));
-    row.set("params", params_json(scenario));
+    util::JsonValue params = util::JsonValue::object();
+    for (const auto& [key, value] : scenario.params) params.set(key, value);
+    row.set("params", std::move(params));
     if (reps == 1) {
-      set_result_fields(row, outcome.results[i], baseline);
+      set_result_fields(row, outcome.results[i], &baseline);
       rows.append(std::move(row));
       continue;
     }
@@ -366,29 +382,25 @@ util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario
     row.set("ok", util::JsonValue::boolean(agg.complete));
     util::JsonValue rep_rows = util::JsonValue::array();
     for (int rep = 0; rep < reps; ++rep) {
-      const std::size_t unit =
-          i * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep);
-      const ScenarioResult& r = outcome.results[unit];
-      const ScenarioResult& rep_baseline = outcome.results[static_cast<std::size_t>(rep)];
+      const auto rep_index = static_cast<std::size_t>(rep);
       util::JsonValue entry = util::JsonValue::object();
       entry.set("rep", util::JsonValue::number(rep));
-      set_result_fields(entry, r, rep_baseline);
+      set_result_fields(entry, outcome.results[i * static_cast<std::size_t>(reps) + rep_index],
+                        &outcome.results[rep_index]);
       rep_rows.append(std::move(entry));
     }
     row.set("replications", std::move(rep_rows));
     if (!agg.times.empty()) {
       const ScenarioAgg& base_agg = aggs[0];
       util::JsonValue stats = util::JsonValue::object();
-      stats.set("count", util::JsonValue::number(static_cast<double>(agg.stats.count)));
-      stats.set("mean", util::JsonValue::number(agg.stats.mean));
-      stats.set("stddev", util::JsonValue::number(agg.stats.stddev));
-      stats.set("min", util::JsonValue::number(agg.stats.min));
-      stats.set("max", util::JsonValue::number(agg.stats.max));
-      stats.set("p5", util::JsonValue::number(agg.stats.p5));
-      stats.set("p50", util::JsonValue::number(agg.stats.p50));
-      stats.set("p95", util::JsonValue::number(agg.stats.p95));
-      stats.set("ci_lo", util::JsonValue::number(agg.ci.lo));
-      stats.set("ci_hi", util::JsonValue::number(agg.ci.hi));
+      const util::SampleSummary& st = agg.stats;
+      for (const auto& [key, value] : {std::pair<const char*, double>{"count", st.count},
+                                       {"mean", st.mean}, {"stddev", st.stddev}, {"min", st.min},
+                                       {"max", st.max}, {"p5", st.p5}, {"p50", st.p50},
+                                       {"p95", st.p95}, {"ci_lo", agg.ci.lo},
+                                       {"ci_hi", agg.ci.hi}}) {
+        stats.set(key, util::JsonValue::number(value));
+      }
       if (!base_agg.times.empty() && agg.stats.mean > 0) {
         stats.set("speedup_vs_baseline_mean",
                   util::JsonValue::number(base_agg.stats.mean / agg.stats.mean));
@@ -422,18 +434,24 @@ std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& sc
   SMPI_REQUIRE(scenarios.size() * static_cast<std::size_t>(reps) == outcome.results.size(),
                "campaign report: scenario/result count mismatch");
 
-  // One column per axis (in axis order) so the grid pivots cleanly.
-  std::vector<std::string> axis_keys;
-  for (const Axis& axis : spec.axes) axis_keys.push_back(axis.key());
-
-  std::string csv = "id,rep,label,ok,retries,timed_out";
-  for (const std::string& key : axis_keys) csv += "," + key;
-  csv +=
-      ",simulated_time,speedup_vs_baseline,wall_s,records,ranks,compute_total_s,comm_total_s,"
-      "compute_max_s,comm_max_s,solver_solves,solver_vars_touched,solver_cons_touched,"
-      "pool_hits,pool_misses,eager_snapshots,eager_copy_elided,eager_flush_snapshots,"
-      "bytes_not_copied,wait_fraction,critical_path_s,cp_compute_s,cp_comm_s,dominant_wait,"
-      "top_bottleneck,bottleneck_saturated_s,max_link_utilization,worker_exit,error\n";
+  // Columns: id, rep and label, then the table's head zone, one column per
+  // axis (in axis order, so the grid pivots cleanly), the body and the tail.
+  std::vector<const Field*> columns;  // nullptr = the axis columns
+  for (const unsigned zone : {kCsvHead, 0u, kCsvTail}) {
+    if (zone == 0) columns.push_back(nullptr);
+    for (const Field& f : kFields) {
+      if ((f.flags & (kCsvHead | kCsvTail | kJsonOnly)) == zone) columns.push_back(&f);
+    }
+  }
+  std::string csv = "id,rep,label";
+  for (const Field* f : columns) {
+    if (f == nullptr) {
+      for (const Axis& axis : spec.axes) csv += ',' + axis.key();
+    } else {
+      csv += ',' + std::string(f->column != nullptr ? f->column : f->key);
+    }
+  }
+  csv += '\n';
 
   // One row per unit: with replications the per-rep runs appear individually
   // (the fold-down statistics live in the JSON report).
@@ -442,59 +460,20 @@ std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& sc
     const Scenario& scenario = scenarios[unit / static_cast<std::size_t>(reps)];
     const ScenarioResult& baseline =
         outcome.results[unit % static_cast<std::size_t>(reps)];  // same-rep baseline
-    csv += std::to_string(scenario.id);
-    csv += ',' + std::to_string(r.rep);
-    csv += ",\"" + scenario.label + "\"";
-    csv += r.ok ? ",1" : ",0";
-    csv += ',' + std::to_string(r.retries);
-    csv += r.timed_out ? ",1" : ",0";
-    for (const std::string& key : axis_keys) {
-      const util::JsonValue* value = scenario.find(key);
+    csv += std::to_string(scenario.id) + ',' + std::to_string(r.rep) + ",\"" + scenario.label + '"';
+    for (const Field* f : columns) {
+      if (f == nullptr) {
+        for (const Axis& axis : spec.axes) {
+          const util::JsonValue* value = scenario.find(axis.key());
+          csv += ',';
+          if (value != nullptr) csv += value->is_string() ? value->as_string() : value->dump();
+        }
+        continue;
+      }
       csv += ',';
-      if (value != nullptr) {
-        csv += value->is_string() ? value->as_string() : value->dump();
-      }
+      if (carried(f->rows, r)) csv += to_csv(output_value(*f, r, &baseline), f->flags & kBare);
     }
-    if (r.ok) {
-      csv += ',' + format_double(r.simulated_time);
-      csv += ',' + format_double(speedup_vs_baseline(baseline, r));
-      csv += ',' + format_double(r.wall_s);
-      csv += ',' + std::to_string(r.records);
-      csv += ',' + std::to_string(r.ranks);
-      csv += ',' + format_double(r.compute_total_s());
-      csv += ',' + format_double(r.comm_total_s());
-      csv += ',' + format_double(r.compute_max_s());
-      csv += ',' + format_double(r.comm_max_s());
-      csv += ',' + std::to_string(r.solver_solves);
-      csv += ',' + std::to_string(r.solver_vars_touched);
-      csv += ',' + std::to_string(r.solver_cons_touched);
-      csv += ',' + std::to_string(r.p2p.pool_hits);
-      csv += ',' + std::to_string(r.p2p.pool_misses);
-      csv += ',' + std::to_string(r.p2p.eager_snapshots);
-      csv += ',' + std::to_string(r.p2p.eager_copy_elided);
-      csv += ',' + std::to_string(r.p2p.eager_flush_snapshots);
-      csv += ',' + std::to_string(r.p2p.bytes_not_copied);
-      if (r.analyzed) {
-        csv += ',' + format_double(r.wait_fraction);
-        csv += ',' + format_double(r.critical_path_s);
-        csv += ',' + format_double(r.cp_compute_s);
-        csv += ',' + format_double(r.cp_comm_s);
-        csv += ',' + r.dominant_wait;
-      } else {
-        csv += ",,,,,";  // analysis was off for this run
-      }
-      if (r.resources_analyzed) {
-        csv += ",\"" + r.top_bottleneck + "\"";
-        csv += ',' + format_double(r.bottleneck_saturated_s);
-        csv += ',' + format_double(r.max_link_utilization);
-      } else {
-        csv += ",,,";  // resources were off for this run
-      }
-      csv += ",,\n";  // empty worker_exit + error
-    } else {
-      // 26 empty metric columns, then the harness diagnostics.
-      csv += ",,,,,,,,,,,,,,,,,,,,,,,,,,,\"" + r.worker_exit + "\",\"" + r.error + "\"\n";
-    }
+    csv += '\n';
   }
   return csv;
 }
@@ -612,9 +591,7 @@ std::string report_summary(const CampaignSpec& spec, const std::vector<Scenario>
   }
 
   if (outcome.resumed > 0) {
-    std::snprintf(line, sizeof line, "%d run(s) adopted from the resumed report\n",
-                  outcome.resumed);
-    out += line;
+    out += std::to_string(outcome.resumed) + " run(s) adopted from the resumed report\n";
   }
 
   int failures = 0;
@@ -625,17 +602,10 @@ std::string report_summary(const CampaignSpec& spec, const std::vector<Scenario>
     retried += r.retries > 0 ? 1 : 0;
     timeouts += r.timed_out ? 1 : 0;
   }
-  if (retried > 0) {
-    std::snprintf(line, sizeof line, "%d run(s) needed a worker retry\n", retried);
-    out += line;
-  }
-  if (timeouts > 0) {
-    std::snprintf(line, sizeof line, "%d run(s) hit the wall-clock watchdog\n", timeouts);
-    out += line;
-  }
+  if (retried > 0) out += std::to_string(retried) + " run(s) needed a worker retry\n";
+  if (timeouts > 0) out += std::to_string(timeouts) + " run(s) hit the wall-clock watchdog\n";
   if (failures > 0) {
-    std::snprintf(line, sizeof line, "%d run(s) FAILED:\n", failures);
-    out += line;
+    out += std::to_string(failures) + " run(s) FAILED:\n";
     for (const ScenarioResult& r : outcome.results) {
       if (r.ok) continue;
       std::snprintf(line, sizeof line, "  #%-4d%s %s: %s%s%s%s\n", r.id,
@@ -724,15 +694,14 @@ std::vector<ScenarioResult> results_from_report(const util::JsonValue& report,
                      scenarios[index].label + "' in the spec but '" + label +
                      "' in the report — the axes changed, start a fresh sweep");
     if (reps == 1) {
-      read_result_fields(row, results[index]);
+      results[index] = read_result_fields(row, static_cast<int>(id), 0);
       continue;
     }
     for (const auto& entry : row.at("replications", "resume report row").items()) {
       const long long rep = entry.at("rep", "resume replication entry").as_int();
-      SMPI_REQUIRE(rep >= 0 && rep < reps,
-                   "campaign resume: replication index out of range");
-      read_result_fields(
-          entry, results[index * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep)]);
+      SMPI_REQUIRE(rep >= 0 && rep < reps, "campaign resume: replication index out of range");
+      results[index * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep)] =
+          read_result_fields(entry, static_cast<int>(id), static_cast<int>(rep));
     }
   }
   return results;

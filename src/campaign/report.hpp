@@ -40,6 +40,18 @@ std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& sc
 std::string report_summary(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                            const CampaignOutcome& outcome, int top = 3);
 
+// One run's result as report-row fields (see the field table in report.cpp):
+// a single-run row, a replication entry, and, plus "id" and "rep", the
+// capsule a worker sends back. `baseline` is the same-rep baseline; nullptr
+// (a capsule) leaves out the derived fields such as speedup_vs_baseline.
+void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
+                       const ScenarioResult* baseline);
+
+// Inverse of set_result_fields. Fields older reports lack (retries, the
+// harness diagnostics, p2p, analysis, resources) read as zero/false; any
+// other missing field throws ContractError.
+ScenarioResult read_result_fields(const util::JsonValue& row, int id, int rep);
+
 // Inverse of report_json for resuming a sweep: extracts the per-run results
 // of a prior report, indexed by unit = scenario_id * replications + rep, for
 // RunOptions::resume. The report must belong to the same sweep — campaign

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "campaign/report.hpp"
 #include "obs/resource.hpp"
 #include "trace/replay.hpp"
 #include "util/check.hpp"
@@ -34,150 +35,30 @@ double max_of(const std::vector<double>& v) {
   return best;
 }
 
-// --- capsule (de)serialization ---------------------------------------------
-
-util::JsonValue doubles_json(const std::vector<double>& values) {
-  util::JsonValue array = util::JsonValue::array();
-  for (double v : values) array.append(util::JsonValue::number(v));
-  return array;
-}
-
-std::vector<double> doubles_from(const util::JsonValue& array) {
-  std::vector<double> out;
-  out.reserve(array.items().size());
-  for (const auto& v : array.items()) out.push_back(v.as_number());
-  return out;
-}
-
-std::string encode_capsule(const ScenarioResult& r) {
-  util::JsonValue capsule = util::JsonValue::object();
-  capsule.set("id", util::JsonValue::number(r.id));
-  capsule.set("rep", util::JsonValue::number(r.rep));
-  capsule.set("ok", util::JsonValue::boolean(r.ok));
-  if (!r.ok) {
-    capsule.set("error", util::JsonValue::string(r.error));
-    return capsule.dump();
-  }
-  capsule.set("simulated_time", util::JsonValue::number(r.simulated_time));
-  capsule.set("wall_s", util::JsonValue::number(r.wall_s));
-  capsule.set("records", util::JsonValue::number(static_cast<double>(r.records)));
-  capsule.set("ranks", util::JsonValue::number(r.ranks));
-  capsule.set("arena_bytes", util::JsonValue::number(static_cast<double>(r.arena_bytes)));
-  capsule.set("rank_compute_s", doubles_json(r.rank_compute_s));
-  capsule.set("rank_comm_s", doubles_json(r.rank_comm_s));
-  capsule.set("solver_solves", util::JsonValue::number(static_cast<double>(r.solver_solves)));
-  capsule.set("solver_vars_touched",
-              util::JsonValue::number(static_cast<double>(r.solver_vars_touched)));
-  capsule.set("solver_cons_touched",
-              util::JsonValue::number(static_cast<double>(r.solver_cons_touched)));
-  capsule.set("pool_hits", util::JsonValue::number(static_cast<double>(r.p2p.pool_hits)));
-  capsule.set("pool_misses", util::JsonValue::number(static_cast<double>(r.p2p.pool_misses)));
-  capsule.set("eager_snapshots",
-              util::JsonValue::number(static_cast<double>(r.p2p.eager_snapshots)));
-  capsule.set("eager_copy_elided",
-              util::JsonValue::number(static_cast<double>(r.p2p.eager_copy_elided)));
-  capsule.set("eager_flush_snapshots",
-              util::JsonValue::number(static_cast<double>(r.p2p.eager_flush_snapshots)));
-  capsule.set("bytes_not_copied",
-              util::JsonValue::number(static_cast<double>(r.p2p.bytes_not_copied)));
-  if (r.analyzed) {
-    capsule.set("wait_fraction", util::JsonValue::number(r.wait_fraction));
-    capsule.set("critical_path_s", util::JsonValue::number(r.critical_path_s));
-    capsule.set("cp_compute_s", util::JsonValue::number(r.cp_compute_s));
-    capsule.set("cp_comm_s", util::JsonValue::number(r.cp_comm_s));
-    capsule.set("dominant_wait", util::JsonValue::string(r.dominant_wait));
-    capsule.set("rank_wait_s", doubles_json(r.rank_wait_s));
-    capsule.set("rank_transfer_s", doubles_json(r.rank_transfer_s));
-  }
-  if (r.resources_analyzed) {
-    capsule.set("top_bottleneck", util::JsonValue::string(r.top_bottleneck));
-    capsule.set("bottleneck_saturated_s",
-                util::JsonValue::number(r.bottleneck_saturated_s));
-    capsule.set("max_link_utilization",
-                util::JsonValue::number(r.max_link_utilization));
-  }
-  return capsule.dump();
-}
-
-ScenarioResult decode_capsule(const std::string& text) {
-  const util::JsonValue capsule = util::parse_json(text, "campaign capsule");
-  ScenarioResult r;
-  r.id = static_cast<int>(capsule.at("id", "capsule").as_int());
-  r.rep = static_cast<int>(capsule.at("rep", "capsule").as_int());
-  r.ok = capsule.at("ok", "capsule").as_bool();
-  if (!r.ok) {
-    r.error = capsule.at("error", "capsule").as_string();
-    return r;
-  }
-  r.simulated_time = capsule.at("simulated_time", "capsule").as_number();
-  r.wall_s = capsule.at("wall_s", "capsule").as_number();
-  r.records = capsule.at("records", "capsule").as_int();
-  r.ranks = static_cast<int>(capsule.at("ranks", "capsule").as_int());
-  r.arena_bytes = static_cast<std::uint64_t>(capsule.at("arena_bytes", "capsule").as_int());
-  r.rank_compute_s = doubles_from(capsule.at("rank_compute_s", "capsule"));
-  r.rank_comm_s = doubles_from(capsule.at("rank_comm_s", "capsule"));
-  r.solver_solves = static_cast<std::uint64_t>(capsule.at("solver_solves", "capsule").as_int());
-  r.solver_vars_touched =
-      static_cast<std::uint64_t>(capsule.at("solver_vars_touched", "capsule").as_int());
-  r.solver_cons_touched =
-      static_cast<std::uint64_t>(capsule.at("solver_cons_touched", "capsule").as_int());
-  r.p2p.pool_hits = static_cast<std::uint64_t>(capsule.at("pool_hits", "capsule").as_int());
-  r.p2p.pool_misses = static_cast<std::uint64_t>(capsule.at("pool_misses", "capsule").as_int());
-  r.p2p.eager_snapshots =
-      static_cast<std::uint64_t>(capsule.at("eager_snapshots", "capsule").as_int());
-  r.p2p.eager_copy_elided =
-      static_cast<std::uint64_t>(capsule.at("eager_copy_elided", "capsule").as_int());
-  r.p2p.eager_flush_snapshots =
-      static_cast<std::uint64_t>(capsule.at("eager_flush_snapshots", "capsule").as_int());
-  r.p2p.bytes_not_copied =
-      static_cast<std::uint64_t>(capsule.at("bytes_not_copied", "capsule").as_int());
-  if (const auto* wait_fraction = capsule.find("wait_fraction")) {
-    r.analyzed = true;
-    r.wait_fraction = wait_fraction->as_number();
-    r.critical_path_s = capsule.at("critical_path_s", "capsule").as_number();
-    r.cp_compute_s = capsule.at("cp_compute_s", "capsule").as_number();
-    r.cp_comm_s = capsule.at("cp_comm_s", "capsule").as_number();
-    r.dominant_wait = capsule.at("dominant_wait", "capsule").as_string();
-    r.rank_wait_s = doubles_from(capsule.at("rank_wait_s", "capsule"));
-    r.rank_transfer_s = doubles_from(capsule.at("rank_transfer_s", "capsule"));
-  }
-  if (const auto* top = capsule.find("top_bottleneck")) {
-    r.resources_analyzed = true;
-    r.top_bottleneck = top->as_string();
-    r.bottleneck_saturated_s = capsule.at("bottleneck_saturated_s", "capsule").as_number();
-    r.max_link_utilization = capsule.at("max_link_utilization", "capsule").as_number();
-  }
-  return r;
-}
-
 // --- pipe helpers -----------------------------------------------------------
 
-bool read_exact(int fd, void* buffer, std::size_t bytes) {
-  auto* out = static_cast<unsigned char*>(buffer);
+// Moves exactly `bytes` through ::read or ::write, retrying on EINTR; false
+// once the other end is gone.
+template <typename Io, typename Byte>
+bool transfer_exact(Io io, int fd, Byte* data, std::size_t bytes) {
   while (bytes > 0) {
-    const ssize_t n = ::read(fd, out, bytes);
+    const ssize_t n = io(fd, data, bytes);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
     }
-    out += n;
+    data += n;
     bytes -= static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool read_exact(int fd, void* buffer, std::size_t bytes) {
+  return transfer_exact(::read, fd, static_cast<unsigned char*>(buffer), bytes);
 }
 
 bool write_exact(int fd, const void* buffer, std::size_t bytes) {
-  const auto* in = static_cast<const unsigned char*>(buffer);
-  while (bytes > 0) {
-    const ssize_t n = ::write(fd, in, bytes);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    in += n;
-    bytes -= static_cast<std::size_t>(n);
-  }
-  return true;
+  return transfer_exact(::write, fd, static_cast<const unsigned char*>(buffer), bytes);
 }
 
 // --- worker side ------------------------------------------------------------
@@ -226,11 +107,13 @@ ScenarioResult run_one_scenario(const CampaignSpec& spec, const Scenario& scenar
     r.records = replay.records;
     r.ranks = replay.ranks;
     r.arena_bytes = replay.arena_bytes;
-    r.rank_compute_s.reserve(replay.rank_usage.size());
-    r.rank_comm_s.reserve(replay.rank_usage.size());
     for (const trace::RankUsage& usage : replay.rank_usage) {
       r.rank_compute_s.push_back(usage.compute_s);
       r.rank_comm_s.push_back(usage.comm_s);
+      if (replay.analyzed) {
+        r.rank_wait_s.push_back(usage.wait_s);
+        r.rank_transfer_s.push_back(usage.transfer_s);
+      }
     }
     r.solver_solves = replay.solver_solves;
     r.solver_vars_touched = replay.solver_vars_touched;
@@ -243,12 +126,6 @@ ScenarioResult run_one_scenario(const CampaignSpec& spec, const Scenario& scenar
       r.cp_compute_s = replay.analysis.cp_compute_s;
       r.cp_comm_s = replay.analysis.cp_comm_s;
       r.dominant_wait = replay.analysis.dominant_wait_state;
-      r.rank_wait_s.reserve(replay.rank_usage.size());
-      r.rank_transfer_s.reserve(replay.rank_usage.size());
-      for (const trace::RankUsage& usage : replay.rank_usage) {
-        r.rank_wait_s.push_back(usage.wait_s);
-        r.rank_transfer_s.push_back(usage.transfer_s);
-      }
     }
     if (replay.resources_analyzed) {
       r.resources_analyzed = true;
@@ -288,7 +165,11 @@ constexpr std::int32_t kTaskHang = 2;   // sleep forever (watchdog drill)
     const ScenarioResult result =
         run_one_scenario(spec, scenarios[static_cast<std::size_t>(task.id / replications)],
                          task.id % replications, trace, arena_bytes);
-    const std::string capsule = encode_capsule(result);
+    util::JsonValue row = util::JsonValue::object();
+    row.set("id", util::JsonValue::number(result.id));
+    row.set("rep", util::JsonValue::number(result.rep));
+    set_result_fields(row, result, nullptr);
+    const std::string capsule = row.dump();
     const auto length = static_cast<std::uint32_t>(capsule.size());
     if (!write_exact(result_fd, &length, sizeof length) ||
         !write_exact(result_fd, capsule.data(), capsule.size())) {
@@ -333,33 +214,29 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
   };
 
   // Resume: adopt prior ok results up front; only the rest is dispatched.
-  std::vector<bool> adopted(units, false);
-  int resumed = 0;
-  for (std::size_t i = 0; i < options.resume.size() && i < units; ++i) {
-    if (!options.resume[i].ok) continue;
-    SMPI_REQUIRE(options.resume[i].id == static_cast<int>(i) / reps &&
-                     options.resume[i].rep == static_cast<int>(i) % reps,
-                 "campaign resume: result id/rep does not match its slot");
-    adopted[i] = true;
-    ++resumed;
-  }
+  CampaignOutcome outcome;
+  outcome.replications = reps;
+  outcome.results.resize(units);
   std::vector<std::int32_t> pending;
-  pending.reserve(units);
   for (std::size_t i = 0; i < units; ++i) {
-    if (!adopted[i]) pending.push_back(static_cast<std::int32_t>(i));
+    ScenarioResult& row = outcome.results[i];
+    if (i < options.resume.size() && options.resume[i].ok) {
+      SMPI_REQUIRE(options.resume[i].id == static_cast<int>(i) / reps &&
+                       options.resume[i].rep == static_cast<int>(i) % reps,
+                   "campaign resume: result id/rep does not match its slot");
+      row = options.resume[i];
+      ++outcome.resumed;
+      continue;
+    }
+    row.id = static_cast<int>(i) / reps;
+    row.rep = static_cast<int>(i) % reps;
+    row.error = "scenario was never dispatched";
+    pending.push_back(static_cast<std::int32_t>(i));
   }
 
   // Everything adopted: the re-run is a no-op — skip the arena scan (a full
   // pass over every trace record) and the worker pool entirely.
-  if (pending.empty()) {
-    CampaignOutcome outcome;
-    outcome.workers = 0;
-    outcome.resumed = resumed;
-    outcome.replications = reps;
-    outcome.results = options.resume;
-    outcome.results.resize(units);
-    return outcome;
-  }
+  if (pending.empty()) return outcome;
 
   const int workers = std::min<int>(options.workers, static_cast<int>(pending.size()));
   const long long arena_bytes = trace::compute_arena_bytes(trace);
@@ -427,25 +304,12 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
 
   for (Worker& worker : pool) spawn_worker(worker);
 
-  CampaignOutcome outcome;
   outcome.workers = workers;
-  outcome.resumed = resumed;
-  outcome.replications = reps;
-  outcome.results.resize(units);
-  for (std::size_t i = 0; i < units; ++i) {
-    if (adopted[i]) {
-      outcome.results[i] = options.resume[i];
-      continue;
-    }
-    outcome.results[i].id = static_cast<int>(i) / reps;
-    outcome.results[i].rep = static_cast<int>(i) % reps;
-    outcome.results[i].error = "scenario was never dispatched";
-  }
 
   std::size_t next_pending = 0;
   std::vector<std::int32_t> retry_queue;
   std::vector<int> attempts(units, 0);
-  std::size_t completed = static_cast<std::size_t>(resumed);
+  std::size_t completed = static_cast<std::size_t>(outcome.resumed);
   auto dispatch = [&](Worker& worker) {
     std::int32_t id = -1;
     bool from_retry = false;
@@ -552,9 +416,11 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
         dispatch(worker);
         continue;
       }
-      ScenarioResult result = decode_capsule(capsule);
-      SMPI_ENSURE(result.id == id / reps && result.rep == id % reps,
+      const util::JsonValue json = util::parse_json(capsule, "campaign capsule");
+      SMPI_ENSURE(json.at("id", "capsule").as_int() == id / reps &&
+                      json.at("rep", "capsule").as_int() == id % reps,
                   "campaign capsule for the wrong unit");
+      ScenarioResult result = read_result_fields(json, id / reps, id % reps);
       result.retries = attempts[static_cast<std::size_t>(id)] - 1;
       if (options.progress) {
         std::fprintf(stderr, "campaign: unit %d/%zu %s (%s)\n", id + 1, units,
@@ -594,9 +460,8 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
   }
 
   for (Worker& worker : pool) {
-    if (worker.alive && worker.running_id < 0) {
-      // Idle workers were already told to shut down by dispatch().
-    } else if (worker.alive) {
+    // Idle workers were already told to shut down by dispatch().
+    if (worker.alive && worker.running_id >= 0) {
       const TaskMsg shutdown;
       write_exact(worker.task_fd, &shutdown, sizeof shutdown);
     }

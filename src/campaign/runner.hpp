@@ -11,10 +11,11 @@
 // Protocol (all pipes, no shared memory):
 //   parent -> worker : {int32 scenario id, int32 flags}; id -1 = shut down
 //                      (flags carry the harness-test fault-injection hooks)
-//   worker -> parent : uint32 capsule length + capsule bytes (JSON)
+//   worker -> parent : uint32 capsule length + capsule bytes
 //
-// Capsules are self-describing JSON so a dead worker can only lose its own
-// in-flight scenario. The parent is hardened against misbehaving workers:
+// A capsule is the unit's report row plus its id and rep, in JSON, written
+// and read by the same field table as the report (see report.hpp), so a dead
+// worker can only lose its own in-flight scenario. The parent is hardened against misbehaving workers:
 // a worker that dies mid-scenario is reaped (its exit cause recorded on the
 // row) and the scenario is retried ONCE on a freshly forked worker after a
 // short backoff; a scenario that outlives the wall-clock watchdog gets its
