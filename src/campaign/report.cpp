@@ -137,9 +137,8 @@ const char* base_kind_name(CampaignSpec::BaseKind kind) {
 // One table drives every per-run surface: report rows and replication
 // entries, the worker capsule, resume parsing and the CSV. A field names its
 // JSON group ("" = the row itself) and key, the rows that carry it, and its
-// value. Its CSV column is the key (or `column`); the columns follow table
-// order within three zones: kCsvHead, then the axis columns, then the rest,
-// then kCsvTail.
+// value. Its CSV column is the key (or `column`), in table order within the
+// zones kCsvHead, the axis columns, unflagged fields, kCsvTail.
 
 // A ScenarioResult member, or a report-side value derived from the run and
 // its same-rep baseline (empty without one: capsules and resume skip it).

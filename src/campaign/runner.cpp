@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include "campaign/report.hpp"
 #include "obs/resource.hpp"
@@ -37,28 +36,32 @@ double max_of(const std::vector<double>& v) {
 
 // --- pipe helpers -----------------------------------------------------------
 
-// Moves exactly `bytes` through ::read or ::write, retrying on EINTR; false
-// once the other end is gone.
-template <typename Io, typename Byte>
-bool transfer_exact(Io io, int fd, Byte* data, std::size_t bytes) {
+bool read_exact(int fd, void* buffer, std::size_t bytes) {
+  auto* out = static_cast<unsigned char*>(buffer);
   while (bytes > 0) {
-    const ssize_t n = io(fd, data, bytes);
+    const ssize_t n = ::read(fd, out, bytes);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
     }
-    data += n;
+    out += n;
     bytes -= static_cast<std::size_t>(n);
   }
   return true;
 }
 
-bool read_exact(int fd, void* buffer, std::size_t bytes) {
-  return transfer_exact(::read, fd, static_cast<unsigned char*>(buffer), bytes);
-}
-
 bool write_exact(int fd, const void* buffer, std::size_t bytes) {
-  return transfer_exact(::write, fd, static_cast<const unsigned char*>(buffer), bytes);
+  const auto* in = static_cast<const unsigned char*>(buffer);
+  while (bytes > 0) {
+    const ssize_t n = ::write(fd, in, bytes);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
+    }
+    in += n;
+    bytes -= static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 // --- worker side ------------------------------------------------------------
@@ -460,8 +463,9 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
   }
 
   for (Worker& worker : pool) {
-    // Idle workers were already told to shut down by dispatch().
-    if (worker.alive && worker.running_id >= 0) {
+    if (worker.alive && worker.running_id < 0) {
+      // Idle workers were already told to shut down by dispatch().
+    } else if (worker.alive) {
       const TaskMsg shutdown;
       write_exact(worker.task_fd, &shutdown, sizeof shutdown);
     }

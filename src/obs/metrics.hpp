@@ -1,7 +1,7 @@
-// Unified metrics registry: one ordered name -> value store that every
-// reporting surface (smpirun --verbose/--analyze, ti_inspect --summary,
-// campaign capsules) renders from, replacing the ad-hoc printf plumbing of
-// P2pCounters / RankUsage / solver counters. Collectors read the existing
+// Unified metrics registry: one ordered name -> value store that
+// smpirun --verbose/--analyze renders from, replacing the ad-hoc printf
+// plumbing of P2pCounters / RankUsage / solver counters. Campaign rows do
+// not use it: they have their own field table (campaign/report.cpp). Collectors read the existing
 // counter structs — they never replace or reset them, so the underlying
 // values stay bit-identical to the pre-registry paths.
 #pragma once

@@ -92,8 +92,6 @@ struct Options {
   std::string trace_perfetto; // --trace-perfetto: Chrome/Perfetto trace JSON
   bool profile = false;       // --profile: simulator self-profiling report
   std::string profile_json_path = "BENCH_profile.json";  // --profile-json
-  bool paje_classic = false;  // --paje-classic: keep the per-call Paje states
-                              // even when --analyze could color by wait-state
 };
 
 [[noreturn]] void usage(const char* error) {
@@ -129,8 +127,6 @@ struct Options {
                "  --profile             profile the simulator itself (solver, calendar,\n"
                "                        context switches, pools) and write a JSON report\n"
                "  --profile-json FILE   self-profile JSON path (default BENCH_profile.json)\n"
-               "  --paje-classic        with --analyze + --trace-paje: keep the classic\n"
-               "                        per-MPI-call timeline instead of wait-state colors\n"
                "  --verbose             print per-app details\n");
   std::exit(1);
 }
@@ -196,8 +192,6 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--profile-json") {
         options.profile = true;
         options.profile_json_path = need_value(i);
-      } else if (arg == "--paje-classic") {
-        options.paje_classic = true;
       } else if (arg == "--verbose") {
         options.verbose = true;
       } else if (arg == "--help" || arg == "-h") {
@@ -389,11 +383,10 @@ int main(int argc, char** argv) {
 
     if (!options.replay_dir.empty()) {
       const smpi::trace::TiTrace trace = smpi::trace::load_ti_trace(options.replay_dir);
-      // With --analyze the Paje timeline defaults to wait-state coloring
-      // (exported from the spans after the run); --paje-classic keeps the
-      // live per-MPI-call capture instead.
-      const bool classified_paje =
-          !options.trace_paje.empty() && options.analyze && !options.paje_classic;
+      // With --analyze the Paje timeline is colored by wait-state (exported
+      // from the spans after the run); without it, the live per-MPI-call
+      // capture is written.
+      const bool classified_paje = !options.trace_paje.empty() && options.analyze;
       std::unique_ptr<smpi::trace::PajeWriter> paje;
       smpi::trace::ReplayOptions replay_options;
       if (!options.trace_paje.empty() && !classified_paje) {
@@ -490,8 +483,7 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<smpi::trace::TiWriter> ti_writer;
     std::unique_ptr<smpi::trace::PajeWriter> paje;
-    const bool classified_paje =
-        !options.trace_paje.empty() && options.analyze && !options.paje_classic;
+    const bool classified_paje = !options.trace_paje.empty() && options.analyze;
     if (!options.trace_ti_dir.empty()) {
       ti_writer = std::make_unique<smpi::trace::TiWriter>(options.trace_ti_dir, np, options.app);
     }
