@@ -52,8 +52,11 @@ ScenarioAgg aggregate_scenario(const CampaignOutcome& outcome, std::size_t scena
   for (int rep = 0; rep < reps; ++rep) {
     const ScenarioResult& r =
         outcome.results[scenario * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep)];
-    if (r.ok) agg.times.push_back(r.simulated_time);
-    agg.complete = agg.complete && r.ok;
+    if (r.ok) {
+      agg.times.push_back(r.simulated_time);
+    } else {
+      agg.complete = false;
+    }
   }
   if (!agg.times.empty()) {
     agg.stats = util::summarize_sample(agg.times);
@@ -122,6 +125,12 @@ RankStability rank_stability(const CampaignOutcome& outcome,
   return rs;
 }
 
+util::JsonValue params_json(const Scenario& scenario) {
+  util::JsonValue params = util::JsonValue::object();
+  for (const auto& [key, value] : scenario.params) params.set(key, value);
+  return params;
+}
+
 const char* base_kind_name(CampaignSpec::BaseKind kind) {
   switch (kind) {
     case CampaignSpec::BaseKind::kFlat: return "flat";
@@ -130,6 +139,28 @@ const char* base_kind_name(CampaignSpec::BaseKind kind) {
     case CampaignSpec::BaseKind::kXmlFile: return "xml";
   }
   SMPI_UNREACHABLE("bad base kind");
+}
+
+// The report's record of the sweep's base platform and workload; resume
+// compares a prior report's against these.
+util::JsonValue platform_json(const CampaignSpec& spec) {
+  util::JsonValue platform = util::JsonValue::object();
+  platform.set("kind", util::JsonValue::string(base_kind_name(spec.base_kind)));
+  platform.set("nodes", util::JsonValue::number(spec.base_nodes));
+  if (!spec.platform_file.empty()) {
+    platform.set("file", util::JsonValue::string(spec.platform_file));
+  }
+  return platform;
+}
+
+util::JsonValue workload_json(const CampaignSpec& spec) {
+  util::JsonValue workload = util::JsonValue::object();
+  workload.set("name", util::JsonValue::string(spec.workload.name));
+  workload.set("ranks", util::JsonValue::number(spec.workload.ranks));
+  workload.set("seed", util::JsonValue::number(static_cast<double>(spec.workload.seed)));
+  workload.set("phases",
+               util::JsonValue::number(static_cast<double>(spec.workload.phases.size())));
+  return workload;
 }
 
 // --- the row schema ----------------------------------------------------------
@@ -162,6 +193,8 @@ struct Field {
   const char* column = nullptr;
 };
 
+// MEMBER(m) is the member r.m; DERIVED(e) is e, computed from the run r and
+// its same-rep baseline *b.
 #define MEMBER(m) [](ScenarioResult& r, const ScenarioResult*) -> Value { return &r.m; }
 #define DERIVED(e) [](ScenarioResult& r, const ScenarioResult* b) { return b ? Value{e} : Value{}; }
 
@@ -288,8 +321,9 @@ void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
     const Value value = output_value(f, r, baseline);
     if (std::holds_alternative<std::monostate>(value)) continue;
     util::JsonValue json = to_json(value);
-    const bool set = json.is_bool() ? json.as_bool() : !json.is_string() || json.as_string() != "";
-    if (!set && (f.flags & kOmitUnset) != 0) continue;
+    const bool unset =
+        json.is_bool() ? !json.as_bool() : json.is_string() && json.as_string().empty();
+    if (unset && (f.flags & kOmitUnset) != 0) continue;
     if (open != f.group) {
       if (!open.empty()) row.set(open, std::move(group));
       open = f.group;
@@ -331,24 +365,8 @@ util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario
   util::JsonValue doc = util::JsonValue::object();
   doc.set("campaign", util::JsonValue::string(spec.name));
   doc.set("trace", util::JsonValue::string(spec.trace_dir));
-  {
-    util::JsonValue platform = util::JsonValue::object();
-    platform.set("kind", util::JsonValue::string(base_kind_name(spec.base_kind)));
-    platform.set("nodes", util::JsonValue::number(spec.base_nodes));
-    if (!spec.platform_file.empty()) {
-      platform.set("file", util::JsonValue::string(spec.platform_file));
-    }
-    doc.set("platform", std::move(platform));
-  }
-  if (spec.has_workload) {
-    util::JsonValue workload = util::JsonValue::object();
-    workload.set("name", util::JsonValue::string(spec.workload.name));
-    workload.set("ranks", util::JsonValue::number(spec.workload.ranks));
-    workload.set("seed", util::JsonValue::number(static_cast<double>(spec.workload.seed)));
-    workload.set("phases",
-                 util::JsonValue::number(static_cast<double>(spec.workload.phases.size())));
-    doc.set("workload", std::move(workload));
-  }
+  doc.set("platform", platform_json(spec));
+  if (spec.has_workload) doc.set("workload", workload_json(spec));
   doc.set("workers", util::JsonValue::number(outcome.workers));
   if (outcome.resumed > 0) doc.set("resumed", util::JsonValue::number(outcome.resumed));
   doc.set("wall_s", util::JsonValue::number(outcome.wall_s));
@@ -366,9 +384,7 @@ util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario
     util::JsonValue row = util::JsonValue::object();
     row.set("id", util::JsonValue::number(scenario.id));
     row.set("label", util::JsonValue::string(scenario.label));
-    util::JsonValue params = util::JsonValue::object();
-    for (const auto& [key, value] : scenario.params) params.set(key, value);
-    row.set("params", std::move(params));
+    row.set("params", params_json(scenario));
     if (reps == 1) {
       set_result_fields(row, outcome.results[i], &baseline);
       rows.append(std::move(row));
@@ -649,29 +665,13 @@ std::vector<ScenarioResult> results_from_report(const util::JsonValue& report,
   const std::string trace = report.at("trace", "resume report").as_string();
   SMPI_REQUIRE(trace == spec.trace_dir, "campaign resume: report ran over trace '" + trace +
                                             "', spec uses '" + spec.trace_dir + "'");
-  const auto& platform = report.at("platform", "resume report");
-  SMPI_REQUIRE(platform.at("kind", "resume platform").as_string() ==
-                       base_kind_name(spec.base_kind) &&
-                   platform.at("nodes", "resume platform").as_int() == spec.base_nodes &&
-                   (spec.platform_file.empty()
-                        ? platform.find("file") == nullptr
-                        : platform.find("file") != nullptr &&
-                              platform.at("file", "resume platform").as_string() ==
-                                  spec.platform_file),
+  SMPI_REQUIRE(report.at("platform", "resume report").dump() == platform_json(spec).dump(),
                "campaign resume: report ran on a different base platform");
   const auto* workload = report.find("workload");
   SMPI_REQUIRE((workload != nullptr) == spec.has_workload,
                "campaign resume: report and spec disagree on the workload trace source");
-  if (workload != nullptr) {
-    SMPI_REQUIRE(
-        workload->at("name", "resume workload").as_string() == spec.workload.name &&
-            workload->at("ranks", "resume workload").as_int() == spec.workload.ranks &&
-            workload->at("seed", "resume workload").as_int() ==
-                static_cast<long long>(spec.workload.seed) &&
-            workload->at("phases", "resume workload").as_int() ==
-                static_cast<long long>(spec.workload.phases.size()),
-        "campaign resume: report ran a different workload (name/ranks/seed/phases changed)");
-  }
+  SMPI_REQUIRE(workload == nullptr || workload->dump() == workload_json(spec).dump(),
+               "campaign resume: report ran a different workload (name/ranks/seed/phases changed)");
 
   std::vector<ScenarioResult> results(scenarios.size() * static_cast<std::size_t>(reps));
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -20,11 +20,13 @@
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "util/check.hpp"
 #include "util/json.hpp"
 #include "workload/generate.hpp"
 
 namespace fs = std::filesystem;
 namespace cp = smpi::campaign;
+using smpi::util::ContractError;
 using smpi::util::JsonValue;
 using smpi::util::parse_json;
 
@@ -361,4 +363,43 @@ TEST(CampaignResume, LegacyReportWithoutNewerFieldsResumes) {
   EXPECT_EQ(rows.items()[0].find("analysis"), nullptr);
   EXPECT_NE(rows.items()[1].find("analysis"), nullptr);
   EXPECT_EQ(rows.items()[2].find("p2p")->at("pool_hits", "p2p").as_int(), 0);
+}
+
+// Resume compares the report's platform and workload records with the spec:
+// a report of another base platform or another workload is rejected.
+TEST(CampaignResume, RejectsReportOfAnotherPlatformOrWorkload) {
+  Sweep s;
+  s.spec = cp::CampaignSpec::parse(parse_json(R"({
+    "name": "resume-identity",
+    "workload": {"name": "ring-4", "ranks": 4, "seed": 3, "pattern": "ring", "bytes": 64},
+    "platform": {"kind": "flat", "nodes": 4},
+    "axes": [{"param": "link_bandwidth_scale", "values": [2]}]
+  })", "identity spec"));
+  s.scenarios = cp::enumerate_scenarios(s.spec);
+  s.outcome.results = {ok_result(0, 0, 0.5, true, true), ok_result(1, 0, 0.25, true, true)};
+  const JsonValue report = parse_json(
+      cp::report_json(s.spec, s.scenarios, s.outcome).dump(2), "identity report");
+  EXPECT_NO_THROW(cp::results_from_report(report, s.spec, s.scenarios));
+
+  auto renodes = s.spec;
+  renodes.base_nodes = 8;
+  EXPECT_THROW(cp::results_from_report(report, renodes, s.scenarios), ContractError);
+  auto rekind = s.spec;
+  rekind.base_kind = cp::CampaignSpec::BaseKind::kGdx;
+  EXPECT_THROW(cp::results_from_report(report, rekind, s.scenarios), ContractError);
+  auto refile = s.spec;
+  refile.platform_file = "cluster.xml";
+  EXPECT_THROW(cp::results_from_report(report, refile, s.scenarios), ContractError);
+  auto reseed = s.spec;
+  reseed.workload.seed = 4;
+  EXPECT_THROW(cp::results_from_report(report, reseed, s.scenarios), ContractError);
+  auto rename = s.spec;
+  rename.workload.name = "ring-5";
+  EXPECT_THROW(cp::results_from_report(report, rename, s.scenarios), ContractError);
+  auto reranks = s.spec;
+  reranks.workload.ranks = 8;
+  EXPECT_THROW(cp::results_from_report(report, reranks, s.scenarios), ContractError);
+  auto rephase = s.spec;
+  rephase.workload.phases.push_back(rephase.workload.phases.front());
+  EXPECT_THROW(cp::results_from_report(report, rephase, s.scenarios), ContractError);
 }
