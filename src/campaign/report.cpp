@@ -168,8 +168,9 @@ util::JsonValue workload_json(const CampaignSpec& spec) {
 // One table drives every per-run surface: report rows and replication
 // entries, the worker capsule, resume parsing and the CSV. A field names its
 // JSON group ("" = the row itself) and key, the rows that carry it, and its
-// value. Its CSV column is the key (or `column`), in table order within the
-// zones kCsvHead, the axis columns, unflagged fields, kCsvTail.
+// value. Its CSV column is the key (or `column`); CSV columns keep table
+// order within the zones kCsvHead, axis columns, unflagged, kCsvTail (the
+// JSON writes a failed row's error before timed_out, the CSV after it).
 
 // A ScenarioResult member, or a report-side value derived from the run and
 // its same-rep baseline (empty without one: capsules and resume skip it).
@@ -193,8 +194,7 @@ struct Field {
   const char* column = nullptr;
 };
 
-// MEMBER(m) is the member r.m; DERIVED(e) is e, computed from the run r and
-// its same-rep baseline *b.
+// MEMBER(m): the member r.m. DERIVED(e): e, from the run r and its baseline *b.
 #define MEMBER(m) [](ScenarioResult& r, const ScenarioResult*) -> Value { return &r.m; }
 #define DERIVED(e) [](ScenarioResult& r, const ScenarioResult* b) { return b ? Value{e} : Value{}; }
 
