@@ -281,6 +281,16 @@ void from_json(const util::JsonValue& json, const Value& value) {
       value);
 }
 
+// RFC 4180 text cell: wrapped in double quotes, embedded quotes doubled.
+std::string csv_quoted(const std::string& text) {
+  std::string cell = "\"";
+  for (char c : text) {
+    if (c == '"') cell += '"';
+    cell += c;
+  }
+  return cell + '"';
+}
+
 std::string to_csv(const Value& value, bool bare) {
   return std::visit(
       Overloaded{[](std::monostate) { return std::string(); },
@@ -288,7 +298,7 @@ std::string to_csv(const Value& value, bool bare) {
                  [](double v) { return format_double(v); },
                  [](double* v) { return format_double(*v); },
                  [](bool* v) { return std::string(*v ? "1" : "0"); },
-                 [&](std::string* v) { return bare ? *v : "\"" + *v + "\""; },
+                 [&](std::string* v) { return bare ? *v : csv_quoted(*v); },
                  [](auto* v) { return std::to_string(*v); }},
       value);
 }
@@ -475,7 +485,8 @@ std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& sc
     const Scenario& scenario = scenarios[unit / static_cast<std::size_t>(reps)];
     const ScenarioResult& baseline =
         outcome.results[unit % static_cast<std::size_t>(reps)];  // same-rep baseline
-    csv += std::to_string(scenario.id) + ',' + std::to_string(r.rep) + ",\"" + scenario.label + '"';
+    csv += std::to_string(scenario.id) + ',' + std::to_string(r.rep) + ',' +
+           csv_quoted(scenario.label);
     for (const Field* f : columns) {
       if (f == nullptr) {
         for (const Axis& axis : spec.axes) {

@@ -1,15 +1,18 @@
 #include "sim/context.hpp"
 
+#include <signal.h>
 #include <ucontext.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
-#include <vector>
 
+#include "sim/mapped_region.hpp"
 #include "util/check.hpp"
 
 // ---------------------------------------------------------------------------
@@ -176,16 +179,111 @@ inline void asan_finish_switch(void* save, const void** old_bottom, std::size_t*
 }
 
 // ---------------------------------------------------------------------------
+// Fiber stacks (raw and ucontext backends) and the overflow report.
+//
+// Each stack is a lazily committed mapping (MappedRegion): 1024 ranks of
+// 512 KiB cost the pages their calls actually reach, not 512 MiB. The
+// PROT_NONE guard page below it turns an overflow into a SIGSEGV, which
+// the handler below reports with the actor's name instead of letting the
+// fiber scribble over the neighbouring mapping.
+// ---------------------------------------------------------------------------
+
+struct FiberStack {
+  FiberStack(std::size_t bytes, std::string owner)
+      : region(bytes, /*guard_page=*/true), name(std::move(owner)) {}
+  MappedRegion region;
+  std::string name;  // printed by the overflow report
+};
+
+// The stack of the fiber running right now, nullptr while the kernel runs
+// (only the kernel resumes fibers, so switches never nest). Read only by
+// the SIGSEGV handler.
+const FiberStack* g_running_stack = nullptr;
+struct sigaction g_previous_segv {};
+
+// The handler runs here: the overflowing fiber has no stack left. Static
+// storage, so it is committed only once a signal is delivered on it.
+constexpr std::size_t kAltStackBytes = 64 * 1024;
+alignas(16) unsigned char g_alt_stack[kAltStackBytes];
+
+// Async-signal-safe string building for the report (no snprintf).
+void append_text(char* buf, std::size_t cap, std::size_t& len, const char* text) {
+  while (*text != '\0' && len + 1 < cap) buf[len++] = *text++;
+}
+
+void append_number(char* buf, std::size_t cap, std::size_t& len, std::size_t value) {
+  char digits[24];
+  int n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + value % 10);
+    value /= 10;
+  } while (value != 0);
+  while (n > 0 && len + 1 < cap) buf[len++] = digits[--n];
+}
+
+void on_segv(int sig, siginfo_t* info, void* ucontext) {
+  const FiberStack* stack = g_running_stack;
+  if (stack != nullptr && stack->region.in_guard(info->si_addr)) {
+    char msg[256];
+    std::size_t len = 0;
+    append_text(msg, sizeof msg, len, "fiber stack overflow in actor ");
+    append_text(msg, sizeof msg, len, stack->name.c_str());
+    append_text(msg, sizeof msg, len, " (");
+    append_number(msg, sizeof msg, len, stack->region.size() / 1024);
+    append_text(msg, sizeof msg, len, " KiB stack)\n");
+    const ssize_t written = write(STDERR_FILENO, msg, len);
+    (void)written;
+  } else if (g_previous_segv.sa_handler != SIG_DFL && g_previous_segv.sa_handler != SIG_IGN) {
+    // Any other fault belongs to whoever handled SIGSEGV before us (ASan's
+    // reports, for one).
+    if ((g_previous_segv.sa_flags & SA_SIGINFO) != 0) {
+      g_previous_segv.sa_sigaction(sig, info, ucontext);
+    } else {
+      g_previous_segv.sa_handler(sig);
+    }
+    return;
+  }
+  // Default action: the signal stays blocked until this handler returns,
+  // then kills the process as an unhandled SIGSEGV would have.
+  struct sigaction fallback {};
+  fallback.sa_handler = SIG_DFL;
+  sigemptyset(&fallback.sa_mask);
+  sigaction(sig, &fallback, nullptr);
+  raise(sig);
+}
+
+// Once per process; the raw and ucontext factories call it. An alternate
+// signal stack already in place (ASan installs one) is kept.
+void install_overflow_handler() {
+  static const bool installed = [] {
+    stack_t current{};
+    if (sigaltstack(nullptr, &current) == 0 && (current.ss_flags & SS_DISABLE) != 0) {
+      stack_t alt{};
+      alt.ss_sp = g_alt_stack;
+      alt.ss_size = kAltStackBytes;
+      sigaltstack(&alt, nullptr);
+    }
+    struct sigaction action {};
+    action.sa_sigaction = &on_segv;
+    action.sa_flags = SA_SIGINFO | SA_ONSTACK;
+    sigemptyset(&action.sa_mask);
+    sigaction(SIGSEGV, &action, &g_previous_segv);
+    return true;
+  }();
+  (void)installed;
+}
+
+// ---------------------------------------------------------------------------
 // ucontext backend
 // ---------------------------------------------------------------------------
 
 class UcontextContext final : public Context {
  public:
-  UcontextContext(std::function<void()> body, std::size_t stack_bytes)
-      : body_(std::move(body)), stack_(stack_bytes) {
+  UcontextContext(std::function<void()> body, std::size_t stack_bytes, std::string name)
+      : body_(std::move(body)), stack_(stack_bytes, std::move(name)) {
     getcontext(&ctx_);
-    ctx_.uc_stack.ss_sp = stack_.data();
-    ctx_.uc_stack.ss_size = stack_.size();
+    ctx_.uc_stack.ss_sp = stack_.region.data();
+    ctx_.uc_stack.ss_size = stack_.region.size();
     ctx_.uc_link = nullptr;
     // makecontext only passes ints portably; smuggle `this` as two halves.
     const auto self = reinterpret_cast<std::uintptr_t>(this);
@@ -204,9 +302,11 @@ class UcontextContext final : public Context {
   void resume() override {
     SMPI_ENSURE(!done_, "resuming a finished context");
     started_ = true;
-    asan_start_switch(&kernel_fake_stack_, stack_.data(), stack_.size());
+    g_running_stack = &stack_;
+    asan_start_switch(&kernel_fake_stack_, stack_.region.data(), stack_.region.size());
     swapcontext(&kernel_ctx_, &ctx_);
     asan_finish_switch(kernel_fake_stack_, nullptr, nullptr);
+    g_running_stack = nullptr;
   }
 
   void suspend() override {
@@ -238,7 +338,7 @@ class UcontextContext final : public Context {
   }
 
   std::function<void()> body_;
-  std::vector<unsigned char> stack_;
+  FiberStack stack_;
   ucontext_t ctx_{};
   ucontext_t kernel_ctx_{};
   bool started_ = false;
@@ -251,9 +351,11 @@ class UcontextContext final : public Context {
 
 class UcontextFactory final : public ContextFactory {
  public:
-  explicit UcontextFactory(std::size_t stack_bytes) : stack_bytes_(stack_bytes) {}
-  std::unique_ptr<Context> create(std::function<void()> body) override {
-    return std::make_unique<UcontextContext>(std::move(body), stack_bytes_);
+  explicit UcontextFactory(std::size_t stack_bytes) : stack_bytes_(stack_bytes) {
+    install_overflow_handler();
+  }
+  std::unique_ptr<Context> create(std::function<void()> body, std::string name) override {
+    return std::make_unique<UcontextContext>(std::move(body), stack_bytes_, std::move(name));
   }
   std::string name() const override { return "ucontext"; }
 
@@ -265,15 +367,15 @@ class UcontextFactory final : public ContextFactory {
 
 class RawContext final : public Context {
  public:
-  RawContext(std::function<void()> body, std::size_t stack_bytes)
-      : body_(std::move(body)), stack_(stack_bytes < kMinStack ? kMinStack : stack_bytes) {
+  RawContext(std::function<void()> body, std::size_t stack_bytes, std::string name)
+      : body_(std::move(body)), stack_(std::max(stack_bytes, kMinStack), std::move(name)) {
     // Prime the stack so the first swap-in pops the callee-saved frame and
     // "returns" into smpi_raw_boot with the context pointer in a
-    // callee-saved register. Stack top is 16-byte aligned, so inside
+    // callee-saved register. Stack top is page-aligned, so inside
     // smpi_raw_boot the stack meets the ABI alignment at the trampoline
     // call.
-    auto top = reinterpret_cast<std::uintptr_t>(stack_.data() + stack_.size());
-    top &= ~static_cast<std::uintptr_t>(0xf);
+    const auto top =
+        reinterpret_cast<std::uintptr_t>(stack_.region.data() + stack_.region.size());
 #if defined(__x86_64__)
     auto* slots = reinterpret_cast<void**>(top);
     slots[-1] = reinterpret_cast<void*>(&smpi_raw_boot);  // ret target
@@ -309,9 +411,11 @@ class RawContext final : public Context {
   void resume() override {
     SMPI_ENSURE(!done_, "resuming a finished context");
     started_ = true;
-    asan_start_switch(&kernel_fake_stack_, stack_.data(), stack_.size());
+    g_running_stack = &stack_;
+    asan_start_switch(&kernel_fake_stack_, stack_.region.data(), stack_.region.size());
     smpi_raw_swap(&kernel_sp_, sp_);
     asan_finish_switch(kernel_fake_stack_, nullptr, nullptr);
+    g_running_stack = nullptr;
   }
 
   void suspend() override {
@@ -344,7 +448,7 @@ class RawContext final : public Context {
   static constexpr std::size_t kMinStack = 16 * 1024;
 
   std::function<void()> body_;
-  std::vector<unsigned char> stack_;
+  FiberStack stack_;
   void* sp_ = nullptr;         // fiber stack pointer while suspended
   void* kernel_sp_ = nullptr;  // kernel stack pointer while the fiber runs
   bool started_ = false;
@@ -357,9 +461,11 @@ class RawContext final : public Context {
 
 class RawFactory final : public ContextFactory {
  public:
-  explicit RawFactory(std::size_t stack_bytes) : stack_bytes_(stack_bytes) {}
-  std::unique_ptr<Context> create(std::function<void()> body) override {
-    return std::make_unique<RawContext>(std::move(body), stack_bytes_);
+  explicit RawFactory(std::size_t stack_bytes) : stack_bytes_(stack_bytes) {
+    install_overflow_handler();
+  }
+  std::unique_ptr<Context> create(std::function<void()> body, std::string name) override {
+    return std::make_unique<RawContext>(std::move(body), stack_bytes_, std::move(name));
   }
   std::string name() const override { return "raw"; }
 
@@ -434,7 +540,7 @@ class ThreadContext final : public Context {
 
 class ThreadFactory final : public ContextFactory {
  public:
-  std::unique_ptr<Context> create(std::function<void()> body) override {
+  std::unique_ptr<Context> create(std::function<void()> body, std::string /*name*/) override {
     return std::make_unique<ThreadContext>(std::move(body));
   }
   std::string name() const override { return "thread"; }

@@ -15,6 +15,11 @@
 //  * "ucontext" — swapcontext-based fibers, the portable POSIX default;
 //  * "thread"   — one std::thread per context with strict semaphore handoff,
 //    a portable fallback (select with SMPI_CONTEXT_BACKEND=thread).
+//
+// The raw and ucontext stacks are lazily committed mappings with a guard
+// page below them (sim/mapped_region.hpp): a fiber pays resident memory
+// only for the stack depth it reaches, and one that overflows dies with
+// "fiber stack overflow in actor <name> (<N> KiB stack)" on stderr.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +60,8 @@ class Context {
 class ContextFactory {
  public:
   virtual ~ContextFactory() = default;
-  virtual std::unique_ptr<Context> create(std::function<void()> body) = 0;
+  // `name` is the owning actor's, used by the stack-overflow report.
+  virtual std::unique_ptr<Context> create(std::function<void()> body, std::string name = {}) = 0;
   virtual std::string name() const = 0;
 
   // backend: "ucontext", "thread", or "" to honor SMPI_CONTEXT_BACKEND (with

@@ -110,10 +110,12 @@ Actor* Engine::spawn(std::string name, int node, std::function<void()> body) {
   auto actor = std::unique_ptr<Actor>(new Actor(this, static_cast<int>(actors_.size()), node,
                                                 std::move(name)));
   Actor* raw = actor.get();
-  actor->context_ = context_factory_->create([this, raw, body = std::move(body)] {
-    body();
-    raw->state_ = Actor::State::kDead;
-  });
+  actor->context_ = context_factory_->create(
+      [this, raw, body = std::move(body)] {
+        body();
+        raw->state_ = Actor::State::kDead;
+      },
+      raw->name());
   runnable_push(raw);
   actors_.push_back(std::move(actor));
   ++live_actors_;

@@ -8,6 +8,7 @@
 
 #include "obs/resource.hpp"
 #include "obs/span.hpp"
+#include "sim/mapped_region.hpp"
 #include "smpi/internals.hpp"
 #include "smpi/mpi.h"
 #include "surf/cpu.hpp"
@@ -105,12 +106,10 @@ std::vector<int> prefix_displs(const std::vector<int>& counts) {
 // the reduction itself costs no simulated time, so the body is empty.
 void replay_reduce_stub(void* /*in*/, void* /*inout*/, int* /*len*/, MPI_Datatype* /*type*/) {}
 
-void replay_rank(const TiTrace& trace, std::vector<unsigned char>& arena,
-                 std::vector<RankUsage>& usage) {
+void replay_rank(const TiTrace& trace, unsigned char* base, std::vector<RankUsage>& usage) {
   core::SmpiWorld* world = core::SmpiWorld::instance();
   const int rank = world->current_process()->world_rank;
   const auto& records = trace.ranks[static_cast<std::size_t>(rank)];
-  unsigned char* base = arena.data();
   RankUsage& my_usage = usage[static_cast<std::size_t>(rank)];
   const sim::Engine& engine = world->engine();
 
@@ -318,11 +317,12 @@ long long compute_arena_bytes(const TiTrace& trace) {
 ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig config,
                           const TiTrace& trace, const ReplayOptions& options) {
   // Pre-size the shared arena before any actor runs: growing it mid-run
-  // would move memory out from under a suspended rank's collective.
+  // would move memory out from under a suspended rank's collective. It is a
+  // lazy mapping, so payload-free replay, which never writes message data
+  // into it, commits none of it.
   const long long arena_bytes =
       options.arena_bytes_hint > 0 ? options.arena_bytes_hint : compute_arena_bytes(trace);
-  auto arena = std::make_shared<std::vector<unsigned char>>(
-      static_cast<std::size_t>(arena_bytes));
+  const sim::MappedRegion arena(static_cast<std::size_t>(arena_bytes));
   auto usage = std::make_shared<std::vector<RankUsage>>(
       static_cast<std::size_t>(trace.nranks));
 
@@ -343,7 +343,10 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   }
   try {
     world.run(trace.nranks,
-              [&trace, arena, usage](int, char**) { replay_rank(trace, *arena, *usage); }, {},
+              [&trace, base = arena.data(), usage](int, char**) {
+                replay_rank(trace, base, *usage);
+              },
+              {},
               "ti-replay:" + trace.app);
   } catch (...) {
     // Never leave the global instrumentation dangling onto the caller-owned

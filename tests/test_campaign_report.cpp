@@ -186,18 +186,34 @@ Sweep replicated_sweep() {
   return s;
 }
 
-// Splits one CSV line into fields, honouring double-quoted fields.
+// Splits one CSV line into fields the way Python's csv module does: a
+// field that opens with a double quote runs to the matching close quote,
+// and a doubled quote inside it is one literal quote.
 std::vector<std::string> csv_fields(const std::string& line) {
   std::vector<std::string> fields(1);
   bool quoted = false;
-  for (char c : line) {
-    if (c == '"') {
-      quoted = !quoted;
-    } else if (c == ',' && !quoted) {
+  bool at_start = true;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted) {
+      if (c != '"') {
+        fields.back() += c;
+      } else if (i + 1 < line.size() && line[i + 1] == '"') {
+        fields.back() += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"' && at_start) {
+      quoted = true;
+    } else if (c == ',') {
       fields.emplace_back();
+      at_start = true;
+      continue;
     } else {
       fields.back() += c;
     }
+    at_start = false;
   }
   return fields;
 }
@@ -268,6 +284,20 @@ TEST(CampaignReportCsv, EveryRowHasTheHeaderFieldCount) {
         << unit;
     EXPECT_EQ(row[column(header, "dominant_wait")], r.ok ? r.dominant_wait : "") << unit;
   }
+}
+
+TEST(CampaignReportCsv, QuotesInsideTextCellsAreDoubled) {
+  Sweep s = single_run_sweep();
+  const std::string error = "bad \"x\", y";
+  s.outcome.results[5] = failed_result(5, 0, error);
+  const std::string csv = cp::report_csv(s.spec, s.scenarios, s.outcome);
+  EXPECT_NE(csv.find("\"bad \"\"x\"\", y\""), std::string::npos) << csv;
+  const auto rows = csv_rows(csv);
+  const auto& header = rows.front();
+  const auto& row = rows[6];
+  EXPECT_EQ(row.size(), header.size());
+  EXPECT_EQ(row[column(header, "error")], error);
+  EXPECT_EQ(row[column(header, "label")], s.scenarios[5].label);
 }
 
 // A report written before the harness counted retries, before the p2p
