@@ -8,6 +8,9 @@
 //   BENCH_replay.json records:
 //     replay_online_capture  n=<ranks>  wall_ns of the captured online run
 //     replay_offline         n=<ranks>  wall_ns of replaying its trace
+//     trace_load             n=256      wall_ns of load_ti_trace on a
+//                                       generated 256-rank stencil2d trace
+//                                       (best of 3; ~0.25 us/record)
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,8 +24,12 @@
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
 #include "trace/capture.hpp"
+#include "trace/reader.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
+#include "util/json.hpp"
+#include "workload/generate.hpp"
+#include "workload/spec.hpp"
 
 namespace {
 
@@ -61,6 +68,32 @@ Sample measure(const smpi::platform::Platform& platform, int nprocs,
   });
   std::filesystem::remove_all(dir);
   return sample;
+}
+
+// Writes a generated stencil2d trace to `dir` and times load_ti_trace on it,
+// best of three, so the TI text parse has a gate of its own.
+double measure_trace_load(int ranks, const std::string& dir, long long* records) {
+  std::filesystem::remove_all(dir);
+  const auto doc = smpi::util::parse_json(R"({
+    "name": "bench-trace-load",
+    "ranks": )" + std::to_string(ranks) + R"(,
+    "seed": 1,
+    "pattern": "stencil2d",
+    "iterations": 100,
+    "bytes": 16384,
+    "compute": {"flops": 2e6, "imbalance": 0.1, "jitter": 0.05}
+  })",
+                                          "bench trace_load");
+  smpi::workload::write_workload(smpi::workload::WorkloadSpec::parse(doc), dir);
+  double best = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    smpi::trace::TiTrace trace;
+    const double wall = wall_seconds([&] { trace = smpi::trace::load_ti_trace(dir); });
+    if (rep == 0 || wall < best) best = wall;
+    *records = trace.total_records();
+  }
+  std::filesystem::remove_all(dir);
+  return best;
 }
 
 }  // namespace
@@ -105,6 +138,15 @@ int main() {
     auto platform = smpi::platform::build_flat_cluster(params);
     report(json, "dt-A-WH", "replay_dt_", ranks,
            measure(platform, ranks, smpi::apps::make_dt_app(dt), "bench_replay_ti"));
+  }
+
+  {
+    const int ranks = 256;
+    long long records = 0;
+    const double wall = measure_trace_load(ranks, "bench_replay_load", &records);
+    std::printf("\ntrace_load %d ranks: %lld records in %.1fms (%.3f us/record)\n", ranks, records,
+                wall * 1e3, wall * 1e6 / static_cast<double>(records));
+    json.add("trace_load", ranks, wall * 1e9);
   }
 
   json.save();

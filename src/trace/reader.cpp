@@ -1,11 +1,32 @@
 #include "trace/reader.hpp"
 
+#include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "util/check.hpp"
 
 namespace smpi::trace {
+
+namespace {
+
+// Reads the whole file at `path` into `*text`, reusing its capacity.
+// Returns false when the file cannot be opened.
+bool read_file(const std::string& path, std::string* text) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  text->clear();
+  for (;;) {
+    const std::size_t size = text->size();
+    text->resize(size + kChunk);
+    const auto got = static_cast<std::size_t>(in.rdbuf()->sgetn(text->data() + size, kChunk));
+    text->resize(size + got);
+    if (got < kChunk) return true;
+  }
+}
+
+}  // namespace
 
 TiTrace load_ti_trace(const std::string& dir, bool validate) {
   TiTrace trace;
@@ -30,26 +51,30 @@ TiTrace load_ti_trace(const std::string& dir, bool validate) {
     SMPI_REQUIRE(trace.nranks > 0, "trace manifest has no ranks");
   }
 
-  trace.ranks.resize(static_cast<std::size_t>(trace.nranks));
+  // One rank vector is appended per rank file opened, so a manifest that
+  // declares more ranks than there are files fails on the first missing
+  // file instead of sizing a table from an unchecked count.
+  std::string text;
   for (int rank = 0; rank < trace.nranks; ++rank) {
     const std::string path = dir + "/rank_" + std::to_string(rank) + ".ti";
-    std::ifstream in(path);
-    SMPI_REQUIRE(in.good(), "trace file missing for rank " + std::to_string(rank) + ": " + path +
-                                " (manifest declares " + std::to_string(trace.nranks) +
-                                " ranks)");
-    auto& records = trace.ranks[static_cast<std::size_t>(rank)];
-    std::string line;
+    SMPI_REQUIRE(read_file(path, &text),
+                 "trace file missing for rank " + std::to_string(rank) + ": " + path +
+                     " (manifest declares " + std::to_string(trace.nranks) + " ranks)");
+    auto& records = trace.ranks.emplace_back();
+    records.reserve(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
     long long line_no = 0;
     long long last_record_line = 0;
-    while (std::getline(in, line)) {
+    for (std::size_t begin = 0; begin < text.size();) {
+      std::size_t end = text.find('\n', begin);
+      if (end == std::string::npos) end = text.size();
+      const std::string_view line(text.data() + begin, end - begin);
+      begin = end + 1;
       ++line_no;
-      if (line.empty() || line[0] == '#') continue;
-      TiRecord record;
-      SMPI_REQUIRE(parse_record(line, &record),
+      if (line.empty() || line == "\r" || line[0] == '#') continue;
+      SMPI_REQUIRE(parse_record(line, &records.emplace_back()),
                    "malformed trace record at " + path + ":" + std::to_string(line_no) + ": " +
-                       line);
+                       std::string(line));
       last_record_line = line_no;
-      records.push_back(std::move(record));
     }
     // Structural validation, up front: a replay of a trace that stops short
     // of finalize deadlocks deep inside the simulation (peers wait on

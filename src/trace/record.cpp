@@ -1,8 +1,8 @@
 #include "trace/record.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <sstream>
 
 namespace smpi::trace {
 
@@ -10,7 +10,7 @@ namespace {
 
 struct OpName {
   TiOp op;
-  const char* name;
+  std::string_view name;
 };
 
 constexpr OpName kOpNames[] = {
@@ -59,28 +59,137 @@ void append_list(std::string& out, const std::vector<long long>& values) {
   for (long long v : values) append_ll(out, v);
 }
 
-bool read_ll(std::istringstream& in, long long* out) { return static_cast<bool>(in >> *out); }
+// Reads one record line token by token. Tokens are separated by spaces,
+// tabs or carriage returns, and a number must fill its whole token: `0x10`,
+// `1.5abc` and `4.5` (where an integer is due) are rejected, not truncated.
+class Cursor {
+ public:
+  explicit Cursor(std::string_view line) : pos_(line.data()), end_(line.data() + line.size()) {}
 
-bool read_list(std::istringstream& in, std::vector<long long>* out) {
-  long long k = 0;
-  if (!read_ll(in, &k) || k < 0) return false;
-  out->resize(static_cast<std::size_t>(k));
-  for (long long i = 0; i < k; ++i) {
-    if (!read_ll(in, &(*out)[static_cast<std::size_t>(i)])) return false;
+  std::string_view token() {
+    skip_blanks();
+    const char* start = pos_;
+    while (pos_ != end_ && !is_blank(*pos_)) ++pos_;
+    return {start, static_cast<std::size_t>(pos_ - start)};
   }
-  return true;
+
+  bool read(long long* out) { return read_number(out); }
+
+  // Doubles are %.17g text; from_chars is correctly rounded, so they
+  // round-trip bit-exactly. inf, nan and overflow are rejected.
+  bool read(double* out) { return read_number(out) && std::isfinite(*out); }
+
+  // `<k> <v1> ... <vk>`. Each element needs at least a separator and a
+  // digit, so a k the rest of the line cannot hold is rejected before
+  // anything is allocated.
+  bool read(std::vector<long long>* out) {
+    long long k = 0;
+    if (!read(&k) || k < 0 || k > (end_ - pos_) / 2) return false;
+    out->resize(static_cast<std::size_t>(k));
+    for (long long& v : *out) {
+      if (!read(&v)) return false;
+    }
+    return true;
+  }
+
+  bool at_end() {
+    skip_blanks();
+    return pos_ == end_;
+  }
+
+ private:
+  static bool is_blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+  void skip_blanks() {
+    while (pos_ != end_ && is_blank(*pos_)) ++pos_;
+  }
+
+  template <typename T>
+  bool read_number(T* out) {
+    skip_blanks();
+    const auto [next, ec] = std::from_chars(pos_, end_, *out);
+    if (ec != std::errc() || (next != end_ && !is_blank(*next))) return false;
+    pos_ = next;
+    return true;
+  }
+
+  const char* pos_;
+  const char* end_;
+};
+
+// Reads the fields of `r->op` in their serialized order; the commutativity
+// flag of the reductions goes to `*flag`.
+bool read_fields(Cursor& in, TiRecord* r, long long* flag) {
+  switch (r->op) {
+    case TiOp::kInit:
+    case TiOp::kFinalize:
+    case TiOp::kBarrier:
+      return true;
+    case TiOp::kCompute:
+    case TiOp::kSleep:
+      return in.read(&r->value);
+    case TiOp::kSend:
+    case TiOp::kRecv:
+      return in.read(&r->peer) && in.read(&r->count) && in.read(&r->elem) &&
+             in.read(&r->tag);
+    case TiOp::kIsend:
+    case TiOp::kIrecv:
+      return in.read(&r->peer) && in.read(&r->count) && in.read(&r->elem) &&
+             in.read(&r->tag) && in.read(&r->req);
+    case TiOp::kWait:
+    case TiOp::kReqFree:
+      return in.read(&r->req);
+    case TiOp::kWaitall:
+      return in.read(&r->reqs);
+    case TiOp::kProbe:
+      return in.read(&r->peer) && in.read(&r->tag);
+    case TiOp::kSendrecv:
+      return in.read(&r->peer) && in.read(&r->count) && in.read(&r->elem) &&
+             in.read(&r->tag) && in.read(&r->peer2) && in.read(&r->count2) &&
+             in.read(&r->elem2) && in.read(&r->tag2);
+    case TiOp::kBcast:
+      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->peer);
+    case TiOp::kReduce:
+      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->peer) && in.read(flag);
+    case TiOp::kAllreduce:
+    case TiOp::kScan:
+      return in.read(&r->count) && in.read(&r->elem) && in.read(flag);
+    case TiOp::kGather:
+    case TiOp::kScatter:
+      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->count2) &&
+             in.read(&r->elem2) && in.read(&r->peer);
+    case TiOp::kAllgather:
+    case TiOp::kAlltoall:
+      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->count2) &&
+             in.read(&r->elem2);
+    case TiOp::kGatherv:
+      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->elem2) &&
+             in.read(&r->peer) && in.read(&r->counts);
+    case TiOp::kScatterv:
+      return in.read(&r->count2) && in.read(&r->elem2) && in.read(&r->elem) &&
+             in.read(&r->peer) && in.read(&r->counts);
+    case TiOp::kAllgatherv:
+      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->elem2) &&
+             in.read(&r->counts);
+    case TiOp::kAlltoallv:
+      return in.read(&r->elem) && in.read(&r->elem2) && in.read(&r->counts) &&
+             in.read(&r->counts2);
+    case TiOp::kReduceScatter:
+      return in.read(&r->elem) && in.read(flag) && in.read(&r->counts);
+  }
+  return false;
 }
 
 }  // namespace
 
 const char* ti_op_name(TiOp op) {
   for (const auto& entry : kOpNames) {
-    if (entry.op == op) return entry.name;
+    if (entry.op == op) return entry.name.data();
   }
   return "?";
 }
 
-bool ti_op_from_name(const std::string& name, TiOp* out) {
+bool ti_op_from_name(std::string_view name, TiOp* out) {
   for (const auto& entry : kOpNames) {
     if (name == entry.name) {
       *out = entry.op;
@@ -204,84 +313,14 @@ std::string serialize_record(const TiRecord& r) {
   return out;
 }
 
-bool parse_record(const std::string& line, TiRecord* out) {
-  std::istringstream in(line);
-  std::string name;
-  if (!(in >> name)) return false;
+bool parse_record(std::string_view line, TiRecord* out) {
+  Cursor in(line);
   *out = TiRecord{};
-  if (!ti_op_from_name(name, &out->op)) return false;
+  if (!ti_op_from_name(in.token(), &out->op)) return false;
   long long flag = 1;
-  switch (out->op) {
-    case TiOp::kInit:
-    case TiOp::kFinalize:
-    case TiOp::kBarrier:
-      return true;
-    case TiOp::kCompute:
-    case TiOp::kSleep:
-      return static_cast<bool>(in >> out->value);
-    case TiOp::kSend:
-    case TiOp::kRecv:
-      return read_ll(in, &out->peer) && read_ll(in, &out->count) && read_ll(in, &out->elem) &&
-             read_ll(in, &out->tag);
-    case TiOp::kIsend:
-    case TiOp::kIrecv:
-      return read_ll(in, &out->peer) && read_ll(in, &out->count) && read_ll(in, &out->elem) &&
-             read_ll(in, &out->tag) && read_ll(in, &out->req);
-    case TiOp::kWait:
-    case TiOp::kReqFree:
-      return read_ll(in, &out->req);
-    case TiOp::kWaitall:
-      return read_list(in, &out->reqs);
-    case TiOp::kProbe:
-      return read_ll(in, &out->peer) && read_ll(in, &out->tag);
-    case TiOp::kSendrecv:
-      return read_ll(in, &out->peer) && read_ll(in, &out->count) && read_ll(in, &out->elem) &&
-             read_ll(in, &out->tag) && read_ll(in, &out->peer2) && read_ll(in, &out->count2) &&
-             read_ll(in, &out->elem2) && read_ll(in, &out->tag2);
-    case TiOp::kBcast:
-      return read_ll(in, &out->count) && read_ll(in, &out->elem) && read_ll(in, &out->peer);
-    case TiOp::kReduce:
-      if (!(read_ll(in, &out->count) && read_ll(in, &out->elem) && read_ll(in, &out->peer) &&
-            read_ll(in, &flag))) {
-        return false;
-      }
-      out->commutative = flag != 0;
-      return true;
-    case TiOp::kAllreduce:
-    case TiOp::kScan:
-      if (!(read_ll(in, &out->count) && read_ll(in, &out->elem) && read_ll(in, &flag))) {
-        return false;
-      }
-      out->commutative = flag != 0;
-      return true;
-    case TiOp::kGather:
-    case TiOp::kScatter:
-      return read_ll(in, &out->count) && read_ll(in, &out->elem) && read_ll(in, &out->count2) &&
-             read_ll(in, &out->elem2) && read_ll(in, &out->peer);
-    case TiOp::kAllgather:
-    case TiOp::kAlltoall:
-      return read_ll(in, &out->count) && read_ll(in, &out->elem) && read_ll(in, &out->count2) &&
-             read_ll(in, &out->elem2);
-    case TiOp::kGatherv:
-      return read_ll(in, &out->count) && read_ll(in, &out->elem) && read_ll(in, &out->elem2) &&
-             read_ll(in, &out->peer) && read_list(in, &out->counts);
-    case TiOp::kScatterv:
-      return read_ll(in, &out->count2) && read_ll(in, &out->elem2) && read_ll(in, &out->elem) &&
-             read_ll(in, &out->peer) && read_list(in, &out->counts);
-    case TiOp::kAllgatherv:
-      return read_ll(in, &out->count) && read_ll(in, &out->elem) && read_ll(in, &out->elem2) &&
-             read_list(in, &out->counts);
-    case TiOp::kAlltoallv:
-      return read_ll(in, &out->elem) && read_ll(in, &out->elem2) && read_list(in, &out->counts) &&
-             read_list(in, &out->counts2);
-    case TiOp::kReduceScatter:
-      if (!(read_ll(in, &out->elem) && read_ll(in, &flag) && read_list(in, &out->counts))) {
-        return false;
-      }
-      out->commutative = flag != 0;
-      return true;
-  }
-  return false;
+  if (!read_fields(in, out, &flag)) return false;
+  out->commutative = flag != 0;
+  return in.at_end();
 }
 
 }  // namespace smpi::trace

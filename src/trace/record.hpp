@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace smpi::trace {
@@ -90,11 +91,13 @@ struct TiRecord {
 
 // Op <-> token-name mapping (also the Paje state names).
 const char* ti_op_name(TiOp op);
-bool ti_op_from_name(const std::string& name, TiOp* out);
+bool ti_op_from_name(std::string_view name, TiOp* out);
 
 // One-line text form (no trailing newline) and its inverse. parse returns
-// false on malformed input and leaves *out unspecified.
+// false on malformed input (an unknown op, a missing, non-decimal or
+// non-finite field, or a token after the last field) and leaves *out
+// unspecified.
 std::string serialize_record(const TiRecord& record);
-bool parse_record(const std::string& line, TiRecord* out);
+bool parse_record(std::string_view line, TiRecord* out);
 
 }  // namespace smpi::trace

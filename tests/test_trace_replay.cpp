@@ -4,9 +4,11 @@
 // different platform, and the Paje timeline writer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -149,6 +151,69 @@ TEST(TiRecord, RoundTripsEveryOpKind) {
   tr::TiRecord bad;
   EXPECT_FALSE(tr::parse_record("frobnicate 1 2 3", &bad));
   EXPECT_FALSE(tr::parse_record("send 1", &bad));
+}
+
+// The line grammar: blank-separated decimal tokens that each fill a whole
+// token, finite doubles, nothing after the last field. `expected` is the
+// canonical (serialized) form of an accepted line, nullptr for a rejected one.
+TEST(TiRecord, ParserAcceptsWholeTokensAndRejectsEverythingElse) {
+  struct Case {
+    const char* line;
+    const char* expected;
+  };
+  const Case cases[] = {
+      // Accepted, including the old parser's leniencies.
+      {"send 1 2 3 4", "send 1 2 3 4"},
+      {"   send 1 2 3 4", "send 1 2 3 4"},    // leading whitespace
+      {"send\t1\t2 3\t\t4", "send 1 2 3 4"},  // tabs
+      {"send 1 2 3 4\r", "send 1 2 3 4"},     // CRLF line ending
+      {"send 1 2 3 4  \t", "send 1 2 3 4"},
+      {"recv -1 8 1 -1", "recv -1 8 1 -1"},
+      {"compute 1.5e6", "compute 1500000"},
+      {"compute 4.9406564584124654e-324", "compute 4.9406564584124654e-324"},
+      {"compute -0", "compute -0"},
+      {"waitall 0", "waitall 0"},
+      {"waitall 2 7 8", "waitall 2 7 8"},
+      {"barrier", "barrier"},
+      {"finalize\r", "finalize"},
+      // Silently misread by the old istream parser; rejected now.
+      {"compute 0x10", nullptr},
+      {"compute 1.5abc", nullptr},
+      {"send 1 2 3 4.5", nullptr},
+      {"send 1 2 3 4 junk", nullptr},
+      {"send 1 2 3 4 5", nullptr},
+      {"init extra", nullptr},
+      {"waitall 2 7 8 9", nullptr},
+      // Non-finite and out-of-range numbers.
+      {"compute inf", nullptr},
+      {"compute -inf", nullptr},
+      {"compute nan", nullptr},
+      {"compute 1e400", nullptr},
+      {"send 1 2 3 99999999999999999999", nullptr},
+      // Lists whose count the line cannot hold fail before allocating.
+      {"waitall 3 1 2", nullptr},
+      {"waitall -1", nullptr},
+      {"waitall 200000000 1", nullptr},
+      {"waitall 1000000000000 1", nullptr},
+      // Everything else.
+      {"", nullptr},
+      {"   ", nullptr},
+      {"\r", nullptr},
+      {"# comment", nullptr},  // comments are the loader's business
+      {"Send 1 2 3 4", nullptr},
+      {"sendx 1 2 3 4", nullptr},
+      {"send +1 2 3 4", nullptr},  // serialize never writes a '+'
+      {"send 1,2 3 4", nullptr},
+      {"compute\v5", nullptr},
+  };
+  for (const auto& c : cases) {
+    tr::TiRecord parsed;
+    const bool ok = tr::parse_record(c.line, &parsed);
+    EXPECT_EQ(ok, c.expected != nullptr) << "'" << c.line << "'";
+    if (ok && c.expected != nullptr) {
+      EXPECT_EQ(tr::serialize_record(parsed), c.expected) << "'" << c.line << "'";
+    }
+  }
 }
 
 TEST(TiWriterReader, WriterProducesLoadableTraces) {
@@ -585,4 +650,213 @@ TEST(TraceValidation, TraceNotStartingWithInitIsRejected) {
   const std::string error = load_error(dir.str());
   EXPECT_NE(error.find("does not start with init"), std::string::npos) << error;
   EXPECT_NE(error.find("rank_1.ti"), std::string::npos) << error;
+}
+
+namespace {
+
+// Writes a one-rank trace whose rank file holds exactly `rank0`.
+void write_one_rank_trace(const std::string& dir, const std::string& rank0) {
+  std::ofstream(dir + "/manifest.txt") << "smpi-ti 1\nranks 1\napp unit\n";
+  std::ofstream(dir + "/rank_0.ti", std::ios::binary) << rank0;
+}
+
+}  // namespace
+
+TEST(TraceValidation, LoaderKeepsCommentBlankAndCrlfLeniencies) {
+  TempDir dir;
+  write_one_rank_trace(dir.str(),
+                       "# captured by hand\n"
+                       "\n"
+                       "init\r\n"
+                       "\r\n"
+                       "  compute\t1e6\r\n"
+                       "#compute 5\n"
+                       "\tsend 1 8 1 0\n"
+                       "finalize");  // no trailing newline
+  const tr::TiTrace trace = tr::load_ti_trace(dir.str(), /*validate=*/true);
+  ASSERT_EQ(trace.ranks.size(), 1u);
+  ASSERT_EQ(trace.ranks[0].size(), 4u);
+  EXPECT_EQ(trace.ranks[0][1].op, tr::TiOp::kCompute);
+  EXPECT_EQ(trace.ranks[0][1].value, 1e6);
+  EXPECT_EQ(tr::serialize_record(trace.ranks[0][2]), "send 1 8 1 0");
+  EXPECT_EQ(trace.ranks[0][3].op, tr::TiOp::kFinalize);
+}
+
+TEST(TraceValidation, MalformedRecordNamesPathAndLine) {
+  TempDir dir;
+  // '#' starts a comment only at column 0.
+  write_one_rank_trace(dir.str(), "init\n\n  # not a comment\nfinalize\n");
+  const std::string error = load_error(dir.str());
+  EXPECT_NE(error.find("malformed trace record"), std::string::npos) << error;
+  EXPECT_NE(error.find("rank_0.ti:3"), std::string::npos) << error;
+}
+
+TEST(TraceValidation, HugeListCountFailsCleanly) {
+  for (const char* line : {"waitall 200000000 1", "waitall 1000000000000 1"}) {
+    TempDir dir;
+    write_one_rank_trace(dir.str(), std::string("init\n") + line + "\nfinalize\n");
+    const std::string error = load_error(dir.str());
+    EXPECT_NE(error.find("rank_0.ti:2"), std::string::npos) << error;
+    EXPECT_NE(error.find(line), std::string::npos) << error;
+  }
+}
+
+TEST(TraceValidation, BogusManifestRankCountFailsOnFirstMissingFile) {
+  TempDir dir;
+  write_valid_trace(dir.str());
+  std::ofstream(dir.path / "manifest.txt") << "smpi-ti 1\nranks 2000000000\napp unit\n";
+  const std::string error = load_error(dir.str());
+  EXPECT_NE(error.find("trace file missing for rank 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("2000000000 ranks"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzzing of the TI reader
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// One record of every op, every field away from its default, so each
+// field's token is present to be mutated.
+std::vector<std::string> every_op_line() {
+  std::vector<std::string> lines;
+  for (int op = 0; op <= static_cast<int>(tr::TiOp::kReduceScatter); ++op) {
+    tr::TiRecord r;
+    r.op = static_cast<tr::TiOp>(op);
+    r.value = 1.2345678901234567e9;
+    r.peer = 3;
+    r.peer2 = tr::kPeerAny;
+    r.tag = 17;
+    r.tag2 = tr::kTagAny;
+    r.count = 1024;
+    r.count2 = 2048;
+    r.elem = 8;
+    r.elem2 = 4;
+    r.req = 5;
+    r.commutative = false;
+    r.reqs = {1, 2, 3};
+    r.counts = {10, 20, 30};
+    r.counts2 = {40, 50, 60};
+    lines.push_back(tr::serialize_record(r));
+  }
+  return lines;
+}
+
+// Applies one mutation, picked by `rng`: a byte flip, a truncation, a digit
+// run, a duplicated or deleted token, or a huge count before a token.
+void mutate(std::string* text, std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+  };
+  static const std::string kBytes = "0123456789-+.eE \t\r\n#xinfa";
+  const auto token_at = [text](std::size_t pos, std::size_t* begin, std::size_t* end) {
+    *begin = text->find_last_of(" \n", pos);
+    *begin = *begin == std::string::npos ? 0 : *begin + 1;
+    *end = text->find_first_of(" \n", pos);
+    if (*end == std::string::npos) *end = text->size();
+  };
+  const std::size_t pos = pick(text->size());
+  switch (rng() % 6) {
+    case 0:
+      if (!text->empty()) {
+        (*text)[pos] = rng() % 2 ? kBytes[pick(kBytes.size())] : static_cast<char>(rng());
+      }
+      break;
+    case 1:
+      text->resize(pos);
+      break;
+    case 2:
+      text->insert(pos, 1 + pick(30), static_cast<char>('0' + pick(10)));
+      break;
+    case 3: {
+      std::size_t begin = 0;
+      std::size_t end = 0;
+      token_at(pos, &begin, &end);
+      text->insert(begin, text->substr(begin, end - begin) + " ");
+      break;
+    }
+    case 4: {
+      std::size_t begin = 0;
+      std::size_t end = 0;
+      token_at(pos, &begin, &end);
+      text->erase(begin, std::min(end + 1, text->size()) - begin);
+      break;
+    }
+    default: {
+      static const char* const kHuge[] = {"200000000 ", "1000000000000 ", "9223372036854775807 ",
+                                         "99999999999999999999 ", "-9223372036854775808 "};
+      std::size_t begin = 0;
+      std::size_t end = 0;
+      token_at(pos, &begin, &end);
+      text->insert(begin, kHuge[pick(std::size(kHuge))]);
+      break;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(TiReaderFuzz, MutatedRecordsParseToRoundTrippingRecordsOrFail) {
+  std::mt19937_64 rng(20240611);
+  int accepted = 0;
+  int rejected = 0;
+  for (const std::string& seed : every_op_line()) {
+    for (int iteration = 0; iteration < 2000; ++iteration) {
+      std::string line = seed;
+      for (int m = 1 + static_cast<int>(rng() % 3); m > 0; --m) mutate(&line, rng);
+      tr::TiRecord parsed;
+      if (!tr::parse_record(line, &parsed)) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      const std::string canonical = tr::serialize_record(parsed);
+      tr::TiRecord again;
+      ASSERT_TRUE(tr::parse_record(canonical, &again))
+          << "'" << line << "' -> '" << canonical << "'";
+      ASSERT_EQ(tr::serialize_record(again), canonical) << "'" << line << "'";
+    }
+  }
+  // Both outcomes must be exercised, or the mutations are not probing much.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
+}
+
+TEST(TiReaderFuzz, MutatedTraceFilesLoadOrThrowContractError) {
+  TempDir dir;
+  write_valid_trace(dir.str());
+  // Rank 0 gets every op, so list and v-variant lines get mutated too.
+  std::string rank0 = "init\n";
+  for (const std::string& line : every_op_line()) rank0 += line + "\n";
+  rank0 += "finalize\n";
+  const std::string manifest = "smpi-ti 1\nranks 2\napp unit\n";
+  const auto write = [&dir](const char* name, const std::string& text) {
+    std::ofstream(dir.path / name, std::ios::binary | std::ios::trunc) << text;
+  };
+  write("rank_0.ti", rank0);
+
+  std::mt19937_64 rng(977);
+  int loaded = 0;
+  int rejected = 0;
+  for (int iteration = 0; iteration < 1000; ++iteration) {
+    const bool mutate_manifest = iteration % 4 == 3;
+    const char* name = mutate_manifest ? "manifest.txt" : "rank_0.ti";
+    const std::string& pristine = mutate_manifest ? manifest : rank0;
+    std::string text = pristine;
+    for (int m = 1 + static_cast<int>(rng() % 4); m > 0; --m) mutate(&text, rng);
+    write(name, text);
+    for (const bool validate : {true, false}) {
+      try {
+        tr::load_ti_trace(dir.str(), validate);
+        ++loaded;
+      } catch (const smpi::util::ContractError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        FAIL() << "non-contract exception '" << e.what() << "' on:\n" << text;
+      }
+    }
+    write(name, pristine);
+  }
+  EXPECT_GT(loaded, 100);
+  EXPECT_GT(rejected, 100);
 }
