@@ -2,6 +2,12 @@
 // Simulates collectives over growing process counts (up to 1024 ranks — well
 // past the paper's 448-process DT-SH class C) and reports the host wall-clock
 // and memory-light footprint of the simulation itself.
+//
+// The platform_build series times build_flat_cluster alone at 1024 and 16384
+// nodes. Cluster routes are computed from host attachments, so the build is
+// linear in nodes; storing a route per host pair would make it quadratic
+// (100x or more at these sizes), which bench_trend.py's 2x gate catches.
+#include <algorithm>
 #include <chrono>
 
 #include "bench_common.hpp"
@@ -50,6 +56,21 @@ int main() {
     }
   }
   table.print();
+
+  for (const int nodes : {1024, 16384}) {
+    platform::FlatClusterParams params;
+    params.nodes = nodes;
+    double best_s = 1e300;  // best of 5: the series is a tripwire, not a referee
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto platform = platform::build_flat_cluster(params);
+      const double elapsed =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+      best_s = std::min(best_s, elapsed);
+    }
+    std::printf("platform_build n=%d: %.3f ms\n", nodes, best_s * 1e3);
+    writer.add("platform_build", nodes, best_s * 1e9);
+  }
   writer.save();
   std::printf("\nevery row ran inside this single process; 448 ranks is the paper's\n"
               "largest configuration (DT-SH class C), 1024 goes beyond it.\n");

@@ -9,20 +9,15 @@ namespace smpi::platform {
 Platform build_flat_cluster(const FlatClusterParams& params) {
   SMPI_REQUIRE(params.nodes >= 1, "cluster needs at least one node");
   Platform p;
-  std::vector<int> up(params.nodes), down(params.nodes);
+  const int sw = p.add_switch();
   for (int i = 0; i < params.nodes; ++i) {
     const std::string id = params.prefix + std::to_string(i);
-    p.add_host({id, params.speed_flops, params.cores});
-    up[i] = p.add_link({"up-" + id, params.link_bandwidth_bps, params.link_latency_s,
-                        LinkSharing::kShared});
-    down[i] = p.add_link({"down-" + id, params.link_bandwidth_bps, params.link_latency_s,
-                          LinkSharing::kShared});
-  }
-  for (int i = 0; i < params.nodes; ++i) {
-    for (int j = 0; j < params.nodes; ++j) {
-      if (i == j) continue;
-      p.add_route(i, j, {up[i], down[j]}, /*symmetric=*/false);
-    }
+    const int host = p.add_host({id, params.speed_flops, params.cores});
+    const int up = p.add_link({"up-" + id, params.link_bandwidth_bps, params.link_latency_s,
+                               LinkSharing::kShared});
+    const int down = p.add_link({"down-" + id, params.link_bandwidth_bps, params.link_latency_s,
+                                 LinkSharing::kShared});
+    p.attach_host(host, sw, up, down);
   }
   return p;
 }
@@ -57,33 +52,20 @@ Platform build_hierarchical_cluster(const HierarchicalClusterParams& params) {
     }
   }
 
-  // Per first-level switch: an uplink pair to the second-level switch.
-  std::vector<int> sw_up(static_cast<std::size_t>(num_switches));
-  std::vector<int> sw_down(static_cast<std::size_t>(num_switches));
+  // Per first-level switch: an uplink pair to the second-level switch. The
+  // links are created after every node's pair, so link ids (and with them
+  // the solver's constraint ids) follow the node-major order.
+  std::vector<int> switch_id(static_cast<std::size_t>(num_switches));
   for (int s = 0; s < num_switches; ++s) {
-    sw_up[static_cast<std::size_t>(s)] =
-        p.add_link({"swup-" + std::to_string(s), params.uplink_bandwidth_bps,
-                    params.uplink_latency_s, LinkSharing::kShared});
-    sw_down[static_cast<std::size_t>(s)] =
-        p.add_link({"swdown-" + std::to_string(s), params.uplink_bandwidth_bps,
-                    params.uplink_latency_s, LinkSharing::kShared});
+    const int sw_up = p.add_link({"swup-" + std::to_string(s), params.uplink_bandwidth_bps,
+                                  params.uplink_latency_s, LinkSharing::kShared});
+    const int sw_down = p.add_link({"swdown-" + std::to_string(s), params.uplink_bandwidth_bps,
+                                    params.uplink_latency_s, LinkSharing::kShared});
+    switch_id[static_cast<std::size_t>(s)] = p.add_switch(sw_up, sw_down);
   }
-
   for (int i = 0; i < total_nodes; ++i) {
-    for (int j = 0; j < total_nodes; ++j) {
-      if (i == j) continue;
-      const int si = node_switch[static_cast<std::size_t>(i)];
-      const int sj = node_switch[static_cast<std::size_t>(j)];
-      if (si == sj) {
-        p.add_route(i, j, {up[static_cast<std::size_t>(i)], down[static_cast<std::size_t>(j)]},
-                    /*symmetric=*/false);
-      } else {
-        p.add_route(i, j,
-                    {up[static_cast<std::size_t>(i)], sw_up[static_cast<std::size_t>(si)],
-                     sw_down[static_cast<std::size_t>(sj)], down[static_cast<std::size_t>(j)]},
-                    /*symmetric=*/false);
-      }
-    }
+    const auto n = static_cast<std::size_t>(i);
+    p.attach_host(i, switch_id[static_cast<std::size_t>(node_switch[n])], up[n], down[n]);
   }
   return p;
 }

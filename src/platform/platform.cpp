@@ -15,6 +15,7 @@ int Platform::add_host(HostSpec spec) {
   const int id = static_cast<int>(hosts_.size());
   host_index_.emplace(spec.name, id);
   hosts_.push_back(std::move(spec));
+  attachments_.emplace_back();
   return id;
 }
 
@@ -34,6 +35,7 @@ void Platform::add_route(int src_host, int dst_host, std::vector<int> links, boo
   SMPI_REQUIRE(src_host >= 0 && src_host < host_count(), "route src out of range");
   SMPI_REQUIRE(dst_host >= 0 && dst_host < host_count(), "route dst out of range");
   SMPI_REQUIRE(src_host != dst_host, "route to self is implicit");
+  SMPI_REQUIRE(!links.empty(), "route needs at least one link");
   for (int link : links) {
     SMPI_REQUIRE(link >= 0 && link < link_count(), "route references unknown link");
   }
@@ -42,6 +44,27 @@ void Platform::add_route(int src_host, int dst_host, std::vector<int> links, boo
     std::reverse(links.begin(), links.end());
     routes_[key(dst_host, src_host)] = std::move(links);
   }
+}
+
+int Platform::add_switch(int uplink, int downlink) {
+  SMPI_REQUIRE((uplink < 0) == (downlink < 0), "switch uplinks come in pairs");
+  SMPI_REQUIRE(uplink < link_count() && downlink < link_count(),
+               "switch uplink references unknown link");
+  switches_.push_back({uplink, downlink});
+  return static_cast<int>(switches_.size()) - 1;
+}
+
+void Platform::attach_host(int host, int switch_id, int up_link, int down_link) {
+  SMPI_REQUIRE(host >= 0 && host < host_count(), "attached host out of range");
+  SMPI_REQUIRE(switch_id >= 0 && switch_id < static_cast<int>(switches_.size()),
+               "attached switch out of range");
+  SMPI_REQUIRE(up_link >= 0 && up_link < link_count() && down_link >= 0 &&
+                   down_link < link_count(),
+               "host attachment references unknown link");
+  Attachment& a = attachments_[static_cast<std::size_t>(host)];
+  SMPI_REQUIRE(a.switch_id < 0, "host '" + hosts_[static_cast<std::size_t>(host)].name +
+                                    "' is already attached");
+  a = {switch_id, up_link, down_link};
 }
 
 void Platform::set_host_speed(int id, double speed_flops) {
@@ -82,17 +105,47 @@ int Platform::find_link(const std::string& name) const {
   return it == link_index_.end() ? -1 : it->second;
 }
 
-bool Platform::has_route(int src_host, int dst_host) const {
+bool Platform::find_route(int src_host, int dst_host, std::vector<int>* out) const {
+  if (out != nullptr) out->clear();
+  if (src_host < 0 || src_host >= host_count() || dst_host < 0 || dst_host >= host_count()) {
+    return false;
+  }
   if (src_host == dst_host) return true;
-  return routes_.find(key(src_host, dst_host)) != routes_.end();
+  if (!routes_.empty()) {
+    auto it = routes_.find(key(src_host, dst_host));
+    if (it != routes_.end()) {
+      if (out != nullptr) out->assign(it->second.begin(), it->second.end());
+      return true;
+    }
+  }
+  const Attachment& src = attachments_[static_cast<std::size_t>(src_host)];
+  const Attachment& dst = attachments_[static_cast<std::size_t>(dst_host)];
+  if (src.switch_id < 0 || dst.switch_id < 0) return false;
+  if (src.switch_id == dst.switch_id) {
+    if (out != nullptr) out->assign({src.up, dst.down});
+    return true;
+  }
+  const Switch& src_switch = switches_[static_cast<std::size_t>(src.switch_id)];
+  const Switch& dst_switch = switches_[static_cast<std::size_t>(dst.switch_id)];
+  if (src_switch.uplink < 0 || dst_switch.uplink < 0) return false;
+  if (out != nullptr) out->assign({src.up, src_switch.uplink, dst_switch.downlink, dst.down});
+  return true;
 }
 
-const std::vector<int>& Platform::route(int src_host, int dst_host) const {
-  if (src_host == dst_host) return empty_route_;
-  auto it = routes_.find(key(src_host, dst_host));
-  SMPI_REQUIRE(it != routes_.end(), "no route from '" + host(src_host).name + "' to '" +
-                                        host(dst_host).name + "'");
-  return it->second;
+bool Platform::has_route(int src_host, int dst_host) const {
+  return find_route(src_host, dst_host, nullptr);
+}
+
+void Platform::route(int src_host, int dst_host, std::vector<int>& out) const {
+  const bool found = find_route(src_host, dst_host, &out);
+  SMPI_REQUIRE(found, "no route from '" + host(src_host).name + "' to '" +
+                          host(dst_host).name + "'");
+}
+
+std::vector<int> Platform::route(int src_host, int dst_host) const {
+  std::vector<int> links;
+  route(src_host, dst_host, links);
+  return links;
 }
 
 double Platform::route_latency(int src_host, int dst_host) const {
@@ -102,7 +155,7 @@ double Platform::route_latency(int src_host, int dst_host) const {
 }
 
 double Platform::route_min_bandwidth(int src_host, int dst_host) const {
-  const auto& links = route(src_host, dst_host);
+  const std::vector<int> links = route(src_host, dst_host);
   SMPI_REQUIRE(!links.empty(), "route with no links has no bandwidth");
   double min_bw = link(links.front()).bandwidth_bps;
   for (int id : links) min_bw = std::min(min_bw, link(id).bandwidth_bps);

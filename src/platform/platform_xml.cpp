@@ -1,6 +1,8 @@
 #include "platform/platform_xml.hpp"
 
-#include "platform/builders.hpp"
+#include <charconv>
+#include <string_view>
+
 #include "util/check.hpp"
 #include "util/units.hpp"
 
@@ -13,28 +15,50 @@ LinkSharing parse_sharing(const std::string& text, int line) {
   throw XmlError("unknown link sharing policy '" + text + "'", line);
 }
 
+// The whole of `text` as a decimal int; false on anything else (empty,
+// blanks, trailing characters, overflow).
+bool parse_int(std::string_view text, int* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+int parse_cores(const XmlElement& el) {
+  const std::string text = el.attribute_or("cores", "1");
+  int cores = 0;
+  if (!parse_int(text, &cores) || cores < 1) {
+    throw XmlError("cores '" + text + "' of <" + el.name + "> is not a positive integer",
+                   el.line);
+  }
+  return cores;
+}
+
+// <cluster>: one switch without uplinks, every host attached to it, so its
+// routes are [up_src, down_dst] and hosts of other clusters are unreachable.
 void expand_cluster(Platform& p, const XmlElement& el) {
   const std::string prefix = el.attribute_or("prefix", el.attribute("id") + "-");
   const std::string suffix = el.attribute_or("suffix", "");
-  const auto ids = parse_radical(el.attribute("radical"));
+  const std::string& radical = el.attribute("radical");
+  std::vector<int> ids;
+  try {
+    ids = parse_radical(radical);
+  } catch (const smpi::util::ContractError&) {
+    throw XmlError("radical '" + radical +
+                       "' is not a list of non-negative integers and ascending ranges",
+                   el.line);
+  }
   const double speed = smpi::util::parse_flops(el.attribute("speed"));
-  const int cores = std::stoi(el.attribute_or("cores", "1"));
+  const int cores = parse_cores(el);
   const double bw = smpi::util::parse_bandwidth(el.attribute("bw"));
   const double lat = smpi::util::parse_duration(el.attribute("lat"));
 
-  std::vector<int> hosts, up, down;
-  hosts.reserve(ids.size());
+  const int sw = p.add_switch();
   for (int id : ids) {
     const std::string name = prefix + std::to_string(id) + suffix;
-    hosts.push_back(p.add_host({name, speed, cores}));
-    up.push_back(p.add_link({"up-" + name, bw, lat, LinkSharing::kShared}));
-    down.push_back(p.add_link({"down-" + name, bw, lat, LinkSharing::kShared}));
-  }
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    for (std::size_t j = 0; j < hosts.size(); ++j) {
-      if (i == j) continue;
-      p.add_route(hosts[i], hosts[j], {up[i], down[j]}, /*symmetric=*/false);
-    }
+    const int host = p.add_host({name, speed, cores});
+    const int up = p.add_link({"up-" + name, bw, lat, LinkSharing::kShared});
+    const int down = p.add_link({"down-" + name, bw, lat, LinkSharing::kShared});
+    p.attach_host(host, sw, up, down);
   }
 }
 
@@ -46,16 +70,20 @@ std::vector<int> parse_radical(const std::string& text) {
   while (pos < text.size()) {
     auto comma = text.find(',', pos);
     if (comma == std::string::npos) comma = text.size();
-    const std::string chunk = text.substr(pos, comma - pos);
+    const std::string_view chunk = std::string_view(text).substr(pos, comma - pos);
     SMPI_REQUIRE(!chunk.empty(), "empty radical chunk in '" + text + "'");
     const auto dash = chunk.find('-');
-    if (dash == std::string::npos) {
-      out.push_back(std::stoi(chunk));
-    } else {
-      const int lo = std::stoi(chunk.substr(0, dash));
-      const int hi = std::stoi(chunk.substr(dash + 1));
-      SMPI_REQUIRE(lo <= hi, "descending radical range in '" + text + "'");
-      for (int v = lo; v <= hi; ++v) out.push_back(v);
+    const std::string_view first = chunk.substr(0, dash);
+    const std::string_view last = dash == std::string_view::npos ? first : chunk.substr(dash + 1);
+    int lo = 0;
+    int hi = 0;
+    const bool ok = parse_int(first, &lo) && parse_int(last, &hi);
+    SMPI_REQUIRE(ok, "radical chunk '" + std::string(chunk) + "' in '" + text +
+                         "' is not an integer or a range");
+    SMPI_REQUIRE(lo <= hi, "descending radical range in '" + text + "'");
+    for (int v = lo;; ++v) {  // stops at hi without overflowing past INT_MAX
+      out.push_back(v);
+      if (v == hi) break;
     }
     pos = comma + 1;
   }
@@ -73,7 +101,7 @@ Platform load_platform(const XmlElement& root) {
       HostSpec spec;
       spec.name = el.attribute("id");
       spec.speed_flops = smpi::util::parse_flops(el.attribute("speed"));
-      spec.cores = std::stoi(el.attribute_or("cores", "1"));
+      spec.cores = parse_cores(el);
       p.add_host(std::move(spec));
     } else if (el.name == "link") {
       LinkSpec spec;

@@ -50,45 +50,34 @@ FlowNetworkModel::FlowNetworkModel(const platform::Platform& platform, NetworkCo
 
 FlowNetworkModel::~FlowNetworkModel() = default;
 
-const FlowNetworkModel::RouteInfo& FlowNetworkModel::route_info(int src_node,
-                                                                int dst_node) const {
-  const std::uint64_t key = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_node))
-                             << 32) |
-                            static_cast<std::uint32_t>(dst_node);
-  if (route_cache_.empty()) route_cache_.resize(kRouteCacheSize);
-  // Fibonacci hash to spread (src, dst) pairs across the table.
-  const std::size_t index =
-      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & (kRouteCacheSize - 1);
-  RouteEntry& entry = route_cache_[index];
-  if (entry.key != key) {
-    entry.key = key;
-    entry.info.links = &platform_.route(src_node, dst_node);
-    entry.info.latency = platform_.route_latency(src_node, dst_node);
-    entry.info.bottleneck = platform_.route_min_bandwidth(src_node, dst_node);
-  }
-  return entry.info;
-}
-
-void FlowNetworkModel::path_parameters(int src_node, int dst_node, double bytes,
+void FlowNetworkModel::path_parameters(const std::vector<int>& links, double bytes,
                                        double* latency_out, double* bound_out) const {
-  const RouteInfo& info = route_info(src_node, dst_node);
-  double bound = info.bottleneck * config_.factors.bw_factor(bytes);
-  if (config_.tcp_window_bytes > 0 && info.latency > 0) {
-    bound = std::min(bound, config_.tcp_window_bytes / (2.0 * info.latency));
+  // Same summation order as Platform::route_latency.
+  double latency = 0;
+  double bottleneck = platform_.link(links.front()).bandwidth_bps;
+  for (int id : links) {
+    const auto& link = platform_.link(id);
+    latency += link.latency_s;
+    bottleneck = std::min(bottleneck, link.bandwidth_bps);
   }
-  *latency_out = info.latency * config_.factors.lat_factor(bytes);
+  double bound = bottleneck * config_.factors.bw_factor(bytes);
+  if (config_.tcp_window_bytes > 0 && latency > 0) {
+    bound = std::min(bound, config_.tcp_window_bytes / (2.0 * latency));
+  }
+  *latency_out = latency * config_.factors.lat_factor(bytes);
   *bound_out = bound;
 }
 
 double FlowNetworkModel::uncontended_duration(int src_node, int dst_node, double bytes) const {
   if (src_node == dst_node) return 0;
+  const std::vector<int> links = platform_.route(src_node, dst_node);
   double latency = 0, bound = 0;
-  path_parameters(src_node, dst_node, bytes, &latency, &bound);
+  path_parameters(links, bytes, &latency, &bound);
   double rate = bound;
   if (config_.contention) {
     // Alone on the route, the solver still caps the flow at each shared
     // link's effective capacity.
-    for (int link : platform_.route(src_node, dst_node)) {
+    for (int link : links) {
       if (platform_.link(link).sharing == platform::LinkSharing::kShared) {
         rate = std::min(rate, platform_.link(link).bandwidth_bps * config_.bandwidth_efficiency);
       }
@@ -105,28 +94,28 @@ sim::ActivityPtr FlowNetworkModel::start_flow(int src_node, int dst_node, double
   ++total_flows_;
 
   auto activity = sim::new_activity("flow");
+  if (src_node == dst_node) {
+    // Loopback: modeled as instantaneous (memcpy cost is charged by the MPI
+    // layer's personality overheads, not the network); fails with its host.
+    activity->finish(host_is_up(src_node) ? sim::Activity::State::kDone
+                                          : sim::Activity::State::kFailed);
+    return activity;
+  }
+  platform_.route(src_node, dst_node, route_scratch_);
   if (faults_enabled_) {
     // A dead endpoint or route fails the transfer at the post; the MPI layer
     // maps the kFailed activity to its failure policy.
-    bool up = host_up_[static_cast<std::size_t>(src_node)] != 0 &&
-              host_up_[static_cast<std::size_t>(dst_node)] != 0;
-    if (up && src_node != dst_node) {
-      up = route_is_up(src_node, dst_node, *route_info(src_node, dst_node).links);
-    }
+    const bool up = host_is_up(src_node) && host_is_up(dst_node) &&
+                    std::all_of(route_scratch_.begin(), route_scratch_.end(),
+                                [this](int link) { return link_is_up(link); });
     if (!up) {
       activity->finish(sim::Activity::State::kFailed);
       return activity;
     }
   }
-  if (src_node == dst_node) {
-    // Loopback: modeled as instantaneous (memcpy cost is charged by the MPI
-    // layer's personality overheads, not the network).
-    activity->finish(sim::Activity::State::kDone);
-    return activity;
-  }
 
   double latency = 0, bound = 0;
-  path_parameters(src_node, dst_node, bytes, &latency, &bound);
+  path_parameters(route_scratch_, bytes, &latency, &bound);
   if (config_.latency_jitter) latency += config_.latency_jitter(src_node, dst_node);
   if (hints.rate_bound > 0) bound = std::min(bound, hints.rate_bound);
   SMPI_ENSURE(bound > 0, "flow rate bound must be positive");
@@ -143,13 +132,10 @@ sim::ActivityPtr FlowNetworkModel::start_flow(int src_node, int dst_node, double
   flow.activity = activity;
   flow.bound = bound;
   flow.in_latency = true;
-  // The platform's route storage is immutable for the model's lifetime:
-  // keep a pointer instead of copying the link list.
-  flow.pending_links = route_info(src_node, dst_node).links;
   flow.pending_bytes = bytes;
   flow.src = src_node;
   flow.dst = dst_node;
-  flow.route_links = flow.pending_links;
+  flow.links.assign(route_scratch_.begin(), route_scratch_.end());
   flow.event = calendar().schedule(engine->now() + latency, this, pack_tag(slot, flow.gen));
   SMPI_LOG_DEBUG(log_surf, "flow " << src_node << "->" << dst_node << " size=" << bytes
                                    << " lat=" << latency << " bound=" << bound);
@@ -176,34 +162,30 @@ void FlowNetworkModel::retire_slot(std::uint32_t slot) {
   flow.var = -1;
   flow.res_flow = -1;
   flow.in_latency = false;
-  flow.pending_links = nullptr;
   flow.src = -1;
   flow.dst = -1;
-  flow.route_links = nullptr;
+  flow.links.clear();
   flow.event = sim::EventCalendar::kNoEvent;
   free_slots_.push_back(slot);
   --active_flows_;
 }
 
-void FlowNetworkModel::promote(std::uint32_t slot, std::uint32_t gen,
-                               const std::vector<int>& links, double bytes) {
-  Flow& flow = *slots_[slot];
-  if (flow.gen != gen) return;  // slot already recycled
+void FlowNetworkModel::promote(Flow& flow) {
   if (flow.activity->completed()) {
     // Canceled during the latency phase: the flow never enters the
     // bandwidth-sharing system.
-    retire_slot(slot);
+    retire_slot(flow.slot);
     return;
   }
   const double now = sim::Engine::current()->now();
-  flow.work.start(bytes, now);
+  flow.work.start(flow.pending_bytes, now);
   if (config_.contention) {
     flow.var = system_.new_variable(1.0, flow.bound);
     if (var_to_flow_.size() <= static_cast<std::size_t>(flow.var)) {
       var_to_flow_.resize(static_cast<std::size_t>(flow.var) + 1, nullptr);
     }
     var_to_flow_[static_cast<std::size_t>(flow.var)] = &flow;
-    for (int link : links) {
+    for (int link : flow.links) {
       const int constraint = link_constraint_[static_cast<std::size_t>(link)];
       if (constraint >= 0) system_.attach(flow.var, constraint);
     }
@@ -284,9 +266,7 @@ void FlowNetworkModel::on_calendar_event(double now, std::uint64_t tag) {
   if (flow.in_latency) {
     // End of the latency phase: enter the bandwidth-sharing system.
     flow.in_latency = false;
-    const std::vector<int>* links = flow.pending_links;
-    flow.pending_links = nullptr;
-    promote(slot, gen, *links, flow.pending_bytes);
+    promote(flow);
     return;
   }
   SMPI_ENSURE(flow.work.remaining_at(now) <= kRemainingEps,
@@ -320,14 +300,6 @@ void FlowNetworkModel::ensure_fault_state() {
   link_degrade_.assign(static_cast<std::size_t>(platform_.link_count()), 1.0);
 }
 
-bool FlowNetworkModel::route_is_up(int /*src_node*/, int /*dst_node*/,
-                                   const std::vector<int>& links) const {
-  for (int link : links) {
-    if (link_up_[static_cast<std::size_t>(link)] == 0) return false;
-  }
-  return true;
-}
-
 template <typename Pred>
 void FlowNetworkModel::fail_matching_flows(const Pred& doomed) {
   // Collect first: failing a flow retires its slot, and the kFailed
@@ -359,11 +331,7 @@ void FlowNetworkModel::set_link_up(int link, bool up) {
   link_up_[static_cast<std::size_t>(link)] = up ? 1 : 0;
   if (!up) {
     fail_matching_flows([link](const Flow& flow) {
-      if (flow.route_links == nullptr) return false;
-      for (int l : *flow.route_links) {
-        if (l == link) return true;
-      }
-      return false;
+      return std::find(flow.links.begin(), flow.links.end(), link) != flow.links.end();
     });
   }
 }

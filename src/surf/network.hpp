@@ -21,7 +21,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "platform/platform.hpp"
@@ -110,14 +109,13 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
     // per-message cost at one indexed-heap entry; ordering is unchanged
     // because timers and calendar entries share one (date, seq) order.
     bool in_latency = false;
-    const std::vector<int>* pending_links = nullptr;
     double pending_bytes = 0;
     // Endpoints and route, kept for the flow's whole lifetime so the fault
-    // layer can find the flows a dead host/link strands (the platform's
-    // route storage is immutable, so the pointer stays valid).
+    // layer can find the flows a dead host/link strands. `links` keeps its
+    // capacity when the slot is recycled, so steady state does not allocate.
     int src = -1;
     int dst = -1;
-    const std::vector<int>* route_links = nullptr;
+    std::vector<int> links;
     sim::ActivityPtr activity;
     sim::FluidWork work;
     int var = -1;  // -1 when not in the solver (no-contention mode)
@@ -126,21 +124,8 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
     sim::EventCalendar::Handle event = sim::EventCalendar::kNoEvent;
   };
 
-  // Per-(src,dst) route digest: the platform's route map is immutable, and
-  // re-deriving latency/bottleneck per flow cost three hash lookups plus two
-  // link walks per message on the collective hot path. Cached in a fixed
-  // direct-mapped table — a collision recomputes and overwrites, which is
-  // always correct and in practice never happens for the near-neighbor
-  // traffic collectives generate.
-  struct RouteInfo {
-    const std::vector<int>* links = nullptr;
-    double latency = 0;     // sum of link latencies
-    double bottleneck = 0;  // min link bandwidth
-  };
-  const RouteInfo& route_info(int src_node, int dst_node) const;
-
-  // Compute (latency, rate bound) for a transfer.
-  void path_parameters(int src_node, int dst_node, double bytes, double* latency_out,
+  // Compute (latency, rate bound) for a transfer along `links`.
+  void path_parameters(const std::vector<int>& links, double bytes, double* latency_out,
                        double* bound_out) const;
   // Slot bookkeeping: a live flow is identified by (slot, generation),
   // packed into the calendar tag / latency-timer capture as gen<<32 | slot.
@@ -155,8 +140,8 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
   std::uint32_t acquire_slot();
   void retire_slot(std::uint32_t slot);
 
-  void promote(std::uint32_t slot, std::uint32_t gen, const std::vector<int>& links,
-               double bytes);
+  // End of the latency phase: the flow enters the bandwidth-sharing system.
+  void promote(Flow& flow);
   // Re-solve if dirty and reschedule completion events for the flows whose
   // rate changed.
   void resettle(double now);
@@ -164,7 +149,6 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
   void complete(Flow& flow, sim::Activity::State state);
   // Lazily size the availability vectors (first fault only).
   void ensure_fault_state();
-  bool route_is_up(int src_node, int dst_node, const std::vector<int>& links) const;
   // Fail (kFailed) every active flow for which `doomed` is true.
   template <typename Pred>
   void fail_matching_flows(const Pred& doomed);
@@ -185,12 +169,8 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
   std::vector<int> changed_scratch_;
   std::vector<std::pair<int, double>> var_shares_scratch_;
   std::vector<std::pair<int, double>> flow_shares_scratch_;
-  struct RouteEntry {
-    std::uint64_t key = ~std::uint64_t{0};  // (src << 32) | dst; ~0 = empty
-    RouteInfo info;
-  };
-  static constexpr std::size_t kRouteCacheSize = 16384;  // power of two
-  mutable std::vector<RouteEntry> route_cache_;
+  // Route of the flow being posted, before it has a slot to own it.
+  std::vector<int> route_scratch_;
   std::vector<std::unique_ptr<Flow>> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t active_flows_ = 0;
