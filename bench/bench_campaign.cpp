@@ -29,7 +29,6 @@
 #include "campaign/spec.hpp"
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
-#include "trace/capture.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
 #include "util/json.hpp"
@@ -55,15 +54,11 @@ int main() {
     smpi::platform::FlatClusterParams params;
     params.nodes = ranks;
     auto platform = smpi::platform::build_flat_cluster(params);
-    smpi::core::SmpiConfig config;
-    smpi::core::SmpiWorld world(platform, config);
     smpi::trace::TiWriter writer(dir, ranks, "ep");
-    smpi::trace::install_capture(&writer, nullptr);
+    smpi::core::SmpiWorld world(platform, smpi::core::SmpiConfig{}, {&writer});
     smpi::apps::EpParams ep;
     ep.log2_pairs = 20;
     world.run(ranks, smpi::apps::make_ep_app(ep));
-    smpi::trace::clear_capture();
-    writer.finish();
   }
   const smpi::trace::TiTrace trace = smpi::trace::load_ti_trace(dir);
 

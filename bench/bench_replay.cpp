@@ -23,7 +23,6 @@
 #include "bench_json.hpp"
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
-#include "trace/capture.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
@@ -53,12 +52,9 @@ Sample measure(const smpi::platform::Platform& platform, int nprocs,
   Sample sample;
   smpi::core::SmpiConfig config;
   sample.online_wall = wall_seconds([&] {
-    smpi::core::SmpiWorld world(platform, config);
     smpi::trace::TiWriter writer(dir, nprocs, "bench");
-    smpi::trace::install_capture(&writer, nullptr);
+    smpi::core::SmpiWorld world(platform, config, {&writer});
     world.run(nprocs, app);
-    smpi::trace::clear_capture();
-    writer.finish();
     sample.online_time = world.simulated_time();
   });
   sample.replay_wall = wall_seconds([&] {

@@ -5,7 +5,7 @@
 // => fast and scalable).
 //
 // Besides the google-benchmark tables, main() emits BENCH_solver.json with
-// the incremental-vs-full solver churn trajectory (see bench_json.hpp).
+// the lazy-vs-full solver churn trajectory (see bench_json.hpp).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -73,10 +73,10 @@ BENCHMARK(BM_MaxMinSolve)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 // the solver re-solves. Links are modeled as per-node up/down pairs plus a
 // generously-provisioned shared backbone every flow crosses — the
 // cluster-with-a-switch-fabric shape real platforms have. The backbone
-// welds the whole system into ONE connected component, so the
-// component-incremental path re-solves everything on every churn while the
-// lazy modified-set path stops at the unsaturated backbone and re-solves
-// only the flows whose allocation can actually move.
+// welds the whole system into ONE connected component, so a per-component
+// re-solve would redo everything on every churn, as the full reference
+// does, while the lazy modified-set path stops at the unsaturated backbone
+// and re-solves only the flows whose allocation can actually move.
 struct ChurnWorkload {
   explicit ChurnWorkload(int flows, smpi::surf::SolveMode mode) : rng(42), nodes(flows) {
     sys.set_mode(mode);
@@ -123,8 +123,6 @@ void BM_MaxMinChurn(benchmark::State& state, smpi::surf::SolveMode mode) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_MaxMinChurn, lazy, smpi::surf::SolveMode::kLazy)
-    ->Arg(16)->Arg(128)->Arg(1024);
-BENCHMARK_CAPTURE(BM_MaxMinChurn, incremental, smpi::surf::SolveMode::kComponent)
     ->Arg(16)->Arg(128)->Arg(1024);
 BENCHMARK_CAPTURE(BM_MaxMinChurn, full, smpi::surf::SolveMode::kFull)
     ->Arg(16)->Arg(128)->Arg(1024);
@@ -173,7 +171,7 @@ void BM_XmlParsePlatform(benchmark::State& state) {
 BENCHMARK(BM_XmlParsePlatform);
 
 // Perf-trajectory artifact: ns per churn op (flow departure + arrival +
-// re-solve) for all three solver paths, across concurrent flow counts.
+// re-solve) for both solver paths, across concurrent flow counts.
 void write_solver_trajectory() {
   struct Series {
     const char* name;
@@ -181,7 +179,6 @@ void write_solver_trajectory() {
   };
   const Series series[] = {
       {"solver_churn_lazy", smpi::surf::SolveMode::kLazy},
-      {"solver_churn_incremental", smpi::surf::SolveMode::kComponent},
       {"solver_churn_full", smpi::surf::SolveMode::kFull},
   };
   bench::JsonWriter writer("BENCH_solver.json");

@@ -1,10 +1,11 @@
 // Campaign execution: a fork-based scenario worker pool.
 //
-// The simulation engine and LMM solver are process-global (one SmpiWorld at
-// a time, raw contexts, static instrumentation hooks), so the correct unit
-// of parallelism for a sweep is the *process*, not the thread: each worker
-// is a fork()ed child that constructs a fresh world per scenario and exits
-// without ever sharing mutable simulator state. The trace is loaded once in
+// A simulation is process-global (one SmpiWorld at a time, reached by the C
+// MPI entry points through a current-world pointer; raw contexts; the
+// self-profiler slot), so the correct unit of parallelism for a sweep is
+// the *process*, not the thread: each worker is a fork()ed child that
+// constructs a fresh world per scenario and exits without ever sharing
+// mutable simulator state. The trace is loaded once in
 // the parent before forking, so workers read it through copy-on-write pages
 // — a 64-rank trace is parsed exactly once no matter how many scenarios run.
 //

@@ -8,11 +8,6 @@
 
 namespace smpi::obs {
 
-ResourceCollector* g_resources = nullptr;
-
-void install_resources(ResourceCollector* collector) { g_resources = collector; }
-void clear_resources() { g_resources = nullptr; }
-
 const char* resource_kind_name(ResourceKind kind) {
   switch (kind) {
     case ResourceKind::kLink: return "link";

@@ -19,9 +19,11 @@
 //   - aggregates: saturated-seconds, distinct contending flows, max
 //     utilization — folded into a "top bottlenecks" ranking.
 //
-// Zero-cost when disabled: same global-slot install pattern as SpanCollector
-// (one pointer load on the settle path), no engine timers or activities, and
-// the solver's changed-tracking is off unless a model enables observing —
+// A collector is one of the world's observers (core::Observers::resources):
+// the world hands it to the surf models it builds, which register their
+// links/hosts in their constructors, and finalizes it when the run ends.
+// Zero-cost when absent: one pointer test on the settle path, no engine
+// timers or activities, and the solver's changed-tracking stays off —
 // simulated times and solver counters are bit-identical either way.
 #pragma once
 
@@ -67,7 +69,7 @@ struct ResourceTimeline {
 
 class ResourceCollector {
  public:
-  // --- registration (surf models, at construction while installed) ---------
+  // --- registration (surf models, at construction) -------------------------
   int add_resource(ResourceKind kind, std::string name, double capacity);
   // Returns an attribution id for a flow/execution; labels are owned here so
   // snapshots stay allocation-light (id + double pairs only).
@@ -133,15 +135,5 @@ class ResourceCollector {
   double end_time_ = 0;
   std::uint64_t snapshot_count_ = 0;
 };
-
-// Global installation slot (capture/span pattern). Install *before* the
-// SmpiWorld is built so the surf models register their resources and enable
-// the solver's changed-tracking; the caller keeps ownership and must clear
-// before destroying the collector.
-extern ResourceCollector* g_resources;
-void install_resources(ResourceCollector* collector);
-void clear_resources();
-inline bool resources_enabled() { return g_resources != nullptr; }
-inline ResourceCollector* resources() { return g_resources; }
 
 }  // namespace smpi::obs

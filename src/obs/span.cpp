@@ -2,11 +2,6 @@
 
 namespace smpi::obs {
 
-SpanCollector* g_spans = nullptr;
-
-void install_spans(SpanCollector* collector) { g_spans = collector; }
-void clear_spans() { g_spans = nullptr; }
-
 const char* wait_class_name(WaitClass cls) {
   switch (cls) {
     case WaitClass::kLocal:

@@ -18,10 +18,10 @@
 // rendezvous). The peer was running — not blocked — at that date, which is
 // what makes the backward walk well-founded.
 //
-// Zero-cost when disabled: every hook guards on one global pointer load
-// (spans_enabled()), the collector allocates nothing until installed, and
-// recording never creates engine timers or activities — simulated times are
-// bit-identical with spans on or off.
+// A collector is one of the world's observers (core::Observers::spans). It
+// is zero-cost when absent: every hook guards on the world's span pointer,
+// and recording never creates engine timers or activities — simulated
+// times are bit-identical with spans on or off.
 #pragma once
 
 #include <cstddef>
@@ -80,7 +80,7 @@ class SpanCollector {
     return streams_[static_cast<std::size_t>(rank)].intervals;
   }
 
-  // --- hooks (called from the smpi layer, only while installed) -----------
+  // --- hooks (called from the smpi layer during the world's run) ----------
   void on_enter(int rank, const char* op, double now);
   void on_exit(int rank, double now);
   // Attach peer/bytes to the open span (app-level p2p posts). Collective
@@ -98,13 +98,5 @@ class SpanCollector {
   };
   std::vector<RankStream> streams_;
 };
-
-// Global installation slot (same pattern as trace::install_capture). The
-// caller keeps ownership and must clear before destroying the collector.
-extern SpanCollector* g_spans;
-void install_spans(SpanCollector* collector);
-void clear_spans();
-inline bool spans_enabled() { return g_spans != nullptr; }
-inline SpanCollector* spans() { return g_spans; }
 
 }  // namespace smpi::obs

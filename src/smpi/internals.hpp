@@ -185,7 +185,7 @@ struct Envelope {
   const unsigned char* zc_src = nullptr;
   Request* send_request = nullptr;  // rendezvous back-pointer
   sim::ActivityPtr data_flow;       // eager: started at send time
-  sim::ActivityPtr rts_flow;        // rendezvous protocol emulation
+  sim::ActivityPtr rts_flow;        // rendezvous protocol emulation, until matched
   bool matched = false;
   // Observability (set only while obs spans are enabled): the simulated date
   // the sender posted this envelope — for eager sends, also when the data
@@ -332,6 +332,21 @@ struct SharedBlock {
   std::string site;
 };
 
+// State the ranks of one world share through the MPI extensions; it dies
+// with the world, so one run's folded state never leaks into the next.
+struct RunTables {
+  // SMPI_SAMPLE_GLOBAL sites ("file:line"): measurements pooled across ranks.
+  std::unordered_map<std::string, SampleSite> sample_sites;
+  // SMPI_SHARED_MALLOC blocks by "file:line:size", and block -> its key.
+  std::unordered_map<std::string, SharedBlock> shared;
+  std::unordered_map<void*, std::string> shared_keys;
+
+  RunTables() = default;
+  RunTables(const RunTables&) = delete;
+  RunTables& operator=(const RunTables&) = delete;
+  ~RunTables();
+};
+
 // ---------------------------------------------------------------------------
 // Per-rank process state
 // ---------------------------------------------------------------------------
@@ -386,6 +401,11 @@ class Process {
   // point, so the collectives' internal sends never double-record (see
   // trace/capture.hpp).
   int trace_depth = 0;
+  // Capture-side request ids: Request* -> id, and the next id to hand out.
+  // Request objects are pooled and their addresses recycled, so a binding
+  // is erased when a wait consumes it.
+  std::unordered_map<const Request*, long long> trace_request_ids;
+  long long trace_request_seq = 0;
 
   // Local sampling sites ("file:line"); global sites live on the world.
   std::unordered_map<std::string, SampleSite> local_samples;
@@ -530,11 +550,6 @@ int internal_wait(Request* request);
 // is a no-op once warm, so steady-state rounds stay off the heap even when
 // a late interleaving peaks above every earlier round's high-water mark.
 void reserve_coll_queues(Process& proc, Comm* comm, std::size_t messages);
-
-// Sampling/memory helpers (sample.cpp / shared.cpp); called between
-// simulations so one world's folded state never leaks into the next.
-void reset_shared_allocations();
-void reset_global_samples();
 
 // Argument validation helpers.
 bool valid_comm(MPI_Comm comm);

@@ -109,8 +109,11 @@ void start_rendezvous_transfer(std::shared_ptr<Envelope> env, Request& recv) {
   auto data_flow = world->network().start_flow(world->process(env->src_world_rank)->node,
                                                world->process(env->dst_world_rank)->node,
                                                static_cast<double>(env->bytes), {});
-  env->data_flow = data_flow;
-  if (obs::spans_enabled()) {
+  // The flow's callback holds the envelope, so the envelope must not hold
+  // the flow: while in flight only the network model owns it, and an abort
+  // that freezes the transfer drops the whole chain, unfired, when the
+  // model dies with the engine.
+  if (world->observers().spans != nullptr) {
     // The rendezvous data transfer begins now, for both blocked sides.
     const double now = world->engine().now();
     send->obs_flow_start = now;
@@ -139,7 +142,7 @@ void match(std::shared_ptr<Envelope> env, Request& recv) {
   auto* world = SmpiWorld::instance();
   const double o_recv = world->config().personality.overhead_recv_s;
 
-  if (obs::spans_enabled()) {
+  if (world->observers().spans != nullptr) {
     // Receive side: the sender enabled this message when it posted the
     // envelope (for eager, that is also when the data flow started).
     recv.obs_peer_ready = env->obs_post_date;
@@ -189,7 +192,10 @@ void match(std::shared_ptr<Envelope> env, Request& recv) {
       });
     };
     SMPI_ENSURE(env->rts_flow != nullptr, "emulated rendezvous without RTS");
-    env->rts_flow->on_completion(after_rts);
+    // The callback holds the envelope, so the envelope lets go of the RTS
+    // first (see start_rendezvous_transfer).
+    const sim::ActivityPtr rts = std::move(env->rts_flow);
+    rts->on_completion(after_rts);
     return;
   }
   start_rendezvous_transfer(env, recv);
@@ -310,13 +316,13 @@ void post_send(Request& request) {
   env->bytes = bytes;
   env->eager = eager;
 
-  if (obs::spans_enabled()) {
+  if (obs::SpanCollector* spans = world->observers().spans) {
     env->obs_post_date = engine.now();  // for eager, also the flow start date
     request.obs_flow_start = -1;
     request.obs_peer_ready = -1;
     request.obs_peer_world = dst_world;
-    if (!request.coll_scope) obs::spans()->annotate_peer(src_world, dst_world);
-    obs::spans()->add_bytes(src_world, bytes);
+    if (!request.coll_scope) spans->annotate_peer(src_world, dst_world);
+    spans->add_bytes(src_world, bytes);
   }
 
   if (eager) {
@@ -367,17 +373,17 @@ void post_recv(Request& request) {
   }
   request.token = sim::new_activity("recv");
 
-  if (obs::spans_enabled()) {
+  if (obs::SpanCollector* spans = request.owner->world->observers().spans) {
     request.obs_flow_start = -1;  // (re)set before a match can fill them in
     request.obs_peer_ready = -1;
     request.obs_peer_world = -1;
     if (!request.coll_scope) {
       const int rank = request.owner->world_rank;
       if (request.peer >= 0) {
-        obs::spans()->annotate_peer(rank, request.comm->world_rank(request.peer));
+        spans->annotate_peer(rank, request.comm->world_rank(request.peer));
       }
-      obs::spans()->add_bytes(
-          rank, static_cast<std::uint64_t>(request.count) * request.datatype->size());
+      spans->add_bytes(rank,
+                       static_cast<std::uint64_t>(request.count) * request.datatype->size());
     }
   }
 
@@ -429,7 +435,8 @@ bool is_pending(const MPI_Request& request) {
 }  // namespace
 
 void obs_record_blocked_wait(Process& proc, const Request& request, double block_start) {
-  if (!obs::spans_enabled()) return;
+  obs::SpanCollector* spans = proc.world->observers().spans;
+  if (spans == nullptr) return;
   const double t1 = proc.world->engine().now();
   if (t1 <= block_start) return;
   const std::uint64_t bytes =
@@ -444,8 +451,8 @@ void obs_record_blocked_wait(Process& proc, const Request& request, double block
   } else {
     cls = obs::WaitClass::kLateReceiver;
   }
-  obs::spans()->on_blocked(proc.world_rank, block_start, t1, request.obs_flow_start,
-                           request.obs_peer_ready, request.obs_peer_world, bytes, cls);
+  spans->on_blocked(proc.world_rank, block_start, t1, request.obs_flow_start,
+                    request.obs_peer_ready, request.obs_peer_world, bytes, cls);
 }
 
 int wait_request(Request*& request, MPI_Status* status) {
@@ -466,7 +473,7 @@ int wait_request(Request*& request, MPI_Status* status) {
         request->datatype != nullptr
             ? static_cast<std::size_t>(request->count) * request->datatype->size()
             : 0;
-    const double obs_t0 = obs::spans_enabled() ? proc.world->engine().now() : 0;
+    const double obs_t0 = proc.world->observers().spans != nullptr ? proc.world->engine().now() : 0;
     BlockedOpGuard guard(proc, is_recv ? "recv" : "send", request->peer, request->tag,
                          request->comm != nullptr ? request->comm->id() : 0, bytes);
     request->token->wait();
@@ -942,7 +949,7 @@ int waitany_impl(int count, MPI_Request requests[], int* index, MPI_Status* stat
     }
   }
   Process& proc = current_process_checked();
-  const double obs_t0 = smpi::obs::spans_enabled() ? proc.world->engine().now() : 0;
+  const double obs_t0 = proc.world->observers().spans != nullptr ? proc.world->engine().now() : 0;
   {
     BlockedOpGuard guard(proc, "waitany");
     merged->wait();
@@ -1223,17 +1230,17 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
     scope.emit(r);
   }
   Process& proc = current_process_checked();
-  const double obs_t0 = smpi::obs::spans_enabled() ? proc.world->engine().now() : 0;
+  smpi::obs::SpanCollector* spans = proc.world->observers().spans;
+  const double obs_t0 = spans != nullptr ? proc.world->engine().now() : 0;
   while (true) {
     Envelope* env = find_probe_match(proc, source, tag, comm);
     if (env != nullptr) {
-      if (smpi::obs::spans_enabled()) {
+      if (spans != nullptr) {
         const double now = proc.world->engine().now();
         if (now > obs_t0) {
           // Pure wait-for-arrival: no transfer happens inside a probe.
-          smpi::obs::spans()->on_blocked(proc.world_rank, obs_t0, now, /*flow_start=*/now,
-                                         env->obs_post_date, env->src_world_rank, env->bytes,
-                                         smpi::obs::WaitClass::kLateSender);
+          spans->on_blocked(proc.world_rank, obs_t0, now, /*flow_start=*/now, env->obs_post_date,
+                            env->src_world_rank, env->bytes, smpi::obs::WaitClass::kLateSender);
         }
       }
       fill_probe_status(*env, status);

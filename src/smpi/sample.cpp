@@ -23,20 +23,17 @@
 namespace smpi::core {
 namespace {
 
-// Global sample sites (SMPI_SAMPLE_GLOBAL shares measurements across ranks).
-std::unordered_map<std::string, SampleSite>& global_sites() {
-  static std::unordered_map<std::string, SampleSite> sites;
-  return sites;
-}
-
 std::string site_key(const char* file, int line) {
   return std::string(file) + ":" + std::to_string(line);
 }
 
+// SMPI_SAMPLE_GLOBAL sites live on the world and pool measurements across
+// ranks; local sites live on the calling rank.
 SampleSite& lookup_site(const char* file, int line, bool global) {
   const std::string key = site_key(file, line);
-  if (global) return global_sites()[key];
-  return current_process_checked().local_samples[key];
+  Process& proc = current_process_checked();
+  if (global) return proc.world->tables().sample_sites[key];
+  return proc.local_samples[key];
 }
 
 double host_seconds_now() {
@@ -50,8 +47,6 @@ void inject_host_seconds(double host_seconds) {
 }
 
 }  // namespace
-
-void reset_global_samples() { global_sites().clear(); }
 
 double SampleSite::coefficient_of_variation() const {
   if (completed < 2) return std::numeric_limits<double>::infinity();
@@ -151,12 +146,7 @@ int smpi_sample_enter_auto(const char* file, int line, int global, int max_itera
   SMPI_REQUIRE(precision > 0, "adaptive sampling needs a positive precision");
   // Record the convergence target, then reuse the fixed-count machinery with
   // max_iterations as the hard cap.
-  {
-    Process& proc = current_process_checked();
-    (void)proc;
-    SampleSite& site = lookup_site(file, line, global != 0);
-    site.precision = precision;
-  }
+  lookup_site(file, line, global != 0).precision = precision;
   return smpi_sample_enter(file, line, global, max_iterations, -1);
 }
 

@@ -9,26 +9,9 @@
 #include "util/check.hpp"
 
 namespace smpi::core {
-namespace {
 
-std::unordered_map<std::string, SharedBlock>& shared_blocks() {
-  static std::unordered_map<std::string, SharedBlock> blocks;
-  return blocks;
-}
-
-std::unordered_map<void*, std::string>& shared_index() {
-  static std::unordered_map<void*, std::string> index;
-  return index;
-}
-
-}  // namespace
-
-void reset_shared_allocations() {
-  for (auto& [site, block] : shared_blocks()) {
-    ::operator delete(block.ptr);
-  }
-  shared_blocks().clear();
-  shared_index().clear();
+RunTables::~RunTables() {
+  for (auto& [site, block] : shared) ::operator delete(block.ptr);
 }
 
 }  // namespace smpi::core
@@ -60,7 +43,8 @@ void* smpi_shared_malloc(std::size_t size, const char* file, int line) {
   // streams); only identically-shaped allocations fold together.
   const std::string site =
       std::string(file) + ":" + std::to_string(line) + ":" + std::to_string(size);
-  auto& blocks = shared_blocks();
+  RunTables& tables = proc.world->tables();
+  auto& blocks = tables.shared;
   auto it = blocks.find(site);
   if (it == blocks.end()) {
     SharedBlock block;
@@ -69,7 +53,7 @@ void* smpi_shared_malloc(std::size_t size, const char* file, int line) {
     block.refcount = 0;
     block.site = site;
     it = blocks.emplace(site, block).first;
-    shared_index()[block.ptr] = site;
+    tables.shared_keys[block.ptr] = site;
     // First caller: the bytes are physically allocated.
     proc.world->memory().allocate(proc.world_rank, size, /*folded_already_counted=*/false);
   } else {
@@ -83,9 +67,10 @@ void* smpi_shared_malloc(std::size_t size, const char* file, int line) {
 void smpi_shared_free(void* ptr) {
   if (ptr == nullptr) return;
   Process& proc = current_process_checked();
-  auto idx = shared_index().find(ptr);
-  SMPI_REQUIRE(idx != shared_index().end(), "SMPI_FREE of non-shared pointer");
-  auto& blocks = shared_blocks();
+  RunTables& tables = proc.world->tables();
+  auto idx = tables.shared_keys.find(ptr);
+  SMPI_REQUIRE(idx != tables.shared_keys.end(), "SMPI_FREE of non-shared pointer");
+  auto& blocks = tables.shared;
   auto it = blocks.find(idx->second);
   SMPI_ENSURE(it != blocks.end(), "shared block index out of sync");
   SharedBlock& block = it->second;
@@ -96,7 +81,7 @@ void smpi_shared_free(void* ptr) {
                                /*folded_already_counted=*/!last);
   if (last) {
     ::operator delete(block.ptr);
-    shared_index().erase(idx);
+    tables.shared_keys.erase(idx);
     blocks.erase(it);
   }
 }

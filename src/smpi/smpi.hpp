@@ -27,12 +27,23 @@
 #include "surf/cpu.hpp"
 #include "surf/network.hpp"
 
+namespace smpi::trace {
+class TiWriter;
+class PajeWriter;
+}  // namespace smpi::trace
+
+namespace smpi::obs {
+class SpanCollector;
+class ResourceCollector;
+}  // namespace smpi::obs
+
 namespace smpi::core {
 
 class Process;
 class Comm;
 class Group;
 class MemoryTracker;
+struct RunTables;
 
 // Models how a concrete MPI implementation moves one message: protocol
 // switch point, per-message software overheads, and whether the rendezvous
@@ -145,18 +156,37 @@ struct P2pCounters {
   std::uint64_t bytes_not_copied = 0;      // payload bytes delivered without staging
 };
 
+// What a run writes besides its simulated time: the TI trace, the Paje
+// timeline, the per-call span stream and the resource timelines. Each is
+// owned by the caller and may be null; the world drives their whole
+// lifecycle (see SmpiWorld::run). Not a SmpiConfig field: configs describe
+// the model and are copied into campaign setups, observers are one run's
+// outputs.
+struct Observers {
+  trace::TiWriter* ti = nullptr;
+  trace::PajeWriter* paje = nullptr;
+  obs::SpanCollector* spans = nullptr;
+  obs::ResourceCollector* resources = nullptr;
+};
+
 using MpiMain = std::function<void(int argc, char** argv)>;
 
 class SmpiWorld {
  public:
-  SmpiWorld(const platform::Platform& platform, SmpiConfig config);
+  // `observers` must outlive run(); the world never touches them after run()
+  // returns or throws, so they may die before the world does.
+  SmpiWorld(const platform::Platform& platform, SmpiConfig config, Observers observers = {});
   ~SmpiWorld();
 
   SmpiWorld(const SmpiWorld&) = delete;
   SmpiWorld& operator=(const SmpiWorld&) = delete;
 
   // Runs `app` as `nprocs` MPI processes; returns when all have finished.
-  // argv[0] is `app_name`, followed by `args`.
+  // argv[0] is `app_name`, followed by `args`. The Paje timeline begins
+  // with the run. When run() returns (an abort included) the models' last
+  // resource observations are flushed, then the resource collector is
+  // finalized and the Paje and TI writers finished, all at the makespan;
+  // when it throws, the observers are left as they are.
   void run(int nprocs, MpiMain app, std::vector<std::string> args = {},
            std::string app_name = "smpi_app");
 
@@ -177,6 +207,8 @@ class SmpiWorld {
   sim::Engine& engine() { return *engine_; }
   const platform::Platform& platform() const { return platform_; }
   const SmpiConfig& config() const { return config_; }
+  // This run's observers; all null once the simulation in run() has ended.
+  const Observers& observers() const { return observers_; }
   sim::NetworkBackend& network() { return *network_; }
   sim::ComputeBackend& cpu() { return *cpu_; }
 
@@ -193,10 +225,15 @@ class SmpiWorld {
   void record_failure(const std::string& diagnostic);
   int next_comm_id() { return next_comm_id_++; }
   P2pCounters& p2p_raw() { return p2p_counters_; }  // smpi-layer increments
+  // SMPI_SAMPLE_GLOBAL sites and SMPI_SHARED_MALLOC blocks of this run.
+  RunTables& tables() { return *tables_; }
 
  private:
+  void finish_observers();
+
   const platform::Platform& platform_;
   SmpiConfig config_;
+  Observers observers_;
   std::unique_ptr<sim::Engine> engine_;
   std::shared_ptr<surf::CpuModel> cpu_model_;
   sim::NetworkBackend* network_ = nullptr;
@@ -206,6 +243,7 @@ class SmpiWorld {
   Comm* world_comm_ = nullptr;
   Group* empty_group_ = nullptr;
   std::unique_ptr<MemoryTracker> memory_;
+  std::unique_ptr<RunTables> tables_;
   std::vector<std::unique_ptr<Comm>> static_comms_;
   std::vector<std::unique_ptr<Group>> static_groups_;
   std::exception_ptr first_exception_;

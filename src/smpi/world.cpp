@@ -1,9 +1,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
+#include "obs/resource.hpp"
+#include "obs/span.hpp"
 #include "smpi/internals.hpp"
 #include "trace/capture.hpp"
+#include "trace/paje.hpp"
+#include "trace/writer.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -138,15 +143,19 @@ void Process::gc_requests() {
 // SmpiWorld
 // ---------------------------------------------------------------------------
 
-SmpiWorld::SmpiWorld(const platform::Platform& platform, SmpiConfig config)
-    : platform_(platform), config_(std::move(config)) {
+SmpiWorld::SmpiWorld(const platform::Platform& platform, SmpiConfig config, Observers observers)
+    : platform_(platform),
+      config_(std::move(config)),
+      observers_(observers),
+      tables_(std::make_unique<RunTables>()) {
   SMPI_REQUIRE(g_world == nullptr, "only one SmpiWorld may exist at a time");
   SMPI_REQUIRE(platform_.host_count() > 0, "platform has no hosts");
-  g_world = this;
   engine_ = std::make_unique<sim::Engine>(config_.engine);
   // One knob drives both analytical solvers (network and CPU share the
-  // max-min implementation and its full-reference flag).
-  cpu_model_ = std::make_shared<surf::CpuModel>(platform_, config_.network.solver_mode);
+  // max-min implementation and its full-reference flag). With a resource
+  // collector the models register their hosts/links with it here.
+  cpu_model_ = std::make_shared<surf::CpuModel>(platform_, config_.network.solver_mode,
+                                                observers_.resources);
   cpu_ = cpu_model_.get();
   engine_->add_model(cpu_model_);
   if (config_.noise.has_message_jitter && !config_.noise.message_jitter.is_identity(0.0)) {
@@ -163,7 +172,8 @@ SmpiWorld::SmpiWorld(const platform::Platform& platform, SmpiConfig config)
     };
   }
   if (config_.backend == SmpiConfig::Backend::kFlow) {
-    auto net = std::make_shared<surf::FlowNetworkModel>(platform_, config_.network);
+    auto net = std::make_shared<surf::FlowNetworkModel>(platform_, config_.network,
+                                                        observers_.resources);
     network_ = net.get();
     flow_network_ = net.get();
     engine_->add_model(std::move(net));
@@ -202,6 +212,9 @@ SmpiWorld::SmpiWorld(const platform::Platform& platform, SmpiConfig config)
     faults->arm();
   }
   engine_->set_deadlock_reporter([this] { return wait_for_diagnostic(); });
+  // Registered last: a constructor that throws (an unknown fault target,
+  // say) must leave no world behind for the next one to trip over.
+  g_world = this;
 }
 
 SmpiWorld::~SmpiWorld() {
@@ -213,8 +226,6 @@ SmpiWorld::~SmpiWorld() {
   // engine goes last.
   if (engine_ != nullptr) engine_->shutdown_actors();
   processes_.clear();
-  reset_shared_allocations();
-  reset_global_samples();
   // Drop our model ref before the engine: a time-limited run leaves
   // incomplete executions holding pooled activities, and those must return
   // to the engine's pools inside ~Engine (models_ holds the last ref), not
@@ -349,6 +360,10 @@ void SmpiWorld::run(int nprocs, MpiMain app, std::vector<std::string> args,
   SMPI_REQUIRE(nprocs >= 1, "need at least one MPI process");
   SMPI_REQUIRE(processes_.empty(), "SmpiWorld::run may only be called once");
   SMPI_REQUIRE(config_.placement_stride >= 1, "placement stride must be >= 1");
+  SMPI_REQUIRE(observers_.ti == nullptr || observers_.ti->nranks() == nprocs,
+               "TI writer sized for a different rank count");
+  SMPI_REQUIRE(observers_.spans == nullptr || observers_.spans->nranks() == nprocs,
+               "span collector sized for a different rank count");
 
   memory_ = std::make_unique<MemoryTracker>(nprocs, config_.host_ram_budget_bytes);
 
@@ -404,16 +419,40 @@ void SmpiWorld::run(int nprocs, MpiMain app, std::vector<std::string> args,
     actor->user_data = proc;
     proc->actor = actor;
   }
+  if (observers_.paje != nullptr) observers_.paje->begin(nprocs);
   try {
-    engine_->run();
-  } catch (const sim::DeadlockError& e) {
-    if (!aborted_) throw;
-    // An abort legitimately strands the other ranks; surface the abort
-    // instead of the secondary deadlock.
-    SMPI_LOG_WARN(log_smpi, "simulation stopped after abort: " << e.what());
+    try {
+      engine_->run();
+    } catch (const sim::DeadlockError& e) {
+      if (!aborted_) throw;
+      // An abort legitimately strands the other ranks; surface the abort
+      // instead of the secondary deadlock.
+      SMPI_LOG_WARN(log_smpi, "simulation stopped after abort: " << e.what());
+    }
+    finish_time_ = engine_->now();
+    if (first_exception_ != nullptr) std::rethrow_exception(first_exception_);
+  } catch (...) {
+    observers_ = {};  // a failed run's outputs are left unfinished
+    throw;
   }
-  finish_time_ = engine_->now();
-  if (first_exception_ != nullptr) std::rethrow_exception(first_exception_);
+  finish_observers();
+}
+
+void SmpiWorld::finish_observers() {
+  // Detach first: whatever happens below, the ranks still parked after an
+  // abort unwind in ~SmpiWorld without reaching a writer, and the caller may
+  // destroy the observers as soon as run() is done.
+  const Observers observers = std::exchange(observers_, Observers{});
+  if (observers.resources != nullptr) {
+    // The last completions' usage drops may still sit in the solvers'
+    // changed sets (no settle runs after the last event): drain both models
+    // before closing the observed window at the makespan.
+    if (flow_network_ != nullptr) flow_network_->flush_observations(finish_time_);
+    cpu_model_->flush_observations(finish_time_);
+    observers.resources->finalize(finish_time_);
+  }
+  if (observers.paje != nullptr) observers.paje->finish(finish_time_);
+  if (observers.ti != nullptr) observers.ti->finish();
 }
 
 P2pCounters SmpiWorld::p2p_counters() const {

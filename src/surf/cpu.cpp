@@ -13,23 +13,23 @@ namespace {
 constexpr double kRemainingEps = 1e-3;
 }  // namespace
 
-CpuModel::CpuModel(const platform::Platform& platform, SolveMode solver_mode)
-    : platform_(platform) {
+CpuModel::CpuModel(const platform::Platform& platform, SolveMode solver_mode,
+                   obs::ResourceCollector* resources)
+    : platform_(platform), resources_(resources) {
   system_.set_mode(solver_mode);
   host_constraint_.reserve(static_cast<std::size_t>(platform_.host_count()));
   for (int id = 0; id < platform_.host_count(); ++id) {
     const auto& host = platform_.host(id);
     host_constraint_.push_back(system_.new_constraint(host.speed_flops * host.cores));
   }
-  if (obs::resources_enabled()) {
-    observing_ = true;
+  if (resources_ != nullptr) {
     system_.set_observing(true);
     constraint_resource_.assign(system_.constraint_count(), -1);
     for (int id = 0; id < platform_.host_count(); ++id) {
       const int constraint = host_constraint_[static_cast<std::size_t>(id)];
       constraint_resource_[static_cast<std::size_t>(constraint)] =
-          obs::resources()->add_resource(obs::ResourceKind::kHost, platform_.host(id).name,
-                                         system_.constraint_capacity(constraint));
+          resources_->add_resource(obs::ResourceKind::kHost, platform_.host(id).name,
+                                   system_.constraint_capacity(constraint));
     }
   }
 }
@@ -88,11 +88,11 @@ void CpuModel::resettle(double now) {
       reschedule(exec, now);
     }
   }
-  if (observing_) flush_resource_snapshots(now);
+  if (resources_ != nullptr) flush_resource_snapshots(now);
 }
 
 void CpuModel::flush_observations(double now) {
-  if (observing_) flush_resource_snapshots(now);
+  if (resources_ != nullptr) flush_resource_snapshots(now);
 }
 
 void CpuModel::flush_resource_snapshots(double now) {
@@ -108,13 +108,13 @@ void CpuModel::flush_resource_snapshots(double now) {
       Execution* exec = var_to_execution_[static_cast<std::size_t>(var)];
       if (exec == nullptr) continue;
       if (exec->res_flow < 0) {
-        exec->res_flow = obs::resources()->add_flow(platform_.host(exec->node).name + "#" +
-                                                    std::to_string(exec->id));
+        exec->res_flow =
+            resources_->add_flow(platform_.host(exec->node).name + "#" + std::to_string(exec->id));
       }
       flow_shares_scratch_.emplace_back(exec->res_flow, value);
     }
-    obs::resources()->snapshot(resource, now, state.usage, state.capacity, state.saturated,
-                               flow_shares_scratch_);
+    resources_->snapshot(resource, now, state.usage, state.capacity, state.saturated,
+                         flow_shares_scratch_);
   }
 }
 

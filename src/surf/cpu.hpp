@@ -19,12 +19,19 @@
 #include "sim/model.hpp"
 #include "surf/maxmin.hpp"
 
+namespace smpi::obs {
+class ResourceCollector;
+}
+
 namespace smpi::surf {
 
 class CpuModel final : public sim::Model, public sim::ComputeBackend {
  public:
+  // A non-null `resources` gets one resource per host here and a snapshot
+  // of every changed host at each settle (see FlowNetworkModel).
   explicit CpuModel(const platform::Platform& platform,
-                    SolveMode solver_mode = SolveMode::kLazy);
+                    SolveMode solver_mode = SolveMode::kLazy,
+                    obs::ResourceCollector* resources = nullptr);
 
   // sim::ComputeBackend
   sim::ActivityPtr execute(int node, double flops) override;
@@ -37,8 +44,8 @@ class CpuModel final : public sim::Model, public sim::ComputeBackend {
   std::size_t active_execution_count() const { return executions_.size(); }
   const MaxMinSystem& solver() const { return system_; }
 
-  // Resource observability: final drain into the installed collector (see
-  // FlowNetworkModel::flush_observations). No-op unless observing.
+  // Resource observability: final drain into the collector (see
+  // FlowNetworkModel::flush_observations). No-op without one.
   void flush_observations(double now);
 
   // Availability (driven by sim::FaultModel): a down host fails its running
@@ -67,7 +74,7 @@ class CpuModel final : public sim::Model, public sim::ComputeBackend {
   MaxMinSystem system_;
   std::vector<int> host_constraint_;
   // Resource observability state (see FlowNetworkModel).
-  bool observing_ = false;
+  obs::ResourceCollector* resources_ = nullptr;
   std::vector<int> constraint_resource_;
   std::vector<int> changed_scratch_;
   std::vector<std::pair<int, double>> var_shares_scratch_;

@@ -32,10 +32,9 @@ int MaxMinSystem::new_constraint(double capacity) {
   SMPI_REQUIRE(capacity > 0, "constraint capacity must be positive");
   constraints_.emplace_back();
   constraints_.back().capacity = capacity;
-  const int id = static_cast<int>(constraints_.size()) - 1;
   // A fresh constraint has no members: nothing to re-solve in lazy mode.
-  if (mode_ != SolveMode::kLazy) mark_dirty(id);
-  return id;
+  mark_full_dirty();
+  return static_cast<int>(constraints_.size()) - 1;
 }
 
 int MaxMinSystem::new_variable(double weight, double bound) {
@@ -122,15 +121,9 @@ void MaxMinSystem::attach(int variable, int constraint) {
   cons.usage += var.value;
   pending_triggers_ |= kTrigAttach;
   note_changed(constraint);  // membership changed even at value 0
-  if (mode_ == SolveMode::kLazy) {
-    // The new/updated variable must be re-solved; whether the constraint's
-    // other members move is decided by boundary promotion at solve time.
-    seed_variable(variable);
-  } else {
-    // The component reachable from `constraint` now includes the variable
-    // and, transitively, its other constraints — marking this one suffices.
-    mark_dirty(constraint);
-  }
+  // The new/updated variable must be re-solved; whether the constraint's
+  // other members move is decided by boundary promotion at solve time.
+  seed_variable(variable);
 }
 
 void MaxMinSystem::set_bound(int variable, double bound) {
@@ -141,10 +134,8 @@ void MaxMinSystem::set_bound(int variable, double bound) {
   pending_triggers_ |= kTrigBound;
   if (var.constraints.empty()) {
     mark_unconstrained_dirty(variable);
-  } else if (mode_ == SolveMode::kLazy) {
-    seed_variable(variable);
   } else {
-    for (int c : var.constraints) mark_dirty(c);
+    seed_variable(variable);
   }
 }
 
@@ -155,13 +146,10 @@ void MaxMinSystem::set_capacity(int constraint, double capacity) {
   cons.capacity = capacity;
   pending_triggers_ |= kTrigCapacity;
   note_changed(constraint);
-  if (mode_ == SolveMode::kLazy) {
-    // Members can only move if the constraint was saturated before (they may
-    // grow) or its usage exceeds the new capacity (they must shrink).
-    seed_constraint_if_binding(constraint, std::min(old_capacity, capacity));
-  } else {
-    mark_dirty(constraint);
-  }
+  // Members can only move if the constraint was saturated before (they may
+  // grow) or its usage exceeds the new capacity (they must shrink).
+  seed_constraint_if_binding(constraint, std::min(old_capacity, capacity));
+  mark_full_dirty();
 }
 
 void MaxMinSystem::release_variable(int variable) {
@@ -170,13 +158,10 @@ void MaxMinSystem::release_variable(int variable) {
   // The freed share must be redistributed: every *saturated* constraint the
   // variable crossed needs a re-solve (checked while the released value still
   // counts toward usage). Unsaturated ones constrained nobody.
-  if (mode_ == SolveMode::kLazy) {
-    for (int c : var.constraints) {
-      seed_constraint_if_binding(c, constraints_[static_cast<std::size_t>(c)].capacity);
-    }
-  } else {
-    for (int c : var.constraints) mark_dirty(c);
+  for (int c : var.constraints) {
+    seed_constraint_if_binding(c, constraints_[static_cast<std::size_t>(c)].capacity);
   }
+  mark_full_dirty();
   var.active = false;
   pending_triggers_ |= kTrigRelease;
   // Eagerly drop it from constraint membership lists (so constraint_usage()
@@ -269,34 +254,6 @@ double MaxMinSystem::constraint_usage(int constraint) const {
   return usage;
 }
 
-void MaxMinSystem::collect_components() {
-  comp_cons_.clear();
-  comp_vars_.clear();
-  // BFS across the constraint/variable bipartite graph, seeded at the dirty
-  // constraints. Everything reached must be re-solved; everything else keeps
-  // its allocation.
-  std::vector<int>& stack = dirty_constraints_;  // consumed as the BFS frontier
-  for (int c : stack) constraints_[static_cast<std::size_t>(c)].in_set = true;
-  while (!stack.empty()) {
-    const int c = stack.back();
-    stack.pop_back();
-    comp_cons_.push_back(c);
-    for (int v : constraints_[static_cast<std::size_t>(c)].variables) {
-      auto& var = variables_[static_cast<std::size_t>(v)];
-      if (!var.active || var.in_set) continue;
-      var.in_set = true;
-      comp_vars_.push_back(v);
-      for (int c2 : var.constraints) {
-        auto& other = constraints_[static_cast<std::size_t>(c2)];
-        if (!other.in_set) {
-          other.in_set = true;
-          stack.push_back(c2);
-        }
-      }
-    }
-  }
-}
-
 void MaxMinSystem::solve() {
   if (!dirty_) return;
   obs::ProfScope prof(obs::ProfKey::kSolverSolve);
@@ -326,44 +283,21 @@ void MaxMinSystem::solve() {
     return;
   }
 
-  // Fold any lazy seeds left over from a mode switch into the dirty set.
-  for (int v : seed_variables_) {
-    auto& var = variables_[static_cast<std::size_t>(v)];
-    var.seeded = false;
-    if (!var.active) continue;
-    for (int c : var.constraints) mark_dirty(c);
-  }
+  // Reference path: drop the lazy seeds and re-solve the whole system from
+  // scratch.
+  for (int v : seed_variables_) variables_[static_cast<std::size_t>(v)].seeded = false;
   seed_variables_.clear();
-  dirty_ = false;  // mark_dirty above re-set it
-
-  if (mode_ == SolveMode::kComponent) {
-    collect_components();
-  } else {
-    // Reference path: re-solve the whole system from scratch.
-    for (int c : dirty_constraints_) {
-      constraints_[static_cast<std::size_t>(c)].dirty = false;
-    }
-    dirty_constraints_.clear();
-    comp_cons_.clear();
-    comp_vars_.clear();
-    for (int c = 0; c < static_cast<int>(constraints_.size()); ++c) comp_cons_.push_back(c);
-    for (int v = 0; v < static_cast<int>(variables_.size()); ++v) {
-      const auto& var = variables_[static_cast<std::size_t>(v)];
-      if (var.active && !var.constraints.empty()) comp_vars_.push_back(v);
-    }
+  for (int c : dirty_constraints_) constraints_[static_cast<std::size_t>(c)].dirty = false;
+  dirty_constraints_.clear();
+  comp_cons_.clear();
+  comp_vars_.clear();
+  for (int c = 0; c < static_cast<int>(constraints_.size()); ++c) comp_cons_.push_back(c);
+  for (int v = 0; v < static_cast<int>(variables_.size()); ++v) {
+    const auto& var = variables_[static_cast<std::size_t>(v)];
+    if (var.active && !var.constraints.empty()) comp_vars_.push_back(v);
   }
-
   solve_subset(comp_cons_, comp_vars_);
-
-  for (int c : comp_cons_) {
-    auto& cons = constraints_[static_cast<std::size_t>(c)];
-    cons.in_set = false;
-    cons.dirty = false;
-  }
-  for (int v : comp_vars_) {
-    variables_[static_cast<std::size_t>(v)].in_set = false;
-    last_solved_.push_back(v);
-  }
+  last_solved_.insert(last_solved_.end(), comp_vars_.begin(), comp_vars_.end());
 }
 
 // Modified-set propagation. The seed set (mutated constraints that were

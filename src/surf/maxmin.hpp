@@ -7,27 +7,23 @@
 //
 // The same solver shares CPU cores among computations.
 //
-// Three solve strategies live behind SolveMode:
+// Two solve strategies live behind SolveMode:
 //
-//   kFull       — reference path: re-solve the whole system from scratch.
-//   kComponent  — every mutation marks the constraints it touches, and
-//                 solve() re-runs progressive filling over the connected
-//                 component(s) of those dirty constraints. Allocations in
-//                 untouched components are provably unchanged (max-min
-//                 allocations decompose per connected component).
-//   kLazy       — (default) SimGrid-style partial invalidation *inside* a
-//                 component: a mutation seeds only the variables/constraints
-//                 it provably affects, and the re-solve grows a *modified
-//                 set* outward through shared constraints only while member
-//                 allocations actually change. A bcast tree where one link
-//                 changes re-solves only the affected subtree; an
-//                 unsaturated backbone never floods the whole component.
-//                 See docs/architecture.md for the promotion rule and its
-//                 correctness argument.
+//   kLazy  — (default) SimGrid-style partial invalidation: a mutation seeds
+//            only the variables/constraints it provably affects, and the
+//            re-solve grows a *modified set* outward through shared
+//            constraints only while member allocations actually change. A
+//            bcast tree where one link changes re-solves only the affected
+//            subtree; an unsaturated backbone never floods the whole
+//            connected component. See docs/architecture.md for the
+//            promotion rule and its correctness argument.
+//   kFull  — reference path: every mutation marks the system dirty, and
+//            solve() re-runs progressive filling over the whole system from
+//            scratch.
 //
 // set_mode(SolveMode::kFull) selects the reference solve for equivalence
-// testing; the three-way property test in test_surf_maxmin.cpp asserts all
-// modes agree within 1e-9 under randomized churn.
+// testing; the property test in test_surf_maxmin.cpp asserts both modes
+// agree within 1e-9 under randomized churn.
 #pragma once
 
 #include <cstddef>
@@ -39,9 +35,8 @@
 namespace smpi::surf {
 
 enum class SolveMode {
-  kFull,       // re-solve everything on every solve()
-  kComponent,  // re-solve the connected components of dirty constraints
-  kLazy,       // modified-set propagation inside components (default)
+  kFull,  // re-solve everything on every solve()
+  kLazy,  // modified-set propagation (default)
 };
 
 class MaxMinSystem {
@@ -199,15 +194,17 @@ class MaxMinSystem {
 
   void mark_dirty(int constraint);
   void mark_unconstrained_dirty(int variable);
+  // The full reference re-solves after every mutation, independently of the
+  // lazy seeding rules it is there to check.
+  void mark_full_dirty() {
+    if (mode_ == SolveMode::kFull) dirty_ = true;
+  }
   // Lazy seeding: queue the variable for re-solve (its constraints join as
   // boundaries at solve time).
   void seed_variable(int variable);
   // Lazy seeding: queue the constraint as a full member iff it is saturated
   // (only then can its members' allocations move).
   void seed_constraint_if_binding(int constraint, double reference_capacity);
-  // Expand the dirty constraints into their connected components (constraints
-  // linked through shared active variables), filling comp_cons_/comp_vars_.
-  void collect_components();
   // Modified-set propagation (kLazy): solve the seed set against frozen
   // boundaries, promoting boundaries whose member allocations changed.
   void solve_lazy();

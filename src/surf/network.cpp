@@ -20,8 +20,9 @@ namespace {
 constexpr double kRemainingEps = 1.0;
 }  // namespace
 
-FlowNetworkModel::FlowNetworkModel(const platform::Platform& platform, NetworkConfig config)
-    : platform_(platform), config_(std::move(config)) {
+FlowNetworkModel::FlowNetworkModel(const platform::Platform& platform, NetworkConfig config,
+                                   obs::ResourceCollector* resources)
+    : platform_(platform), config_(std::move(config)), resources_(resources) {
   system_.set_mode(config_.solver_mode);
   link_constraint_.resize(static_cast<std::size_t>(platform_.link_count()), -1);
   for (int id = 0; id < platform_.link_count(); ++id) {
@@ -31,19 +32,17 @@ FlowNetworkModel::FlowNetworkModel(const platform::Platform& platform, NetworkCo
           system_.new_constraint(link.bandwidth_bps * config_.bandwidth_efficiency);
     }
   }
-  if (obs::resources_enabled()) {
+  if (resources_ != nullptr) {
     // Resource observability: name every shared link's constraint with the
-    // collector and turn on the solver's changed-constraint tracking. The
-    // collector must be installed before the world is built (span pattern).
-    observing_ = true;
+    // collector and turn on the solver's changed-constraint tracking.
     system_.set_observing(true);
     constraint_resource_.assign(system_.constraint_count(), -1);
     for (int id = 0; id < platform_.link_count(); ++id) {
       const int constraint = link_constraint_[static_cast<std::size_t>(id)];
       if (constraint < 0) continue;  // fatpipe: unconstrained, nothing to watch
       constraint_resource_[static_cast<std::size_t>(constraint)] =
-          obs::resources()->add_resource(obs::ResourceKind::kLink, platform_.link(id).name,
-                                         system_.constraint_capacity(constraint));
+          resources_->add_resource(obs::ResourceKind::kLink, platform_.link(id).name,
+                                   system_.constraint_capacity(constraint));
     }
   }
 }
@@ -217,11 +216,11 @@ void FlowNetworkModel::resettle(double now) {
   }
   // Flush even when no solve fired: a completion releasing its share on an
   // unsaturated link changed that link's usage without seeding a re-solve.
-  if (observing_) flush_resource_snapshots(now);
+  if (resources_ != nullptr) flush_resource_snapshots(now);
 }
 
 void FlowNetworkModel::flush_observations(double now) {
-  if (observing_) flush_resource_snapshots(now);
+  if (resources_ != nullptr) flush_resource_snapshots(now);
 }
 
 void FlowNetworkModel::flush_resource_snapshots(double now) {
@@ -237,13 +236,13 @@ void FlowNetworkModel::flush_resource_snapshots(double now) {
       Flow* flow = var_to_flow_[static_cast<std::size_t>(var)];
       if (flow == nullptr) continue;
       if (flow->res_flow < 0) {
-        flow->res_flow = obs::resources()->add_flow(platform_.host(flow->src).name + "->" +
-                                                    platform_.host(flow->dst).name);
+        flow->res_flow = resources_->add_flow(platform_.host(flow->src).name + "->" +
+                                              platform_.host(flow->dst).name);
       }
       flow_shares_scratch_.emplace_back(flow->res_flow, value);
     }
-    obs::resources()->snapshot(resource, now, state.usage, state.capacity, state.saturated,
-                               flow_shares_scratch_);
+    resources_->snapshot(resource, now, state.usage, state.capacity, state.saturated,
+                         flow_shares_scratch_);
   }
 }
 

@@ -28,6 +28,10 @@
 #include "surf/maxmin.hpp"
 #include "surf/piecewise.hpp"
 
+namespace smpi::obs {
+class ResourceCollector;
+}
+
 namespace smpi::surf {
 
 struct NetworkConfig {
@@ -50,7 +54,10 @@ struct NetworkConfig {
 
 class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
  public:
-  FlowNetworkModel(const platform::Platform& platform, NetworkConfig config);
+  // A non-null `resources` gets one resource per shared link here, and the
+  // solver's changed-constraint tracking is turned on for it.
+  FlowNetworkModel(const platform::Platform& platform, NetworkConfig config,
+                   obs::ResourceCollector* resources = nullptr);
   ~FlowNetworkModel() override;
 
   // sim::NetworkBackend
@@ -91,10 +98,9 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
   const MaxMinSystem& solver() const { return system_; }
 
   // Resource observability: drain any still-pending solver changes into the
-  // installed obs::ResourceCollector (the settle path does this implicitly;
-  // the driver calls it once more after the run so the final completions'
-  // usage drop reaches the timeline). No-op unless a collector was installed
-  // when the model was built.
+  // obs::ResourceCollector (the settle path does this implicitly; the world
+  // calls it once more after the run so the final completions' usage drop
+  // reaches the timeline). No-op without a collector.
   void flush_observations(double now);
 
  private:
@@ -161,10 +167,10 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
   NetworkConfig config_;
   MaxMinSystem system_;
   std::vector<int> link_constraint_;  // per link id; -1 for fatpipe links
-  // Resource observability (empty/false unless a collector was installed at
-  // construction): constraint id -> collector resource id, plus snapshot
-  // scratch so the settle path stays allocation-free in steady state.
-  bool observing_ = false;
+  // Resource observability (null/empty without a collector): constraint id
+  // -> collector resource id, plus snapshot scratch so the settle path stays
+  // allocation-free in steady state.
+  obs::ResourceCollector* resources_ = nullptr;
   std::vector<int> constraint_resource_;
   std::vector<int> changed_scratch_;
   std::vector<std::pair<int, double>> var_shares_scratch_;

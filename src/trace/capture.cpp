@@ -1,8 +1,5 @@
 #include "trace/capture.hpp"
 
-#include <unordered_map>
-#include <vector>
-
 #include "obs/span.hpp"
 #include "smpi/internals.hpp"
 #include "trace/paje.hpp"
@@ -11,88 +8,51 @@
 
 namespace smpi::trace {
 
-namespace {
-
-struct Instrumentation {
-  TiWriter* ti = nullptr;
-  PajeWriter* paje = nullptr;
-  // Request* -> capture id, per rank. Request objects are pooled and their
-  // addresses recycled after GC, so bindings are erased when consumed.
-  std::vector<std::unordered_map<const core::Request*, long long>> request_ids;
-  std::vector<long long> request_seq;
-};
-
-Instrumentation g_instr;
-
-core::Process* capture_process() {
-  core::SmpiWorld* world = core::SmpiWorld::instance();
-  return world == nullptr ? nullptr : world->current_process();
-}
-
-}  // namespace
-
-void install_capture(TiWriter* ti, PajeWriter* paje) {
-  g_instr.ti = ti;
-  g_instr.paje = paje;
-  g_instr.request_ids.clear();
-  g_instr.request_seq.clear();
-  if (ti != nullptr) {
-    g_instr.request_ids.resize(static_cast<std::size_t>(ti->nranks()));
-    g_instr.request_seq.resize(static_cast<std::size_t>(ti->nranks()), 0);
-  }
-}
-
-void clear_capture() { install_capture(nullptr, nullptr); }
-
-bool capture_installed() { return g_instr.ti != nullptr || g_instr.paje != nullptr; }
-
 ApiScope::ApiScope(const char* state) : state_(state) {
-  if (!capture_installed() && !obs::spans_enabled()) return;
-  proc_ = capture_process();
+  core::SmpiWorld* world = core::SmpiWorld::instance();
+  if (world == nullptr) return;
+  const core::Observers& observers = world->observers();
+  if (observers.ti == nullptr && observers.paje == nullptr && observers.spans == nullptr) return;
+  proc_ = world->current_process();
   if (proc_ == nullptr) return;  // MPI call outside a rank: let the callee complain
   outer_ = ++proc_->trace_depth == 1;
-  recording_ = outer_ && g_instr.ti != nullptr;
-  start_time_ = proc_->world->engine().now();
+  recording_ = outer_ && observers.ti != nullptr;
+  start_time_ = world->engine().now();
   if (outer_) {
-    if (g_instr.paje != nullptr) {
-      g_instr.paje->push_state(proc_->world_rank, state_, start_time_);
-    }
-    if (obs::spans_enabled()) {
-      obs::spans()->on_enter(proc_->world_rank, state_, start_time_);
-    }
+    const int rank = proc_->world_rank;
+    if (observers.paje != nullptr) observers.paje->push_state(rank, state_, start_time_);
+    if (observers.spans != nullptr) observers.spans->on_enter(rank, state_, start_time_);
   }
 }
 
 ApiScope::~ApiScope() {
   if (proc_ == nullptr) return;
   if (outer_) {
-    if (g_instr.paje != nullptr) {
-      g_instr.paje->pop_state(proc_->world_rank, proc_->world->engine().now());
-    }
-    if (obs::spans_enabled()) {
-      obs::spans()->on_exit(proc_->world_rank, proc_->world->engine().now());
-    }
+    // Re-read: the world drops its observers when run() ends, and ranks
+    // still parked then unwind through here.
+    const core::Observers& observers = proc_->world->observers();
+    const double now = proc_->world->engine().now();
+    if (observers.paje != nullptr) observers.paje->pop_state(proc_->world_rank, now);
+    if (observers.spans != nullptr) observers.spans->on_exit(proc_->world_rank, now);
   }
   --proc_->trace_depth;
 }
 
 void ApiScope::emit(const TiRecord& record) {
   if (!recording_) return;
-  g_instr.ti->append(proc_->world_rank, record);
+  proc_->world->observers().ti->append(proc_->world_rank, record);
 }
 
 long long ApiScope::register_request(const core::Request* request) {
   if (!recording_ || request == nullptr) return -1;
-  const auto rank = static_cast<std::size_t>(proc_->world_rank);
-  const long long id = g_instr.request_seq[rank]++;
-  g_instr.request_ids[rank][request] = id;
+  const long long id = proc_->trace_request_seq++;
+  proc_->trace_request_ids[request] = id;
   return id;
 }
 
 long long ApiScope::lookup_request(const core::Request* request, bool erase) {
   if (!recording_ || request == nullptr) return -1;
-  const auto rank = static_cast<std::size_t>(proc_->world_rank);
-  auto& ids = g_instr.request_ids[rank];
+  auto& ids = proc_->trace_request_ids;
   auto it = ids.find(request);
   if (it == ids.end()) return -1;
   const long long id = it->second;

@@ -13,8 +13,6 @@
 #include "smpi/mpi.h"
 #include "surf/cpu.hpp"
 #include "surf/network.hpp"
-#include "trace/capture.hpp"
-#include "trace/paje.hpp"
 #include "trace/reader.hpp"
 #include "util/check.hpp"
 
@@ -327,53 +325,19 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
       static_cast<std::size_t>(trace.nranks));
 
   config.payload_free = options.payload_free;
-  // The resource collector must be live *before* the world is built: the
-  // surf models register their links/hosts and enable the solver's
-  // changed-tracking in their constructors.
-  if (options.resources != nullptr) obs::install_resources(options.resources);
-  core::SmpiWorld world(platform, config);
-  std::unique_ptr<obs::SpanCollector> spans;
-  if (options.analyze) {
-    spans = std::make_unique<obs::SpanCollector>(trace.nranks);
-    obs::install_spans(spans.get());
+  std::unique_ptr<obs::SpanCollector> own_spans;
+  obs::SpanCollector* spans = options.spans;
+  if (spans == nullptr && options.analyze) {
+    own_spans = std::make_unique<obs::SpanCollector>(trace.nranks);
+    spans = own_spans.get();
   }
-  if (options.paje != nullptr) {
-    install_capture(nullptr, options.paje);
-    options.paje->begin(trace.nranks);
-  }
-  try {
-    world.run(trace.nranks,
-              [&trace, base = arena.data(), usage](int, char**) {
-                replay_rank(trace, base, *usage);
-              },
-              {},
-              "ti-replay:" + trace.app);
-  } catch (...) {
-    // Never leave the global instrumentation dangling onto the caller-owned
-    // writer/collector (or this frame's span collector) once this frame
-    // unwinds.
-    if (options.paje != nullptr) clear_capture();
-    if (spans != nullptr) obs::clear_spans();
-    if (options.resources != nullptr) obs::clear_resources();
-    throw;
-  }
-  if (options.paje != nullptr) {
-    clear_capture();
-    options.paje->finish(world.simulated_time());
-  }
-  if (spans != nullptr) obs::clear_spans();
-  if (options.resources != nullptr) {
-    // Final drain: the last completions' usage drops may still sit in the
-    // solvers' changed sets (no settle runs after the last event).
-    if (auto* net = dynamic_cast<surf::FlowNetworkModel*>(&world.network())) {
-      net->flush_observations(world.simulated_time());
-    }
-    if (auto* cpu = dynamic_cast<surf::CpuModel*>(&world.cpu())) {
-      cpu->flush_observations(world.simulated_time());
-    }
-    obs::clear_resources();
-    options.resources->finalize(world.simulated_time());
-  }
+  core::SmpiWorld world(platform, config, {nullptr, options.paje, spans, options.resources});
+  world.run(trace.nranks,
+            [&trace, base = arena.data(), usage](int, char**) {
+              replay_rank(trace, base, *usage);
+            },
+            {},
+            "ti-replay:" + trace.app);
 
   ReplayResult result;
   result.simulated_time = world.simulated_time();

@@ -28,7 +28,8 @@
 
 namespace smpi::obs {
 class ResourceCollector;
-}
+class SpanCollector;
+}  // namespace smpi::obs
 
 namespace smpi::trace {
 
@@ -37,7 +38,7 @@ struct TiTrace;
 
 struct ReplayOptions {
   // Optional time-stamped timeline of the replay (owned by the caller;
-  // begin()/finish() are driven by replay_trace).
+  // begun and finished by the replay's world).
   PajeWriter* paje = nullptr;
   // Pre-computed compute_arena_bytes(trace) result; 0 = compute here. A
   // campaign scans the trace once instead of once per scenario.
@@ -50,15 +51,20 @@ struct ReplayOptions {
   // Collect per-op spans during the replay and run the wait-state /
   // critical-path analysis over them (ReplayResult::analysis). Off by
   // default: with analyze off the replay takes the exact same simulated-time
-  // trajectory and the span hooks reduce to a global load + branch.
+  // trajectory and the span hooks reduce to a pointer test.
   bool analyze = false;
+  // Caller-owned span collector (sized to the trace's rank count) for a
+  // caller that needs the spans after the replay, e.g. to export them.
+  // Non-null implies `analyze`; null with `analyze` set keeps a collector
+  // local to the call.
+  obs::SpanCollector* spans = nullptr;
   // Resource-utilization observability (caller-owned, like `paje`): when
-  // non-null the collector is installed around the replay world, the surf
-  // models register their links/hosts and push exact utilization snapshots
-  // at every settle, and ReplayResult's bottleneck summary fields are filled
-  // from it. The collector is finalized (intervals closed at the makespan)
-  // before replay_trace returns. Null keeps the solver's changed-tracking
-  // off — simulated times and solver counters are bit-identical.
+  // non-null the replay world's surf models register their links/hosts with
+  // it and push exact utilization snapshots at every settle, and
+  // ReplayResult's bottleneck summary fields are filled from it. The world
+  // finalizes it (intervals closed at the makespan) before replay_trace
+  // returns. Null keeps the solver's changed-tracking off — simulated times
+  // and solver counters are bit-identical.
   obs::ResourceCollector* resources = nullptr;
 };
 

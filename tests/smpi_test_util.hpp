@@ -30,8 +30,9 @@ inline smpi::platform::Platform test_cluster(int nodes) {
 // Runs `body` as an MPI application on `nprocs` ranks over `platform`.
 inline double run_mpi_on(const smpi::platform::Platform& platform, int nprocs,
                          const std::function<void()>& body,
-                         const smpi::core::SmpiConfig& config = fast_config()) {
-  smpi::core::SmpiWorld world(platform, config);
+                         const smpi::core::SmpiConfig& config = fast_config(),
+                         smpi::core::Observers observers = {}) {
+  smpi::core::SmpiWorld world(platform, config, observers);
   world.run(nprocs, [&body](int, char**) {
     MPI_Init(nullptr, nullptr);
     body();
@@ -42,9 +43,10 @@ inline double run_mpi_on(const smpi::platform::Platform& platform, int nprocs,
 
 // Runs `body` as an MPI application on `nprocs` ranks; returns simulated time.
 inline double run_mpi(int nprocs, const std::function<void()>& body,
-                      smpi::core::SmpiConfig config = fast_config()) {
+                      smpi::core::SmpiConfig config = fast_config(),
+                      smpi::core::Observers observers = {}) {
   auto platform = test_cluster(nprocs);
-  return run_mpi_on(platform, nprocs, body, config);
+  return run_mpi_on(platform, nprocs, body, config, observers);
 }
 
 // Two cabinets joined by one narrow uplink pair: concurrent cross-cabinet

@@ -17,7 +17,6 @@
 #include "noise/noise.hpp"
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
-#include "trace/capture.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
 #include "util/check.hpp"
@@ -54,20 +53,11 @@ double capture_ep(int nprocs, const std::string& dir) {
   smpi::platform::FlatClusterParams params;
   params.nodes = nprocs;
   auto platform = smpi::platform::build_flat_cluster(params);
-  smpi::core::SmpiConfig config;
-  smpi::core::SmpiWorld world(platform, config);
   smpi::trace::TiWriter writer(dir, nprocs, "ep");
-  smpi::trace::install_capture(&writer, nullptr);
+  smpi::core::SmpiWorld world(platform, smpi::core::SmpiConfig{}, {&writer});
   smpi::apps::EpParams ep;
   ep.log2_pairs = 12;
-  try {
-    world.run(nprocs, smpi::apps::make_ep_app(ep));
-  } catch (...) {
-    smpi::trace::clear_capture();
-    throw;
-  }
-  smpi::trace::clear_capture();
-  writer.finish();
+  world.run(nprocs, smpi::apps::make_ep_app(ep));
   return world.simulated_time();
 }
 

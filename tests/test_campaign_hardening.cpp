@@ -138,6 +138,36 @@ TEST(CampaignHardening, FaultAxesMaterializePerScenario) {
   EXPECT_EQ(setup.config.faults.random.host_crashes, 6);
 }
 
+// One worker runs every unit in turn. Row #1 shrinks the platform under a
+// fault naming node-12, so its world fails to build; that must not poison
+// the worker for row #2, which runs the baseline's own platform.
+TEST(CampaignHardening, FailedWorldDoesNotPoisonTheWorker) {
+  const auto spec = cp::CampaignSpec::parse(parse_json(R"({
+    "name": "poison",
+    "workload": {"name": "w", "ranks": 8, "seed": 3, "pattern": "stencil2d",
+                 "iterations": 2, "bytes": 4096},
+    "platform": {"kind": "flat", "nodes": 16},
+    "faults": {"policy": "abort",
+               "events": [{"kind": "host_crash", "time": 100.0, "host": "node-12"}]},
+    "axes": [{"param": "topology_nodes", "values": [8, 16]}]
+  })",
+                                                       "test spec"));
+  const auto scenarios = cp::enumerate_scenarios(spec);
+  ASSERT_EQ(scenarios.size(), 3u);
+  const auto trace = smpi::workload::generate_workload(spec.workload);
+
+  cp::RunOptions options;
+  options.workers = 1;
+  const auto outcome = cp::run_campaign(spec, scenarios, trace, options);
+  ASSERT_EQ(outcome.results.size(), 3u);
+  ASSERT_TRUE(outcome.results[0].ok) << outcome.results[0].error;
+  EXPECT_FALSE(outcome.results[1].ok);
+  EXPECT_NE(outcome.results[1].error.find("unknown host"), std::string::npos)
+      << outcome.results[1].error;
+  ASSERT_TRUE(outcome.results[2].ok) << outcome.results[2].error;
+  EXPECT_EQ(outcome.results[2].simulated_time, outcome.results[0].simulated_time);
+}
+
 TEST(CampaignHardening, FaultAxesRejectSpecsWithoutFaults) {
   // fault_seed is only meaningful with a campaign-level random fault block;
   // the contract fires when the scenario is materialized.

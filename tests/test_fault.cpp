@@ -116,7 +116,8 @@ TEST(Fault, HostCrashAbortsBlockedTransfer) {
 // transfers between the *surviving* nodes are still in flight. Their
 // completion callbacks hold raw Request pointers into actor stacks; the
 // engine must freeze at the abort date instead of dispatching them
-// (heap-use-after-free under ASan otherwise).
+// (heap-use-after-free under ASan otherwise), and teardown must drop them,
+// with the envelopes they hold, unfired (a leak under LSan otherwise).
 TEST(Fault, AbortMidCollectiveLeavesInFlightTransfersUndispatched) {
   auto platform = test_cluster(8);
   sc::SmpiConfig config = fast_config();

@@ -67,11 +67,10 @@ TEST(Integration, PacketBackendIsDeterministicToo) {
 }
 
 TEST(Integration, AllSolverModesAgreeEndToEnd) {
-  // The same MPI program under the lazy (default), component-incremental,
-  // and full-reference solvers (the knob drives both the network and the
-  // CPU system): the simulated completion times must match to solver
-  // tolerance — the whole-stack version of the MaxMinEquivalenceTest
-  // property.
+  // The same MPI program under the lazy (default) and the full-reference
+  // solver (the knob drives both the network and the CPU system): the
+  // simulated completion times must match to solver tolerance — the
+  // whole-stack version of the MaxMinEquivalenceTest property.
   auto run_once = [](smpi::surf::SolveMode mode) {
     sc::SmpiConfig config;
     config.network.solver_mode = mode;
@@ -94,7 +93,6 @@ TEST(Integration, AllSolverModesAgreeEndToEnd) {
   };
   const double full = run_once(smpi::surf::SolveMode::kFull);
   EXPECT_NEAR(run_once(smpi::surf::SolveMode::kLazy), full, 1e-9);
-  EXPECT_NEAR(run_once(smpi::surf::SolveMode::kComponent), full, 1e-9);
 }
 
 TEST(Integration, ThreadBackendRunsFullMpiApplication) {

@@ -27,14 +27,12 @@ using namespace smpi_test;
 
 namespace {
 
-// Installs a collector for the enclosing scope; clearing in the destructor
-// keeps a failed ASSERT (which throws out of the test body under
-// GTEST_FLAG(throw_on_failure) == false but still unwinds on fatal errors in
-// helper functions) from leaking a dangling global.
-struct SpanGuard {
-  explicit SpanGuard(obs::SpanCollector* collector) { obs::install_spans(collector); }
-  ~SpanGuard() { obs::clear_spans(); }
-};
+// Runs `body` on `nprocs` ranks with `spans` as the world's span collector.
+double run_with_spans(obs::SpanCollector& spans, int nprocs, const std::function<void()>& body) {
+  smpi::core::Observers observers;
+  observers.spans = &spans;
+  return run_mpi(nprocs, body, fast_config(), observers);
+}
 
 // Every span stream must satisfy the exact accounting identity and the
 // critical path must tile [0, makespan].
@@ -142,18 +140,15 @@ tr::TiTrace stencil_trace(int ranks) {
 // alone.
 TEST(ObsWaitStates, LateSenderOfExactlyThreeMs) {
   obs::SpanCollector collector(2);
-  {
-    SpanGuard guard(&collector);
-    run_mpi(2, [] {
-      char buf[8] = {0};
-      if (my_rank() == 0) {
-        smpi_execute_flops(3e6);
-        MPI_Send(buf, 8, MPI_CHAR, 1, 0, MPI_COMM_WORLD);
-      } else {
-        MPI_Recv(buf, 8, MPI_CHAR, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
-      }
-    });
-  }
+  run_with_spans(collector, 2, [] {
+    char buf[8] = {0};
+    if (my_rank() == 0) {
+      smpi_execute_flops(3e6);
+      MPI_Send(buf, 8, MPI_CHAR, 1, 0, MPI_COMM_WORLD);
+    } else {
+      MPI_Recv(buf, 8, MPI_CHAR, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+    }
+  });
   const obs::AnalysisResult a = obs::analyze(collector);
   expect_analysis_invariants(a);
   EXPECT_NEAR(a.ranks[1].late_sender_s, 0.003, 1e-9);
@@ -170,19 +165,16 @@ TEST(ObsWaitStates, LateSenderOfExactlyThreeMs) {
 // wait of exactly 3 ms.
 TEST(ObsWaitStates, LateReceiverViaRendezvous) {
   obs::SpanCollector collector(2);
-  {
-    SpanGuard guard(&collector);
-    run_mpi(2, [] {
-      std::vector<char> buf(128 * 1024);
-      if (my_rank() == 0) {
-        MPI_Send(buf.data(), static_cast<int>(buf.size()), MPI_CHAR, 1, 0, MPI_COMM_WORLD);
-      } else {
-        smpi_execute_flops(3e6);
-        MPI_Recv(buf.data(), static_cast<int>(buf.size()), MPI_CHAR, 0, 0, MPI_COMM_WORLD,
-                 MPI_STATUS_IGNORE);
-      }
-    });
-  }
+  run_with_spans(collector, 2, [] {
+    std::vector<char> buf(128 * 1024);
+    if (my_rank() == 0) {
+      MPI_Send(buf.data(), static_cast<int>(buf.size()), MPI_CHAR, 1, 0, MPI_COMM_WORLD);
+    } else {
+      smpi_execute_flops(3e6);
+      MPI_Recv(buf.data(), static_cast<int>(buf.size()), MPI_CHAR, 0, 0, MPI_COMM_WORLD,
+               MPI_STATUS_IGNORE);
+    }
+  });
   const obs::AnalysisResult a = obs::analyze(collector);
   expect_analysis_invariants(a);
   EXPECT_NEAR(a.ranks[0].late_receiver_s, 0.003, 1e-9);
@@ -194,13 +186,10 @@ TEST(ObsWaitStates, LateReceiverViaRendezvous) {
 // on the fast ranks and none on the straggler.
 TEST(ObsWaitStates, EarlyArrivalAtBarrier) {
   obs::SpanCollector collector(4);
-  {
-    SpanGuard guard(&collector);
-    run_mpi(4, [] {
-      if (my_rank() == 3) smpi_execute_flops(4e6);  // 4 ms straggler
-      MPI_Barrier(MPI_COMM_WORLD);
-    });
-  }
+  run_with_spans(collector, 4, [] {
+    if (my_rank() == 3) smpi_execute_flops(4e6);  // 4 ms straggler
+    MPI_Barrier(MPI_COMM_WORLD);
+  });
   const obs::AnalysisResult a = obs::analyze(collector);
   expect_analysis_invariants(a);
   for (int r = 0; r < 3; ++r) {
@@ -219,20 +208,17 @@ TEST(ObsWaitStates, EarlyArrivalAtBarrier) {
 TEST(ObsCriticalPath, RingVisitsEveryRank) {
   constexpr int kRanks = 4;
   obs::SpanCollector collector(kRanks);
-  {
-    SpanGuard guard(&collector);
-    run_mpi(kRanks, [] {
-      char token[64] = {0};
-      const int rank = my_rank();
-      if (rank > 0) {
-        MPI_Recv(token, 64, MPI_CHAR, rank - 1, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
-      }
-      smpi_execute_flops(1e6);  // 1 ms of work per hop
-      if (rank < world_size() - 1) {
-        MPI_Send(token, 64, MPI_CHAR, rank + 1, 0, MPI_COMM_WORLD);
-      }
-    });
-  }
+  run_with_spans(collector, kRanks, [] {
+    char token[64] = {0};
+    const int rank = my_rank();
+    if (rank > 0) {
+      MPI_Recv(token, 64, MPI_CHAR, rank - 1, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+    }
+    smpi_execute_flops(1e6);  // 1 ms of work per hop
+    if (rank < world_size() - 1) {
+      MPI_Send(token, 64, MPI_CHAR, rank + 1, 0, MPI_COMM_WORLD);
+    }
+  });
   const obs::AnalysisResult a = obs::analyze(collector);
   expect_analysis_invariants(a);
   EXPECT_EQ(static_cast<int>(path_ranks(a).size()), kRanks);
@@ -246,20 +232,16 @@ TEST(ObsCriticalPath, RingVisitsEveryRank) {
 TEST(ObsCriticalPath, StarStaysShort) {
   constexpr int kRanks = 4;
   obs::SpanCollector collector(kRanks);
-  double star_time = 0;
-  {
-    SpanGuard guard(&collector);
-    star_time = run_mpi(kRanks, [] {
-      char buf[64] = {0};
-      if (my_rank() == 0) {
-        for (int peer = 1; peer < world_size(); ++peer) {
-          MPI_Send(buf, 64, MPI_CHAR, peer, 0, MPI_COMM_WORLD);
-        }
-      } else {
-        MPI_Recv(buf, 64, MPI_CHAR, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+  const double star_time = run_with_spans(collector, kRanks, [] {
+    char buf[64] = {0};
+    if (my_rank() == 0) {
+      for (int peer = 1; peer < world_size(); ++peer) {
+        MPI_Send(buf, 64, MPI_CHAR, peer, 0, MPI_COMM_WORLD);
       }
-    });
-  }
+    } else {
+      MPI_Recv(buf, 64, MPI_CHAR, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+    }
+  });
   const obs::AnalysisResult a = obs::analyze(collector);
   expect_analysis_invariants(a);
   EXPECT_NEAR(a.path_length_s, star_time, 1e-9);
@@ -560,11 +542,11 @@ TEST(ObsResources, StarVersusRingBottleneckRanking) {
 
   // Ring: one flow per uplink, all symmetric — saturated time is equal on
   // every used link and no resource stands out.
-  obs::ResourceCollector ring_resources;
+  obs::ResourceCollector ring_collector;
   tr::ReplayOptions ring_options;
-  ring_options.resources = &ring_resources;
+  ring_options.resources = &ring_collector;
   tr::replay_trace(platform, fast_config(), ring_trace(kRanks, kBytes), ring_options);
-  const auto ring_ranked = ring_resources.bottlenecks();
+  const auto ring_ranked = ring_collector.bottlenecks();
   ASSERT_GE(ring_ranked.size(), 2u);
   EXPECT_NEAR(ring_ranked.front().saturated_s, ring_ranked.back().saturated_s, 1e-9);
   EXPECT_EQ(ring_ranked.front().flows, 1);

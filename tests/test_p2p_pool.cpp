@@ -19,7 +19,6 @@
 
 #include "smpi/coll.h"
 #include "smpi_test_util.hpp"
-#include "trace/capture.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 
@@ -241,9 +240,8 @@ TEST(P2pPool, ReplayReproducesCaptureAcrossPoolingModes) {
   const sc::SmpiConfig config = arm_config(true);
   double captured = 0;
   {
-    smpi::core::SmpiWorld world(platform, config);
     tr::TiWriter writer(dir.string(), 8, "p2p_pool");
-    tr::install_capture(&writer, nullptr);
+    smpi::core::SmpiWorld world(platform, config, {&writer});
     world.run(8, [](int, char**) {
       MPI_Init(nullptr, nullptr);
       std::vector<char> buffer(64 * 1024, 'r');
@@ -251,8 +249,6 @@ TEST(P2pPool, ReplayReproducesCaptureAcrossPoolingModes) {
       MPI_Barrier(MPI_COMM_WORLD);
       MPI_Finalize();
     });
-    tr::clear_capture();
-    writer.finish();
     captured = world.simulated_time();
   }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "smpi_test_util.hpp"
+#include "util/check.hpp"
 
 using namespace smpi_test;
 namespace sc = smpi::core;
@@ -60,6 +61,47 @@ TEST(SmpiWorld, AbortStopsTheWorld) {
   });
   EXPECT_TRUE(world.aborted());
   EXPECT_EQ(world.abort_code(), 42);
+}
+
+// An abort while a rendezvous handshake is on the wire (ground-truth
+// personality: the receiver has matched, the 200 us RTS is in flight) ends
+// the run without firing the handshake's callbacks, and teardown drops them
+// unfired: the sanitizer build's leak checker flags any envelope they keep
+// alive.
+TEST(SmpiWorld, AbortDuringRendezvousHandshakeLeavesNothingBehind) {
+  auto platform = test_cluster(3);
+  sc::SmpiConfig config = fast_config();
+  config.personality = sc::Personality::openmpi();
+  sc::SmpiWorld world(platform, config);
+  world.run(3, [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    std::vector<char> buf(1 << 20);
+    const int count = static_cast<int>(buf.size());
+    if (my_rank() == 0) {
+      MPI_Send(buf.data(), count, MPI_CHAR, 1, 0, MPI_COMM_WORLD);
+    } else if (my_rank() == 1) {
+      MPI_Recv(buf.data(), count, MPI_CHAR, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+    } else {
+      smpi_execute_flops(1e4);  // 10 us: after the RTS left, long before it lands
+      MPI_Abort(MPI_COMM_WORLD, 7);
+    }
+  });
+  EXPECT_TRUE(world.aborted());
+  EXPECT_EQ(world.abort_code(), 7);
+  EXPECT_LT(world.simulated_time(), 1e-4);
+}
+
+// A constructor that throws (here: a fault naming a host the platform lacks)
+// must leave no world registered; otherwise every later world in the
+// process fails the one-world-at-a-time precondition.
+TEST(SmpiWorld, FailedConstructionLeavesNoWorldBehind) {
+  auto platform = test_cluster(8);
+  sc::SmpiConfig config = fast_config();
+  config.faults = smpi::sim::FaultSpec::parse_text(
+      R"({"policy": "abort", "events": [{"kind": "host_crash", "time": 100.0, "host": "node-12"}]})");
+  EXPECT_THROW({ sc::SmpiWorld world(platform, config); }, smpi::util::ContractError);
+  EXPECT_EQ(sc::SmpiWorld::instance(), nullptr);
+  EXPECT_NEAR(run_mpi(2, [] { smpi_execute_flops(1e9); }), 1.0, 0.01);
 }
 
 TEST(SmpiSample, LocalSamplingFoldsAfterN) {

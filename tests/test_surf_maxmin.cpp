@@ -308,34 +308,31 @@ INSTANTIATE_TEST_SUITE_P(RandomSystems, MaxMinPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 33));
 
 // ---------------------------------------------------------------------------
-// Three-way equivalence: lazy (modified-set), component-incremental, and the
-// full-reference solver receive an identical randomized interleaving of
-// new/attach/release/set_capacity/set_bound ops, and after every step all
-// three allocations must match within 1e-9.
+// Equivalence: the lazy (modified-set) and the full-reference solver receive
+// an identical randomized interleaving of new/attach/release/set_capacity/
+// set_bound ops, and after every step both allocations must match within
+// 1e-9.
 // ---------------------------------------------------------------------------
 
 class MaxMinEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MaxMinEquivalenceTest, LazyAndComponentMatchFullReferenceOnEveryStep) {
+TEST_P(MaxMinEquivalenceTest, LazyMatchesFullReferenceOnEveryStep) {
   smpi::util::Xoshiro256StarStar rng(GetParam() * 7919 + 13);
   sf::MaxMinSystem lazy;
-  sf::MaxMinSystem comp;
   sf::MaxMinSystem ref;
   ASSERT_EQ(lazy.mode(), sf::SolveMode::kLazy);  // the default
-  comp.set_mode(sf::SolveMode::kComponent);
   ref.set_mode(sf::SolveMode::kFull);
-  sf::MaxMinSystem* systems[] = {&lazy, &comp, &ref};
+  sf::MaxMinSystem* systems[] = {&lazy, &ref};
 
   constexpr int kConstraints = 12;
   constexpr int kSteps = 250;
-  std::vector<std::array<int, 3>> cons;
+  std::vector<std::array<int, 2>> cons;
   for (int c = 0; c < kConstraints; ++c) {
     const double capacity = 1.0 + rng.next_double() * 99.0;
-    cons.push_back({lazy.new_constraint(capacity), comp.new_constraint(capacity),
-                    ref.new_constraint(capacity)});
+    cons.push_back({lazy.new_constraint(capacity), ref.new_constraint(capacity)});
   }
 
-  std::vector<std::array<int, 3>> live;
+  std::vector<std::array<int, 2>> live;
 
   for (int step = 0; step < kSteps; ++step) {
     const double dice = rng.next_double();
@@ -351,11 +348,10 @@ TEST_P(MaxMinEquivalenceTest, LazyAndComponentMatchFullReferenceOnEveryStep) {
         const int c = static_cast<int>(rng.next_in_range(0, kConstraints - 1));
         if (std::find(chosen.begin(), chosen.end(), c) == chosen.end()) chosen.push_back(c);
       }
-      std::array<int, 3> var = {lazy.new_variable(weight, bound),
-                                comp.new_variable(weight, bound),
+      std::array<int, 2> var = {lazy.new_variable(weight, bound),
                                 ref.new_variable(weight, bound)};
       for (int c : chosen) {
-        for (int s = 0; s < 3; ++s) {
+        for (int s = 0; s < 2; ++s) {
           systems[s]->attach(var[static_cast<std::size_t>(s)],
                              cons[static_cast<std::size_t>(c)][static_cast<std::size_t>(s)]);
         }
@@ -363,38 +359,35 @@ TEST_P(MaxMinEquivalenceTest, LazyAndComponentMatchFullReferenceOnEveryStep) {
       live.push_back(var);
     } else if (dice < 0.70) {
       const auto idx = static_cast<std::size_t>(rng.next_in_range(0, live.size() - 1));
-      for (int s = 0; s < 3; ++s) {
+      for (int s = 0; s < 2; ++s) {
         systems[s]->release_variable(live[idx][static_cast<std::size_t>(s)]);
       }
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     } else if (dice < 0.85) {
       const auto c = static_cast<std::size_t>(rng.next_in_range(0, kConstraints - 1));
       const double capacity = 1.0 + rng.next_double() * 99.0;
-      for (int s = 0; s < 3; ++s) systems[s]->set_capacity(cons[c][static_cast<std::size_t>(s)], capacity);
+      for (int s = 0; s < 2; ++s) systems[s]->set_capacity(cons[c][static_cast<std::size_t>(s)], capacity);
     } else {
       const auto idx = static_cast<std::size_t>(rng.next_in_range(0, live.size() - 1));
       const double bound = 1.0 + rng.next_double() * 49.0;
-      for (int s = 0; s < 3; ++s) systems[s]->set_bound(live[idx][static_cast<std::size_t>(s)], bound);
+      for (int s = 0; s < 2; ++s) systems[s]->set_bound(live[idx][static_cast<std::size_t>(s)], bound);
     }
 
-    for (int s = 0; s < 3; ++s) systems[s]->solve();
+    for (int s = 0; s < 2; ++s) systems[s]->solve();
     ASSERT_EQ(lazy.active_variable_count(), ref.active_variable_count());
-    ASSERT_EQ(comp.active_variable_count(), ref.active_variable_count());
     for (const auto& var : live) {
-      ASSERT_NEAR(lazy.value(var[0]), ref.value(var[2]), 1e-9)
+      ASSERT_NEAR(lazy.value(var[0]), ref.value(var[1]), 1e-9)
           << "step " << step << ": lazy diverged from reference";
-      ASSERT_NEAR(comp.value(var[1]), ref.value(var[2]), 1e-9)
-          << "step " << step << ": component diverged from reference";
     }
     for (int c = 0; c < kConstraints; ++c) {
       ASSERT_NEAR(lazy.constraint_usage(cons[static_cast<std::size_t>(c)][0]),
-                  ref.constraint_usage(cons[static_cast<std::size_t>(c)][2]), 1e-9)
+                  ref.constraint_usage(cons[static_cast<std::size_t>(c)][1]), 1e-9)
           << "step " << step << " usage diverged on constraint " << c;
     }
     // Observation-layer invariants, after every solve: no constraint above
     // capacity (within 1e-9 relative), and "saturated" means usage equals
     // capacity — the saturation ledger depends on both.
-    for (int s = 0; s < 3; ++s) {
+    for (int s = 0; s < 2; ++s) {
       for (int c = 0; c < kConstraints; ++c) {
         const int id = cons[static_cast<std::size_t>(c)][static_cast<std::size_t>(s)];
         const double usage = systems[s]->constraint_usage(id);
@@ -409,12 +402,10 @@ TEST_P(MaxMinEquivalenceTest, LazyAndComponentMatchFullReferenceOnEveryStep) {
       }
     }
   }
-  // The component path must have done strictly less filling work than the
-  // reference (which revisits every variable on every solve). The lazy path
-  // may exceed the component path on this deliberately dense 12-constraint
-  // mesh (promotion rounds re-fill the grown set) — its win is on sparse
-  // topologies, pinned by LazySolveStopsAtUnsaturatedHub below.
-  EXPECT_LT(comp.vars_touched(), ref.vars_touched());
+  // No work comparison here: on this deliberately dense 12-constraint mesh
+  // the lazy path's promotion rounds re-fill the grown set and can touch
+  // more variables than the full re-solve. Its win is on sparse topologies,
+  // pinned by LazySolveStopsAtUnsaturatedHub below.
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInterleavings, MaxMinEquivalenceTest,
@@ -423,52 +414,52 @@ INSTANTIATE_TEST_SUITE_P(RandomInterleavings, MaxMinEquivalenceTest,
 // ---------------------------------------------------------------------------
 // The modified-set payoff: on a star topology (per-flow leaf links, one
 // shared hub), a leaf mutation whose effect is absorbed locally must not
-// flood the whole component the way the component-incremental path does.
+// flood the whole connected component the way the full re-solve does.
 // ---------------------------------------------------------------------------
 
 TEST(MaxMinLazy, LazySolveStopsAtUnsaturatedHub) {
   constexpr int kFlows = 32;
   sf::MaxMinSystem lazy;
-  sf::MaxMinSystem comp;
-  comp.set_mode(sf::SolveMode::kComponent);
-  sf::MaxMinSystem* systems[] = {&lazy, &comp};
+  sf::MaxMinSystem full;
+  full.set_mode(sf::SolveMode::kFull);
+  sf::MaxMinSystem* systems[] = {&lazy, &full};
 
   // Hub with plenty of headroom; every flow crosses its own leaf plus the
   // hub, and is bound below the leaf capacity.
-  std::vector<int> leaves_lazy, leaves_comp;
+  std::vector<int> leaves_lazy, leaves_full;
   const int hub_lazy = lazy.new_constraint(1e6);
-  const int hub_comp = comp.new_constraint(1e6);
-  std::vector<int> flows_lazy, flows_comp;
+  const int hub_full = full.new_constraint(1e6);
+  std::vector<int> flows_lazy, flows_full;
   for (int f = 0; f < kFlows; ++f) {
     leaves_lazy.push_back(lazy.new_constraint(10.0));
-    leaves_comp.push_back(comp.new_constraint(10.0));
+    leaves_full.push_back(full.new_constraint(10.0));
     flows_lazy.push_back(lazy.new_variable(1.0, 5.0));
-    flows_comp.push_back(comp.new_variable(1.0, 5.0));
+    flows_full.push_back(full.new_variable(1.0, 5.0));
     lazy.attach(flows_lazy.back(), leaves_lazy.back());
     lazy.attach(flows_lazy.back(), hub_lazy);
-    comp.attach(flows_comp.back(), leaves_comp.back());
-    comp.attach(flows_comp.back(), hub_comp);
+    full.attach(flows_full.back(), leaves_full.back());
+    full.attach(flows_full.back(), hub_full);
   }
   for (auto* sys : systems) sys->solve();
 
   const auto lazy_before = lazy.vars_touched();
-  const auto comp_before = comp.vars_touched();
+  const auto full_before = full.vars_touched();
 
   // Shrink one leaf below its flow's bound: that flow must drop to 3, but
   // the hub has so much headroom that nothing else can change.
   lazy.set_capacity(leaves_lazy[0], 3.0);
-  comp.set_capacity(leaves_comp[0], 3.0);
+  full.set_capacity(leaves_full[0], 3.0);
   lazy.solve();
-  comp.solve();
+  full.solve();
   EXPECT_NEAR(lazy.value(flows_lazy[0]), 3.0, 1e-9);
 
   for (int f = 0; f < kFlows; ++f) {
     EXPECT_NEAR(lazy.value(flows_lazy[static_cast<std::size_t>(f)]),
-                comp.value(flows_comp[static_cast<std::size_t>(f)]), 1e-9);
+                full.value(flows_full[static_cast<std::size_t>(f)]), 1e-9);
   }
-  // The hub links every flow into one component: the component path re-fills
-  // all of them, the lazy path touches only the mutated leaf's flow.
-  EXPECT_EQ(comp.vars_touched() - comp_before, static_cast<std::uint64_t>(kFlows));
+  // The hub links every flow into one component: the full path re-fills all
+  // of them, the lazy path touches only the mutated leaf's flow.
+  EXPECT_EQ(full.vars_touched() - full_before, static_cast<std::uint64_t>(kFlows));
   EXPECT_EQ(lazy.vars_touched() - lazy_before, 1u);
-  EXPECT_LT(lazy.last_solved_variables().size(), comp.last_solved_variables().size());
+  EXPECT_LT(lazy.last_solved_variables().size(), full.last_solved_variables().size());
 }

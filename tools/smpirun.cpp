@@ -52,7 +52,6 @@
 #include "smpi/coll.h"
 #include "smpi/mpi.h"
 #include "smpi/smpi.hpp"
-#include "trace/capture.hpp"
 #include "trace/paje.hpp"
 #include "trace/reader.hpp"
 #include "surf/cpu.hpp"
@@ -381,6 +380,10 @@ int main(int argc, char** argv) {
       usage("--noise-seed needs --noise");
     }
 
+    // Static: the profiler slot is process-global, and a run that throws
+    // must not leave it pointing into an unwound frame.
+    static smpi::obs::Profiler profiler;
+
     if (!options.replay_dir.empty()) {
       const smpi::trace::TiTrace trace = smpi::trace::load_ti_trace(options.replay_dir);
       // With --analyze the Paje timeline is colored by wait-state (exported
@@ -393,34 +396,26 @@ int main(int argc, char** argv) {
         paje = std::make_unique<smpi::trace::PajeWriter>(options.trace_paje);
         replay_options.paje = paje.get();
       }
-      // The collector is installed here (not via replay_options.analyze) so
-      // the spans survive the replay for the Paje export below.
+      // The collector is owned here (not left to replay_options.analyze) so
+      // the spans survive the replay for the Paje and Perfetto exports below.
       std::unique_ptr<smpi::obs::SpanCollector> spans;
       if (options.analyze) {
         spans = std::make_unique<smpi::obs::SpanCollector>(trace.nranks);
-        smpi::obs::install_spans(spans.get());
+        replay_options.spans = spans.get();
       }
-      // Resource timelines: replay_trace installs/finalizes the collector
-      // around its world (it must be live before the surf models build).
+      // Resource timelines: the replay's world registers the platform with
+      // the collector and finalizes it at the makespan.
       std::unique_ptr<smpi::obs::ResourceCollector> res;
       if (options.resources || !options.trace_perfetto.empty()) {
         res = std::make_unique<smpi::obs::ResourceCollector>();
         replay_options.resources = res.get();
       }
-      smpi::obs::Profiler profiler;
       if (options.profile) smpi::obs::install_profiler(&profiler);
       const auto wall_start = std::chrono::steady_clock::now();
-      smpi::trace::ReplayResult result;
-      try {
-        result = smpi::trace::replay_trace(platform, config, trace, replay_options);
-      } catch (...) {
-        smpi::obs::clear_spans();
-        smpi::obs::clear_profiler();
-        throw;
-      }
+      const smpi::trace::ReplayResult result =
+          smpi::trace::replay_trace(platform, config, trace, replay_options);
       const double wall_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-      smpi::obs::clear_spans();
       if (options.profile) finish_profile(profiler, wall_s, options);
       if (result.aborted) {
         std::fprintf(stderr, "smpirun: replay aborted with code %d\n", result.abort_code);
@@ -447,9 +442,8 @@ int main(int argc, char** argv) {
         std::printf("counters:\n%s", registry.text().c_str());
       }
       std::printf("simulated execution time: %.9f s\n", result.simulated_time);
-      if (spans != nullptr) {
-        const smpi::obs::AnalysisResult analysis = smpi::obs::analyze(*spans);
-        std::printf("%s", smpi::obs::analysis_text(analysis).c_str());
+      if (result.analyzed) {
+        std::printf("%s", smpi::obs::analysis_text(result.analysis).c_str());
         if (classified_paje) {
           smpi::obs::export_classified_paje(*spans, options.trace_paje, result.simulated_time);
         }
@@ -489,63 +483,26 @@ int main(int argc, char** argv) {
     }
     if (!options.trace_paje.empty() && !classified_paje) {
       paje = std::make_unique<smpi::trace::PajeWriter>(options.trace_paje);
-      paje->begin(np);
-    }
-    if (ti_writer != nullptr || paje != nullptr) {
-      smpi::trace::install_capture(ti_writer.get(), paje.get());
     }
     std::unique_ptr<smpi::obs::SpanCollector> spans;
-    if (options.analyze) {
-      spans = std::make_unique<smpi::obs::SpanCollector>(np);
-      smpi::obs::install_spans(spans.get());
-    }
-    smpi::obs::Profiler profiler;
-    if (options.profile) smpi::obs::install_profiler(&profiler);
-    // Resource timelines: the collector must be live before the world is
-    // built — the surf models register their links/hosts in their ctors.
+    if (options.analyze) spans = std::make_unique<smpi::obs::SpanCollector>(np);
     std::unique_ptr<smpi::obs::ResourceCollector> res;
     if (options.resources || !options.trace_perfetto.empty()) {
       res = std::make_unique<smpi::obs::ResourceCollector>();
-      smpi::obs::install_resources(res.get());
     }
+    if (options.profile) smpi::obs::install_profiler(&profiler);
 
     const auto wall_start = std::chrono::steady_clock::now();
-    smpi::core::SmpiWorld world(platform, config);
-    try {
-      world.run(np, make_app(options));
-    } catch (...) {
-      smpi::trace::clear_capture();  // the writers unwind with this frame
-      smpi::obs::clear_spans();
-      smpi::obs::clear_profiler();
-      smpi::obs::clear_resources();
-      throw;
-    }
+    smpi::core::SmpiWorld world(platform, config,
+                                {ti_writer.get(), paje.get(), spans.get(), res.get()});
+    world.run(np, make_app(options));
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-    smpi::obs::clear_spans();
-    if (res != nullptr) {
-      // Final drain (the last completions may not have settled), then close
-      // the observed window at the makespan.
-      if (auto* net = dynamic_cast<smpi::surf::FlowNetworkModel*>(&world.network())) {
-        net->flush_observations(world.simulated_time());
-      }
-      if (auto* cpu = dynamic_cast<smpi::surf::CpuModel*>(&world.cpu())) {
-        cpu->flush_observations(world.simulated_time());
-      }
-      smpi::obs::clear_resources();
-      res->finalize(world.simulated_time());
-    }
     if (options.profile) finish_profile(profiler, wall_s, options);
-
-    if (ti_writer != nullptr || paje != nullptr) {
-      smpi::trace::clear_capture();
-      if (ti_writer != nullptr) ti_writer->finish();
-      if (paje != nullptr) paje->finish(world.simulated_time());
-      if (options.verbose && ti_writer != nullptr) {
-        std::printf("captured %llu trace records into %s\n",
-                    static_cast<unsigned long long>(ti_writer->records_written()),
-                    options.trace_ti_dir.c_str());
-      }
+    if (options.verbose && ti_writer != nullptr) {
+      std::printf("captured %llu trace records into %s\n",
+                  static_cast<unsigned long long>(ti_writer->records_written()),
+                  options.trace_ti_dir.c_str());
     }
 
     if (world.aborted()) {
