@@ -21,8 +21,9 @@
 
 namespace {
 
-void BM_ContextSwitch(benchmark::State& state, const char* backend) {
-  auto factory = smpi::sim::ContextFactory::make(backend, 64 * 1024);
+void BM_ContextSwitch(benchmark::State& state,
+                      std::unique_ptr<smpi::sim::ContextFactory> (*make)(std::size_t)) {
+  auto factory = make(64 * 1024);
   smpi::sim::Context* self = nullptr;
   bool stop = false;
   auto ctx = factory->create([&] {
@@ -36,9 +37,8 @@ void BM_ContextSwitch(benchmark::State& state, const char* backend) {
   ctx->resume();
   state.SetItemsProcessed(state.iterations() * 2);
 }
-BENCHMARK_CAPTURE(BM_ContextSwitch, raw, "raw");
-BENCHMARK_CAPTURE(BM_ContextSwitch, ucontext, "ucontext");
-BENCHMARK_CAPTURE(BM_ContextSwitch, thread, "thread");
+BENCHMARK_CAPTURE(BM_ContextSwitch, raw, &smpi::sim::ContextFactory::make);
+BENCHMARK_CAPTURE(BM_ContextSwitch, ucontext, &smpi::sim::ContextFactory::make_ucontext);
 
 void BM_MaxMinSolve(benchmark::State& state) {
   const auto flows = static_cast<int>(state.range(0));

@@ -78,7 +78,7 @@ void PacketNetworkModel::try_inject(Flow& flow, double date) {
 }
 
 void PacketNetworkModel::schedule(double date, Packet packet) {
-  events_.push(Event{date, event_seq_++, packet});
+  events_.push(Event{date, packet_seq_++, packet});
 }
 
 void PacketNetworkModel::sync_calendar() {

@@ -107,7 +107,7 @@ class PacketNetworkModel final : public sim::Model, public sim::NetworkBackend {
   const platform::Platform& platform_;
   PacketNetConfig config_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  std::uint64_t event_seq_ = 0;
+  std::uint64_t packet_seq_ = 0;
   sim::EventCalendar::Handle calendar_entry_ = sim::EventCalendar::kNoEvent;
   double calendar_date_ = -1;
   std::unordered_map<int, Flow> flows_;

@@ -68,7 +68,7 @@ void EventCalendar::remove_at(std::size_t i) {
 EventCalendar::Handle EventCalendar::schedule(double date, Model* owner, std::uint64_t tag) {
   SMPI_REQUIRE(owner != nullptr, "calendar entry without an owner");
   SMPI_REQUIRE(date >= 0 && date < kNever, "calendar entry needs a finite date");
-  const std::uint64_t seq = (*sequence_)++;
+  const std::uint64_t seq = sequence_++;
   SMPI_REQUIRE(seq <= kSeqMask, "calendar sequence overflow");
   std::uint32_t node;
   if (!free_nodes_.empty()) {
@@ -114,13 +114,6 @@ void EventCalendar::cancel(Handle handle) {
 
 double EventCalendar::next_date() const {
   return heap_.empty() ? kNever : heap_.front().date;
-}
-
-bool EventCalendar::peek(double* date, std::uint64_t* order) const {
-  if (heap_.empty()) return false;
-  *date = heap_.front().date;
-  *order = heap_.front().seq;
-  return true;
 }
 
 bool EventCalendar::pop_due(double now, Fired* out) {

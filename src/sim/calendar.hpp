@@ -16,12 +16,12 @@
 // an earlier revision tracked positions in a handle-keyed hash map, and the
 // hashing inside every sift step dominated large-collective profiles.
 //
-// Entries order by (date, seq); seqs are creation-ordered, so ties fire
-// deterministically. The engine shares its sequence counter with the
-// calendar (see Engine) so calendar entries and plain timers interleave in
-// strict global (date, creation) order. A Handle packs the node id above
-// the creation seq — callers treat it as opaque; liveness is checked by
-// comparing the full packed value against the node's current occupant.
+// It is the engine's only event heap: model entries and engine timers (see
+// Engine::add_timer) share it, so everything due at one date fires in
+// (date, seq) order. Seqs are creation-ordered, so ties fire
+// deterministically. A Handle packs the node id above the creation seq —
+// callers treat it as opaque; liveness is checked by comparing the full
+// packed value against the node's current occupant.
 #pragma once
 
 #include <cstdint>
@@ -41,15 +41,6 @@ class EventCalendar {
     std::uint64_t tag = 0;
   };
 
-  EventCalendar() = default;
-  // Draw handles from an external counter (the engine's, shared with its
-  // timer queue) so creation order is comparable across both heaps.
-  explicit EventCalendar(std::uint64_t* sequence) : sequence_(sequence) {}
-  // sequence_ may point at own_sequence_: copying/moving would alias the
-  // source's counter (and dangle once it dies).
-  EventCalendar(const EventCalendar&) = delete;
-  EventCalendar& operator=(const EventCalendar&) = delete;
-
   // Registers an event at `date`. `tag` is an opaque payload the owner uses
   // to find the affected activity (flow id, execution id, ...).
   Handle schedule(double date, Model* owner, std::uint64_t tag);
@@ -63,9 +54,6 @@ class EventCalendar {
 
   // Date of the earliest live entry, or sim::kNever when none.
   double next_date() const;
-  // Earliest entry's (date, creation order) without popping. Returns false
-  // when the calendar is empty.
-  bool peek(double* date, std::uint64_t* order) const;
   // Pops the earliest entry with date <= now into *out. Returns false when
   // no entry is due.
   bool pop_due(double now, Fired* out);
@@ -110,8 +98,7 @@ class EventCalendar {
   std::vector<Handle> node_handle_;   // node id -> occupying handle (kNoEvent = free)
   std::vector<NodeData> node_data_;   // node id -> event payload
   std::vector<std::uint32_t> free_nodes_;
-  std::uint64_t own_sequence_ = 1;  // 0 is kNoEvent
-  std::uint64_t* sequence_ = &own_sequence_;
+  std::uint64_t sequence_ = 1;  // 0 is kNoEvent
 };
 
 }  // namespace smpi::sim

@@ -5,34 +5,24 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <thread>
 
 #include "sim/mapped_region.hpp"
 #include "util/check.hpp"
 
 // ---------------------------------------------------------------------------
-// raw backend (x86-64 and aarch64 Linux): hand-rolled stack switch.
+// raw backend (x86-64 Linux): hand-rolled stack switch.
 //
 // glibc's swapcontext makes a sigprocmask *syscall* on every switch to
 // save/restore the signal mask the simulation never touches. At two context
 // switches per simulated block/wake, a 1024-rank collective spends half its
 // wall-clock inside that syscall. The raw switch saves exactly the
-// callee-saved registers the platform ABI requires and swaps the stack
-// pointer — ~20 ns instead of ~450 ns, no kernel involvement (SimGrid ships
-// the same idea as its "raw" context factory).
-//
-//   x86-64 (SysV):  rbp rbx r12-r15, ret address on the stack
-//   aarch64 (AAPCS64): x19-x28, fp (x29), lr (x30), and the low halves of
-//     v8-v15 (d8-d15) — callers may keep doubles live across the call
-//
-// Everything else falls back to ucontext.
+// callee-saved registers the SysV ABI requires (rbp rbx r12-r15, the return
+// address already on the stack) and swaps the stack pointer — ~20 ns
+// instead of ~450 ns, no kernel involvement (SimGrid ships the same idea as
+// its "raw" context factory). Every other platform runs on ucontext.
 // ---------------------------------------------------------------------------
-#if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__))
+#if defined(__x86_64__) && defined(__linux__)
 #define SMPI_HAVE_RAW_CONTEXT 1
 
 extern "C" {
@@ -40,14 +30,12 @@ extern "C" {
 // pointer to *save_sp, installs restore_sp and pops the frame there.
 void smpi_raw_swap(void** save_sp, void* restore_sp);
 // First-activation shim: the primed frame "returns" here with the context
-// pointer in a callee-saved register (%r12 / x19); moves it into the
-// first-argument register and calls the C++ trampoline.
+// pointer in %r12; moves it into the first-argument register and calls the
+// C++ trampoline.
 void smpi_raw_boot();
 void smpi_raw_trampoline(void* context);
 }
-#endif
 
-#if defined(__x86_64__) && defined(__linux__)
 asm(".text\n"
     ".globl smpi_raw_swap\n"
     ".hidden smpi_raw_swap\n"
@@ -76,53 +64,7 @@ asm(".text\n"
     "  movq %r12, %rdi\n"
     "  callq smpi_raw_trampoline\n"
     ".size smpi_raw_boot,.-smpi_raw_boot\n");
-#endif  // __x86_64__ && __linux__
-
-#if defined(__aarch64__) && defined(__linux__)
-// Frame layout (160 bytes, 16-aligned): x19..x28 at 0-72, fp/lr at 80/88,
-// d8..d15 at 96-152. The primed first-activation frame sets lr to
-// smpi_raw_boot and x19 to the context pointer, so the restoring `ret`
-// lands in the shim with `this` in a callee-saved register.
-asm(".text\n"
-    ".globl smpi_raw_swap\n"
-    ".hidden smpi_raw_swap\n"
-    ".type smpi_raw_swap,%function\n"
-    "smpi_raw_swap:\n"
-    "  sub sp, sp, #160\n"
-    "  stp x19, x20, [sp]\n"
-    "  stp x21, x22, [sp, #16]\n"
-    "  stp x23, x24, [sp, #32]\n"
-    "  stp x25, x26, [sp, #48]\n"
-    "  stp x27, x28, [sp, #64]\n"
-    "  stp x29, x30, [sp, #80]\n"
-    "  stp d8,  d9,  [sp, #96]\n"
-    "  stp d10, d11, [sp, #112]\n"
-    "  stp d12, d13, [sp, #128]\n"
-    "  stp d14, d15, [sp, #144]\n"
-    "  mov x9, sp\n"
-    "  str x9, [x0]\n"
-    "  mov sp, x1\n"
-    "  ldp x19, x20, [sp]\n"
-    "  ldp x21, x22, [sp, #16]\n"
-    "  ldp x23, x24, [sp, #32]\n"
-    "  ldp x25, x26, [sp, #48]\n"
-    "  ldp x27, x28, [sp, #64]\n"
-    "  ldp x29, x30, [sp, #80]\n"
-    "  ldp d8,  d9,  [sp, #96]\n"
-    "  ldp d10, d11, [sp, #112]\n"
-    "  ldp d12, d13, [sp, #128]\n"
-    "  ldp d14, d15, [sp, #144]\n"
-    "  add sp, sp, #160\n"
-    "  ret\n"
-    ".size smpi_raw_swap,.-smpi_raw_swap\n"
-    ".globl smpi_raw_boot\n"
-    ".hidden smpi_raw_boot\n"
-    ".type smpi_raw_boot,%function\n"
-    "smpi_raw_boot:\n"
-    "  mov x0, x19\n"
-    "  bl smpi_raw_trampoline\n"
-    ".size smpi_raw_boot,.-smpi_raw_boot\n");
-#endif  // __aarch64__ && __linux__
+#endif  // SMPI_HAVE_RAW_CONTEXT
 
 // ---------------------------------------------------------------------------
 // AddressSanitizer fiber annotations. ASan keeps one shadow ("fake") stack
@@ -357,7 +299,6 @@ class UcontextFactory final : public ContextFactory {
   std::unique_ptr<Context> create(std::function<void()> body, std::string name) override {
     return std::make_unique<UcontextContext>(std::move(body), stack_bytes_, std::move(name));
   }
-  std::string name() const override { return "ucontext"; }
 
  private:
   std::size_t stack_bytes_;
@@ -374,10 +315,7 @@ class RawContext final : public Context {
     // callee-saved register. Stack top is page-aligned, so inside
     // smpi_raw_boot the stack meets the ABI alignment at the trampoline
     // call.
-    const auto top =
-        reinterpret_cast<std::uintptr_t>(stack_.region.data() + stack_.region.size());
-#if defined(__x86_64__)
-    auto* slots = reinterpret_cast<void**>(top);
+    auto* slots = reinterpret_cast<void**>(stack_.region.data() + stack_.region.size());
     slots[-1] = reinterpret_cast<void*>(&smpi_raw_boot);  // ret target
     slots[-2] = nullptr;                                  // rbp
     slots[-3] = nullptr;                                  // rbx
@@ -386,18 +324,6 @@ class RawContext final : public Context {
     slots[-6] = nullptr;                                  // r14
     slots[-7] = nullptr;                                  // r15
     sp_ = static_cast<void*>(&slots[-7]);
-#elif defined(__aarch64__)
-    // One 160-byte frame below the top (see the asm layout): lr at offset
-    // 88 routes the restoring `ret` into smpi_raw_boot, x19 at offset 0
-    // carries `this`; everything else (including fp and d8-d15) is zero.
-    auto* frame = reinterpret_cast<unsigned char*>(top - 160);
-    std::memset(frame, 0, 160);
-    *reinterpret_cast<void**>(frame + 0) = this;                                  // x19
-    *reinterpret_cast<void**>(frame + 88) = reinterpret_cast<void*>(&smpi_raw_boot);  // lr
-    sp_ = static_cast<void*>(frame);
-#else
-#error "raw context backend enabled on an unsupported architecture"
-#endif
   }
 
   ~RawContext() override {
@@ -467,84 +393,12 @@ class RawFactory final : public ContextFactory {
   std::unique_ptr<Context> create(std::function<void()> body, std::string name) override {
     return std::make_unique<RawContext>(std::move(body), stack_bytes_, std::move(name));
   }
-  std::string name() const override { return "raw"; }
 
  private:
   std::size_t stack_bytes_;
 };
 
 #endif  // SMPI_HAVE_RAW_CONTEXT
-
-// ---------------------------------------------------------------------------
-// thread backend: one OS thread per context, but strictly one runs at a time
-// (ping-pong handoff through a mutex + condition variable).
-// ---------------------------------------------------------------------------
-
-class ThreadContext final : public Context {
- public:
-  explicit ThreadContext(std::function<void()> body) : body_(std::move(body)) {}
-
-  ~ThreadContext() override {
-    if (thread_.joinable()) {
-      if (!done_) {
-        request_kill();
-        resume();  // wakes the thread; it unwinds via ForcedExit
-      }
-      thread_.join();
-    }
-  }
-
-  void resume() override {
-    SMPI_ENSURE(!done_, "resuming a finished context");
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!thread_.joinable()) thread_ = std::thread([this] { run(); });
-    turn_ = Turn::kActor;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return turn_ == Turn::kKernel; });
-  }
-
-  void suspend() override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    turn_ = Turn::kKernel;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return turn_ == Turn::kActor; });
-    if (kill_requested_) throw ForcedExit{};
-  }
-
- private:
-  enum class Turn { kKernel, kActor };
-
-  void run() {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return turn_ == Turn::kActor; });
-    }
-    if (!kill_requested_) {
-      try {
-        body_();
-      } catch (const ForcedExit&) {
-      }
-    }
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_ = true;
-    turn_ = Turn::kKernel;
-    cv_.notify_all();
-  }
-
-  std::function<void()> body_;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::kKernel;
-};
-
-class ThreadFactory final : public ContextFactory {
- public:
-  std::unique_ptr<Context> create(std::function<void()> body, std::string /*name*/) override {
-    return std::make_unique<ThreadContext>(std::move(body));
-  }
-  std::string name() const override { return "thread"; }
-};
 
 }  // namespace
 
@@ -556,27 +410,16 @@ extern "C" void smpi_raw_trampoline(void* context) {
 }
 #endif
 
-std::unique_ptr<ContextFactory> ContextFactory::make(const std::string& backend,
-                                                     std::size_t stack_bytes) {
-  std::string choice = backend;
-  if (choice.empty()) {
-    const char* env = std::getenv("SMPI_CONTEXT_BACKEND");
+std::unique_ptr<ContextFactory> ContextFactory::make(std::size_t stack_bytes) {
 #if SMPI_HAVE_RAW_CONTEXT
-    choice = (env != nullptr) ? env : "raw";
+  return std::make_unique<RawFactory>(stack_bytes);
 #else
-    choice = (env != nullptr) ? env : "ucontext";
+  return make_ucontext(stack_bytes);
 #endif
-  }
-#if SMPI_HAVE_RAW_CONTEXT
-  if (choice == "raw") return std::make_unique<RawFactory>(stack_bytes);
-#else
-  // Portable fallback when the hand-rolled switch is unavailable.
-  if (choice == "raw") return std::make_unique<UcontextFactory>(stack_bytes);
-#endif
-  if (choice == "ucontext") return std::make_unique<UcontextFactory>(stack_bytes);
-  if (choice == "thread") return std::make_unique<ThreadFactory>();
-  SMPI_REQUIRE(false, "unknown context backend '" + choice + "'");
-  return nullptr;
+}
+
+std::unique_ptr<ContextFactory> ContextFactory::make_ucontext(std::size_t stack_bytes) {
+  return std::make_unique<UcontextFactory>(stack_bytes);
 }
 
 }  // namespace smpi::sim

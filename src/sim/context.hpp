@@ -6,19 +6,16 @@
 // activity. This is the mechanism that makes the simulation *on-line* (the
 // code actually executes) yet strictly sequential (§5.1 of the paper).
 //
-// Three interchangeable backends:
-//  * "raw"      — hand-rolled callee-saved-register stack switch (x86-64
-//    and aarch64 Linux), the default there: no sigprocmask syscall per
-//    switch, ~20x faster than swapcontext. On aarch64 the frame carries
-//    x19-x28, fp/lr, and d8-d15 per AAPCS64. Falls back to ucontext
-//    elsewhere.
-//  * "ucontext" — swapcontext-based fibers, the portable POSIX default;
-//  * "thread"   — one std::thread per context with strict semaphore handoff,
-//    a portable fallback (select with SMPI_CONTEXT_BACKEND=thread).
+// One backend per platform, fixed at build time:
+//  * raw      — a hand-rolled callee-saved-register stack switch, on x86-64
+//    Linux: no sigprocmask syscall per switch, ~20x faster than
+//    swapcontext;
+//  * ucontext — swapcontext-based fibers, the portable POSIX backend, on
+//    every other platform.
 //
-// The raw and ucontext stacks are lazily committed mappings with a guard
-// page below them (sim/mapped_region.hpp): a fiber pays resident memory
-// only for the stack depth it reaches, and one that overflows dies with
+// Both run on lazily committed stacks with a guard page below them
+// (sim/mapped_region.hpp): a fiber pays resident memory only for the stack
+// depth it reaches, and one that overflows dies with
 // "fiber stack overflow in actor <name> (<N> KiB stack)" on stderr.
 #pragma once
 
@@ -62,11 +59,12 @@ class ContextFactory {
   virtual ~ContextFactory() = default;
   // `name` is the owning actor's, used by the stack-overflow report.
   virtual std::unique_ptr<Context> create(std::function<void()> body, std::string name = {}) = 0;
-  virtual std::string name() const = 0;
 
-  // backend: "ucontext", "thread", or "" to honor SMPI_CONTEXT_BACKEND (with
-  // ucontext as the final default).
-  static std::unique_ptr<ContextFactory> make(const std::string& backend, std::size_t stack_bytes);
+  // This platform's backend.
+  static std::unique_ptr<ContextFactory> make(std::size_t stack_bytes);
+  // The ucontext backend, whatever the platform: lets x86-64 builds test
+  // the backend every other platform runs.
+  static std::unique_ptr<ContextFactory> make_ucontext(std::size_t stack_bytes);
 };
 
 }  // namespace smpi::sim

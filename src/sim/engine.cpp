@@ -1,16 +1,11 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "obs/profile.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace smpi::sim {
-
-SMPI_LOG_CATEGORY(log_sim, "sim");
 
 namespace {
 Engine* g_current_engine = nullptr;
@@ -85,8 +80,7 @@ Actor::Actor(Engine* engine, int pid, int node, std::string name)
 // ---------------------------------------------------------------------------
 
 Engine::Engine(EngineConfig config)
-    : config_(std::move(config)),
-      context_factory_(ContextFactory::make(config_.context_backend, config_.stack_bytes)) {
+    : config_(config), context_factory_(ContextFactory::make(config_.stack_bytes)) {
   SMPI_REQUIRE(g_current_engine == nullptr, "only one Engine may exist at a time");
   g_current_engine = this;
 }
@@ -206,9 +200,8 @@ bool Engine::advance_time() {
   // arrivals/departures at the current date) into fresh calendar entries
   // before we look at what comes next.
   drain_settles();
-  double next = calendar_.next_date();
-  if (!timers_.empty()) next = std::min(next, timers_.top().date);
-  if (!std::isfinite(next)) return false;
+  const double next = calendar_.next_date();
+  if (next == kNever) return false;
   SMPI_ENSURE(next >= now_, "time went backwards");
   if (config_.max_sim_time > 0 && next > config_.max_sim_time) {
     std::ostringstream os;
@@ -218,33 +211,12 @@ bool Engine::advance_time() {
     throw TimeLimitError(os.str());
   }
   now_ = next;
-  // Dispatch everything due at the new date as one merged stream in strict
-  // global (date, creation) order — calendar handles and timer seqs come
-  // from the same counter, so the comparison is exact. Handling an entry
-  // may push new due entries (e.g. a completion re-solve that drops another
-  // activity's remaining work to zero); re-peeking each round picks those
-  // up within the same step.
-  while (true) {
-    double cal_date = 0;
-    EventCalendar::Handle cal_order = 0;
-    const bool cal_due = calendar_.peek(&cal_date, &cal_order) && cal_date <= now_;
-    const bool timer_due = !timers_.empty() && timers_.top().date <= now_;
-    if (cal_due &&
-        (!timer_due || cal_date < timers_.top().date ||
-         (cal_date == timers_.top().date && cal_order < timers_.top().seq))) {
-      EventCalendar::Fired fired;
-      calendar_.pop_due(now_, &fired);
-      fired.owner->on_calendar_event(now_, fired.tag);
-    } else if (timer_due) {
-      // priority_queue::top() is const; moving out is safe because pop()
-      // follows immediately (the moved-from callback is never compared).
-      auto callback = std::move(const_cast<Timer&>(timers_.top()).callback);
-      timers_.pop();
-      callback();
-    } else {
-      break;
-    }
-  }
+  // Dispatch everything due at the new date in (date, creation) order.
+  // Handling an entry may push new due entries (a timer callback arming
+  // another timer, a completion re-solve that drops another activity's
+  // remaining work to zero); pop_due picks those up within the same step.
+  EventCalendar::Fired fired;
+  while (calendar_.pop_due(now_, &fired)) fired.owner->on_calendar_event(now_, fired.tag);
   return true;
 }
 
@@ -282,8 +254,27 @@ void Engine::yield() {
 
 void Engine::add_timer(double date, TimerFn callback) {
   SMPI_REQUIRE(date >= now_, "timer in the past");
-  timers_.push(Timer{date, event_seq_++, std::move(callback)});
   ++timers_created_;
+  if (date == kNever) return;
+  calendar_.schedule(date, &timer_slots_, timer_slots_.store(std::move(callback)));
+}
+
+std::uint64_t Engine::CallbackSlots::store(TimerFn callback) {
+  if (free_.empty()) {
+    callbacks_.push_back(std::move(callback));
+    return callbacks_.size() - 1;
+  }
+  const std::uint64_t slot = free_.back();
+  free_.pop_back();
+  callbacks_[slot] = std::move(callback);
+  return slot;
+}
+
+void Engine::CallbackSlots::on_calendar_event(double /*now*/, std::uint64_t slot) {
+  // Free the slot before firing: the callback may arm a timer of its own.
+  TimerFn callback = std::move(callbacks_[slot]);
+  free_.push_back(slot);
+  callback();
 }
 
 void Engine::wake(Actor* actor) {
@@ -293,21 +284,5 @@ void Engine::wake(Actor* actor) {
   actor->state_ = Actor::State::kReady;
   runnable_push(actor);
 }
-
-void Engine::trace(const std::string& label) {
-  if (!config_.trace_events) return;
-  auto mix = [this](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      trace_hash_state_ ^= bytes[i];
-      trace_hash_state_ *= 1099511628211ULL;  // FNV prime
-    }
-  };
-  mix(&now_, sizeof now_);
-  mix(label.data(), label.size());
-  SMPI_LOG_DEBUG(log_sim, "trace t=" << now_ << " " << label);
-}
-
-std::uint64_t Engine::trace_hash() const { return trace_hash_state_; }
 
 }  // namespace smpi::sim

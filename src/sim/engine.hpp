@@ -1,24 +1,21 @@
 // The sequential simulation kernel (the paper's SIMIX/SURF driver, §5.1).
 //
-// One Engine per simulation. It owns the virtual clock, the actors, a timer
-// queue, and the shared event calendar models push into. The main loop
-// alternates between
+// One Engine per simulation. It owns the virtual clock, the actors, and the
+// one event calendar that every dated event goes through: the entries
+// models push and the engine's own timers. The main loop alternates between
 //   (1) running every runnable actor (in pid order — fully deterministic)
 //       until each blocks on an activity, and
-//   (2) advancing virtual time to the earliest calendar/timer entry and
-//       dispatching whatever fires there; calendar entries and timers due
-//       at the same date drain as one merged stream in strict global
-//       (date, creation) order — both heaps draw creation numbers from one
-//       shared sequence.
+//   (2) advancing virtual time to the earliest calendar entry and popping
+//       everything due there in (date, creation) order.
 // Models are never polled: a model only runs when one of its own calendar
 // entries comes due. Exactly one actor executes at any instant, which is
 // what makes running hundreds of MPI processes inside one OS process safe.
 #pragma once
 
 
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,9 +31,7 @@
 namespace smpi::sim {
 
 struct EngineConfig {
-  std::string context_backend;      // "", "ucontext", "thread"
   std::size_t stack_bytes = 512 * 1024;
-  bool trace_events = false;        // record (time, label) pairs for determinism tests
   // Recycle Activities / envelopes / snapshot buffers through engine-owned
   // free lists. Off = the pre-pooling allocation behavior, kept as the
   // reference arm for equivalence tests and the p2p microbench.
@@ -103,6 +98,8 @@ class Engine {
 
   // --- services for models / higher layers --------------------------------
   using TimerFn = SmallFunction<void(), 48>;
+  // Runs `callback` once virtual time reaches `date`. A timer at kNever
+  // never fires.
   void add_timer(double date, TimerFn callback);
   void wake(Actor* actor);
   EventCalendar& calendar() { return calendar_; }
@@ -135,10 +132,6 @@ class Engine {
   std::size_t live_actor_count() const { return live_actors_; }
   const std::vector<std::unique_ptr<Actor>>& actors() const { return actors_; }
 
-  // Determinism probe: FNV-1a hash over the recorded (time, label) trace.
-  void trace(const std::string& label);
-  std::uint64_t trace_hash() const;
-
   // Diagnostics: total timers ever created (the poll-subscription path in
   // the MPI layer asserts it stays sub-linear in simulated polls).
   std::uint64_t timers_created() const { return timers_created_; }
@@ -151,13 +144,17 @@ class Engine {
   void drain_settles();
   void suspend_current();
 
-  struct Timer {
-    double date;
-    std::uint64_t seq;  // tie-breaker: firing order == creation order
-    TimerFn callback;
-    bool operator>(const Timer& other) const {
-      return date != other.date ? date > other.date : seq > other.seq;
-    }
+  // Owner of the timers' calendar entries: each entry's tag indexes the
+  // slot holding its callback. Fired slots are recycled through a free
+  // list, so a warm timer costs no allocation.
+  class CallbackSlots final : public Model {
+   public:
+    std::uint64_t store(TimerFn callback);
+    void on_calendar_event(double now, std::uint64_t slot) override;
+
+   private:
+    std::vector<TimerFn> callbacks_;
+    std::vector<std::uint64_t> free_;
   };
 
   EngineConfig config_;
@@ -188,18 +185,13 @@ class Engine {
   std::size_t live_actors_ = 0;
   Actor* current_ = nullptr;
   std::vector<std::shared_ptr<Model>> models_;
-  // One sequence for calendar handles AND timer seqs: the merged phase-2
-  // drain compares (date, creation) across both heaps. Declared before
-  // calendar_, which captures a pointer to it.
-  std::uint64_t event_seq_ = 1;
-  EventCalendar calendar_{&event_seq_};
+  EventCalendar calendar_;
   std::vector<Model*> settle_queue_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
+  CallbackSlots timer_slots_;
   std::uint64_t timers_created_ = 0;
   bool running_ = false;
   bool stop_requested_ = false;
   std::function<std::string()> deadlock_reporter_;
-  std::uint64_t trace_hash_state_ = 1469598103934665603ULL;  // FNV offset basis
 };
 
 }  // namespace smpi::sim

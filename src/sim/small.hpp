@@ -5,7 +5,8 @@
 // than two pointers and std::vector allocates for its very first element.
 // SmallFunction and InlineVec keep both on the owning object's own storage
 // for the capture/fan-out sizes the hot path actually produces, so a pooled
-// Activity or Timer costs zero heap traffic across its whole lifecycle.
+// Activity or a recycled timer slot costs zero heap traffic across its
+// whole lifecycle.
 #pragma once
 
 #include <cstddef>

@@ -169,6 +169,15 @@ struct Observers {
   obs::ResourceCollector* resources = nullptr;
 };
 
+// Work of one run's max-min solvers, summed over the flow network (none
+// under the packet backend) and the CPU model.
+struct SolverTotals {
+  std::uint64_t solves = 0;
+  std::uint64_t vars_touched = 0;
+  std::uint64_t cons_touched = 0;
+  surf::MaxMinSystem::ObserveCounters observe;
+};
+
 using MpiMain = std::function<void(int argc, char** argv)>;
 
 class SmpiWorld {
@@ -195,6 +204,7 @@ class SmpiWorld {
   // Hot-path accounting: smpi-layer counters merged with the engine's pool
   // statistics (valid for the lifetime of the world).
   P2pCounters p2p_counters() const;
+  SolverTotals solver_totals() const;
   bool aborted() const { return aborted_; }
   int abort_code() const { return abort_code_; }
   // First resource-failure diagnostic observed by a rank (abort policy);

@@ -466,6 +466,25 @@ P2pCounters SmpiWorld::p2p_counters() const {
   return counters;
 }
 
+SolverTotals SmpiWorld::solver_totals() const {
+  SolverTotals totals;
+  auto add = [&totals](const surf::MaxMinSystem& solver) {
+    totals.solves += solver.solve_count();
+    totals.vars_touched += solver.vars_touched();
+    totals.cons_touched += solver.cons_touched();
+    const auto& oc = solver.observe_counters();
+    totals.observe.solves_attach += oc.solves_attach;
+    totals.observe.solves_release += oc.solves_release;
+    totals.observe.solves_capacity += oc.solves_capacity;
+    totals.observe.solves_bound += oc.solves_bound;
+    totals.observe.saturation_events += oc.saturation_events;
+    totals.observe.observe_drains += oc.observe_drains;
+  };
+  if (flow_network_ != nullptr) add(flow_network_->solver());
+  add(cpu_model_->solver());
+  return totals;
+}
+
 MemoryReport SmpiWorld::memory_report() const {
   MemoryReport report;
   if (memory_ == nullptr) return report;

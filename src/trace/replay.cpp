@@ -11,8 +11,6 @@
 #include "sim/mapped_region.hpp"
 #include "smpi/internals.hpp"
 #include "smpi/mpi.h"
-#include "surf/cpu.hpp"
-#include "surf/network.hpp"
 #include "trace/reader.hpp"
 #include "util/check.hpp"
 
@@ -348,26 +346,11 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   result.failure = world.failure_diagnostic();
   result.arena_bytes = static_cast<std::uint64_t>(arena_bytes);
   result.rank_usage = std::move(*usage);
-  auto add_observe = [&result](const surf::MaxMinSystem::ObserveCounters& oc) {
-    result.surf_observe.solves_attach += oc.solves_attach;
-    result.surf_observe.solves_release += oc.solves_release;
-    result.surf_observe.solves_capacity += oc.solves_capacity;
-    result.surf_observe.solves_bound += oc.solves_bound;
-    result.surf_observe.saturation_events += oc.saturation_events;
-    result.surf_observe.observe_drains += oc.observe_drains;
-  };
-  if (const auto* net = dynamic_cast<const surf::FlowNetworkModel*>(&world.network())) {
-    result.solver_solves += net->solver().solve_count();
-    result.solver_vars_touched += net->solver().vars_touched();
-    result.solver_cons_touched += net->solver().cons_touched();
-    add_observe(net->solver().observe_counters());
-  }
-  if (const auto* cpu = dynamic_cast<const surf::CpuModel*>(&world.cpu())) {
-    result.solver_solves += cpu->solver().solve_count();
-    result.solver_vars_touched += cpu->solver().vars_touched();
-    result.solver_cons_touched += cpu->solver().cons_touched();
-    add_observe(cpu->solver().observe_counters());
-  }
+  const core::SolverTotals solver = world.solver_totals();
+  result.solver_solves = solver.solves;
+  result.solver_vars_touched = solver.vars_touched;
+  result.solver_cons_touched = solver.cons_touched;
+  result.surf_observe = solver.observe;
   result.p2p = world.p2p_counters();
   if (options.resources != nullptr) {
     result.resources_analyzed = true;

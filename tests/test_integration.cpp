@@ -95,21 +95,6 @@ TEST(Integration, AllSolverModesAgreeEndToEnd) {
   EXPECT_NEAR(run_once(smpi::surf::SolveMode::kLazy), full, 1e-9);
 }
 
-TEST(Integration, ThreadBackendRunsFullMpiApplication) {
-  sc::SmpiConfig config = fast_config();
-  config.engine.context_backend = "thread";
-  const double t = run_mpi(
-      6,
-      [] {
-        int v = my_rank(), sum = -1;
-        MPI_Allreduce(&v, &sum, 1, MPI_INT, MPI_SUM, MPI_COMM_WORLD);
-        EXPECT_EQ(sum, 15);
-        smpi_sleep(0.01);
-      },
-      config);
-  EXPECT_GE(t, 0.01);
-}
-
 TEST(Integration, FourHundredFortyEightRanksOnOneNode) {
   // The paper's largest configuration (§7.2): DT Shuffle class C needs 448
   // processes. Run a barrier + reduce over that many fibers.

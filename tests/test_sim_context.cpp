@@ -9,13 +9,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "smpi_test_util.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
-#include "util/check.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define SMPI_TEST_ASAN 1
@@ -57,12 +56,20 @@ int recurse(int depth) {
   return recurse(depth + 1) + frame[0];
 }
 
+// Both backends this code builds: "raw" is the platform's own (the raw
+// switch on x86-64 Linux, ucontext elsewhere), "ucontext" the portable one.
+std::unique_ptr<ss::ContextFactory> make_factory(const std::string& backend,
+                                                 std::size_t stack_bytes) {
+  return backend == "raw" ? ss::ContextFactory::make(stack_bytes)
+                          : ss::ContextFactory::make_ucontext(stack_bytes);
+}
+
 }  // namespace
 
 class ContextBackendTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ContextBackendTest, RunsBodyOnResume) {
-  auto factory = ss::ContextFactory::make(GetParam(), 64 * 1024);
+  auto factory = make_factory(GetParam(), 64 * 1024);
   bool ran = false;
   auto ctx = factory->create([&] { ran = true; });
   EXPECT_FALSE(ran);
@@ -72,7 +79,7 @@ TEST_P(ContextBackendTest, RunsBodyOnResume) {
 }
 
 TEST_P(ContextBackendTest, SuspendResumeRoundTrips) {
-  auto factory = ss::ContextFactory::make(GetParam(), 64 * 1024);
+  auto factory = make_factory(GetParam(), 64 * 1024);
   std::vector<int> order;
   ss::Context* self = nullptr;
   auto ctx = factory->create([&] {
@@ -93,7 +100,7 @@ TEST_P(ContextBackendTest, SuspendResumeRoundTrips) {
 }
 
 TEST_P(ContextBackendTest, LocalStateSurvivesSuspension) {
-  auto factory = ss::ContextFactory::make(GetParam(), 64 * 1024);
+  auto factory = make_factory(GetParam(), 64 * 1024);
   ss::Context* self = nullptr;
   long long sum = 0;
   auto ctx = factory->create([&] {
@@ -110,7 +117,7 @@ TEST_P(ContextBackendTest, LocalStateSurvivesSuspension) {
 }
 
 TEST_P(ContextBackendTest, DestroyingSuspendedContextUnwindsStack) {
-  auto factory = ss::ContextFactory::make(GetParam(), 64 * 1024);
+  auto factory = make_factory(GetParam(), 64 * 1024);
   // The destructor of `guard` must run when the unfinished context is
   // destroyed — this is what releases application resources at teardown.
   bool destroyed = false;
@@ -134,14 +141,14 @@ TEST_P(ContextBackendTest, DestroyingSuspendedContextUnwindsStack) {
 }
 
 TEST_P(ContextBackendTest, DestroyingNeverStartedContextIsSafe) {
-  auto factory = ss::ContextFactory::make(GetParam(), 64 * 1024);
+  auto factory = make_factory(GetParam(), 64 * 1024);
   bool ran = false;
   { auto ctx = factory->create([&] { ran = true; }); }
   EXPECT_FALSE(ran);
 }
 
 TEST_P(ContextBackendTest, ManyContextsInterleave) {
-  auto factory = ss::ContextFactory::make(GetParam(), 64 * 1024);
+  auto factory = make_factory(GetParam(), 64 * 1024);
   constexpr int kContexts = 50;
   std::vector<std::unique_ptr<ss::Context>> contexts(kContexts);
   std::vector<ss::Context*> raw(kContexts);
@@ -164,23 +171,16 @@ TEST_P(ContextBackendTest, ManyContextsInterleave) {
   EXPECT_EQ(counter, kContexts * 3);
 }
 
-// "raw" resolves to the hand-rolled switch on x86-64 Linux and to the
-// ucontext fallback elsewhere — either way the contract must hold.
-INSTANTIATE_TEST_SUITE_P(Backends, ContextBackendTest,
-                         ::testing::Values("raw", "ucontext", "thread"));
+INSTANTIATE_TEST_SUITE_P(Backends, ContextBackendTest, ::testing::Values("raw", "ucontext"));
 
-// The two backends that run on their own mapped stacks.
 class FiberStackTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(FiberStackTest, OverflowIsReportedByActorName) {
   EXPECT_EXIT(
       {
-        ss::EngineConfig config;
-        config.context_backend = GetParam();
-        config.stack_bytes = 64 * 1024;
-        ss::Engine engine(config);
-        engine.spawn("rank-7", 0, [] { recurse(0); });
-        engine.run();
+        auto factory = make_factory(GetParam(), 64 * 1024);
+        auto ctx = factory->create([] { recurse(0); }, "rank-7");
+        ctx->resume();
       },
       ::testing::KilledBySignal(SIGSEGV),
       "fiber stack overflow in actor rank-7 \\(64 KiB stack\\)");
@@ -190,7 +190,7 @@ TEST_P(FiberStackTest, SuspendedFibersCommitOnlyTouchedPages) {
 #if defined(SMPI_TEST_ASAN)
   GTEST_SKIP() << "ASan's shadow memory makes resident-set sizes meaningless";
 #endif
-  auto factory = ss::ContextFactory::make(GetParam(), 512 * 1024);
+  auto factory = make_factory(GetParam(), 512 * 1024);
   constexpr int kFibers = 1024;
   std::vector<std::unique_ptr<ss::Context>> contexts(kFibers);
   std::vector<ss::Context*> raw(kFibers);
@@ -244,21 +244,4 @@ TEST(LazyCommit, PayloadFreeReplayLeavesArenaUncommitted) {
         std::exit(grown < 32 * kMiB ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "replayed 6 records");
-}
-
-TEST(ContextFactory, RejectsUnknownBackend) {
-  EXPECT_THROW(ss::ContextFactory::make("fibers-of-doom", 1024), smpi::util::ContractError);
-}
-
-TEST(EngineWithThreadBackend, FullRunWorks) {
-  ss::EngineConfig config;
-  config.context_backend = "thread";
-  ss::Engine engine(config);
-  double t = -1;
-  engine.spawn("a", 0, [&] {
-    engine.sleep_for(1.0);
-    t = engine.now();
-  });
-  engine.run();
-  EXPECT_DOUBLE_EQ(t, 1.0);
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ss = smpi::sim;
@@ -192,22 +194,38 @@ TEST(Engine, SpawnDuringRunExecutesChild) {
 }
 
 TEST(Engine, TraceHashIsDeterministic) {
+  using Trace = std::vector<std::pair<double, std::string>>;
   auto run_once = [] {
-    ss::EngineConfig config;
-    config.trace_events = true;
-    ss::Engine engine(config);
+    ss::Engine engine;
+    Trace trace;
     for (int i = 0; i < 8; ++i) {
-      engine.spawn("a" + std::to_string(i), 0, [&engine, i] {
+      engine.spawn("a" + std::to_string(i), 0, [&engine, &trace, i] {
         engine.sleep_for(0.1 * (i % 3));
-        engine.trace("step-" + std::to_string(i));
+        trace.emplace_back(engine.now(), "step-" + std::to_string(i));
         engine.sleep_for(0.05 * i);
-        engine.trace("done-" + std::to_string(i));
+        trace.emplace_back(engine.now(), "done-" + std::to_string(i));
       });
     }
     engine.run();
-    return engine.trace_hash();
+    return trace;
   };
-  EXPECT_EQ(run_once(), run_once());
+  const Trace first = run_once();
+  EXPECT_EQ(first.size(), 16u);
+  EXPECT_EQ(first, run_once());
+}
+
+TEST(Engine, InfiniteSleepIsReportedAsDeadlock) {
+  // A timer at +inf never fires: the sleeper is blocked forever, which the
+  // engine must report as a deadlock naming it.
+  ss::Engine engine;
+  engine.spawn("sleeper", 0, [&] { engine.sleep_for(std::numeric_limits<double>::infinity()); });
+  try {
+    engine.run();
+    FAIL() << "expected DeadlockError";
+  } catch (const ss::DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("blocked forever: sleeper"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Engine, CurrentActorIsSetDuringExecution) {

@@ -54,8 +54,6 @@
 #include "smpi/smpi.hpp"
 #include "trace/paje.hpp"
 #include "trace/reader.hpp"
-#include "surf/cpu.hpp"
-#include "surf/network.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 #include "util/json.hpp"
@@ -544,21 +542,7 @@ int main(int argc, char** argv) {
       smpi::obs::MetricsRegistry registry;
       smpi::obs::collect_p2p(registry, world.p2p_counters());
       std::printf("p2p counters:\n%s", registry.text("p2p.").c_str());
-      smpi::surf::MaxMinSystem::ObserveCounters surf_totals;
-      auto add_observe = [&surf_totals](const smpi::surf::MaxMinSystem::ObserveCounters& oc) {
-        surf_totals.solves_attach += oc.solves_attach;
-        surf_totals.solves_release += oc.solves_release;
-        surf_totals.solves_capacity += oc.solves_capacity;
-        surf_totals.solves_bound += oc.solves_bound;
-        surf_totals.saturation_events += oc.saturation_events;
-        surf_totals.observe_drains += oc.observe_drains;
-      };
-      if (const auto* net = dynamic_cast<const smpi::surf::FlowNetworkModel*>(&world.network())) {
-        add_observe(net->solver().observe_counters());
-      }
-      if (const auto* cpu = dynamic_cast<const smpi::surf::CpuModel*>(&world.cpu())) {
-        add_observe(cpu->solver().observe_counters());
-      }
+      const auto surf_totals = world.solver_totals().observe;
       smpi::obs::collect_surf(registry, surf_totals.solves_attach, surf_totals.solves_release,
                               surf_totals.solves_capacity, surf_totals.solves_bound,
                               surf_totals.saturation_events, surf_totals.observe_drains);
