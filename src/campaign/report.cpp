@@ -30,6 +30,18 @@ double speedup_vs_baseline(const ScenarioResult& baseline, const ScenarioResult&
   return baseline.simulated_time / r.simulated_time;
 }
 
+double sum(const std::vector<double>& v) {
+  double total = 0;
+  for (double x : v) total += x;
+  return total;
+}
+
+double max_of(const std::vector<double>& v) {
+  double best = 0;
+  for (double x : v) best = std::max(best, x);
+  return best;
+}
+
 std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", v);
@@ -207,10 +219,10 @@ const Field kFields[] = {
     {kOk, "", "records", MEMBER(records)},
     {kOk, "", "ranks", MEMBER(ranks)},
     {kOk, "", "arena_bytes", MEMBER(arena_bytes), kJsonOnly},
-    {kOk, "breakdown", "compute_total_s", DERIVED(r.compute_total_s())},
-    {kOk, "breakdown", "comm_total_s", DERIVED(r.comm_total_s())},
-    {kOk, "breakdown", "compute_max_s", DERIVED(r.compute_max_s())},
-    {kOk, "breakdown", "comm_max_s", DERIVED(r.comm_max_s())},
+    {kOk, "breakdown", "compute_total_s", DERIVED(sum(r.rank_compute_s))},
+    {kOk, "breakdown", "comm_total_s", DERIVED(sum(r.rank_comm_s))},
+    {kOk, "breakdown", "compute_max_s", DERIVED(max_of(r.rank_compute_s))},
+    {kOk, "breakdown", "comm_max_s", DERIVED(max_of(r.rank_comm_s))},
     {kOk, "breakdown", "rank_compute_s", MEMBER(rank_compute_s), kJsonOnly},
     {kOk, "breakdown", "rank_comm_s", MEMBER(rank_comm_s), kJsonOnly},
     {kOk, "solver", "solves", MEMBER(solver_solves), 0, "solver_solves"},
@@ -222,11 +234,11 @@ const Field kFields[] = {
     {kOk, "p2p", "eager_copy_elided", MEMBER(p2p.eager_copy_elided), kLegacy},
     {kOk, "p2p", "eager_flush_snapshots", MEMBER(p2p.eager_flush_snapshots), kLegacy},
     {kOk, "p2p", "bytes_not_copied", MEMBER(p2p.bytes_not_copied), kLegacy},
-    {kAnalyzed, "analysis", "wait_fraction", MEMBER(wait_fraction)},
-    {kAnalyzed, "analysis", "critical_path_s", MEMBER(critical_path_s)},
-    {kAnalyzed, "analysis", "cp_compute_s", MEMBER(cp_compute_s)},
-    {kAnalyzed, "analysis", "cp_comm_s", MEMBER(cp_comm_s)},
-    {kAnalyzed, "analysis", "dominant_wait", MEMBER(dominant_wait), kBare},
+    {kAnalyzed, "analysis", "wait_fraction", MEMBER(analysis.wait_fraction)},
+    {kAnalyzed, "analysis", "critical_path_s", MEMBER(analysis.path_length_s)},
+    {kAnalyzed, "analysis", "cp_compute_s", MEMBER(analysis.cp_compute_s)},
+    {kAnalyzed, "analysis", "cp_comm_s", MEMBER(analysis.cp_comm_s)},
+    {kAnalyzed, "analysis", "dominant_wait", MEMBER(analysis.dominant_wait_state), kBare},
     {kAnalyzed, "analysis", "rank_wait_s", MEMBER(rank_wait_s), kJsonOnly},
     {kAnalyzed, "analysis", "rank_transfer_s", MEMBER(rank_transfer_s), kJsonOnly},
     {kResources, "resources", "top_bottleneck", MEMBER(top_bottleneck)},
@@ -268,7 +280,9 @@ util::JsonValue to_json(const Value& value) {
       value);
 }
 
-void from_json(const util::JsonValue& json, const Value& value) {
+// Stores `json` through `value`, field `f`'s member. A counter that does not
+// fit its member (a negative count, an int past INT_MAX) is rejected.
+void from_json(const util::JsonValue& json, const Value& value, const Field& f) {
   std::visit(
       Overloaded{[](std::monostate) {}, [](double) {},
                  [&](bool* v) { *v = json.as_bool(); },
@@ -277,7 +291,16 @@ void from_json(const util::JsonValue& json, const Value& value) {
                  [&](std::vector<double>* v) {
                    for (const auto& x : json.items()) v->push_back(x.as_number());
                  },
-                 [&](auto* v) { *v = static_cast<std::decay_t<decltype(*v)>>(json.as_int()); }},
+                 [&](auto* v) {
+                   using T = std::decay_t<decltype(*v)>;
+                   const long long n = json.as_int();
+                   SMPI_REQUIRE((std::is_signed_v<T> || n >= 0) &&
+                                    static_cast<long long>(static_cast<T>(n)) == n,
+                                std::string("campaign result field '") + f.group +
+                                    (*f.group == '\0' ? "" : ".") + f.key +
+                                    "' is out of range: " + json.dump());
+                   *v = static_cast<T>(n);
+                 }},
       value);
 }
 
@@ -360,7 +383,7 @@ ScenarioResult read_result_fields(const util::JsonValue& row, int id, int rep) {
                    std::string("campaign result row lacks '") + f.key + "'");
       continue;
     }
-    from_json(*json, member);
+    from_json(*json, member, f);
   }
   return r;
 }
@@ -549,11 +572,12 @@ std::string report_summary(const CampaignSpec& spec, const std::vector<Scenario>
     std::string text;
     char note[160];
     if (r.analyzed) {
-      if (r.dominant_wait.empty() || r.dominant_wait == "none") {
-        std::snprintf(note, sizeof note, "wait %.0f%%", r.wait_fraction * 100.0);
+      const obs::AnalysisResult& a = r.analysis;
+      if (a.dominant_wait_state.empty() || a.dominant_wait_state == "none") {
+        std::snprintf(note, sizeof note, "wait %.0f%%", a.wait_fraction * 100.0);
       } else {
-        std::snprintf(note, sizeof note, "wait %.0f%%, mostly %s", r.wait_fraction * 100.0,
-                      r.dominant_wait.c_str());
+        std::snprintf(note, sizeof note, "wait %.0f%%, mostly %s", a.wait_fraction * 100.0,
+                      a.dominant_wait_state.c_str());
       }
       text = note;
     }

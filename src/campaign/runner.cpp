@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 
 #include "campaign/report.hpp"
@@ -21,18 +22,6 @@
 namespace smpi::campaign {
 
 namespace {
-
-double sum(const std::vector<double>& v) {
-  double total = 0;
-  for (double x : v) total += x;
-  return total;
-}
-
-double max_of(const std::vector<double>& v) {
-  double best = 0;
-  for (double x : v) best = std::max(best, x);
-  return best;
-}
 
 // --- pipe helpers -----------------------------------------------------------
 
@@ -93,51 +82,17 @@ ScenarioResult run_one_scenario(const CampaignSpec& spec, const Scenario& scenar
     obs::ResourceCollector resource_collector;
     if (spec.resources) replay_options.resources = &resource_collector;
     const auto start = std::chrono::steady_clock::now();
-    const trace::ReplayResult replay =
+    static_cast<trace::ReplayResult&>(r) =
         trace::replay_trace(setup.platform, setup.config, *effective, replay_options);
     r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if (replay.aborted) {
-      // Fault-model abort (or MPI_Abort in the trace): the row is a failure
-      // with the diagnostic, not a silently short simulated time.
-      r.ok = false;
-      r.error = replay.failure.empty()
-                    ? "replay aborted with code " + std::to_string(replay.abort_code)
-                    : "resource failure: " + replay.failure;
-      return r;
-    }
-    r.ok = true;
-    r.simulated_time = replay.simulated_time;
-    r.records = replay.records;
-    r.ranks = replay.ranks;
-    r.arena_bytes = replay.arena_bytes;
-    for (const trace::RankUsage& usage : replay.rank_usage) {
-      r.rank_compute_s.push_back(usage.compute_s);
-      r.rank_comm_s.push_back(usage.comm_s);
-      if (replay.analyzed) {
-        r.rank_wait_s.push_back(usage.wait_s);
-        r.rank_transfer_s.push_back(usage.transfer_s);
-      }
-    }
-    r.solver_solves = replay.solver_solves;
-    r.solver_vars_touched = replay.solver_vars_touched;
-    r.solver_cons_touched = replay.solver_cons_touched;
-    r.p2p = replay.p2p;
-    if (replay.analyzed) {
-      r.analyzed = true;
-      r.wait_fraction = replay.analysis.wait_fraction;
-      r.critical_path_s = replay.analysis.path_length_s;
-      r.cp_compute_s = replay.analysis.cp_compute_s;
-      r.cp_comm_s = replay.analysis.cp_comm_s;
-      r.dominant_wait = replay.analysis.dominant_wait_state;
-    }
-    if (replay.resources_analyzed) {
-      r.resources_analyzed = true;
-      r.top_bottleneck = replay.top_bottleneck;
-      r.bottleneck_saturated_s = replay.bottleneck_saturated_s;
-      r.max_link_utilization = replay.max_link_utilization;
+    // A fault-model abort (or MPI_Abort in the trace) fails the row with the
+    // diagnostic, not a silently short simulated time.
+    r.ok = !r.aborted;
+    if (r.aborted) {
+      r.error = r.failure.empty() ? "replay aborted with code " + std::to_string(r.abort_code)
+                                  : "resource failure: " + r.failure;
     }
   } catch (const std::exception& e) {
-    r.ok = false;
     r.error = e.what();
   }
   return r;
@@ -196,11 +151,6 @@ void close_fd(int& fd) {
 }
 
 }  // namespace
-
-double ScenarioResult::compute_total_s() const { return sum(rank_compute_s); }
-double ScenarioResult::comm_total_s() const { return sum(rank_comm_s); }
-double ScenarioResult::compute_max_s() const { return max_of(rank_compute_s); }
-double ScenarioResult::comm_max_s() const { return max_of(rank_comm_s); }
 
 CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                              const trace::TiTrace& trace, const RunOptions& options) {

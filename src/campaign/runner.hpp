@@ -36,16 +36,20 @@
 // by unit (for R = 1 that is exactly the old scenario indexing).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "campaign/spec.hpp"
 #include "trace/reader.hpp"
+#include "trace/replay.hpp"
 
 namespace smpi::campaign {
 
-struct ScenarioResult {
+// One run's row: everything the replay produced, plus the harness's own
+// bookkeeping. The report's field table (report.cpp) serializes members of
+// both halves, so a new per-run metric is a ReplayResult member plus one
+// table line.
+struct ScenarioResult : trace::ReplayResult {
   int id = -1;   // scenario id
   int rep = 0;   // replication index in [0, spec.replications)
   bool ok = false;
@@ -56,42 +60,7 @@ struct ScenarioResult {
   int retries = 0;
   bool timed_out = false;
   std::string worker_exit;
-  double simulated_time = 0;
-  double wall_s = 0;       // worker-side wall clock for this scenario
-  long long records = 0;
-  int ranks = 0;
-  std::uint64_t arena_bytes = 0;
-  // Per-rank simulated-time breakdown (compute vs communication).
-  std::vector<double> rank_compute_s;
-  std::vector<double> rank_comm_s;
-  // Solver work (network + cpu max-min systems).
-  std::uint64_t solver_solves = 0;
-  std::uint64_t solver_vars_touched = 0;
-  std::uint64_t solver_cons_touched = 0;
-  // p2p hot-path accounting (pool reuse, zero-copy eager activity).
-  core::P2pCounters p2p;
-  // Wait-state / critical-path analysis of this run (present when the
-  // spec's "analysis" flag was on — the default).
-  bool analyzed = false;
-  double wait_fraction = 0;    // blocked-on-a-peer share of total MPI+compute time
-  double critical_path_s = 0;  // == simulated_time up to fp tolerance
-  double cp_compute_s = 0;     // critical path split: local work vs. wire time
-  double cp_comm_s = 0;
-  std::string dominant_wait;   // "late_sender" | "late_receiver" | "early_arrival" | "none"
-  std::vector<double> rank_wait_s;      // per-rank blocked-on-peer time
-  std::vector<double> rank_transfer_s;  // per-rank wire-busy time
-  // Resource-utilization summary (present when the spec's "resources" flag
-  // was on — the default): the link/host with the most saturated seconds
-  // and the peak link utilization across the run.
-  bool resources_analyzed = false;
-  std::string top_bottleneck;        // empty = nothing ever saturated
-  double bottleneck_saturated_s = 0;
-  double max_link_utilization = 0;   // fraction of capacity, in [0, 1]
-
-  double compute_total_s() const;
-  double comm_total_s() const;
-  double compute_max_s() const;
-  double comm_max_s() const;
+  double wall_s = 0;  // worker-side wall clock for this scenario
 };
 
 struct RunOptions {

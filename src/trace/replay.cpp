@@ -102,11 +102,12 @@ std::vector<int> prefix_displs(const std::vector<int>& counts) {
 // the reduction itself costs no simulated time, so the body is empty.
 void replay_reduce_stub(void* /*in*/, void* /*inout*/, int* /*len*/, MPI_Datatype* /*type*/) {}
 
-void replay_rank(const TiTrace& trace, unsigned char* base, std::vector<RankUsage>& usage) {
+void replay_rank(const TiTrace& trace, unsigned char* base, ReplayResult& result) {
   core::SmpiWorld* world = core::SmpiWorld::instance();
-  const int rank = world->current_process()->world_rank;
-  const auto& records = trace.ranks[static_cast<std::size_t>(rank)];
-  RankUsage& my_usage = usage[static_cast<std::size_t>(rank)];
+  const auto rank = static_cast<std::size_t>(world->current_process()->world_rank);
+  const auto& records = trace.ranks[rank];
+  double& my_compute_s = result.rank_compute_s[rank];
+  double& my_comm_s = result.rank_comm_s[rank];
   const sim::Engine& engine = world->engine();
 
   std::unordered_map<long long, MPI_Request> requests;
@@ -290,11 +291,10 @@ void replay_rank(const TiTrace& trace, unsigned char* base, std::vector<RankUsag
     // time, everything else is communication (including the waiting).
     const double elapsed = engine.now() - record_start;
     if (r.op == TiOp::kCompute || r.op == TiOp::kSleep) {
-      my_usage.compute_s += elapsed;
+      my_compute_s += elapsed;
     } else {
-      my_usage.comm_s += elapsed;
+      my_comm_s += elapsed;
     }
-    ++my_usage.records;
   }
 }
 
@@ -319,8 +319,10 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   const long long arena_bytes =
       options.arena_bytes_hint > 0 ? options.arena_bytes_hint : compute_arena_bytes(trace);
   const sim::MappedRegion arena(static_cast<std::size_t>(arena_bytes));
-  auto usage = std::make_shared<std::vector<RankUsage>>(
-      static_cast<std::size_t>(trace.nranks));
+  // Declared before the world so the ranks' usage slots outlive ~SmpiWorld.
+  ReplayResult result;
+  result.rank_compute_s.resize(static_cast<std::size_t>(trace.nranks));
+  result.rank_comm_s.resize(static_cast<std::size_t>(trace.nranks));
 
   config.payload_free = options.payload_free;
   std::unique_ptr<obs::SpanCollector> own_spans;
@@ -331,13 +333,12 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   }
   core::SmpiWorld world(platform, config, {nullptr, options.paje, spans, options.resources});
   world.run(trace.nranks,
-            [&trace, base = arena.data(), usage](int, char**) {
-              replay_rank(trace, base, *usage);
+            [&trace, base = arena.data(), &result](int, char**) {
+              replay_rank(trace, base, result);
             },
             {},
             "ti-replay:" + trace.app);
 
-  ReplayResult result;
   result.simulated_time = world.simulated_time();
   result.records = trace.total_records();
   result.ranks = trace.nranks;
@@ -345,7 +346,6 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   result.abort_code = world.abort_code();
   result.failure = world.failure_diagnostic();
   result.arena_bytes = static_cast<std::uint64_t>(arena_bytes);
-  result.rank_usage = std::move(*usage);
   const core::SolverTotals solver = world.solver_totals();
   result.solver_solves = solver.solves;
   result.solver_vars_touched = solver.vars_touched;
@@ -366,13 +366,12 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
     // come from the recorded blocked intervals, compute is everything else —
     // including compute that overlapped an in-flight nonblocking transfer,
     // which the record-granularity split above misattributes.
-    for (std::size_t r = 0; r < result.rank_usage.size(); ++r) {
+    for (std::size_t r = 0; r < result.rank_compute_s.size(); ++r) {
       const obs::RankBreakdown& b = result.analysis.ranks[r];
-      RankUsage& u = result.rank_usage[r];
-      u.wait_s = b.wait_s;
-      u.transfer_s = b.transfer_s;
-      u.comm_s = b.wait_s + b.transfer_s;
-      u.compute_s = b.compute_s;
+      result.rank_compute_s[r] = b.compute_s;
+      result.rank_comm_s[r] = b.wait_s + b.transfer_s;
+      result.rank_wait_s.push_back(b.wait_s);
+      result.rank_transfer_s.push_back(b.transfer_s);
     }
   }
   return result;

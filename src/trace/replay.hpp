@@ -14,7 +14,10 @@
 // The trace-taking overload is the unit the campaign engine multiplies: a
 // what-if sweep loads the trace once, then replays the same immutable
 // TiTrace under many platform/config variants (one fresh SmpiWorld per
-// scenario, so re-entry is clean by construction).
+// scenario, so re-entry is clean by construction). Its ReplayResult is the
+// campaign row's record: campaign::ScenarioResult derives from it and adds
+// only harness fields, so a member added here reaches reports, capsules
+// and the CSV through one line of the row's field table.
 #pragma once
 
 #include <cstdint>
@@ -68,24 +71,6 @@ struct ReplayOptions {
   obs::ResourceCollector* resources = nullptr;
 };
 
-// Simulated-time split of one rank's replay: time inside compute/sleep
-// records vs. time inside communication records (sends, receives, waits,
-// collectives — i.e. blocked on the network or on peers).
-struct RankUsage {
-  double compute_s = 0;
-  double comm_s = 0;
-  long long records = 0;
-  // Filled only when ReplayOptions::analyze is on: comm_s split into time
-  // truly blocked on a peer (wait_s) vs. time the wire was busy
-  // (transfer_s). In that mode compute_s/comm_s are re-derived from the
-  // span layer, which fixes the attribution of overlapped nonblocking
-  // operations — a transfer that progressed underneath a compute record no
-  // longer has its MPI_Wait charged as if the whole interval were
-  // communication.
-  double wait_s = 0;
-  double transfer_s = 0;
-};
-
 struct ReplayResult {
   double simulated_time = 0;
   long long records = 0;
@@ -97,7 +82,19 @@ struct ReplayResult {
   int abort_code = 0;
   std::string failure;
   std::uint64_t arena_bytes = 0;
-  std::vector<RankUsage> rank_usage;  // indexed by world rank
+  // Per-rank simulated-time split, indexed by world rank: time inside
+  // compute/sleep records vs. time inside communication records (sends,
+  // receives, waits, collectives — blocked on the network or on peers).
+  std::vector<double> rank_compute_s;
+  std::vector<double> rank_comm_s;
+  // Filled only when `analyzed`: rank_comm_s split into time truly blocked
+  // on a peer (wait) vs. time the wire was busy (transfer). In that mode
+  // rank_compute_s/rank_comm_s are re-derived from the span layer, which
+  // fixes the attribution of overlapped nonblocking operations — a transfer
+  // that progressed underneath a compute record no longer has its MPI_Wait
+  // charged as if the whole interval were communication.
+  std::vector<double> rank_wait_s;
+  std::vector<double> rank_transfer_s;
   // Cumulative solver work over the whole replay (network + cpu systems);
   // zero under the packet backend.
   std::uint64_t solver_solves = 0;

@@ -74,6 +74,8 @@ double JsonValue::as_number() const {
 
 long long JsonValue::as_int() const {
   SMPI_REQUIRE(is_number(), "json value is not a number");
+  // Range first: casting a double outside [-2^63, 2^63) is undefined.
+  SMPI_REQUIRE(number_ >= -0x1p63 && number_ < 0x1p63, "json number is out of integer range");
   const auto ll = static_cast<long long>(number_);
   SMPI_REQUIRE(static_cast<double>(ll) == number_, "json number is not an integer");
   return ll;

@@ -1,11 +1,13 @@
 // Campaign subsystem tests: spec parsing, scenario enumeration, platform
 // override materialization (including the hard-error contract on unknown
-// targets), worker-pool determinism (1 worker == N workers, bit-equal), and
-// the baseline scenario reproducing the online simulated time.
+// targets), worker-pool determinism (1 worker == N workers, bit-equal), the
+// baseline scenario reproducing the online simulated time, and a row
+// carrying exactly what a direct replay of its scenario produces.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -15,9 +17,12 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "noise/noise.hpp"
+#include "obs/analysis.hpp"
+#include "obs/resource.hpp"
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
 #include "trace/reader.hpp"
+#include "trace/replay.hpp"
 #include "trace/writer.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
@@ -270,6 +275,124 @@ TEST(CampaignRun, ScenarioFailuresAreCapsulesNotCrashes) {
   EXPECT_FALSE(outcome.results[1].ok);
   EXPECT_NE(outcome.results[1].error.find("node-777"), std::string::npos)
       << outcome.results[1].error;
+}
+
+// A campaign row carries exactly what the replay produced: every field the
+// row table serializes equals, bit for bit, the same field of a direct
+// replay_trace of the materialized scenario, after the trip through a
+// worker capsule. A fault abort surfaces as the replay's own diagnostic.
+TEST(CampaignRun, RowMatchesDirectReplay) {
+  const auto spec = parse_spec(R"({
+    "name": "row-vs-replay",
+    "workload": {"name": "w", "ranks": 8, "seed": 5, "pattern": "stencil2d",
+                 "iterations": 2, "bytes": 65536, "compute": {"flops": 1e6}},
+    "platform": {"kind": "flat", "nodes": 8},
+    "faults": {"policy": "abort",
+               "events": [{"kind": "host_crash", "time": 100.0, "host": "node-1"}]},
+    "analysis": true,
+    "resources": true,
+    "axes": [{"param": "fault_time_scale", "values": [1e-6]}]
+  })");
+  const auto scenarios = cp::enumerate_scenarios(spec);
+  ASSERT_EQ(scenarios.size(), 2u);
+  const auto trace = smpi::workload::generate_workload(spec.workload);
+  cp::RunOptions options;
+  options.workers = 2;
+  const auto outcome = cp::run_campaign(spec, scenarios, trace, options);
+  ASSERT_EQ(outcome.results.size(), 2u);
+
+  auto direct_replay = [&](const cp::Scenario& scenario) {
+    const cp::ScenarioSetup setup = cp::materialize(spec, scenario, trace.nranks);
+    smpi::obs::ResourceCollector resources;
+    smpi::trace::ReplayOptions replay_options;
+    replay_options.payload_free = setup.payload_free;
+    replay_options.analyze = true;
+    replay_options.resources = &resources;
+    return smpi::trace::replay_trace(setup.platform, setup.config, trace, replay_options);
+  };
+
+  // Baseline: the crash lands after the makespan, so the row is ok.
+  const cp::ScenarioResult& row = outcome.results[0];
+  ASSERT_TRUE(row.ok) << row.error;
+  const smpi::trace::ReplayResult direct = direct_replay(scenarios[0]);
+  ASSERT_FALSE(direct.aborted);
+  ASSERT_TRUE(direct.analyzed);
+  ASSERT_TRUE(direct.resources_analyzed);
+
+  JsonValue fields = JsonValue::object();
+  cp::set_result_fields(fields, row, nullptr);
+  std::vector<std::string> checked = {".ok", ".retries", ".wall_s"};  // harness-side
+  auto field = [&](const std::string& group, const std::string& key) -> const JsonValue& {
+    checked.push_back(group + "." + key);
+    return (group.empty() ? fields : fields.at(group, "row")).at(key, "row");
+  };
+  auto numbers = [](const JsonValue& array) {
+    std::vector<double> out;
+    for (const JsonValue& x : array.items()) out.push_back(x.as_number());
+    return out;
+  };
+  auto counter = [](std::uint64_t v) { return static_cast<double>(v); };
+
+  EXPECT_EQ(field("", "simulated_time").as_number(), direct.simulated_time);
+  EXPECT_EQ(field("", "records").as_number(), static_cast<double>(direct.records));
+  EXPECT_EQ(field("", "ranks").as_number(), direct.ranks);
+  EXPECT_EQ(field("", "arena_bytes").as_number(), counter(direct.arena_bytes));
+  std::vector<double> compute, comm, wait, transfer;
+  for (const smpi::obs::RankBreakdown& b : direct.analysis.ranks) {
+    compute.push_back(b.compute_s);
+    comm.push_back(b.wait_s + b.transfer_s);
+    wait.push_back(b.wait_s);
+    transfer.push_back(b.transfer_s);
+  }
+  ASSERT_EQ(compute.size(), 8u);
+  EXPECT_EQ(numbers(field("breakdown", "rank_compute_s")), compute);
+  EXPECT_EQ(numbers(field("breakdown", "rank_comm_s")), comm);
+  EXPECT_EQ(numbers(field("analysis", "rank_wait_s")), wait);
+  EXPECT_EQ(numbers(field("analysis", "rank_transfer_s")), transfer);
+  EXPECT_EQ(field("solver", "solves").as_number(), counter(direct.solver_solves));
+  EXPECT_EQ(field("solver", "vars_touched").as_number(), counter(direct.solver_vars_touched));
+  EXPECT_EQ(field("solver", "cons_touched").as_number(), counter(direct.solver_cons_touched));
+  EXPECT_EQ(field("p2p", "pool_hits").as_number(), counter(direct.p2p.pool_hits));
+  EXPECT_EQ(field("p2p", "pool_misses").as_number(), counter(direct.p2p.pool_misses));
+  EXPECT_EQ(field("p2p", "eager_snapshots").as_number(), counter(direct.p2p.eager_snapshots));
+  EXPECT_EQ(field("p2p", "eager_copy_elided").as_number(),
+            counter(direct.p2p.eager_copy_elided));
+  EXPECT_EQ(field("p2p", "eager_flush_snapshots").as_number(),
+            counter(direct.p2p.eager_flush_snapshots));
+  EXPECT_EQ(field("p2p", "bytes_not_copied").as_number(), counter(direct.p2p.bytes_not_copied));
+  EXPECT_EQ(field("analysis", "wait_fraction").as_number(), direct.analysis.wait_fraction);
+  EXPECT_EQ(field("analysis", "critical_path_s").as_number(), direct.analysis.path_length_s);
+  EXPECT_EQ(field("analysis", "cp_compute_s").as_number(), direct.analysis.cp_compute_s);
+  EXPECT_EQ(field("analysis", "cp_comm_s").as_number(), direct.analysis.cp_comm_s);
+  EXPECT_EQ(field("analysis", "dominant_wait").as_string(), direct.analysis.dominant_wait_state);
+  EXPECT_EQ(field("resources", "top_bottleneck").as_string(), direct.top_bottleneck);
+  EXPECT_EQ(field("resources", "bottleneck_saturated_s").as_number(),
+            direct.bottleneck_saturated_s);
+  EXPECT_EQ(field("resources", "max_link_utilization").as_number(),
+            direct.max_link_utilization);
+  EXPECT_GT(direct.analysis.total_wait_s + direct.analysis.total_transfer_s, 0.0);
+
+  // Nothing the table serializes went unchecked.
+  std::vector<std::string> serialized;
+  for (const auto& [key, value] : fields.members()) {
+    if (!value.is_object()) {
+      serialized.push_back("." + key);
+      continue;
+    }
+    for (const auto& member : value.members()) serialized.push_back(key + "." + member.first);
+  }
+  std::sort(serialized.begin(), serialized.end());
+  std::sort(checked.begin(), checked.end());
+  EXPECT_EQ(serialized, checked);
+
+  // The early crash aborts the replay; the row is a failure carrying the
+  // fault model's diagnostic.
+  const cp::ScenarioResult& aborted = outcome.results[1];
+  const smpi::trace::ReplayResult direct_abort = direct_replay(scenarios[1]);
+  ASSERT_TRUE(direct_abort.aborted);
+  ASSERT_FALSE(direct_abort.failure.empty());
+  EXPECT_FALSE(aborted.ok);
+  EXPECT_EQ(aborted.error, "resource failure: " + direct_abort.failure);
 }
 
 TEST(CampaignRun, ForcedCollectivesAndPayloadModesReplayIdentically) {

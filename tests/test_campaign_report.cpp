@@ -3,7 +3,8 @@
 // tests/fixtures/, a report read back through results_from_report must
 // reproduce itself (so reports written by older builds keep resuming), every
 // CSV line must have as many fields as its header, and a report written
-// before the retries/p2p/analysis/resources fields existed must still resume.
+// before the retries/p2p/analysis/resources fields existed must still resume,
+// while a counter outside its member's range is rejected.
 //
 // Regenerate the fixtures after an intended format change with
 //   SMPI_UPDATE_GOLDEN=1 ./test_campaign_report
@@ -77,11 +78,11 @@ cp::ScenarioResult ok_result(int id, int rep, double simulated_time, bool analyz
   r.p2p.bytes_not_copied = 1048576;
   if (analyzed) {
     r.analyzed = true;
-    r.wait_fraction = 0.3141592653589793;
-    r.critical_path_s = simulated_time;
-    r.cp_compute_s = simulated_time * 0.6;
-    r.cp_comm_s = simulated_time * 0.4;
-    r.dominant_wait = id % 2 == 0 ? "late_sender" : "none";
+    r.analysis.wait_fraction = 0.3141592653589793;
+    r.analysis.path_length_s = simulated_time;
+    r.analysis.cp_compute_s = simulated_time * 0.6;
+    r.analysis.cp_comm_s = simulated_time * 0.4;
+    r.analysis.dominant_wait_state = id % 2 == 0 ? "late_sender" : "none";
     for (int rank = 0; rank < r.ranks; ++rank) {
       r.rank_wait_s.push_back(simulated_time / (rank + 3.0));
       r.rank_transfer_s.push_back(simulated_time / (rank + 11.0));
@@ -282,7 +283,8 @@ TEST(CampaignReportCsv, EveryRowHasTheHeaderFieldCount) {
     EXPECT_EQ(row[column(header, "max_link_utilization")].empty(),
               !r.ok || !r.resources_analyzed)
         << unit;
-    EXPECT_EQ(row[column(header, "dominant_wait")], r.ok ? r.dominant_wait : "") << unit;
+    EXPECT_EQ(row[column(header, "dominant_wait")], r.ok ? r.analysis.dominant_wait_state : "")
+        << unit;
   }
 }
 
@@ -362,7 +364,7 @@ TEST(CampaignResume, LegacyReportWithoutNewerFieldsResumes) {
     EXPECT_EQ(r.p2p.eager_flush_snapshots, 0u) << id;
     EXPECT_EQ(r.p2p.bytes_not_copied, 0u) << id;
     EXPECT_FALSE(r.analyzed) << id;
-    EXPECT_EQ(r.wait_fraction, 0.0) << id;
+    EXPECT_EQ(r.analysis.wait_fraction, 0.0) << id;
     EXPECT_TRUE(r.rank_wait_s.empty()) << id;
     EXPECT_FALSE(r.resources_analyzed) << id;
     EXPECT_EQ(r.top_bottleneck, "") << id;
@@ -432,4 +434,53 @@ TEST(CampaignResume, RejectsReportOfAnotherPlatformOrWorkload) {
   auto rephase = s.spec;
   rephase.workload.phases.push_back(rephase.workload.phases.front());
   EXPECT_THROW(cp::results_from_report(report, rephase, s.scenarios), ContractError);
+}
+
+// Resume refuses a counter its row member cannot hold instead of wrapping
+// it: a negative count for an unsigned member, a value outside int for an
+// int member, a number outside long long for any counter.
+TEST(CampaignResume, RejectsCountersOutsideTheirMemberRange) {
+  Sweep s;
+  s.spec = cp::CampaignSpec::parse(parse_json(R"({
+    "name": "resume-ranges",
+    "workload": {"name": "ring-4", "ranks": 4, "seed": 3, "pattern": "ring", "bytes": 64},
+    "platform": {"kind": "flat", "nodes": 4},
+    "axes": [{"param": "link_bandwidth_scale", "values": [2]}]
+  })", "ranges spec"));
+  s.scenarios = cp::enumerate_scenarios(s.spec);
+  s.outcome.results = {ok_result(0, 0, 0.5, true, true), ok_result(1, 0, 0.25, true, true)};
+  const std::string text = cp::report_json(s.spec, s.scenarios, s.outcome).dump(2);
+  // The report with the first row's `from` edited to `to`.
+  auto doctored = [&](const std::string& from, const std::string& to) {
+    std::string edited = text;
+    const std::size_t at = edited.find(from, edited.find("\"scenarios\""));
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) edited.replace(at, from.size(), to);
+    return parse_json(edited, "doctored report");
+  };
+  auto expect_rejected = [&](const std::string& from, const std::string& to,
+                             const std::string& message) {
+    try {
+      cp::results_from_report(doctored(from, to), s.spec, s.scenarios);
+      ADD_FAILURE() << to << " should be rejected";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected("\"ranks\": 4", "\"ranks\": 4294967297", "'ranks' is out of range");
+  expect_rejected("\"ranks\": 4", "\"ranks\": -2147483649", "'ranks' is out of range");
+  expect_rejected("\"solves\": 321", "\"solves\": -1", "'solver.solves' is out of range");
+  expect_rejected("\"pool_hits\": 40", "\"pool_hits\": -1", "'p2p.pool_hits' is out of range");
+  expect_rejected("\"arena_bytes\": 65536", "\"arena_bytes\": -65536",
+                  "'arena_bytes' is out of range");
+  expect_rejected("\"records\": 1234", "\"records\": 1e300", "out of integer range");
+
+  // The edges of each member's range still read back exactly.
+  const auto edges = cp::results_from_report(
+      doctored("\"ranks\": 4", "\"ranks\": 2147483647"), s.spec, s.scenarios);
+  EXPECT_EQ(edges[0].ranks, 2147483647);
+  EXPECT_EQ(cp::results_from_report(doctored("\"solves\": 321", "\"solves\": 0"), s.spec,
+                                    s.scenarios)[0]
+                .solver_solves,
+            0u);
 }

@@ -3,7 +3,7 @@
 // makespan, ring chains vs. star fan-outs), the per-span accounting
 // invariant compute + transfer + wait == elapsed, the zero-overhead canary
 // (bit-identical simulated times and counters with analysis off), the
-// RankUsage attribution fix for overlapped nonblocking operations, and the
+// per-rank attribution fix for overlapped nonblocking operations, and the
 // simulator self-profiler.
 #include <gtest/gtest.h>
 
@@ -254,7 +254,7 @@ TEST(ObsCriticalPath, StarStaysShort) {
 
 // A generated 16-rank stencil replayed with analysis on: the accounting
 // identity holds per rank, the path length equals the replay makespan, and
-// the RankUsage split is consistent with the span-derived breakdown.
+// the per-rank usage split is consistent with the span-derived breakdown.
 TEST(ObsReplay, StencilInvariantsReconcile) {
   const tr::TiTrace trace = stencil_trace(16);
   const auto platform = test_cluster(16);
@@ -266,14 +266,19 @@ TEST(ObsReplay, StencilInvariantsReconcile) {
   EXPECT_EQ(a.nranks, 16);
   expect_analysis_invariants(a);
   EXPECT_GT(a.total_wait_s + a.total_transfer_s, 0.0);
-  ASSERT_EQ(result.rank_usage.size(), 16u);
-  for (int r = 0; r < 16; ++r) {
-    const tr::RankUsage& u = result.rank_usage[static_cast<std::size_t>(r)];
-    const obs::RankBreakdown& b = a.ranks[static_cast<std::size_t>(r)];
-    EXPECT_DOUBLE_EQ(u.wait_s, b.wait_s) << "rank " << r;
-    EXPECT_DOUBLE_EQ(u.transfer_s, b.transfer_s) << "rank " << r;
-    EXPECT_NEAR(u.comm_s, u.wait_s + u.transfer_s, 1e-12) << "rank " << r;
-    EXPECT_NEAR(u.compute_s + u.comm_s, b.elapsed_s, 1e-9 * std::max(1.0, b.elapsed_s))
+  ASSERT_EQ(result.rank_compute_s.size(), 16u);
+  ASSERT_EQ(result.rank_comm_s.size(), 16u);
+  ASSERT_EQ(result.rank_wait_s.size(), 16u);
+  ASSERT_EQ(result.rank_transfer_s.size(), 16u);
+  for (std::size_t r = 0; r < 16; ++r) {
+    const obs::RankBreakdown& b = a.ranks[r];
+    const double wait_s = result.rank_wait_s[r];
+    const double transfer_s = result.rank_transfer_s[r];
+    EXPECT_DOUBLE_EQ(wait_s, b.wait_s) << "rank " << r;
+    EXPECT_DOUBLE_EQ(transfer_s, b.transfer_s) << "rank " << r;
+    EXPECT_NEAR(result.rank_comm_s[r], wait_s + transfer_s, 1e-12) << "rank " << r;
+    EXPECT_NEAR(result.rank_compute_s[r] + result.rank_comm_s[r], b.elapsed_s,
+                1e-9 * std::max(1.0, b.elapsed_s))
         << "rank " << r;
   }
 }
@@ -292,15 +297,14 @@ TEST(ObsReplay, OverlappedNonblockingAttribution) {
   const tr::ReplayResult result = tr::replay_trace(platform, fast_config(), trace, options);
   ASSERT_TRUE(result.analyzed);
   expect_analysis_invariants(result.analysis);
-  const tr::RankUsage& u = result.rank_usage[1];
   // The transfer started before the wait began, so none of the blocked tail
   // is a true wait state.
-  EXPECT_NEAR(u.wait_s, 0.0, 1e-9);
+  EXPECT_NEAR(result.rank_wait_s[1], 0.0, 1e-9);
   // ~10 ms transfer minus the 5 ms hidden under the compute record.
-  EXPECT_GT(u.transfer_s, 0.004);
-  EXPECT_LT(u.transfer_s, 0.007);
+  EXPECT_GT(result.rank_transfer_s[1], 0.004);
+  EXPECT_LT(result.rank_transfer_s[1], 0.007);
   // The overlapped compute is compute, not communication.
-  EXPECT_GT(u.compute_s, 0.005 - 1e-9);
+  EXPECT_GT(result.rank_compute_s[1], 0.005 - 1e-9);
   EXPECT_EQ(result.analysis.ranks[1].late_sender_s, 0.0);
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "util/check.hpp"
@@ -66,6 +67,21 @@ TEST(Json, KindMismatchesThrow) {
   EXPECT_THROW(v.as_bool(), ContractError);
   EXPECT_THROW(v.items(), ContractError);
   EXPECT_THROW(parse_json("1.5").as_int(), ContractError);
+}
+
+// as_int range-checks before casting: a double outside [-2^63, 2^63) has no
+// long long value, and the cast itself would be undefined behavior.
+TEST(Json, AsIntRejectsNumbersOutsideLongLong) {
+  for (const char* text : {"1e300", "-1e300", "9223372036854775808"}) {
+    try {
+      parse_json(text).as_int();
+      FAIL() << text << " should be out of integer range";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("out of integer range"), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(parse_json("-9223372036854775808").as_int(), INT64_MIN);
 }
 
 TEST(Json, DumpRoundTripsBitExactDoubles) {

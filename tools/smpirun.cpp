@@ -431,12 +431,7 @@ int main(int argc, char** argv) {
         smpi::obs::collect_p2p(registry, result.p2p);
         smpi::obs::collect_solver(registry, result.solver_solves, result.solver_vars_touched,
                                   result.solver_cons_touched);
-        smpi::obs::collect_surf(registry, result.surf_observe.solves_attach,
-                                result.surf_observe.solves_release,
-                                result.surf_observe.solves_capacity,
-                                result.surf_observe.solves_bound,
-                                result.surf_observe.saturation_events,
-                                result.surf_observe.observe_drains);
+        smpi::obs::collect_surf(registry, result.surf_observe);
         std::printf("counters:\n%s", registry.text().c_str());
       }
       std::printf("simulated execution time: %.9f s\n", result.simulated_time);
@@ -542,10 +537,7 @@ int main(int argc, char** argv) {
       smpi::obs::MetricsRegistry registry;
       smpi::obs::collect_p2p(registry, world.p2p_counters());
       std::printf("p2p counters:\n%s", registry.text("p2p.").c_str());
-      const auto surf_totals = world.solver_totals().observe;
-      smpi::obs::collect_surf(registry, surf_totals.solves_attach, surf_totals.solves_release,
-                              surf_totals.solves_capacity, surf_totals.solves_bound,
-                              surf_totals.saturation_events, surf_totals.observe_drains);
+      smpi::obs::collect_surf(registry, world.solver_totals().observe);
       std::printf("surf counters:\n%s", registry.text("surf.").c_str());
       if (options.app == "dt") {
         std::printf("dt checksum: %.6e\n", smpi::apps::dt_last_checksum());
