@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "noise/noise.hpp"
+#include "obs/analysis.hpp"
 #include "platform/platform.hpp"
 #include "pnet/packetnet.hpp"
 #include "sim/engine.hpp"
@@ -169,13 +170,43 @@ struct Observers {
   obs::ResourceCollector* resources = nullptr;
 };
 
-// Work of one run's max-min solvers, summed over the flow network (none
-// under the packet backend) and the CPU model.
-struct SolverTotals {
-  std::uint64_t solves = 0;
-  std::uint64_t vars_touched = 0;
-  std::uint64_t cons_touched = 0;
-  surf::MaxMinSystem::ObserveCounters observe;
+// The record of one run: what SmpiWorld::run leaves behind besides its
+// observers' own outputs. The world fills it once the run returns (an abort
+// included); a run that throws leaves it partial. trace::ReplayResult
+// derives from it and campaign rows derive from that, so online runs,
+// replays, campaign rows and smpirun's reports all read this one record.
+struct RunResult {
+  double simulated_time = 0;
+  int ranks = 0;
+  // Set when a rank aborted the run (MPI_Abort, or a resource failure under
+  // the fault model's abort policy). `failure` carries the first fault
+  // diagnostic when the abort came from the failure model.
+  bool aborted = false;
+  int abort_code = 0;
+  std::string failure;
+  // Cumulative max-min work over the flow network (none under the packet
+  // backend) and the CPU model.
+  std::uint64_t solver_solves = 0;
+  std::uint64_t solver_vars_touched = 0;
+  std::uint64_t solver_cons_touched = 0;
+  // surf.* observation counters summed over the same solvers.
+  surf::MaxMinSystem::ObserveCounters surf_observe;
+  // Hot-path accounting (see P2pCounters). In payload-free replay the
+  // eager copy counters stay zero by construction: no payload moves.
+  P2pCounters p2p;
+  // Wait-state / critical-path analysis of the run's spans; only meaningful
+  // when `analyzed` is set (the run had a span collector).
+  bool analyzed = false;
+  obs::AnalysisResult analysis;
+  // Resource-utilization summary of the run's resource collector: the
+  // dominant bottleneck by saturated time (empty name: nothing ever
+  // saturated) and the peak link utilization. Only meaningful when
+  // `resources_analyzed` is set; the full timelines and saturation ledger
+  // stay on the collector.
+  bool resources_analyzed = false;
+  std::string top_bottleneck;
+  double bottleneck_saturated_s = 0;
+  double max_link_utilization = 0;
 };
 
 using MpiMain = std::function<void(int argc, char** argv)>;
@@ -194,22 +225,20 @@ class SmpiWorld {
   // argv[0] is `app_name`, followed by `args`. The Paje timeline begins
   // with the run. When run() returns (an abort included) the models' last
   // resource observations are flushed, then the resource collector is
-  // finalized and the Paje and TI writers finished, all at the makespan;
-  // when it throws, the observers are left as they are.
+  // finalized and the Paje and TI writers finished, all at the makespan,
+  // and result() is filled; when it throws, the observers are left as they
+  // are.
   void run(int nprocs, MpiMain app, std::vector<std::string> args = {},
            std::string app_name = "smpi_app");
 
-  double simulated_time() const { return finish_time_; }
+  const RunResult& result() const { return result_; }
+  double simulated_time() const { return result_.simulated_time; }
   MemoryReport memory_report() const;
   // Hot-path accounting: smpi-layer counters merged with the engine's pool
   // statistics (valid for the lifetime of the world).
   P2pCounters p2p_counters() const;
-  SolverTotals solver_totals() const;
-  bool aborted() const { return aborted_; }
-  int abort_code() const { return abort_code_; }
-  // First resource-failure diagnostic observed by a rank (abort policy);
-  // empty when no operation failed.
-  const std::string& failure_diagnostic() const { return fault_diagnostic_; }
+  bool aborted() const { return result_.aborted; }
+  int abort_code() const { return result_.abort_code; }
   // The per-rank wait-for state (blocked operation + unmatched queues) the
   // deadlock detector appends to DeadlockError; also usable directly.
   std::string wait_for_diagnostic() const;
@@ -239,7 +268,7 @@ class SmpiWorld {
   RunTables& tables() { return *tables_; }
 
  private:
-  void finish_observers();
+  void finish_run();
 
   const platform::Platform& platform_;
   SmpiConfig config_;
@@ -261,10 +290,7 @@ class SmpiWorld {
   std::vector<char*> argv_pointers_;
   P2pCounters p2p_counters_;  // pool fields filled from the engine on read
   std::unique_ptr<noise::MessageJitter> jitter_;  // null when no live jitter channel
-  double finish_time_ = 0;
-  std::string fault_diagnostic_;
-  bool aborted_ = false;
-  int abort_code_ = 0;
+  RunResult result_;
   int next_comm_id_ = 1;
 };
 

@@ -250,8 +250,8 @@ Process* SmpiWorld::process(int world_rank) {
 }
 
 void SmpiWorld::record_abort(int code) {
-  aborted_ = true;
-  abort_code_ = code;
+  result_.aborted = true;
+  result_.abort_code = code;
   // Freeze the engine at the abort date. The aborting rank's frame is about
   // to unwind (or already has), and in-flight transfers hold raw Request
   // pointers into it — letting the calendar drain to the natural deadlock
@@ -260,7 +260,7 @@ void SmpiWorld::record_abort(int code) {
 }
 
 void SmpiWorld::record_failure(const std::string& diagnostic) {
-  if (fault_diagnostic_.empty()) fault_diagnostic_ = diagnostic;
+  if (result_.failure.empty()) result_.failure = diagnostic;
 }
 
 std::string SmpiWorld::wait_for_diagnostic() const {
@@ -365,6 +365,7 @@ void SmpiWorld::run(int nprocs, MpiMain app, std::vector<std::string> args,
   SMPI_REQUIRE(observers_.spans == nullptr || observers_.spans->nranks() == nprocs,
                "span collector sized for a different rank count");
 
+  result_.ranks = nprocs;
   memory_ = std::make_unique<MemoryTracker>(nprocs, config_.host_ram_budget_bytes);
 
   // MPI_COMM_WORLD spans all ranks.
@@ -424,35 +425,64 @@ void SmpiWorld::run(int nprocs, MpiMain app, std::vector<std::string> args,
     try {
       engine_->run();
     } catch (const sim::DeadlockError& e) {
-      if (!aborted_) throw;
+      if (!result_.aborted) throw;
       // An abort legitimately strands the other ranks; surface the abort
       // instead of the secondary deadlock.
       SMPI_LOG_WARN(log_smpi, "simulation stopped after abort: " << e.what());
     }
-    finish_time_ = engine_->now();
+    result_.simulated_time = engine_->now();
     if (first_exception_ != nullptr) std::rethrow_exception(first_exception_);
   } catch (...) {
     observers_ = {};  // a failed run's outputs are left unfinished
     throw;
   }
-  finish_observers();
+  finish_run();
 }
 
-void SmpiWorld::finish_observers() {
+void SmpiWorld::finish_run() {
   // Detach first: whatever happens below, the ranks still parked after an
   // abort unwind in ~SmpiWorld without reaching a writer, and the caller may
-  // destroy the observers as soon as run() is done.
+  // destroy the observers as soon as run() is done. The record's summaries
+  // are taken from the observers after they are finished, its counters
+  // after the last flush.
   const Observers observers = std::exchange(observers_, Observers{});
+  const double end = result_.simulated_time;
   if (observers.resources != nullptr) {
     // The last completions' usage drops may still sit in the solvers'
     // changed sets (no settle runs after the last event): drain both models
     // before closing the observed window at the makespan.
-    if (flow_network_ != nullptr) flow_network_->flush_observations(finish_time_);
-    cpu_model_->flush_observations(finish_time_);
-    observers.resources->finalize(finish_time_);
+    if (flow_network_ != nullptr) flow_network_->flush_observations(end);
+    cpu_model_->flush_observations(end);
+    observers.resources->finalize(end);
+    const obs::ResourceCollector::Summary summary = observers.resources->summary();
+    result_.resources_analyzed = true;
+    result_.top_bottleneck = summary.top_bottleneck;
+    result_.bottleneck_saturated_s = summary.bottleneck_saturated_s;
+    result_.max_link_utilization = summary.max_link_utilization;
   }
-  if (observers.paje != nullptr) observers.paje->finish(finish_time_);
+  if (observers.paje != nullptr) observers.paje->finish(end);
   if (observers.ti != nullptr) observers.ti->finish();
+  if (observers.spans != nullptr) {
+    result_.analyzed = true;
+    result_.analysis = obs::analyze(*observers.spans);
+  }
+
+  result_.p2p = p2p_counters();
+  auto add = [this](const surf::MaxMinSystem& solver) {
+    result_.solver_solves += solver.solve_count();
+    result_.solver_vars_touched += solver.vars_touched();
+    result_.solver_cons_touched += solver.cons_touched();
+    const auto& oc = solver.observe_counters();
+    auto& sum = result_.surf_observe;
+    sum.solves_attach += oc.solves_attach;
+    sum.solves_release += oc.solves_release;
+    sum.solves_capacity += oc.solves_capacity;
+    sum.solves_bound += oc.solves_bound;
+    sum.saturation_events += oc.saturation_events;
+    sum.observe_drains += oc.observe_drains;
+  };
+  if (flow_network_ != nullptr) add(flow_network_->solver());
+  add(cpu_model_->solver());
 }
 
 P2pCounters SmpiWorld::p2p_counters() const {
@@ -464,25 +494,6 @@ P2pCounters SmpiWorld::p2p_counters() const {
     counters.pool_misses = blocks.misses + buffers.misses;
   }
   return counters;
-}
-
-SolverTotals SmpiWorld::solver_totals() const {
-  SolverTotals totals;
-  auto add = [&totals](const surf::MaxMinSystem& solver) {
-    totals.solves += solver.solve_count();
-    totals.vars_touched += solver.vars_touched();
-    totals.cons_touched += solver.cons_touched();
-    const auto& oc = solver.observe_counters();
-    totals.observe.solves_attach += oc.solves_attach;
-    totals.observe.solves_release += oc.solves_release;
-    totals.observe.solves_capacity += oc.solves_capacity;
-    totals.observe.solves_bound += oc.solves_bound;
-    totals.observe.saturation_events += oc.saturation_events;
-    totals.observe.observe_drains += oc.observe_drains;
-  };
-  if (flow_network_ != nullptr) add(flow_network_->solver());
-  add(cpu_model_->solver());
-  return totals;
 }
 
 MemoryReport SmpiWorld::memory_report() const {

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/resource.hpp"
 #include "obs/span.hpp"
 #include "sim/mapped_region.hpp"
 #include "smpi/internals.hpp"
@@ -339,29 +338,10 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
             {},
             "ti-replay:" + trace.app);
 
-  result.simulated_time = world.simulated_time();
+  static_cast<core::RunResult&>(result) = world.result();
   result.records = trace.total_records();
-  result.ranks = trace.nranks;
-  result.aborted = world.aborted();
-  result.abort_code = world.abort_code();
-  result.failure = world.failure_diagnostic();
   result.arena_bytes = static_cast<std::uint64_t>(arena_bytes);
-  const core::SolverTotals solver = world.solver_totals();
-  result.solver_solves = solver.solves;
-  result.solver_vars_touched = solver.vars_touched;
-  result.solver_cons_touched = solver.cons_touched;
-  result.surf_observe = solver.observe;
-  result.p2p = world.p2p_counters();
-  if (options.resources != nullptr) {
-    result.resources_analyzed = true;
-    const obs::ResourceCollector::Summary summary = options.resources->summary();
-    result.top_bottleneck = summary.top_bottleneck;
-    result.bottleneck_saturated_s = summary.bottleneck_saturated_s;
-    result.max_link_utilization = summary.max_link_utilization;
-  }
-  if (spans != nullptr) {
-    result.analyzed = true;
-    result.analysis = obs::analyze(*spans);
+  if (result.analyzed) {
     // Re-derive the per-rank usage split from the span layer: wait/transfer
     // come from the recorded blocked intervals, compute is everything else —
     // including compute that overlapped an in-flight nonblocking transfer,

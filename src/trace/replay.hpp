@@ -24,10 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/analysis.hpp"
 #include "platform/platform.hpp"
 #include "smpi/smpi.hpp"
-#include "surf/maxmin.hpp"
 
 namespace smpi::obs {
 class ResourceCollector;
@@ -71,16 +69,9 @@ struct ReplayOptions {
   obs::ResourceCollector* resources = nullptr;
 };
 
-struct ReplayResult {
-  double simulated_time = 0;
+// The replay's record: the world's RunResult plus what only a replay knows.
+struct ReplayResult : core::RunResult {
   long long records = 0;
-  int ranks = 0;
-  // Set when a rank aborted the replay (MPI_Abort, or a resource failure
-  // under the fault model's abort policy). `failure` carries the first
-  // fault diagnostic when the abort came from the failure model.
-  bool aborted = false;
-  int abort_code = 0;
-  std::string failure;
   std::uint64_t arena_bytes = 0;
   // Per-rank simulated-time split, indexed by world rank: time inside
   // compute/sleep records vs. time inside communication records (sends,
@@ -95,31 +86,6 @@ struct ReplayResult {
   // charged as if the whole interval were communication.
   std::vector<double> rank_wait_s;
   std::vector<double> rank_transfer_s;
-  // Cumulative solver work over the whole replay (network + cpu systems);
-  // zero under the packet backend.
-  std::uint64_t solver_solves = 0;
-  std::uint64_t solver_vars_touched = 0;
-  std::uint64_t solver_cons_touched = 0;
-  // Hot-path accounting: free-list pool effectiveness and zero-copy eager
-  // activity (see core::P2pCounters). In payload-free replay the eager
-  // copy counters stay zero by construction — no payload moves at all.
-  core::P2pCounters p2p;
-  // Wait-state / critical-path analysis of this replay; only meaningful
-  // when `analyzed` is set (ReplayOptions::analyze was on).
-  bool analyzed = false;
-  obs::AnalysisResult analysis;
-  // Resource-utilization summary (ReplayOptions::resources): the dominant
-  // bottleneck by saturated time (empty name: nothing ever saturated) and
-  // the peak link utilization across the run. Only meaningful when
-  // `resources_analyzed` is set; the full timelines and saturation ledger
-  // stay on the caller's collector.
-  bool resources_analyzed = false;
-  std::string top_bottleneck;
-  double bottleneck_saturated_s = 0;
-  double max_link_utilization = 0;
-  // surf.* observation counters summed over the network and CPU solvers
-  // (always filled; feeds obs::collect_surf).
-  surf::MaxMinSystem::ObserveCounters surf_observe;
 };
 
 // Size of the shared scratch arena a replay of `trace` needs: the largest

@@ -108,8 +108,8 @@ TEST(Fault, HostCrashAbortsBlockedTransfer) {
   });
   EXPECT_TRUE(world.aborted());
   EXPECT_EQ(world.abort_code(), -2);
-  EXPECT_NE(world.failure_diagnostic().find("failed"), std::string::npos)
-      << world.failure_diagnostic();
+  EXPECT_NE(world.result().failure.find("failed"), std::string::npos)
+      << world.result().failure;
 }
 
 // Regression: a crash mid-collective unwinds the dead ranks' frames while
@@ -138,8 +138,8 @@ TEST(Fault, AbortMidCollectiveLeavesInFlightTransfersUndispatched) {
   });
   EXPECT_TRUE(world.aborted());
   EXPECT_EQ(world.abort_code(), -2);
-  EXPECT_NE(world.failure_diagnostic().find("node 5"), std::string::npos)
-      << world.failure_diagnostic();
+  EXPECT_NE(world.result().failure.find("node 5"), std::string::npos)
+      << world.result().failure;
 }
 
 TEST(Fault, HostCrashDetectPolicyReportsDeadlock) {
@@ -180,8 +180,8 @@ TEST(Fault, ComputeFailsOnDeadHost) {
     MPI_Finalize();
   });
   EXPECT_TRUE(world.aborted());
-  EXPECT_NE(world.failure_diagnostic().find("compute"), std::string::npos)
-      << world.failure_diagnostic();
+  EXPECT_NE(world.result().failure.find("compute"), std::string::npos)
+      << world.result().failure;
 }
 
 TEST(Fault, LinkDegradeSlowsTransfer) {
@@ -243,7 +243,7 @@ TEST(Fault, SeededRandomRunIsBitReproducible) {
                    MPI_STATUS_IGNORE);
       MPI_Finalize();
     });
-    return std::make_pair(world.simulated_time(), world.failure_diagnostic());
+    return std::make_pair(world.simulated_time(), world.result().failure);
   };
   const auto a = run_once(11);
   const auto b = run_once(11);

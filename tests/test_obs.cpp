@@ -586,6 +586,60 @@ TEST(ObsResources, ResourcesOffIsBitIdentical) {
   EXPECT_GT(resources.snapshot_count(), 0u);
 }
 
+// The online counterpart: a live world with span and resource observers
+// fills its run record's analysis and bottleneck summary, and its time and
+// counters equal those of the same run without observers.
+TEST(ObsResources, OnlineWorldFillsTheRecord) {
+  constexpr int kRanks = 8;
+  const auto platform = test_cluster(kRanks);
+  auto run = [&platform](smpi::core::Observers observers) {
+    smpi::core::SmpiWorld world(platform, fast_config(), observers);
+    world.run(kRanks, [](int, char**) {
+      MPI_Init(nullptr, nullptr);
+      const int rank = my_rank();
+      std::vector<char> out(1 << 16), in(1 << 16);
+      smpi_execute_flops(1e6 * (rank + 1));
+      MPI_Sendrecv(out.data(), static_cast<int>(out.size()), MPI_CHAR, (rank + 1) % kRanks, 0,
+                   in.data(), static_cast<int>(in.size()), MPI_CHAR, (rank + kRanks - 1) % kRanks,
+                   0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+      MPI_Allreduce(MPI_IN_PLACE, out.data(), static_cast<int>(out.size() / 8), MPI_DOUBLE,
+                    MPI_SUM, MPI_COMM_WORLD);
+      MPI_Finalize();
+    });
+    return world.result();
+  };
+  const smpi::core::RunResult plain = run({});
+  obs::SpanCollector spans(kRanks);
+  obs::ResourceCollector resources;
+  const smpi::core::RunResult observed = run({nullptr, nullptr, &spans, &resources});
+
+  EXPECT_FALSE(plain.analyzed);
+  EXPECT_FALSE(plain.resources_analyzed);
+  ASSERT_TRUE(observed.analyzed);
+  ASSERT_TRUE(observed.resources_analyzed);
+  EXPECT_EQ(observed.ranks, kRanks);
+  EXPECT_GT(observed.simulated_time, 0.0);
+  EXPECT_NEAR(observed.analysis.path_length_s, observed.simulated_time, 1e-9);
+  EXPECT_FALSE(observed.top_bottleneck.empty());
+  EXPECT_GT(observed.max_link_utilization, 0.0);
+
+  EXPECT_EQ(plain.simulated_time, observed.simulated_time);  // bit-identical
+  EXPECT_GT(plain.solver_solves, 0u);
+  EXPECT_EQ(plain.solver_solves, observed.solver_solves);
+  EXPECT_EQ(plain.solver_vars_touched, observed.solver_vars_touched);
+  EXPECT_EQ(plain.solver_cons_touched, observed.solver_cons_touched);
+  EXPECT_EQ(plain.p2p.pool_hits, observed.p2p.pool_hits);
+  EXPECT_EQ(plain.p2p.pool_misses, observed.p2p.pool_misses);
+  EXPECT_EQ(plain.p2p.eager_snapshots, observed.p2p.eager_snapshots);
+  EXPECT_EQ(plain.p2p.eager_copy_elided, observed.p2p.eager_copy_elided);
+  EXPECT_EQ(plain.p2p.bytes_not_copied, observed.p2p.bytes_not_copied);
+  EXPECT_EQ(plain.surf_observe.solves_attach, observed.surf_observe.solves_attach);
+  EXPECT_EQ(plain.surf_observe.solves_release, observed.surf_observe.solves_release);
+  EXPECT_EQ(plain.surf_observe.saturation_events, observed.surf_observe.saturation_events);
+  EXPECT_EQ(plain.surf_observe.observe_drains, 0u);
+  EXPECT_GT(observed.surf_observe.observe_drains, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Self-profiler
 // ---------------------------------------------------------------------------

@@ -22,14 +22,24 @@
 // are reported with rank, path, and line). For sweeping many what-if
 // scenarios over one trace, see tools/smpi_campaign.
 //
-// Exit code: 0 on success, 1 on usage errors, 2 when the application aborts
+// Both modes take one path: they differ only in where the rank count comes
+// from and in what runs (SmpiWorld::run or trace::replay_trace). Every
+// report after the run reads the run's core::RunResult.
+//
+// Numeric options are parsed as whole tokens. Exit code: 0 on success, 1 on
+// usage errors (a malformed number, --bytes past INT_MAX, a negative or
+// non-finite time limit, --cluster < 1), 2 when the application aborts
 // (including resource-failure aborts), 3 on a simulated deadlock (the wait-for
 // diagnostic is printed to stderr), 4 when --max-sim-time or --wall-timeout
 // fires.
+#include <algorithm>
+#include <charconv>
+#include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,7 +52,6 @@
 #include "apps/dt.hpp"
 #include "apps/ep.hpp"
 #include "obs/analysis.hpp"
-#include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/profile.hpp"
 #include "obs/resource.hpp"
@@ -128,6 +137,20 @@ struct Options {
   std::exit(1);
 }
 
+// The whole of `text` as a number: a usage error on anything else (empty,
+// trailing characters, out of range), where std::stoi/stod would take the
+// longest numeric prefix.
+template <typename T>
+T parse_number(const std::string& option, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) {
+    usage(("invalid value '" + std::string(text) + "' for " + option).c_str());
+  }
+  return value;
+}
+
 Options parse_options(int argc, char** argv) {
   Options options;
   auto need_value = [&](int& i) -> const char* {
@@ -138,11 +161,12 @@ Options parse_options(int argc, char** argv) {
     const std::string arg = argv[i];
     try {
       if (arg == "--np") {
-        options.np = std::stoi(need_value(i));
+        options.np = parse_number<int>(arg, need_value(i));
       } else if (arg == "--platform") {
         options.platform_file = need_value(i);
       } else if (arg == "--cluster") {
-        options.cluster_nodes = std::stoi(need_value(i));
+        options.cluster_nodes = parse_number<int>(arg, need_value(i));
+        if (options.cluster_nodes < 1) usage("--cluster must be >= 1");
       } else if (arg == "--machine") {
         options.named_platform = need_value(i);
       } else if (arg == "--backend") {
@@ -158,9 +182,9 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--fold") {
         options.dt_fold = true;
       } else if (arg == "--log2-pairs") {
-        options.ep_log2_pairs = std::stoi(need_value(i));
+        options.ep_log2_pairs = parse_number<int>(arg, need_value(i));
       } else if (arg == "--sampling") {
-        options.ep_sampling = std::stod(need_value(i));
+        options.ep_sampling = parse_number<double>(arg, need_value(i));
       } else if (arg == "--trace-ti") {
         options.trace_ti_dir = need_value(i);
       } else if (arg == "--replay") {
@@ -172,12 +196,12 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--noise") {
         options.noise = need_value(i);
       } else if (arg == "--noise-seed") {
-        options.noise_seed = std::stoll(need_value(i));
+        options.noise_seed = parse_number<long long>(arg, need_value(i));
         if (options.noise_seed < 0) usage("--noise-seed must be >= 0");
       } else if (arg == "--max-sim-time") {
-        options.max_sim_time = std::stod(need_value(i));
+        options.max_sim_time = parse_number<double>(arg, need_value(i));
       } else if (arg == "--wall-timeout") {
-        options.wall_timeout = std::stod(need_value(i));
+        options.wall_timeout = parse_number<double>(arg, need_value(i));
       } else if (arg == "--analyze") {
         options.analyze = true;
       } else if (arg == "--resources") {
@@ -201,8 +225,17 @@ Options parse_options(int argc, char** argv) {
     }
   }
   if (options.np < 1) usage("--np must be >= 1");
-  if (options.max_sim_time < 0) usage("--max-sim-time must be >= 0");
-  if (options.wall_timeout < 0) usage("--wall-timeout must be >= 0");
+  // The apps take int counts; a larger size would run with a wrapped one.
+  if (options.bytes > INT_MAX) usage("--bytes must be at most 2147483647");
+  if (options.ep_log2_pairs < 0 || options.ep_log2_pairs > 62) {
+    usage("--log2-pairs must be in [0, 62]");
+  }
+  if (!std::isfinite(options.max_sim_time) || options.max_sim_time < 0) {
+    usage("--max-sim-time must be a finite number >= 0");
+  }
+  if (!std::isfinite(options.wall_timeout) || options.wall_timeout < 0) {
+    usage("--wall-timeout must be a finite number >= 0");
+  }
   return options;
 }
 
@@ -213,6 +246,9 @@ Options parse_options(int argc, char** argv) {
 // safe place to resume.
 void arm_wall_timeout(double seconds) {
   if (seconds <= 0) return;
+  // A timer far beyond any run is no timer; the clamp keeps the conversion
+  // to whole seconds in range.
+  seconds = std::min(seconds, 1e8);
   struct sigaction sa = {};
   sa.sa_handler = [](int) {
     const char msg[] = "smpirun: wall-clock timeout exceeded (--wall-timeout)\n";
@@ -343,11 +379,49 @@ void finish_profile(smpi::obs::Profiler& profiler, double wall_s, const Options&
   write_profile_json(profiler, options.profile_json_path);
 }
 
+// --verbose's counter block: the run record's p2p.*, solver.* and surf.*
+// counters, one "  name value" line each.
+void print_counters(const smpi::core::RunResult& r) {
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"p2p.pool_hits", r.p2p.pool_hits},
+      {"p2p.pool_misses", r.p2p.pool_misses},
+      {"p2p.eager_snapshots", r.p2p.eager_snapshots},
+      {"p2p.eager_copy_elided", r.p2p.eager_copy_elided},
+      {"p2p.eager_flush_snapshots", r.p2p.eager_flush_snapshots},
+      {"p2p.bytes_not_copied", r.p2p.bytes_not_copied},
+      {"solver.solves", r.solver_solves},
+      {"solver.vars_touched", r.solver_vars_touched},
+      {"solver.cons_touched", r.solver_cons_touched},
+      {"surf.solves_attach", r.surf_observe.solves_attach},
+      {"surf.solves_release", r.surf_observe.solves_release},
+      {"surf.solves_capacity", r.surf_observe.solves_capacity},
+      {"surf.solves_bound", r.surf_observe.solves_bound},
+      {"surf.saturation_events", r.surf_observe.saturation_events},
+      {"surf.snapshot_drains", r.surf_observe.observe_drains},
+  };
+  std::printf("counters:\n");
+  for (const auto& [name, value] : counters) std::printf("  %-32s %" PRIu64 "\n", name, value);
+}
+
+// Rank count of an online run: --np, except that DT fixes its own from the
+// graph shape.
+int online_process_count(const Options& options) {
+  if (options.app != "dt") return options.np;
+  const int np = smpi::apps::dt_process_count(parse_dt_graph(options.dt_graph),
+                                              parse_dt_class(options.dt_class));
+  if (options.verbose && np != options.np) {
+    std::fprintf(stderr, "smpirun: DT %s class %s needs %d processes (overriding --np)\n",
+                 options.dt_graph.c_str(), options.dt_class.c_str(), np);
+  }
+  return np;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options options = parse_options(argc, argv);
-  if (!options.replay_dir.empty() && !options.trace_ti_dir.empty()) {
+  const bool replay = !options.replay_dir.empty();
+  if (replay && !options.trace_ti_dir.empty()) {
     usage("--replay and --trace-ti are mutually exclusive");
   }
   arm_wall_timeout(options.wall_timeout);
@@ -378,102 +452,23 @@ int main(int argc, char** argv) {
       usage("--noise-seed needs --noise");
     }
 
-    // Static: the profiler slot is process-global, and a run that throws
-    // must not leave it pointing into an unwound frame.
-    static smpi::obs::Profiler profiler;
+    // An online run and a replay differ in two steps: where the rank count
+    // comes from, and what runs. Everything else below is shared.
+    smpi::trace::TiTrace trace;
+    if (replay) trace = smpi::trace::load_ti_trace(options.replay_dir);
+    const int np = replay ? trace.nranks : online_process_count(options);
 
-    if (!options.replay_dir.empty()) {
-      const smpi::trace::TiTrace trace = smpi::trace::load_ti_trace(options.replay_dir);
-      // With --analyze the Paje timeline is colored by wait-state (exported
-      // from the spans after the run); without it, the live per-MPI-call
-      // capture is written.
-      const bool classified_paje = !options.trace_paje.empty() && options.analyze;
-      std::unique_ptr<smpi::trace::PajeWriter> paje;
-      smpi::trace::ReplayOptions replay_options;
-      if (!options.trace_paje.empty() && !classified_paje) {
-        paje = std::make_unique<smpi::trace::PajeWriter>(options.trace_paje);
-        replay_options.paje = paje.get();
-      }
-      // The collector is owned here (not left to replay_options.analyze) so
-      // the spans survive the replay for the Paje and Perfetto exports below.
-      std::unique_ptr<smpi::obs::SpanCollector> spans;
-      if (options.analyze) {
-        spans = std::make_unique<smpi::obs::SpanCollector>(trace.nranks);
-        replay_options.spans = spans.get();
-      }
-      // Resource timelines: the replay's world registers the platform with
-      // the collector and finalizes it at the makespan.
-      std::unique_ptr<smpi::obs::ResourceCollector> res;
-      if (options.resources || !options.trace_perfetto.empty()) {
-        res = std::make_unique<smpi::obs::ResourceCollector>();
-        replay_options.resources = res.get();
-      }
-      if (options.profile) smpi::obs::install_profiler(&profiler);
-      const auto wall_start = std::chrono::steady_clock::now();
-      const smpi::trace::ReplayResult result =
-          smpi::trace::replay_trace(platform, config, trace, replay_options);
-      const double wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-      if (options.profile) finish_profile(profiler, wall_s, options);
-      if (result.aborted) {
-        std::fprintf(stderr, "smpirun: replay aborted with code %d\n", result.abort_code);
-        if (!result.failure.empty()) {
-          std::fprintf(stderr, "smpirun: resource failure: %s\n", result.failure.c_str());
-        }
-        return 2;
-      }
-      std::printf("smpirun: replayed %lld records over %d ranks on %d hosts (%s backend)\n",
-                  result.records, result.ranks, platform.host_count(), options.backend.c_str());
-      if (options.verbose) {
-        std::printf("replay scratch arena: %s\n",
-                    smpi::util::format_bytes(result.arena_bytes).c_str());
-        smpi::obs::MetricsRegistry registry;
-        smpi::obs::collect_p2p(registry, result.p2p);
-        smpi::obs::collect_solver(registry, result.solver_solves, result.solver_vars_touched,
-                                  result.solver_cons_touched);
-        smpi::obs::collect_surf(registry, result.surf_observe);
-        std::printf("counters:\n%s", registry.text().c_str());
-      }
-      std::printf("simulated execution time: %.9f s\n", result.simulated_time);
-      if (result.analyzed) {
-        std::printf("%s", smpi::obs::analysis_text(result.analysis).c_str());
-        if (classified_paje) {
-          smpi::obs::export_classified_paje(*spans, options.trace_paje, result.simulated_time);
-        }
-      }
-      if (options.resources && res != nullptr) {
-        std::printf("%s", res->report().c_str());
-      }
-      if (!options.trace_perfetto.empty()) {
-        if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res.get(), spans.get(),
-                                             options.profile ? &profiler : nullptr,
-                                             result.simulated_time)) {
-          std::fprintf(stderr, "smpirun: cannot write Perfetto trace to %s\n",
-                       options.trace_perfetto.c_str());
-        } else if (options.verbose) {
-          std::printf("perfetto trace written to %s\n", options.trace_perfetto.c_str());
-        }
-      }
-      return 0;
-    }
-
-    int np = options.np;
-    if (options.app == "dt") {
-      // DT fixes its own process count from the graph shape.
-      np = smpi::apps::dt_process_count(parse_dt_graph(options.dt_graph),
-                                        parse_dt_class(options.dt_class));
-      if (options.verbose && np != options.np) {
-        std::fprintf(stderr, "smpirun: DT %s class %s needs %d processes (overriding --np)\n",
-                     options.dt_graph.c_str(), options.dt_class.c_str(), np);
-      }
-    }
-
-    std::unique_ptr<smpi::trace::TiWriter> ti_writer;
-    std::unique_ptr<smpi::trace::PajeWriter> paje;
+    // With --analyze the Paje timeline is colored by wait state (exported
+    // from the spans after the run); without it, the live per-MPI-call
+    // capture is written. The span collector is owned here, not left to
+    // the replay, so the spans survive the run for the Paje and Perfetto
+    // exports.
     const bool classified_paje = !options.trace_paje.empty() && options.analyze;
+    std::unique_ptr<smpi::trace::TiWriter> ti_writer;
     if (!options.trace_ti_dir.empty()) {
       ti_writer = std::make_unique<smpi::trace::TiWriter>(options.trace_ti_dir, np, options.app);
     }
+    std::unique_ptr<smpi::trace::PajeWriter> paje;
     if (!options.trace_paje.empty() && !classified_paje) {
       paje = std::make_unique<smpi::trace::PajeWriter>(options.trace_paje);
     }
@@ -483,12 +478,27 @@ int main(int argc, char** argv) {
     if (options.resources || !options.trace_perfetto.empty()) {
       res = std::make_unique<smpi::obs::ResourceCollector>();
     }
-    if (options.profile) smpi::obs::install_profiler(&profiler);
 
+    // Static: the profiler slot is process-global, and a run that throws
+    // must not leave it pointing into an unwound frame.
+    static smpi::obs::Profiler profiler;
+    if (options.profile) smpi::obs::install_profiler(&profiler);
     const auto wall_start = std::chrono::steady_clock::now();
-    smpi::core::SmpiWorld world(platform, config,
-                                {ti_writer.get(), paje.get(), spans.get(), res.get()});
-    world.run(np, make_app(options));
+    smpi::trace::ReplayResult replayed;
+    std::unique_ptr<smpi::core::SmpiWorld> world;  // online; kept for the memory report
+    if (replay) {
+      smpi::trace::ReplayOptions replay_options;
+      replay_options.paje = paje.get();
+      replay_options.spans = spans.get();
+      replay_options.resources = res.get();
+      replayed = smpi::trace::replay_trace(platform, config, trace, replay_options);
+    } else {
+      world = std::make_unique<smpi::core::SmpiWorld>(
+          platform, config,
+          smpi::core::Observers{ti_writer.get(), paje.get(), spans.get(), res.get()});
+      world->run(np, make_app(options));
+    }
+    const smpi::core::RunResult& result = replay ? replayed : world->result();
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
     if (options.profile) finish_profile(profiler, wall_s, options);
@@ -498,31 +508,33 @@ int main(int argc, char** argv) {
                   options.trace_ti_dir.c_str());
     }
 
-    if (world.aborted()) {
-      std::fprintf(stderr, "smpirun: application aborted with code %d\n", world.abort_code());
-      if (!world.failure_diagnostic().empty()) {
-        std::fprintf(stderr, "smpirun: resource failure: %s\n",
-                     world.failure_diagnostic().c_str());
+    if (result.aborted) {
+      std::fprintf(stderr, "smpirun: %s aborted with code %d\n", replay ? "replay" : "application",
+                   result.abort_code);
+      if (!result.failure.empty()) {
+        std::fprintf(stderr, "smpirun: resource failure: %s\n", result.failure.c_str());
       }
       return 2;
     }
-    std::printf("smpirun: %d processes on %d hosts (%s backend)\n", np, platform.host_count(),
-                options.backend.c_str());
-    std::printf("simulated execution time: %.9f s\n", world.simulated_time());
-    if (spans != nullptr) {
-      const smpi::obs::AnalysisResult analysis = smpi::obs::analyze(*spans);
-      std::printf("%s", smpi::obs::analysis_text(analysis).c_str());
+    if (replay) {
+      std::printf("smpirun: replayed %lld records over %d ranks on %d hosts (%s backend)\n",
+                  replayed.records, result.ranks, platform.host_count(), options.backend.c_str());
+    } else {
+      std::printf("smpirun: %d processes on %d hosts (%s backend)\n", result.ranks,
+                  platform.host_count(), options.backend.c_str());
+    }
+    std::printf("simulated execution time: %.9f s\n", result.simulated_time);
+    if (result.analyzed) {
+      std::printf("%s", smpi::obs::analysis_text(result.analysis).c_str());
       if (classified_paje) {
-        smpi::obs::export_classified_paje(*spans, options.trace_paje, world.simulated_time());
+        smpi::obs::export_classified_paje(*spans, options.trace_paje, result.simulated_time);
       }
     }
-    if (options.resources && res != nullptr) {
-      std::printf("%s", res->report().c_str());
-    }
+    if (options.resources) std::printf("%s", res->report().c_str());
     if (!options.trace_perfetto.empty()) {
       if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res.get(), spans.get(),
                                            options.profile ? &profiler : nullptr,
-                                           world.simulated_time())) {
+                                           result.simulated_time)) {
         std::fprintf(stderr, "smpirun: cannot write Perfetto trace to %s\n",
                      options.trace_perfetto.c_str());
       } else if (options.verbose) {
@@ -530,22 +542,23 @@ int main(int argc, char** argv) {
       }
     }
     if (options.verbose) {
-      const auto memory = world.memory_report();
-      std::printf("tracked memory: folded peak %s, unfolded peak %s\n",
-                  smpi::util::format_bytes(memory.folded_peak_bytes).c_str(),
-                  smpi::util::format_bytes(memory.unfolded_peak_bytes).c_str());
-      smpi::obs::MetricsRegistry registry;
-      smpi::obs::collect_p2p(registry, world.p2p_counters());
-      std::printf("p2p counters:\n%s", registry.text("p2p.").c_str());
-      smpi::obs::collect_surf(registry, world.solver_totals().observe);
-      std::printf("surf counters:\n%s", registry.text("surf.").c_str());
-      if (options.app == "dt") {
-        std::printf("dt checksum: %.6e\n", smpi::apps::dt_last_checksum());
+      if (replay) {
+        std::printf("replay scratch arena: %s\n",
+                    smpi::util::format_bytes(replayed.arena_bytes).c_str());
+      } else {
+        const auto memory = world->memory_report();
+        std::printf("tracked memory: folded peak %s, unfolded peak %s\n",
+                    smpi::util::format_bytes(memory.folded_peak_bytes).c_str(),
+                    smpi::util::format_bytes(memory.unfolded_peak_bytes).c_str());
+        if (options.app == "dt") {
+          std::printf("dt checksum: %.6e\n", smpi::apps::dt_last_checksum());
+        }
+        if (options.app == "ep") {
+          std::printf("ep gaussian pairs: %lld\n",
+                      static_cast<long long>(smpi::apps::ep_last_result().gaussian_pairs()));
+        }
       }
-      if (options.app == "ep") {
-        std::printf("ep gaussian pairs: %lld\n",
-                    static_cast<long long>(smpi::apps::ep_last_result().gaussian_pairs()));
-      }
+      print_counters(result);
     }
     return 0;
   } catch (const smpi::sim::DeadlockError& e) {
