@@ -5,7 +5,8 @@
 
 Covers what unit tests cannot see: a 16-rank online capture replays to the
 same simulated time, the exit-code contract (1 usage, 2 abort, 3 deadlock,
-4 time limit) and the --verbose counter block. Prints one line per failed
+4 time limit), the --verbose counter block and the exact bytes of a
+contended --resources report (tests/fixtures/smpirun_*.txt). Prints one line per failed
 check and exits 1 if any failed.
 """
 import re
@@ -16,6 +17,7 @@ from pathlib import Path
 
 SMPIRUN = sys.argv[1]
 ONLINE = ["--np", "16", "--cluster", "16", "--app", "alltoall", "--bytes", "65536"]
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 FAULTS = ('{"policy": "%s", "events": '
           '[{"kind": "host_crash", "time": 0.0005, "host": "node-3"}]}')
 failures = []
@@ -90,6 +92,16 @@ with tempfile.TemporaryDirectory() as tmp:
         for prefix in ("p2p.", "solver.", "surf."):
             check(re.search(r"^  %s\w+ +\d+$" % re.escape(prefix), proc.stdout, re.M),
                   "%s --verbose prints no %s counters" % (mode, prefix), proc)
+
+# The --resources report of a contended alltoall, attribution line included,
+# is pinned byte for byte: the saturation ledger may change how it stores
+# intervals and shares, never what it prints.
+RESOURCES = ["--app", "alltoall", "--np", "64", "--machine", "gdx", "--bytes", "65536",
+             "--resources"]
+proc = run(RESOURCES)
+expected = (FIXTURES / "smpirun_alltoall64_gdx_resources.txt").read_text()
+check(proc.returncode == 0 and proc.stdout == expected,
+      "alltoall 64 on gdx --resources differs from its fixture", proc)
 
 for failure in failures:
     print("FAIL:", failure)
