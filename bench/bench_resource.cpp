@@ -1,20 +1,29 @@
-// Resource-observability overhead benchmark: replay the same generated
-// stencil workload with the ResourceCollector detached and attached, at 64
-// and 256 ranks, and record both wall clocks. tools/bench_trend.py gates the
-// ratio machine-independently: enabled <= 1.4x disabled at every rank count.
-// The measured cost on this contention-heavy hierarchical workload is ~1.25x:
-// nearly every snapshot stores a real timeline step (~34.9k steps from 37k
-// snapshots at 256 ranks), so the overhead is exact-data capture at roughly
-// 0.15us/snapshot against a ~2us/record replay hot path — the gate exists to
-// catch regressions (allocation storms, accidental quadratic folds), not to
+// Resource-observability overhead benchmark: replay the same trace with the
+// ResourceCollector detached and attached and record both wall clocks, for
+// two series:
+//   - stencil: a generated stencil workload on a two-cabinet hierarchical
+//     cluster at 64 and 256 ranks. Nearly every snapshot stores a real
+//     timeline step (~34.9k steps from 37k snapshots at 256 ranks).
+//   - alltoall: the campaign sweep's 64-rank alltoall on gdx, where every
+//     attach or release changes every share on a saturated uplink
+//     (~76k snapshots).
+// tools/bench_trend.py gates each ratio machine-independently: stencil
+// enabled <= 1.4x disabled, alltoall enabled <= 1.75x disabled. Measured on
+// a shared 4-core x86-64 host over repeated runs: stencil 1.09-1.57x (median ~1.35x),
+// alltoall 1.15-1.53x (median ~1.4x; 1.85-2.28x when every saturated
+// interval stored a sorted copy of its shares). The gates catch regressions
+// (allocation storms, per-interval copies, quadratic folds); they do not
 // pretend the ledger is free.
 //
 //   BENCH_resource.json records:
-//     resource_disabled  n=<ranks>  wall_ns of the plain replay
-//     resource_enabled   n=<ranks>  wall_ns with the collector attached
+//     resource_disabled           n=<ranks>  wall_ns of the plain stencil replay
+//     resource_enabled            n=<ranks>  wall_ns with the collector attached
+//     resource_alltoall_disabled  n=64       wall_ns of the plain alltoall replay
+//     resource_alltoall_enabled   n=64       wall_ns with the collector attached
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <string>
 
 #include "bench_json.hpp"
 #include "obs/resource.hpp"
@@ -48,6 +57,25 @@ smpi::trace::TiTrace stencil_trace(int ranks) {
   return smpi::workload::generate_workload(spec);
 }
 
+// The perfbench contention_campaign unit without its bandwidth noise: one
+// 64-rank alltoall whose cross-cabinet traffic shares gdx's switch uplinks,
+// so every attach or release changes every share on a saturated link.
+smpi::trace::TiTrace alltoall_trace(int ranks) {
+  smpi::workload::WorkloadSpec spec;
+  spec.name = "bench-resource-alltoall";
+  spec.ranks = ranks;
+  spec.seed = 1;
+  smpi::workload::PhaseSpec phase;
+  phase.pattern = smpi::workload::Pattern::kAlltoall;
+  phase.iterations = 1;
+  phase.bytes = {16384};
+  phase.compute.flops = 1e6;
+  phase.compute.imbalance = 0.1;
+  phase.compute.jitter = 0.05;
+  spec.phases.push_back(phase);
+  return smpi::workload::generate_workload(spec);
+}
+
 smpi::platform::Platform cluster(int nodes) {
   // Hierarchical: cross-cabinet traffic funnels through shared uplinks, so
   // the solver works on real multi-link contention sets — the scenario the
@@ -57,46 +85,55 @@ smpi::platform::Platform cluster(int nodes) {
   return smpi::platform::build_hierarchical_cluster(params);
 }
 
+// Replays `trace` with the collector detached and attached, best of three
+// each, prints one table row and records both wall clocks under `op_prefix`.
+void measure(bench::JsonWriter& json, const char* label, const std::string& op_prefix,
+             const smpi::platform::Platform& platform, const smpi::trace::TiTrace& trace) {
+  const smpi::core::SmpiConfig config;
+  // Warm-up replay so page faults and allocator growth don't land on the
+  // first measured run.
+  smpi::trace::replay_trace(platform, config, trace);
+
+  // Best of three per mode: one replay is short enough that scheduler
+  // noise would otherwise dominate the ratio the trend gate checks.
+  long long records = 0;
+  int ranks = 0;
+  double disabled = 0;
+  double enabled = 0;
+  std::size_t snapshots = 0;
+  for (int run = 0; run < 3; ++run) {
+    const double plain = wall_seconds([&] {
+      const auto result = smpi::trace::replay_trace(platform, config, trace);
+      records = result.records;
+      ranks = result.ranks;
+    });
+    if (run == 0 || plain < disabled) disabled = plain;
+    smpi::obs::ResourceCollector resources;
+    smpi::trace::ReplayOptions options;
+    options.resources = &resources;
+    const double observed = wall_seconds([&] {
+      smpi::trace::replay_trace(platform, config, trace, options);
+    });
+    if (run == 0 || observed < enabled) enabled = observed;
+    snapshots = resources.snapshot_count();
+  }
+
+  std::printf("%-10s %6d %8lld %12.2fms %12.2fms %9.3fx %12zu\n", label, ranks, records,
+              disabled * 1e3, enabled * 1e3, enabled / disabled, snapshots);
+  json.add(op_prefix + "_disabled", ranks, disabled * 1e9);
+  json.add(op_prefix + "_enabled", ranks, enabled * 1e9);
+}
+
 }  // namespace
 
 int main() {
   bench::JsonWriter json("BENCH_resource.json");
-  std::printf("%-8s %8s %14s %14s %10s %12s\n", "ranks", "records", "disabled", "enabled",
-              "overhead", "snapshots");
+  std::printf("%-10s %6s %8s %14s %14s %10s %12s\n", "workload", "ranks", "records",
+              "disabled", "enabled", "overhead", "snapshots");
   for (int ranks : {64, 256}) {
-    const smpi::trace::TiTrace trace = stencil_trace(ranks);
-    const smpi::platform::Platform platform = cluster(ranks);
-    const smpi::core::SmpiConfig config;
-    // Warm-up replay so page faults and allocator growth don't land on the
-    // first measured run.
-    smpi::trace::replay_trace(platform, config, trace);
-
-    // Best of three per mode: one replay is short enough that scheduler
-    // noise would otherwise dominate the ratio the trend gate checks.
-    long long records = 0;
-    double disabled = 0;
-    double enabled = 0;
-    std::size_t snapshots = 0;
-    for (int run = 0; run < 3; ++run) {
-      const double plain = wall_seconds([&] {
-        const auto result = smpi::trace::replay_trace(platform, config, trace);
-        records = result.records;
-      });
-      if (run == 0 || plain < disabled) disabled = plain;
-      smpi::obs::ResourceCollector resources;
-      smpi::trace::ReplayOptions options;
-      options.resources = &resources;
-      const double observed = wall_seconds([&] {
-        smpi::trace::replay_trace(platform, config, trace, options);
-      });
-      if (run == 0 || observed < enabled) enabled = observed;
-      snapshots = resources.snapshot_count();
-    }
-
-    std::printf("%-8d %8lld %12.2fms %12.2fms %9.3fx %12zu\n", ranks, records,
-                disabled * 1e3, enabled * 1e3, enabled / disabled, snapshots);
-    json.add("resource_disabled", ranks, disabled * 1e9);
-    json.add("resource_enabled", ranks, enabled * 1e9);
+    measure(json, "stencil", "resource", cluster(ranks), stencil_trace(ranks));
   }
+  measure(json, "alltoall", "resource_alltoall", smpi::platform::build_gdx(),
+          alltoall_trace(64));
   return json.save() ? 0 : 1;
 }

@@ -29,12 +29,13 @@ int ResourceCollector::add_resource(ResourceKind kind, std::string name, double 
 
 int ResourceCollector::add_flow(std::string label) {
   flow_labels_.push_back(std::move(label));
+  flow_marks_.emplace_back();
+  counted_on_.emplace_back();
   return static_cast<int>(flow_labels_.size()) - 1;
 }
 
 void ResourceCollector::snapshot(int resource, double now, double usage, double capacity,
-                                 bool saturated,
-                                 const std::vector<std::pair<int, double>>& shares) {
+                                 bool saturated, const ShareList& shares) {
   SMPI_REQUIRE(resource >= 0 && resource < static_cast<int>(timelines_.size()),
                "snapshot on unregistered resource");
   ++snapshot_count_;
@@ -51,67 +52,72 @@ void ResourceCollector::snapshot(int resource, double now, double usage, double 
     tl.steps.push_back({now, usage, capacity});
   }
 
-  // Saturation ledger. Shares are compared order-independently: constraint
-  // membership lists reorder on release, which must not split an interval.
+  // Saturation ledger.
   const bool open = !tl.saturated.empty() && tl.saturated.back().t1 < 0;
   if (!saturated && !open) return;  // idle resource: no ledger work at all
   if (!saturated) {
-    auto& cur = tl.saturated.back();
-    if (cur.t0 == now) {
+    if (tl.saturated.back().t0 == now) {
       tl.saturated.pop_back();  // zero-length: saturation never lasted
+      tl.open_shares.clear();
     } else {
-      cur.t1 = now;
+      close_open(tl, now);
     }
     return;
   }
+  if (open && same_as_open(tl, shares)) return;
+  count_flows(resource, open, shares);
+  // A change at the open interval's own instant rewrites its shares; a later
+  // one closes it and opens the next.
+  if (!open || tl.saturated.back().t0 != now) {
+    if (open) close_open(tl, now);
+    tl.saturated.push_back({now, -1});
+  }
+  tl.open_shares.assign(shares.begin(), shares.end());
+}
 
-  // Shares are compared order-independently: constraint membership lists
-  // reorder on release, which must not split an interval. The steady state
-  // (component re-solve, same flows at the same rates) is recognized with a
-  // binary-search probe against the stored sorted set before any copy or
-  // sort happens — the hot path allocates nothing.
-  auto same_share_set = [&](const std::vector<std::pair<int, double>>& stored) {
-    if (stored.size() != shares.size()) return false;
-    for (const auto& entry : shares) {
-      auto it = std::lower_bound(
-          stored.begin(), stored.end(), entry.first,
-          [](const std::pair<int, double>& a, int flow) { return a.first < flow; });
-      if (it == stored.end() || it->first != entry.first || it->second != entry.second) {
-        return false;
-      }
-    }
-    return true;
-  };
-  auto note_flows = [&](const std::vector<std::pair<int, double>>& set) {
-    for (const auto& [flow, share] : set) {
-      (void)share;
-      auto it = std::lower_bound(tl.flows_seen.begin(), tl.flows_seen.end(), flow);
-      if (it == tl.flows_seen.end() || *it != flow) tl.flows_seen.insert(it, flow);
-    }
-  };
+void ResourceCollector::close_open(ResourceTimeline& tl, double t1) {
+  SaturationInterval& cur = tl.saturated.back();
+  cur.t1 = t1;
+  // Strictly longer only: the first of equally long intervals stays.
+  if (tl.longest.t1 < 0 || cur.t1 - cur.t0 > tl.longest.t1 - tl.longest.t0) {
+    tl.longest = cur;
+    tl.open_shares.swap(tl.longest_shares);  // both buffers are reused
+  }
+  tl.open_shares.clear();
+}
 
-  if (open && same_share_set(tl.saturated.back().shares)) return;
-  sorted_scratch_.assign(shares.begin(), shares.end());
-  std::sort(sorted_scratch_.begin(), sorted_scratch_.end());
-  if (open) {
-    auto& cur = tl.saturated.back();
-    if (cur.t0 == now) {
-      cur.shares = sorted_scratch_;
-      note_flows(cur.shares);
-    } else {
-      cur.t1 = now;
-      SaturationInterval next;
-      next.t0 = now;
-      next.shares = sorted_scratch_;
-      note_flows(next.shares);
-      tl.saturated.push_back(std::move(next));
-    }
-  } else {
-    SaturationInterval next;
-    next.t0 = now;
-    next.shares = sorted_scratch_;
-    note_flows(next.shares);
-    tl.saturated.push_back(std::move(next));
+bool ResourceCollector::same_as_open(const ResourceTimeline& tl, const ShareList& shares) {
+  // Fast path: a component re-solve with the same flows at the same rates
+  // lists them in the same order.
+  if (tl.open_shares == shares) return true;
+  // Otherwise compare order-independently: constraint membership lists
+  // reorder on release, which must not split an interval.
+  ++epoch_;
+  for (const auto& [flow, share] : tl.open_shares) {
+    flow_marks_[static_cast<std::size_t>(flow)] = {epoch_, share};
+  }
+  if (tl.open_shares.size() != shares.size()) return false;
+  for (const auto& [flow, share] : shares) {
+    SMPI_REQUIRE(flow >= 0 && flow < static_cast<int>(flow_marks_.size()),
+                 "snapshot share for an unregistered flow");
+    const FlowMark& mark = flow_marks_[static_cast<std::size_t>(flow)];
+    if (mark.epoch != epoch_ || mark.share != share) return false;
+  }
+  return true;
+}
+
+void ResourceCollector::count_flows(int resource, bool open, const ShareList& shares) {
+  auto& tl = timelines_[static_cast<std::size_t>(resource)];
+  for (const auto& entry : shares) {
+    const int flow = entry.first;
+    SMPI_REQUIRE(flow >= 0 && flow < static_cast<int>(counted_on_.size()),
+                 "snapshot share for an unregistered flow");
+    // same_as_open() stamped the open set, whose flows are counted already.
+    if (open && flow_marks_[static_cast<std::size_t>(flow)].epoch == epoch_) continue;
+    auto& counted = counted_on_[static_cast<std::size_t>(flow)];
+    if (std::find(counted.begin(), counted.end(), resource) != counted.end()) continue;
+    counted.push_back(resource);
+    ++tl.distinct_flows;
   }
 }
 
@@ -119,11 +125,11 @@ void ResourceCollector::finalize(double end_time) {
   end_time_ = end_time;
   for (auto& tl : timelines_) {
     if (!tl.saturated.empty() && tl.saturated.back().t1 < 0) {
-      auto& cur = tl.saturated.back();
-      if (cur.t0 >= end_time) {
+      if (tl.saturated.back().t0 >= end_time) {
         tl.saturated.pop_back();
+        tl.open_shares.clear();
       } else {
-        cur.t1 = end_time;
+        close_open(tl, end_time);
       }
     }
   }
@@ -206,23 +212,27 @@ std::string ResourceCollector::report(std::size_t top_n) const {
           << std::setprecision(1) << max_utilization(b.resource) * 100 << "%\n";
     }
     // Attribution for the dominant bottleneck: who was pinned on its longest
-    // saturated interval, and at what share.
+    // saturated interval, and at what share. An interval still open (a
+    // report before finalize) wins only when strictly longer.
     const auto& top = timeline(ranked.front().resource);
-    const SaturationInterval* longest = nullptr;
-    for (const auto& iv : top.saturated) {
-      const double t1 = iv.t1 < 0 ? end_time_ : iv.t1;
-      if (!longest ||
-          t1 - iv.t0 > (longest->t1 < 0 ? end_time_ : longest->t1) - longest->t0) {
-        longest = &iv;
+    const SaturationInterval* longest = top.longest.t1 < 0 ? nullptr : &top.longest;
+    const ShareList* longest_shares = &top.longest_shares;
+    if (!top.saturated.empty() && top.saturated.back().t1 < 0) {
+      const SaturationInterval& cur = top.saturated.back();
+      if (!longest || end_time_ - cur.t0 > longest->t1 - longest->t0) {
+        longest = &cur;
+        longest_shares = &top.open_shares;
       }
     }
     if (longest != nullptr) {
+      ShareList shares = *longest_shares;
+      std::sort(shares.begin(), shares.end());
       out << "  attribution on " << top.name << " [" << std::setprecision(6) << longest->t0
           << ", " << (longest->t1 < 0 ? end_time_ : longest->t1) << ") s:";
       std::size_t shown = 0;
-      for (const auto& [flow, share] : longest->shares) {
+      for (const auto& [flow, share] : shares) {
         if (shown++ == 6) {
-          out << " … +" << (longest->shares.size() - 6) << " more";
+          out << " … +" << (shares.size() - 6) << " more";
           break;
         }
         out << " " << flow_label(flow) << "=" << std::setprecision(3) << std::scientific

@@ -14,10 +14,18 @@
 //   - a utilization timeline: (t, usage, capacity) steps, each valid until
 //     the next step;
 //   - a saturation ledger: maximal intervals where usage == capacity (within
-//     the solver's 1e-9 epsilon), each carrying the exact flow set and the
-//     per-flow shares pinned there — contention attribution;
+//     the solver's 1e-9 epsilon) with an unchanged flow set and share split.
+//     Every interval keeps its bounds; only two keep their per-flow shares
+//     (contention attribution): the open one and the longest closed one, the
+//     only interval report() prints shares for;
 //   - aggregates: saturated-seconds, distinct contending flows, max
 //     utilization — folded into a "top bottlenecks" ranking.
+//
+// Storing only what is reported keeps a saturated snapshot at O(its share
+// count), plus O(route length) per flow new to the resource, with no sort
+// and no allocation in steady state: a share set that changes under
+// contention (every attach or release on a busy link) overwrites one reused
+// buffer instead of storing a sorted copy per interval.
 //
 // A collector is one of the world's observers (core::Observers::resources):
 // the world hands it to the surf models it builds, which register their
@@ -51,20 +59,28 @@ struct UtilStep {
 };
 
 // A maximal interval during which the resource was saturated with an
-// unchanged flow set and share split. `shares` holds (flow id, allocation)
-// pairs; resolve ids to labels through ResourceCollector::flow_label().
+// unchanged flow set and share split.
 struct SaturationInterval {
   double t0 = 0;
   double t1 = -1;  // -1 while still open; finalize() closes it
-  std::vector<std::pair<int, double>> shares;
 };
+
+// Share lists hold (flow id, allocation) pairs in the order the snapshot
+// listed them; resolve ids to labels through ResourceCollector::flow_label().
+using ShareList = std::vector<std::pair<int, double>>;
 
 struct ResourceTimeline {
   ResourceKind kind = ResourceKind::kLink;
   std::string name;
   std::vector<UtilStep> steps;
   std::vector<SaturationInterval> saturated;
-  std::vector<int> flows_seen;  // sorted distinct flow ids from saturated intervals
+  // Shares of the open interval (the last of `saturated` while its t1 < 0).
+  ShareList open_shares;
+  // The longest closed interval (the first of equal length) and its shares;
+  // longest.t1 < 0 until an interval closes.
+  SaturationInterval longest;
+  ShareList longest_shares;
+  std::size_t distinct_flows = 0;  // flows ever stored in this ledger
 };
 
 class ResourceCollector {
@@ -83,7 +99,7 @@ class ResourceCollector {
   // identical snapshots fold away; a snapshot at the same instant as the
   // previous one overwrites it (several mutations can settle at one date).
   void snapshot(int resource, double now, double usage, double capacity, bool saturated,
-                const std::vector<std::pair<int, double>>& shares);
+                const ShareList& shares);
 
   // Close open saturation intervals and stamp the end of the observed window.
   void finalize(double end_time);
@@ -103,7 +119,7 @@ class ResourceCollector {
   double max_utilization(int resource) const;
   double saturated_seconds(int resource) const;
   std::size_t distinct_flows(int resource) const {
-    return timelines_[static_cast<std::size_t>(resource)].flows_seen.size();
+    return timelines_[static_cast<std::size_t>(resource)].distinct_flows;
   }
 
   struct Bottleneck {
@@ -127,11 +143,27 @@ class ResourceCollector {
   std::string report(std::size_t top_n = 5) const;
 
  private:
+  // Closes `tl`'s open interval at `t1` (> its t0) and keeps its shares if
+  // it is the longest so far.
+  static void close_open(ResourceTimeline& tl, double t1);
+  // Whether `shares` equals the open interval's share set, in any order.
+  // Leaves every open-set flow stamped with the current epoch.
+  bool same_as_open(const ResourceTimeline& tl, const ShareList& shares);
+  // Counts the flows of `shares` not yet counted on `resource`.
+  void count_flows(int resource, bool open, const ShareList& shares);
+
   std::vector<ResourceTimeline> timelines_;
   std::vector<std::string> flow_labels_;
-  // Reused across snapshots so the hot path allocates only when a share set
-  // is actually stored into the ledger (interval open or membership change).
-  std::vector<std::pair<int, double>> sorted_scratch_;
+  // Per-flow state, indexed by flow id. `flow_marks_` stamps the open share
+  // set for the order-independent comparison; `counted_on_` lists the
+  // resources each flow is counted on (at most its route length).
+  struct FlowMark {
+    std::uint64_t epoch = 0;
+    double share = 0;
+  };
+  std::vector<FlowMark> flow_marks_;
+  std::vector<std::vector<int>> counted_on_;
+  std::uint64_t epoch_ = 0;
   double end_time_ = 0;
   std::uint64_t snapshot_count_ = 0;
 };

@@ -212,21 +212,8 @@ double MaxMinSystem::constraint_capacity(int constraint) const {
 }
 
 bool MaxMinSystem::constraint_saturated(int constraint) const {
-  return constraint_saturated(constraint, constraint_usage(constraint));
-}
-
-bool MaxMinSystem::constraint_saturated(int constraint, double usage) const {
   const auto& cons = constraints_[static_cast<std::size_t>(constraint)];
-  return usage >= cons.capacity * (1 - kSatEps);
-}
-
-void MaxMinSystem::constraint_shares(int constraint,
-                                     std::vector<std::pair<int, double>>& out) const {
-  const auto& cons = constraints_[static_cast<std::size_t>(constraint)];
-  for (int v : cons.variables) {
-    const auto& var = variables_[static_cast<std::size_t>(v)];
-    if (var.active) out.emplace_back(v, var.value);
-  }
+  return constraint_usage(constraint) >= cons.capacity * (1 - kSatEps);
 }
 
 MaxMinSystem::ConstraintState MaxMinSystem::constraint_observe(

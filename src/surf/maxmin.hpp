@@ -107,12 +107,6 @@ class MaxMinSystem {
   // the solver's saturation epsilon (1e-9 relative) — the same notion the
   // lazy promotion rule uses.
   bool constraint_saturated(int constraint) const;
-  // Same test against a usage the caller already computed (one
-  // constraint_usage() recompute per snapshot instead of two).
-  bool constraint_saturated(int constraint, double usage) const;
-  // Appends (variable id, allocation) for every active member.
-  void constraint_shares(int constraint,
-                         std::vector<std::pair<int, double>>& out) const;
   // Single-pass snapshot accessor for the observability drain: appends the
   // active (variable, allocation) pairs and returns usage/capacity/saturated
   // from the same member walk — three separate accessor calls would iterate

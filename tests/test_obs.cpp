@@ -445,12 +445,15 @@ TEST(ObsResources, TwoFlowsShareOneLinkFiftyFifty) {
   const double capacity = tl.steps.front().capacity;
   ASSERT_GT(capacity, 0.0);
 
-  // Exactly one saturated interval: both flows present, each at capacity/2.
+  // Exactly one saturated interval, retained as the longest: both flows
+  // present, each at capacity/2.
   ASSERT_EQ(tl.saturated.size(), 1u);
   const obs::SaturationInterval& interval = tl.saturated.front();
-  ASSERT_EQ(interval.shares.size(), 2u);
-  EXPECT_NEAR(interval.shares[0].second, capacity / 2, 1e-9 * capacity);
-  EXPECT_NEAR(interval.shares[1].second, capacity / 2, 1e-9 * capacity);
+  EXPECT_EQ(tl.longest.t0, interval.t0);
+  EXPECT_EQ(tl.longest.t1, interval.t1);
+  ASSERT_EQ(tl.longest_shares.size(), 2u);
+  EXPECT_NEAR(tl.longest_shares[0].second, capacity / 2, 1e-9 * capacity);
+  EXPECT_NEAR(tl.longest_shares[1].second, capacity / 2, 1e-9 * capacity);
   // At cap/2 each, draining `kBytes` per flow takes 2*kBytes/capacity.
   EXPECT_NEAR(interval.t1 - interval.t0, 2.0 * static_cast<double>(kBytes) / capacity,
               1e-9);
@@ -462,6 +465,97 @@ TEST(ObsResources, TwoFlowsShareOneLinkFiftyFifty) {
   EXPECT_NEAR(resources.utilization_integral(uplink), 2.0 * static_cast<double>(kBytes),
               1e-9 * 2.0 * static_cast<double>(kBytes));
   EXPECT_NEAR(resources.max_utilization(uplink), 1.0, 1e-12);
+}
+
+// Direct ledger tests: snapshots fed by hand, one link of capacity 10.
+namespace {
+
+struct Ledger {
+  obs::ResourceCollector resources;
+  int link = resources.add_resource(obs::ResourceKind::kLink, "L", 10.0);
+  int a = resources.add_flow("a");
+  int b = resources.add_flow("b");
+  int c = resources.add_flow("c");
+
+  void saturate(double now, const obs::ShareList& shares) {
+    resources.snapshot(link, now, 10.0, 10.0, true, shares);
+  }
+  void idle(double now) { resources.snapshot(link, now, 0.0, 10.0, false, {}); }
+  const obs::ResourceTimeline& tl() const { return resources.timeline(link); }
+};
+
+}  // namespace
+
+// Constraint membership lists reorder on release: the same shares listed in
+// another order are the same interval.
+TEST(ObsResourceLedger, PermutedEqualShareSetDoesNotSplit) {
+  Ledger l;
+  l.saturate(0.0, {{l.a, 4.0}, {l.b, 6.0}});
+  l.saturate(1.0, {{l.b, 6.0}, {l.a, 4.0}});
+  l.saturate(2.0, {{l.a, 4.0}, {l.b, 6.0}});
+  l.resources.finalize(3.0);
+  ASSERT_EQ(l.tl().saturated.size(), 1u);
+  EXPECT_EQ(l.tl().saturated[0].t0, 0.0);
+  EXPECT_EQ(l.tl().saturated[0].t1, 3.0);
+  EXPECT_EQ(l.resources.distinct_flows(l.link), 2u);
+  // A changed share does split it.
+  Ledger m;
+  m.saturate(0.0, {{m.a, 4.0}, {m.b, 6.0}});
+  m.saturate(1.0, {{m.b, 5.0}, {m.a, 5.0}});
+  m.resources.finalize(3.0);
+  EXPECT_EQ(m.tl().saturated.size(), 2u);
+}
+
+// The longest interval is kept even when later, shorter ones follow, and
+// report() attributes it with its shares sorted by flow id.
+TEST(ObsResourceLedger, ReportAttributesLongestNotLast) {
+  Ledger l;
+  l.saturate(0.0, {{l.a, 10.0}});
+  l.saturate(1.0, {{l.c, 5.0}, {l.b, 5.0}});  // [1, 4): the longest
+  l.saturate(4.0, {{l.a, 10.0}});
+  l.idle(5.0);
+  l.resources.finalize(6.0);
+  ASSERT_EQ(l.tl().saturated.size(), 3u);
+  EXPECT_EQ(l.tl().longest.t0, 1.0);
+  EXPECT_EQ(l.tl().longest.t1, 4.0);
+  ASSERT_EQ(l.tl().longest_shares.size(), 2u);
+  EXPECT_EQ(l.resources.saturated_seconds(l.link), 5.0);
+  const std::string report = l.resources.report();
+  EXPECT_NE(report.find("(3 intervals, 3 flows)"), std::string::npos) << report;
+  EXPECT_NE(report.find("attribution on L [1.000000, 4.000000) s: b=5.000e+00 c=5.000e+00\n"),
+            std::string::npos)
+      << report;
+}
+
+// A share set seen only in a zero-length interval that is popped still
+// counts its flows as contenders.
+TEST(ObsResourceLedger, PoppedZeroLengthIntervalFlowsStillCount) {
+  Ledger l;
+  l.saturate(1.0, {{l.a, 5.0}, {l.b, 5.0}});
+  l.idle(1.0);  // same instant: the interval never lasted
+  EXPECT_TRUE(l.tl().saturated.empty());
+  l.saturate(2.0, {{l.c, 10.0}});
+  l.saturate(2.0, {{l.a, 10.0}});  // same-instant rewrite keeps c counted
+  l.resources.finalize(3.0);
+  ASSERT_EQ(l.tl().saturated.size(), 1u);
+  EXPECT_EQ(l.resources.distinct_flows(l.link), 3u);
+  ASSERT_EQ(l.tl().longest_shares.size(), 1u);
+  EXPECT_EQ(l.tl().longest_shares[0].first, l.a);
+}
+
+// Equally long intervals: the first one stays the longest.
+TEST(ObsResourceLedger, LengthTieKeepsFirstInterval) {
+  Ledger l;
+  l.saturate(0.0, {{l.a, 10.0}});
+  l.saturate(2.0, {{l.b, 10.0}});
+  l.saturate(4.0, {{l.c, 10.0}});
+  l.resources.finalize(6.0);
+  ASSERT_EQ(l.tl().saturated.size(), 3u);
+  EXPECT_EQ(l.tl().longest.t0, 0.0);
+  ASSERT_EQ(l.tl().longest_shares.size(), 1u);
+  EXPECT_EQ(l.tl().longest_shares[0].first, l.a);
+  EXPECT_NE(l.resources.report().find("attribution on L [0.000000, 2.000000) s: a="),
+            std::string::npos);
 }
 
 // The timeline integral is exact on a single flow too: one message, one

@@ -170,22 +170,28 @@ def main():
                                     reference / pooled_ns))
 
     # Machine-independent invariant #6: attaching the ResourceCollector must
-    # not slow a replay past 1.4x the detached run at any rank count. Both
-    # arms replay the same trace in the same run. The honest steady-state
-    # cost on the contention-heavy hierarchical bench is ~1.25x — almost
-    # every solver snapshot stores an exact timeline step, so the collector
-    # pays for real data — and 1.4x trips on regressions (per-snapshot
-    # allocations, quadratic ledger folds) without flaking on noise.
+    # not slow a replay past a fixed multiple of the detached run. Both arms
+    # replay the same trace in the same run. Measured on a shared 4-core
+    # x86-64 host (bench/bench_resource.cpp): the stencil series (hierarchical
+    # cluster, 64 and 256 ranks) reads 1.09-1.57x, median ~1.35x, and is gated
+    # at 1.4x, so a busy host can trip it. The alltoall series (64 ranks on
+    # gdx, where every attach or release changes every share on a saturated
+    # uplink) reads 1.15-1.53x, median ~1.4x, down from 1.85-2.28x when every
+    # saturated interval stored a sorted copy of its shares; its 1.75x gate
+    # trips on that per-interval copy coming back.
+    resource_gates = {"resource_enabled": ("resource_disabled", 1.4),
+                      "resource_alltoall_enabled": ("resource_alltoall_disabled", 1.75)}
     resource_fresh_path = os.path.join(args.fresh, "BENCH_resource.json")
     if os.path.exists(resource_fresh_path):
         resource = load_records(resource_fresh_path)
         for (op, n), enabled_ns in sorted(resource.items()):
-            if op != "resource_enabled":
+            if op not in resource_gates:
                 continue
-            disabled_ns = resource.get(("resource_disabled", n))
-            if disabled_ns is not None and enabled_ns > disabled_ns * 1.4:
+            disabled_op, gate = resource_gates[op]
+            disabled_ns = resource.get((disabled_op, n))
+            if disabled_ns is not None and enabled_ns > disabled_ns * gate:
                 regressions.append(("BENCH_resource.json",
-                                    "resource collector overhead above 1.4x", n,
+                                    "%s overhead above %.2gx" % (op, gate), n,
                                     enabled_ns / disabled_ns))
 
     if compared == 0:
