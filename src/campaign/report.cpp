@@ -207,8 +207,10 @@ struct Field {
 };
 
 // MEMBER(m): the member r.m. DERIVED(e): e, from the run r and its baseline *b.
+// SURF(key, m): r.surf_observe.m as "surf" group `key`, CSV column surf_<key>.
 #define MEMBER(m) [](ScenarioResult& r, const ScenarioResult*) -> Value { return &r.m; }
 #define DERIVED(e) [](ScenarioResult& r, const ScenarioResult* b) { return b ? Value{e} : Value{}; }
+#define SURF(key, m) {kOk, "surf", key, MEMBER(surf_observe.m), kLegacy, "surf_" key}
 
 const Field kFields[] = {
     {kAll, "", "ok", MEMBER(ok), kCsvHead},
@@ -234,6 +236,12 @@ const Field kFields[] = {
     {kOk, "p2p", "eager_copy_elided", MEMBER(p2p.eager_copy_elided), kLegacy},
     {kOk, "p2p", "eager_flush_snapshots", MEMBER(p2p.eager_flush_snapshots), kLegacy},
     {kOk, "p2p", "bytes_not_copied", MEMBER(p2p.bytes_not_copied), kLegacy},
+    SURF("solves_attach", solves_attach),
+    SURF("solves_release", solves_release),
+    SURF("solves_capacity", solves_capacity),
+    SURF("solves_bound", solves_bound),
+    SURF("saturation_events", saturation_events),
+    SURF("snapshot_drains", observe_drains),
     {kAnalyzed, "analysis", "wait_fraction", MEMBER(analysis.wait_fraction)},
     {kAnalyzed, "analysis", "critical_path_s", MEMBER(analysis.path_length_s)},
     {kAnalyzed, "analysis", "cp_compute_s", MEMBER(analysis.cp_compute_s)},
@@ -251,6 +259,7 @@ const Field kFields[] = {
 
 #undef MEMBER
 #undef DERIVED
+#undef SURF
 
 bool carried(Rows rows, const ScenarioResult& r) {
   if (rows == kAll) return true;

@@ -383,6 +383,11 @@ class Process {
 
   // Wait-for bookkeeping for the deadlock detector (see BlockedOp).
   BlockedOp blocked;
+  // The rank's time account, kept for every run: simulated seconds spent
+  // blocked on a peer or the wire (summed by record_blocked_wait and the
+  // MPI_Probe loop), and the date its main returned (-1 until it does).
+  double blocked_s = 0;
+  double end_date = -1;
 
   // Unsuccessful-poll accounting (MPI_Test/Testany/Testall/Iprobe): a tight
   // polling loop is detected by back-to-back polls and escalated from
@@ -527,11 +532,11 @@ void post_recv(Request& request);
 // Wait for a single request's token from the calling rank.
 int wait_request(Request*& request, MPI_Status* status);
 void fill_status(const Request& request, MPI_Status* status);
-// Span-layer hook (obs enabled only): records the blocked interval
-// [block_start, now] for `request` on `proc`'s span stream, classified
-// late-sender / late-receiver / early-arrival from the request's kind and
-// scope (p2p.cpp; shared between wait_request and the waitany path).
-void obs_record_blocked_wait(Process& proc, const Request& request, double block_start);
+// Charges the blocked interval [block_start, now] to `proc`'s blocked_s and,
+// when a span collector is attached, records it on the rank's span stream,
+// classified late-sender / late-receiver / early-arrival from the request's
+// kind and scope (p2p.cpp; shared between wait_request and the waitany path).
+void record_blocked_wait(Process& proc, const Request& request, double block_start);
 
 // Collective building blocks shared with coll.cpp. `coll` selects the shadow
 // matching scope used by collective algorithms.

@@ -434,11 +434,11 @@ bool is_pending(const MPI_Request& request) {
 
 }  // namespace
 
-void obs_record_blocked_wait(Process& proc, const Request& request, double block_start) {
-  obs::SpanCollector* spans = proc.world->observers().spans;
-  if (spans == nullptr) return;
+void record_blocked_wait(Process& proc, const Request& request, double block_start) {
   const double t1 = proc.world->engine().now();
-  if (t1 <= block_start) return;
+  proc.blocked_s += t1 - block_start;
+  obs::SpanCollector* spans = proc.world->observers().spans;
+  if (spans == nullptr || t1 <= block_start) return;
   const std::uint64_t bytes =
       request.datatype != nullptr
           ? static_cast<std::uint64_t>(request.count) * request.datatype->size()
@@ -473,11 +473,11 @@ int wait_request(Request*& request, MPI_Status* status) {
         request->datatype != nullptr
             ? static_cast<std::size_t>(request->count) * request->datatype->size()
             : 0;
-    const double obs_t0 = proc.world->observers().spans != nullptr ? proc.world->engine().now() : 0;
+    const double block_start = proc.world->engine().now();
     BlockedOpGuard guard(proc, is_recv ? "recv" : "send", request->peer, request->tag,
                          request->comm != nullptr ? request->comm->id() : 0, bytes);
     request->token->wait();
-    obs_record_blocked_wait(proc, *request, obs_t0);
+    record_blocked_wait(proc, *request, block_start);
     if (request->token->state() == sim::Activity::State::kFailed) {
       std::ostringstream os;
       os << "MPI_" << (is_recv ? "Recv" : "Send") << " (peer=" << request->peer
@@ -949,7 +949,7 @@ int waitany_impl(int count, MPI_Request requests[], int* index, MPI_Status* stat
     }
   }
   Process& proc = current_process_checked();
-  const double obs_t0 = proc.world->observers().spans != nullptr ? proc.world->engine().now() : 0;
+  const double block_start = proc.world->engine().now();
   {
     BlockedOpGuard guard(proc, "waitany");
     merged->wait();
@@ -959,7 +959,7 @@ int waitany_impl(int count, MPI_Request requests[], int* index, MPI_Status* stat
       *index = i;
       // Attribute the blocked time to the request that unblocked us; the
       // follow-up wait_request below records nothing (zero-length wait).
-      obs_record_blocked_wait(proc, *requests[i], obs_t0);
+      record_blocked_wait(proc, *requests[i], block_start);
       return wait_request(requests[i], status);
     }
   }
@@ -1230,18 +1230,18 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
     scope.emit(r);
   }
   Process& proc = current_process_checked();
-  smpi::obs::SpanCollector* spans = proc.world->observers().spans;
-  const double obs_t0 = spans != nullptr ? proc.world->engine().now() : 0;
+  const double block_start = proc.world->engine().now();
   while (true) {
     Envelope* env = find_probe_match(proc, source, tag, comm);
     if (env != nullptr) {
-      if (spans != nullptr) {
-        const double now = proc.world->engine().now();
-        if (now > obs_t0) {
-          // Pure wait-for-arrival: no transfer happens inside a probe.
-          spans->on_blocked(proc.world_rank, obs_t0, now, /*flow_start=*/now, env->obs_post_date,
-                            env->src_world_rank, env->bytes, smpi::obs::WaitClass::kLateSender);
-        }
+      const double now = proc.world->engine().now();
+      proc.blocked_s += now - block_start;
+      smpi::obs::SpanCollector* spans = proc.world->observers().spans;
+      if (spans != nullptr && now > block_start) {
+        // Pure wait-for-arrival: no transfer happens inside a probe.
+        spans->on_blocked(proc.world_rank, block_start, now, /*flow_start=*/now,
+                          env->obs_post_date, env->src_world_rank, env->bytes,
+                          smpi::obs::WaitClass::kLateSender);
       }
       fill_probe_status(*env, status);
       return MPI_SUCCESS;

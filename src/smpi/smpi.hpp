@@ -194,6 +194,18 @@ struct RunResult {
   // Hot-path accounting (see P2pCounters). In payload-free replay the
   // eager copy counters stay zero by construction: no payload moves.
   P2pCounters p2p;
+  // Per-rank simulated-time split, indexed by world rank and filled for
+  // every run, observed or not: comm is the time the rank sat blocked on a
+  // peer or the wire (MPI waits and probes), compute is the rest of its
+  // life up to the date its main returned, MPI software overheads (send
+  // overhead, eager copy cost) included.
+  std::vector<double> rank_compute_s;
+  std::vector<double> rank_comm_s;
+  // Filled only when `analyzed`: the span layer's split of each rank's
+  // comm into time waiting for a peer (wait) and time the wire was busy
+  // (transfer); wait + transfer == comm up to rounding.
+  std::vector<double> rank_wait_s;
+  std::vector<double> rank_transfer_s;
   // Wait-state / critical-path analysis of the run's spans; only meaningful
   // when `analyzed` is set (the run had a span collector).
   bool analyzed = false;

@@ -416,6 +416,7 @@ void SmpiWorld::run(int nprocs, MpiMain app, std::vector<std::string> args,
         if (first_exception_ == nullptr) first_exception_ = std::current_exception();
         SMPI_LOG_WARN(log_smpi, "rank " << proc->world_rank << " terminated by an exception");
       }
+      proc->end_date = engine_->now();
     });
     actor->user_data = proc;
     proc->actor = actor;
@@ -462,9 +463,20 @@ void SmpiWorld::finish_run() {
   }
   if (observers.paje != nullptr) observers.paje->finish(end);
   if (observers.ti != nullptr) observers.ti->finish();
+  // The per-rank time account. A rank still parked after an abort never
+  // returned from main: its account runs to the makespan.
+  for (const auto& proc : processes_) {
+    const double rank_end = proc->end_date < 0 ? end : proc->end_date;
+    result_.rank_compute_s.push_back(rank_end - proc->blocked_s);
+    result_.rank_comm_s.push_back(proc->blocked_s);
+  }
   if (observers.spans != nullptr) {
     result_.analyzed = true;
     result_.analysis = obs::analyze(*observers.spans);
+    for (const obs::RankBreakdown& b : result_.analysis.ranks) {
+      result_.rank_wait_s.push_back(b.wait_s);
+      result_.rank_transfer_s.push_back(b.transfer_s);
+    }
   }
 
   result_.p2p = p2p_counters();

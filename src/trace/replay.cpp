@@ -101,13 +101,10 @@ std::vector<int> prefix_displs(const std::vector<int>& counts) {
 // the reduction itself costs no simulated time, so the body is empty.
 void replay_reduce_stub(void* /*in*/, void* /*inout*/, int* /*len*/, MPI_Datatype* /*type*/) {}
 
-void replay_rank(const TiTrace& trace, unsigned char* base, ReplayResult& result) {
+void replay_rank(const TiTrace& trace, unsigned char* base) {
   core::SmpiWorld* world = core::SmpiWorld::instance();
   const auto rank = static_cast<std::size_t>(world->current_process()->world_rank);
   const auto& records = trace.ranks[rank];
-  double& my_compute_s = result.rank_compute_s[rank];
-  double& my_comm_s = result.rank_comm_s[rank];
-  const sim::Engine& engine = world->engine();
 
   std::unordered_map<long long, MPI_Request> requests;
   std::unordered_map<long long, MPI_Datatype> types;
@@ -142,7 +139,6 @@ void replay_rank(const TiTrace& trace, unsigned char* base, ReplayResult& result
   auto check = [](int rc) { SMPI_ENSURE(rc == MPI_SUCCESS, "replayed MPI call failed"); };
 
   for (const TiRecord& r : records) {
-    const double record_start = engine.now();
     switch (r.op) {
       case TiOp::kInit:
         check(MPI_Init(nullptr, nullptr));
@@ -286,14 +282,6 @@ void replay_rank(const TiTrace& trace, unsigned char* base, ReplayResult& result
         break;
       }
     }
-    // Per-rank simulated-time breakdown: compute/sleep records burn local
-    // time, everything else is communication (including the waiting).
-    const double elapsed = engine.now() - record_start;
-    if (r.op == TiOp::kCompute || r.op == TiOp::kSleep) {
-      my_compute_s += elapsed;
-    } else {
-      my_comm_s += elapsed;
-    }
   }
 }
 
@@ -318,10 +306,6 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   const long long arena_bytes =
       options.arena_bytes_hint > 0 ? options.arena_bytes_hint : compute_arena_bytes(trace);
   const sim::MappedRegion arena(static_cast<std::size_t>(arena_bytes));
-  // Declared before the world so the ranks' usage slots outlive ~SmpiWorld.
-  ReplayResult result;
-  result.rank_compute_s.resize(static_cast<std::size_t>(trace.nranks));
-  result.rank_comm_s.resize(static_cast<std::size_t>(trace.nranks));
 
   config.payload_free = options.payload_free;
   std::unique_ptr<obs::SpanCollector> own_spans;
@@ -332,29 +316,9 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   }
   core::SmpiWorld world(platform, config, {nullptr, options.paje, spans, options.resources});
   world.run(trace.nranks,
-            [&trace, base = arena.data(), &result](int, char**) {
-              replay_rank(trace, base, result);
-            },
-            {},
+            [&trace, base = arena.data()](int, char**) { replay_rank(trace, base); }, {},
             "ti-replay:" + trace.app);
-
-  static_cast<core::RunResult&>(result) = world.result();
-  result.records = trace.total_records();
-  result.arena_bytes = static_cast<std::uint64_t>(arena_bytes);
-  if (result.analyzed) {
-    // Re-derive the per-rank usage split from the span layer: wait/transfer
-    // come from the recorded blocked intervals, compute is everything else —
-    // including compute that overlapped an in-flight nonblocking transfer,
-    // which the record-granularity split above misattributes.
-    for (std::size_t r = 0; r < result.rank_compute_s.size(); ++r) {
-      const obs::RankBreakdown& b = result.analysis.ranks[r];
-      result.rank_compute_s[r] = b.compute_s;
-      result.rank_comm_s[r] = b.wait_s + b.transfer_s;
-      result.rank_wait_s.push_back(b.wait_s);
-      result.rank_transfer_s.push_back(b.transfer_s);
-    }
-  }
-  return result;
+  return {world.result(), trace.total_records(), static_cast<std::uint64_t>(arena_bytes)};
 }
 
 ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig config,

@@ -18,11 +18,15 @@
 // campaign row's record: campaign::ScenarioResult derives from it and adds
 // only harness fields, so a member added here reaches reports, capsules
 // and the CSV through one line of the row's field table.
+//
+// A replay's per-rank split is the world's one account (core::RunResult):
+// comm is the time a rank sat blocked on a peer or the wire, compute is the
+// rest, MPI software overheads included. It does not depend on `analyze`
+// and matches the online run the trace was captured from.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "platform/platform.hpp"
 #include "smpi/smpi.hpp"
@@ -73,19 +77,6 @@ struct ReplayOptions {
 struct ReplayResult : core::RunResult {
   long long records = 0;
   std::uint64_t arena_bytes = 0;
-  // Per-rank simulated-time split, indexed by world rank: time inside
-  // compute/sleep records vs. time inside communication records (sends,
-  // receives, waits, collectives — blocked on the network or on peers).
-  std::vector<double> rank_compute_s;
-  std::vector<double> rank_comm_s;
-  // Filled only when `analyzed`: rank_comm_s split into time truly blocked
-  // on a peer (wait) vs. time the wire was busy (transfer). In that mode
-  // rank_compute_s/rank_comm_s are re-derived from the span layer, which
-  // fixes the attribution of overlapped nonblocking operations — a transfer
-  // that progressed underneath a compute record no longer has its MPI_Wait
-  // charged as if the whole interval were communication.
-  std::vector<double> rank_wait_s;
-  std::vector<double> rank_transfer_s;
 };
 
 // Size of the shared scratch arena a replay of `trace` needs: the largest

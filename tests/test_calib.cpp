@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "calib/calibration.hpp"
 #include "calib/fit.hpp"
 #include "calib/pingpong.hpp"
 #include "platform/builders.hpp"
+#include "smpi/coll.h"
+#include "smpi/mpi.h"
+#include "smpi/smpi.hpp"
 #include "util/check.hpp"
+#include "util/stats.hpp"
 
 namespace ca = smpi::calib;
 namespace sp = smpi::platform;
@@ -22,6 +28,32 @@ std::vector<ca::PingPongPoint> synth(const Model& model, std::uint64_t max_bytes
     points.push_back({size, model.predict(static_cast<double>(size))});
   }
   return points;
+}
+
+// Completion time of the paper's manual binomial scatter (§7.1.2): root 0
+// scatters `chunk` bytes to each of 16 ranks spread round-robin over
+// `platform`; the slowest rank's time from the opening barrier.
+double scatter_seconds(const sp::Platform& platform, sc::SmpiConfig config, std::size_t chunk) {
+  constexpr int kProcs = 16;
+  const int hosts = platform.host_count();
+  const int stride = std::max(1, hosts / kProcs);
+  for (int r = 0; r < kProcs; ++r) config.placement.push_back((r * stride) % hosts);
+  std::vector<double> times(kProcs);
+  sc::SmpiWorld world(platform, config);
+  world.run(kProcs, [&times, chunk](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    int rank = -1;
+    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+    std::vector<char> send(rank == 0 ? chunk * kProcs : 0, 'x');
+    std::vector<char> recv(chunk);
+    MPI_Barrier(MPI_COMM_WORLD);
+    const double start = MPI_Wtime();
+    smpi::coll::scatter_binomial(send.data(), static_cast<int>(chunk), MPI_CHAR, recv.data(),
+                                 static_cast<int>(chunk), MPI_CHAR, 0, MPI_COMM_WORLD);
+    times[static_cast<std::size_t>(rank)] = MPI_Wtime() - start;
+    MPI_Finalize();
+  });
+  return *std::max_element(times.begin(), times.end());
 }
 
 }  // namespace
@@ -195,4 +227,24 @@ TEST(Calibration, SimulatedPingPongTracksGroundTruth) {
     acc.add(simulated[i].one_way_seconds, calib.measurements[i].one_way_seconds);
   }
   EXPECT_LT(acc.summary().mean_fraction(), 0.30);
+}
+
+// Figure 8's claim: calibrated on griffon's packet-level ground truth, the
+// simulated 16-rank binomial scatter is within 10% of it for every chunk of
+// at least 10 KiB in the figure's sweep (1 B to 4 MiB in steps of x8).
+TEST(Calibration, ScatterErrorUnderTenPercentAbove10KiB) {
+  const auto griffon = sp::build_griffon();
+  ca::PingPongOptions options;
+  options.sizes = ca::PingPongOptions::default_sizes(16u << 20, 2);
+  const auto calib = ca::calibrate(griffon, 0, 1, ca::ground_truth_config(), options);
+  const sc::SmpiConfig simulated = ca::calibrated_smpi_config(calib.piecewise_factors());
+  smpi::util::ErrorAccumulator large;
+  for (std::size_t chunk = 1; chunk <= (4u << 20); chunk *= 8) {
+    if (chunk < 10 * 1024) continue;
+    large.add(scatter_seconds(griffon, simulated, chunk),
+              scatter_seconds(griffon, ca::ground_truth_config(), chunk));
+  }
+  const smpi::util::ErrorSummary summary = large.summary();
+  EXPECT_EQ(summary.count, 3u);
+  EXPECT_LT(summary.max_fraction(), 0.10);
 }

@@ -337,18 +337,18 @@ TEST(CampaignRun, RowMatchesDirectReplay) {
   EXPECT_EQ(field("", "records").as_number(), static_cast<double>(direct.records));
   EXPECT_EQ(field("", "ranks").as_number(), direct.ranks);
   EXPECT_EQ(field("", "arena_bytes").as_number(), counter(direct.arena_bytes));
-  std::vector<double> compute, comm, wait, transfer;
-  for (const smpi::obs::RankBreakdown& b : direct.analysis.ranks) {
-    compute.push_back(b.compute_s);
-    comm.push_back(b.wait_s + b.transfer_s);
-    wait.push_back(b.wait_s);
-    transfer.push_back(b.transfer_s);
+  ASSERT_EQ(direct.rank_compute_s.size(), 8u);
+  EXPECT_EQ(numbers(field("breakdown", "rank_compute_s")), direct.rank_compute_s);
+  EXPECT_EQ(numbers(field("breakdown", "rank_comm_s")), direct.rank_comm_s);
+  EXPECT_EQ(numbers(field("analysis", "rank_wait_s")), direct.rank_wait_s);
+  EXPECT_EQ(numbers(field("analysis", "rank_transfer_s")), direct.rank_transfer_s);
+  // The world's account and the span layer's breakdown agree up to rounding.
+  for (std::size_t r = 0; r < 8; ++r) {
+    const smpi::obs::RankBreakdown& b = direct.analysis.ranks[r];
+    EXPECT_NEAR(direct.rank_compute_s[r], b.compute_s, 1e-12 * b.compute_s) << "rank " << r;
+    EXPECT_NEAR(direct.rank_comm_s[r], b.wait_s + b.transfer_s, 1e-12 * direct.rank_comm_s[r])
+        << "rank " << r;
   }
-  ASSERT_EQ(compute.size(), 8u);
-  EXPECT_EQ(numbers(field("breakdown", "rank_compute_s")), compute);
-  EXPECT_EQ(numbers(field("breakdown", "rank_comm_s")), comm);
-  EXPECT_EQ(numbers(field("analysis", "rank_wait_s")), wait);
-  EXPECT_EQ(numbers(field("analysis", "rank_transfer_s")), transfer);
   EXPECT_EQ(field("solver", "solves").as_number(), counter(direct.solver_solves));
   EXPECT_EQ(field("solver", "vars_touched").as_number(), counter(direct.solver_vars_touched));
   EXPECT_EQ(field("solver", "cons_touched").as_number(), counter(direct.solver_cons_touched));
@@ -360,6 +360,14 @@ TEST(CampaignRun, RowMatchesDirectReplay) {
   EXPECT_EQ(field("p2p", "eager_flush_snapshots").as_number(),
             counter(direct.p2p.eager_flush_snapshots));
   EXPECT_EQ(field("p2p", "bytes_not_copied").as_number(), counter(direct.p2p.bytes_not_copied));
+  const auto& surf = direct.surf_observe;
+  EXPECT_EQ(field("surf", "solves_attach").as_number(), counter(surf.solves_attach));
+  EXPECT_EQ(field("surf", "solves_release").as_number(), counter(surf.solves_release));
+  EXPECT_EQ(field("surf", "solves_capacity").as_number(), counter(surf.solves_capacity));
+  EXPECT_EQ(field("surf", "solves_bound").as_number(), counter(surf.solves_bound));
+  EXPECT_EQ(field("surf", "saturation_events").as_number(), counter(surf.saturation_events));
+  EXPECT_EQ(field("surf", "snapshot_drains").as_number(), counter(surf.observe_drains));
+  EXPECT_GT(surf.solves_attach, 0u);
   EXPECT_EQ(field("analysis", "wait_fraction").as_number(), direct.analysis.wait_fraction);
   EXPECT_EQ(field("analysis", "critical_path_s").as_number(), direct.analysis.path_length_s);
   EXPECT_EQ(field("analysis", "cp_compute_s").as_number(), direct.analysis.cp_compute_s);

@@ -3,7 +3,7 @@
 // tests/fixtures/, a report read back through results_from_report must
 // reproduce itself (so reports written by older builds keep resuming), every
 // CSV line must have as many fields as its header, and a report written
-// before the retries/p2p/analysis/resources fields existed must still resume,
+// before the retries/p2p/surf/analysis/resources fields existed must still resume,
 // while a counter outside its member's range is rejected.
 //
 // Regenerate the fixtures after an intended format change with
@@ -76,6 +76,12 @@ cp::ScenarioResult ok_result(int id, int rep, double simulated_time, bool analyz
   r.p2p.eager_copy_elided = 17;
   r.p2p.eager_flush_snapshots = 1;
   r.p2p.bytes_not_copied = 1048576;
+  r.surf_observe.solves_attach = 11 + static_cast<std::uint64_t>(id);
+  r.surf_observe.solves_release = 12;
+  r.surf_observe.solves_capacity = 13;
+  r.surf_observe.solves_bound = 14;
+  r.surf_observe.saturation_events = 15 + static_cast<std::uint64_t>(rep);
+  r.surf_observe.observe_drains = 16;
   if (analyzed) {
     r.analyzed = true;
     r.analysis.wait_fraction = 0.3141592653589793;
@@ -302,9 +308,9 @@ TEST(CampaignReportCsv, QuotesInsideTextCellsAreDoubled) {
   EXPECT_EQ(row[column(header, "label")], s.scenarios[5].label);
 }
 
-// A report written before the harness counted retries, before the p2p
-// counters, and before the analysis and resources blocks: its ok rows resume
-// with those fields zero/false, and only its failed rows re-run.
+// A report written before the harness counted retries, before the p2p and
+// surf counters, and before the analysis and resources blocks: its ok rows
+// resume with those fields zero/false, and only its failed rows re-run.
 TEST(CampaignResume, LegacyReportWithoutNewerFieldsResumes) {
   const auto spec = cp::CampaignSpec::parse(parse_json(R"({
     "name": "legacy-resume",
@@ -363,6 +369,8 @@ TEST(CampaignResume, LegacyReportWithoutNewerFieldsResumes) {
     EXPECT_EQ(r.p2p.eager_copy_elided, 0u) << id;
     EXPECT_EQ(r.p2p.eager_flush_snapshots, 0u) << id;
     EXPECT_EQ(r.p2p.bytes_not_copied, 0u) << id;
+    EXPECT_EQ(r.surf_observe.solves_attach, 0u) << id;
+    EXPECT_EQ(r.surf_observe.observe_drains, 0u) << id;
     EXPECT_FALSE(r.analyzed) << id;
     EXPECT_EQ(r.analysis.wait_fraction, 0.0) << id;
     EXPECT_TRUE(r.rank_wait_s.empty()) << id;

@@ -2,9 +2,9 @@
 // with analytically known answers, critical-path extraction (length ==
 // makespan, ring chains vs. star fan-outs), the per-span accounting
 // invariant compute + transfer + wait == elapsed, the zero-overhead canary
-// (bit-identical simulated times and counters with analysis off), the
-// per-rank attribution fix for overlapped nonblocking operations, and the
-// simulator self-profiler.
+// (bit-identical simulated times, counters and per-rank compute/comm split
+// with analysis off), the attribution of overlapped nonblocking operations,
+// and the simulator self-profiler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -249,7 +249,7 @@ TEST(ObsCriticalPath, StarStaysShort) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay integration: invariants, attribution fix, zero-overhead canary
+// Replay integration: invariants, overlap attribution, zero-overhead canary
 // ---------------------------------------------------------------------------
 
 // A generated 16-rank stencil replayed with analysis on: the accounting
@@ -283,12 +283,12 @@ TEST(ObsReplay, StencilInvariantsReconcile) {
   }
 }
 
-// The attribution fix for overlapped nonblocking operations: rank 1
-// preposts a 1 MB Irecv (rendezvous), computes 5 ms while the ~10 ms
-// transfer runs underneath, then waits out the tail. The tail is wire time,
-// not idle time — wait_s must be ~0 and the overlapped compute must stay
-// attributed to compute (the old record-based split could not tell a
-// blocked-on-peer wait from a wire-busy wait at all).
+// Overlapped nonblocking operations: rank 1 preposts a 1 MB Irecv
+// (rendezvous), computes 5 ms while the ~10 ms transfer runs underneath,
+// then waits out the tail. The tail is wire time, not idle time — wait_s
+// must be ~0 — and the overlapped compute is compute: comm is only the time
+// a rank sits blocked on a peer or the wire, so a transfer progressing
+// underneath a compute record adds nothing to it.
 TEST(ObsReplay, OverlappedNonblockingAttribution) {
   const tr::TiTrace trace = overlap_trace(/*overlap_flops=*/5e6);
   const auto platform = test_cluster(2);
@@ -310,30 +310,41 @@ TEST(ObsReplay, OverlappedNonblockingAttribution) {
 
 // Zero-overhead canary: the same replay with analysis on and off must take
 // the exact same simulated-time trajectory — bit-identical simulated time,
-// solver counters, and p2p hot-path counters.
+// solver counters, p2p hot-path counters and per-rank compute/comm split.
+// The second config charges send overhead and eager copy cost inside
+// MPI_Send: that time is compute whether or not a span collector watches.
 TEST(ObsReplay, AnalysisOffIsBitIdentical) {
   const tr::TiTrace trace = stencil_trace(8);
   const auto platform = test_cluster(8);
-  tr::ReplayOptions off;
-  tr::ReplayOptions on;
-  on.analyze = true;
-  const tr::ReplayResult plain = tr::replay_trace(platform, fast_config(), trace, off);
-  const tr::ReplayResult analyzed = tr::replay_trace(platform, fast_config(), trace, on);
-  EXPECT_FALSE(plain.analyzed);
-  ASSERT_TRUE(analyzed.analyzed);
-  EXPECT_EQ(plain.simulated_time, analyzed.simulated_time);  // bit-identical
-  EXPECT_EQ(plain.solver_solves, analyzed.solver_solves);
-  EXPECT_EQ(plain.solver_vars_touched, analyzed.solver_vars_touched);
-  EXPECT_EQ(plain.solver_cons_touched, analyzed.solver_cons_touched);
-  EXPECT_EQ(plain.p2p.pool_hits, analyzed.p2p.pool_hits);
-  EXPECT_EQ(plain.p2p.pool_misses, analyzed.p2p.pool_misses);
-  EXPECT_EQ(plain.p2p.eager_snapshots, analyzed.p2p.eager_snapshots);
-  EXPECT_EQ(plain.p2p.eager_copy_elided, analyzed.p2p.eager_copy_elided);
-  EXPECT_EQ(plain.p2p.eager_flush_snapshots, analyzed.p2p.eager_flush_snapshots);
-  EXPECT_EQ(plain.p2p.bytes_not_copied, analyzed.p2p.bytes_not_copied);
-  // And the analyzed run's critical path still reconciles with that time.
-  EXPECT_NEAR(analyzed.analysis.path_length_s, analyzed.analysis.makespan,
-              1e-9 * std::max(1.0, analyzed.analysis.makespan));
+  smpi::core::SmpiConfig overheads = fast_config();
+  overheads.personality.overhead_send_s = 2e-6;
+  overheads.personality.copy_cost_s_per_byte = 1 / 3e9;
+  for (const smpi::core::SmpiConfig& config : {fast_config(), overheads}) {
+    SCOPED_TRACE(config.personality.overhead_send_s);
+    tr::ReplayOptions off;
+    tr::ReplayOptions on;
+    on.analyze = true;
+    const tr::ReplayResult plain = tr::replay_trace(platform, config, trace, off);
+    const tr::ReplayResult analyzed = tr::replay_trace(platform, config, trace, on);
+    EXPECT_FALSE(plain.analyzed);
+    ASSERT_TRUE(analyzed.analyzed);
+    EXPECT_EQ(plain.simulated_time, analyzed.simulated_time);  // bit-identical
+    EXPECT_EQ(plain.solver_solves, analyzed.solver_solves);
+    EXPECT_EQ(plain.solver_vars_touched, analyzed.solver_vars_touched);
+    EXPECT_EQ(plain.solver_cons_touched, analyzed.solver_cons_touched);
+    EXPECT_EQ(plain.p2p.pool_hits, analyzed.p2p.pool_hits);
+    EXPECT_EQ(plain.p2p.pool_misses, analyzed.p2p.pool_misses);
+    EXPECT_EQ(plain.p2p.eager_snapshots, analyzed.p2p.eager_snapshots);
+    EXPECT_EQ(plain.p2p.eager_copy_elided, analyzed.p2p.eager_copy_elided);
+    EXPECT_EQ(plain.p2p.eager_flush_snapshots, analyzed.p2p.eager_flush_snapshots);
+    EXPECT_EQ(plain.p2p.bytes_not_copied, analyzed.p2p.bytes_not_copied);
+    ASSERT_EQ(plain.rank_compute_s.size(), 8u);
+    EXPECT_EQ(plain.rank_compute_s, analyzed.rank_compute_s);
+    EXPECT_EQ(plain.rank_comm_s, analyzed.rank_comm_s);
+    // And the analyzed run's critical path still reconciles with that time.
+    EXPECT_NEAR(analyzed.analysis.path_length_s, analyzed.analysis.makespan,
+                1e-9 * std::max(1.0, analyzed.analysis.makespan));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -387,6 +387,65 @@ TEST(TraceReplay, VariantMixReplaysExactly) {
   EXPECT_NEAR(result.simulated_time, online, 1e-9 * online);
 }
 
+// One per-rank time account for both modes: an online run fills
+// rank_compute_s/rank_comm_s without any observer, and a replay of its
+// capture fills the same split. Imbalanced compute, an overlapped ring, a
+// probed message, send overhead and collectives give every rank both parts.
+TEST(TraceReplay, OnlineAndReplayRankSplitsAgree) {
+  TempDir dir;
+  auto platform = test_cluster(16);
+  auto config = fast_config();
+  config.personality.overhead_send_s = 2e-6;
+  auto app = [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    const int rank = my_rank();
+    const int size = world_size();
+    std::vector<double> buf(16384, rank);
+    std::vector<double> out(16384);
+    smpi_execute_flops(1e5 * (rank + 1));
+    MPI_Bcast(buf.data(), 2048, MPI_DOUBLE, 0, MPI_COMM_WORLD);
+    std::vector<MPI_Request> reqs(2);
+    MPI_Irecv(out.data(), 16384, MPI_DOUBLE, (rank - 1 + size) % size, 3, MPI_COMM_WORLD,
+              &reqs[0]);
+    MPI_Isend(buf.data(), 16384, MPI_DOUBLE, (rank + 1) % size, 3, MPI_COMM_WORLD, &reqs[1]);
+    smpi_execute_flops(5e5);
+    MPI_Waitall(2, reqs.data(), MPI_STATUSES_IGNORE);
+    if (rank % 2 == 0) {
+      MPI_Send(buf.data(), 64, MPI_DOUBLE, rank + 1, 4, MPI_COMM_WORLD);
+    } else {
+      MPI_Probe(rank - 1, 4, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+      MPI_Recv(out.data(), 64, MPI_DOUBLE, rank - 1, 4, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+    }
+    MPI_Allreduce(buf.data(), out.data(), 1024, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD);
+    MPI_Finalize();
+  };
+  smpi::core::RunResult online;
+  {
+    tr::TiWriter writer(dir.str(), 16, "test");
+    smpi::core::SmpiWorld world(platform, config, {&writer});
+    world.run(16, app);
+    online = world.result();
+  }
+  EXPECT_FALSE(online.analyzed);
+  ASSERT_EQ(online.rank_compute_s.size(), 16u);
+  ASSERT_EQ(online.rank_comm_s.size(), 16u);
+
+  const tr::ReplayResult replayed = tr::replay_trace(platform, config, dir.str());
+  EXPECT_FALSE(replayed.analyzed);
+  EXPECT_NEAR(replayed.simulated_time, online.simulated_time, 1e-9 * online.simulated_time);
+  ASSERT_EQ(replayed.rank_compute_s.size(), 16u);
+  ASSERT_EQ(replayed.rank_comm_s.size(), 16u);
+  for (std::size_t r = 0; r < 16; ++r) {
+    EXPECT_GT(online.rank_compute_s[r], 0.0) << "rank " << r;
+    EXPECT_GT(online.rank_comm_s[r], 0.0) << "rank " << r;
+    EXPECT_NEAR(replayed.rank_compute_s[r], online.rank_compute_s[r],
+                1e-9 * online.rank_compute_s[r])
+        << "rank " << r;
+    EXPECT_NEAR(replayed.rank_comm_s[r], online.rank_comm_s[r], 1e-9 * online.rank_comm_s[r])
+        << "rank " << r;
+  }
+}
+
 TEST(TraceReplay, ReplayOnSlowerPlatformTakesLonger) {
   TempDir dir;
   auto platform = test_cluster(8);
