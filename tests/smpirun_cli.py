@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """End-to-end checks of the smpirun command line, online and --replay.
 
-    python3 tests/smpirun_cli.py path/to/smpirun
+    python3 tests/smpirun_cli.py path/to/smpirun path/to/smpi_workload
 
 Covers what unit tests cannot see: a 16-rank online capture replays to the
 same simulated time, the exit-code contract (1 usage, 2 abort, 3 deadlock,
-4 time limit), the --verbose counter block and the exact bytes of a
-contended --resources report (tests/fixtures/smpirun_*.txt). Prints one line per failed
-check and exits 1 if any failed.
+4 time limit), the --verbose counter block and the exact bytes of two
+contended --resources reports, one network-bound and one CPU-bound
+(tests/fixtures/smpirun_*.txt). Prints one line per failed check and exits
+1 if any failed.
 """
 import re
 import subprocess
@@ -16,6 +17,7 @@ import tempfile
 from pathlib import Path
 
 SMPIRUN = sys.argv[1]
+SMPI_WORKLOAD = sys.argv[2]
 ONLINE = ["--np", "16", "--cluster", "16", "--app", "alltoall", "--bytes", "65536"]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 FAULTS = ('{"policy": "%s", "events": '
@@ -23,8 +25,8 @@ FAULTS = ('{"policy": "%s", "events": '
 failures = []
 
 
-def run(args):
-    return subprocess.run([SMPIRUN] + args, capture_output=True, text=True, timeout=300)
+def run(args, program=SMPIRUN):
+    return subprocess.run([program] + args, capture_output=True, text=True, timeout=300)
 
 
 def check(ok, what, proc=None):
@@ -102,6 +104,22 @@ proc = run(RESOURCES)
 expected = (FIXTURES / "smpirun_alltoall64_gdx_resources.txt").read_text()
 check(proc.returncode == 0 and proc.stdout == expected,
       "alltoall 64 on gdx --resources differs from its fixture", proc)
+
+# The CPU side of the same pin: 16 stencil ranks replayed on one 8-core host
+# saturate its CPU constraint, so the report ranks the host and attributes
+# its shares to executions by their host#start-counter labels.
+STENCIL = ('{"name": "cpu-stencil", "ranks": 16, "seed": 42, "pattern": "stencil2d", '
+           '"iterations": 4, "bytes": 8192, "compute": {"flops": 4e6, "imbalance": 0.8}}')
+with tempfile.TemporaryDirectory() as tmp:
+    spec = Path(tmp) / "stencil.json"
+    spec.write_text(STENCIL)
+    ti_dir = str(Path(tmp) / "ti")
+    proc = run(["--spec", str(spec), "--out", ti_dir], program=SMPI_WORKLOAD)
+    check(proc.returncode == 0, "smpi_workload failed", proc)
+    proc = run(["--replay", ti_dir, "--cluster", "1", "--resources"])
+    expected = (FIXTURES / "smpirun_stencil16_cluster1_resources.txt").read_text()
+    check(proc.returncode == 0 and proc.stdout == expected,
+          "stencil 16 on one host --resources differs from its fixture", proc)
 
 for failure in failures:
     print("FAIL:", failure)

@@ -22,11 +22,11 @@ namespace {
 struct Golden {
   std::string simulated_time;  // %.17g
   std::uint64_t timers_created = 0;
+  std::string failure;  // RunResult::failure (abort policy only)
 };
 
-Golden run_golden(int nprocs, const std::function<void()>& body,
-                  const sc::SmpiConfig& config = fast_config()) {
-  const auto platform = smpi_test::test_cluster(nprocs);
+Golden run_golden_on(const smpi::platform::Platform& platform, int nprocs,
+                     const std::function<void()>& body, const sc::SmpiConfig& config) {
   sc::SmpiWorld world(platform, config);
   world.run(nprocs, [&body](int, char**) {
     MPI_Init(nullptr, nullptr);
@@ -35,7 +35,12 @@ Golden run_golden(int nprocs, const std::function<void()>& body,
   });
   char text[32];
   std::snprintf(text, sizeof text, "%.17g", world.simulated_time());
-  return {text, world.engine().timers_created()};
+  return {text, world.engine().timers_created(), world.result().failure};
+}
+
+Golden run_golden(int nprocs, const std::function<void()>& body,
+                  const sc::SmpiConfig& config = fast_config()) {
+  return run_golden_on(smpi_test::test_cluster(nprocs), nprocs, body, config);
 }
 
 void expect_golden(const Golden& got, const char* simulated_time,
@@ -161,4 +166,57 @@ TEST(KernelGolden, TimerAndCalendarTiesDecideMatchOrder) {
     smpi_execute_flops(rank % 2 == 1 ? 1e6 : 2e7);
   });
   expect_golden(got, "0.044371679999999997", 20);
+}
+
+// Four ranks per two-core host, each starting its bursts at its own date:
+// the host constraint saturates, every arrival and completion changes the
+// running executions' rates mid-burst, and their completion entries move.
+TEST(KernelGolden, ExecutionsOutnumberCoresWithStaggeredStarts) {
+  smpi::platform::FlatClusterParams params;
+  params.nodes = 2;
+  params.cores = 2;
+  params.speed_flops = 1e9;
+  params.link_bandwidth_bps = 1e8;
+  params.link_latency_s = 1e-4;
+  const Golden got = run_golden_on(
+      smpi::platform::build_flat_cluster(params), 8,
+      [] {
+        const int rank = my_rank();
+        smpi_sleep(2.5e-4 * rank);
+        smpi_execute_flops(1e6 * (1 + rank % 3));
+        double value = rank;
+        double sum = 0;
+        MPI_Allreduce(&value, &sum, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD);
+        smpi_execute_flops(5e5 * (1 + rank % 4));
+        MPI_Barrier(MPI_COMM_WORLD);
+      },
+      fast_config());
+  expect_golden(got, "0.0082333333333333356", 24);
+}
+
+// A host crash under the abort policy fails a running execution (rank 1)
+// and an in-flight flow (rank 2 sending to rank 0) on node-1 at one date.
+TEST(KernelGolden, HostCrashFailsExecutionAndFlowAtOnce) {
+  sc::SmpiConfig config = fast_config();
+  config.placement = {0, 1, 1};
+  config.faults = smpi::sim::FaultSpec::parse_text(
+      R"({"policy": "abort", "events": [{"kind": "host_crash", "time": 0.005, "host": "node-1"}]})");
+  const Golden got = run_golden(
+      3,
+      [] {
+        const int rank = my_rank();
+        std::vector<char> buf(1 << 20, 'c');
+        if (rank == 0) {
+          smpi_sleep(1e-3);  // the rendezvous data flow starts at 1 ms
+          MPI_Recv(buf.data(), static_cast<int>(buf.size()), MPI_CHAR, 2, 0, MPI_COMM_WORLD,
+                   MPI_STATUS_IGNORE);
+        } else if (rank == 1) {
+          smpi_execute_flops(1e8);  // 0.1 s at 1 Gflop/s
+        } else {
+          MPI_Send(buf.data(), static_cast<int>(buf.size()), MPI_CHAR, 0, 0, MPI_COMM_WORLD);
+        }
+      },
+      config);
+  expect_golden(got, "0.0050000000000000001", 1);
+  EXPECT_EQ(got.failure, "rank 1 (node 1): compute burst failed: host went down");
 }
