@@ -6,7 +6,7 @@
 #include <map>
 
 #include "trace/paje.hpp"
-#include "util/json.hpp"
+#include "util/check.hpp"
 
 namespace smpi::obs {
 
@@ -30,9 +30,11 @@ int last_interval_before(const std::vector<BlockedInterval>& intervals, double t
 
 }  // namespace
 
-AnalysisResult analyze(const SpanCollector& spans) {
+AnalysisResult analyze(const SpanCollector& spans, const std::vector<double>& rank_compute_s) {
   AnalysisResult result;
   result.nranks = spans.nranks();
+  SMPI_REQUIRE(rank_compute_s.size() == static_cast<std::size_t>(result.nranks),
+               "analyze needs one compute time per rank");
   result.ranks.resize(static_cast<std::size_t>(result.nranks));
 
   // --- per-rank and per-op aggregation -----------------------------------
@@ -40,12 +42,12 @@ AnalysisResult analyze(const SpanCollector& spans) {
   std::size_t total_intervals = 0;
   for (int r = 0; r < result.nranks; ++r) {
     RankBreakdown& rank = result.ranks[static_cast<std::size_t>(r)];
+    rank.compute_s = rank_compute_s[static_cast<std::size_t>(r)];
     for (const Span& span : spans.spans(r)) {
       rank.end_s = std::max(rank.end_s, span.t_end);
       rank.elapsed_s += span.elapsed();
       rank.wait_s += span.wait_s;
       rank.transfer_s += span.transfer_s;
-      rank.compute_s += span.compute_s();
       OpStat& op = by_op[span.op];
       op.op = span.op;
       ++op.count;
@@ -208,45 +210,6 @@ std::string analysis_text(const AnalysisResult& result) {
     out += line;
   }
   return out;
-}
-
-util::JsonValue analysis_json(const AnalysisResult& result) {
-  auto doc = util::JsonValue::object();
-  doc.set("makespan_s", util::JsonValue::number(result.makespan));
-  doc.set("wait_fraction", util::JsonValue::number(result.wait_fraction));
-  doc.set("compute_imbalance", util::JsonValue::number(result.compute_imbalance));
-  doc.set("dominant_wait_state", util::JsonValue::string(result.dominant_wait_state));
-  doc.set("total_compute_s", util::JsonValue::number(result.total_compute_s));
-  doc.set("total_transfer_s", util::JsonValue::number(result.total_transfer_s));
-  doc.set("total_wait_s", util::JsonValue::number(result.total_wait_s));
-  doc.set("critical_path_s", util::JsonValue::number(result.path_length_s));
-  doc.set("cp_compute_s", util::JsonValue::number(result.cp_compute_s));
-  doc.set("cp_comm_s", util::JsonValue::number(result.cp_comm_s));
-  auto ranks = util::JsonValue::array();
-  for (const RankBreakdown& rank : result.ranks) {
-    auto row = util::JsonValue::object();
-    row.set("compute_s", util::JsonValue::number(rank.compute_s));
-    row.set("transfer_s", util::JsonValue::number(rank.transfer_s));
-    row.set("wait_s", util::JsonValue::number(rank.wait_s));
-    row.set("late_sender_s", util::JsonValue::number(rank.late_sender_s));
-    row.set("late_receiver_s", util::JsonValue::number(rank.late_receiver_s));
-    row.set("early_arrival_s", util::JsonValue::number(rank.early_arrival_s));
-    ranks.append(std::move(row));
-  }
-  doc.set("ranks", std::move(ranks));
-  auto ops = util::JsonValue::array();
-  for (const OpStat& op : result.ops) {
-    auto row = util::JsonValue::object();
-    row.set("op", util::JsonValue::string(op.op));
-    row.set("count", util::JsonValue::number_text(std::to_string(op.count)));
-    row.set("elapsed_s", util::JsonValue::number(op.elapsed_s));
-    row.set("wait_s", util::JsonValue::number(op.wait_s));
-    row.set("transfer_s", util::JsonValue::number(op.transfer_s));
-    row.set("bytes", util::JsonValue::number_text(std::to_string(op.bytes)));
-    ops.append(std::move(row));
-  }
-  doc.set("ops", std::move(ops));
-  return doc;
 }
 
 std::uint64_t export_classified_paje(const SpanCollector& spans, const std::string& path,

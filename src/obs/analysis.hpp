@@ -28,16 +28,12 @@
 
 #include "obs/span.hpp"
 
-namespace smpi::util {
-class JsonValue;
-}
-
 namespace smpi::obs {
 
 struct RankBreakdown {
   double end_s = 0;      // date of the rank's last span end
   double elapsed_s = 0;  // sum of span elapsed times
-  double compute_s = 0;  // elapsed - transfer - wait
+  double compute_s = 0;  // the world's per-rank compute (~ elapsed - transfer - wait)
   double transfer_s = 0;
   double wait_s = 0;
   double late_sender_s = 0;
@@ -86,13 +82,13 @@ struct AnalysisResult {
   bool path_complete = false;  // walk reached date 0 (always, absent cycles at one date)
 };
 
-AnalysisResult analyze(const SpanCollector& spans);
+// `rank_compute_s` is each rank's compute time, the world's per-rank account
+// (core::RunResult::rank_compute_s): the analysis reports that one number
+// rather than re-deriving it from the spans.
+AnalysisResult analyze(const SpanCollector& spans, const std::vector<double>& rank_compute_s);
 
 // Human-readable report (smpirun --analyze).
 std::string analysis_text(const AnalysisResult& result);
-
-// JSON form (campaign rows embed a reduced version; this is the full one).
-util::JsonValue analysis_json(const AnalysisResult& result);
 
 // Paje timeline colored by wait-state class: each rank's states are
 // "compute", "transfer", or the wait-state class name, post-hoc from the

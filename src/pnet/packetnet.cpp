@@ -29,8 +29,7 @@ double PacketNetworkModel::frame_bytes(const Packet& packet) const {
   return packet.ack ? config_.ack_bytes : packet.payload + config_.header_bytes;
 }
 
-sim::ActivityPtr PacketNetworkModel::start_flow(int src_node, int dst_node, double bytes,
-                                                const sim::FlowHints& /*hints*/) {
+sim::ActivityPtr PacketNetworkModel::start_flow(int src_node, int dst_node, double bytes) {
   SMPI_REQUIRE(bytes >= 0, "negative flow size");
   auto* engine = sim::Engine::current();
   SMPI_REQUIRE(engine != nullptr, "start_flow outside a simulation");

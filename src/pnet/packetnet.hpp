@@ -52,9 +52,7 @@ class PacketNetworkModel final : public sim::Model, public sim::NetworkBackend {
   PacketNetworkModel(const platform::Platform& platform, PacketNetConfig config = {});
 
   // sim::NetworkBackend
-  sim::ActivityPtr start_flow(int src_node, int dst_node, double bytes,
-                              const sim::FlowHints& hints) override;
-  const char* backend_name() const override { return "pnet-packet"; }
+  sim::ActivityPtr start_flow(int src_node, int dst_node, double bytes) override;
 
   // sim::Model — fires when the earliest internal frame event comes due.
   void on_calendar_event(double now, std::uint64_t tag) override;

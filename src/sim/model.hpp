@@ -8,10 +8,10 @@
 // (surf), the CPU model, and the packet-level ground-truth network (pnet)
 // all implement Model.
 //
-// NetworkBackend/ComputeBackend are the service interfaces the MPI layer
-// uses; having both the analytical and the packet-level simulators behind
-// NetworkBackend is what lets the *same* application run against either —
-// the paper's methodology of comparing SMPI to a real testbed.
+// NetworkBackend is the transfer service the MPI layer uses; having both the
+// analytical and the packet-level simulators behind it is what lets the
+// *same* application run against either — the paper's methodology of
+// comparing SMPI to a real testbed.
 #pragma once
 
 #include <cstdint>
@@ -51,29 +51,12 @@ class Model {
   bool settle_pending_ = false;
 };
 
-struct FlowHints {
-  // Rate cap already decided by higher layers (bytes/s); <=0 means none.
-  double rate_bound = 0;
-};
-
 class NetworkBackend {
  public:
   virtual ~NetworkBackend() = default;
   // Start moving `bytes` from node src to node dst; the returned activity
   // completes when the last byte arrives.
-  virtual ActivityPtr start_flow(int src_node, int dst_node, double bytes,
-                                 const FlowHints& hints) = 0;
-  virtual const char* backend_name() const = 0;
-};
-
-class ComputeBackend {
- public:
-  virtual ~ComputeBackend() = default;
-  // Burn `flops` on `node`; completes when done under the CPU-sharing model.
-  virtual ActivityPtr execute(int node, double flops) = 0;
-  // Nominal speed of a node in flop/s (used to convert measured host seconds
-  // into target flops, §3.1).
-  virtual double node_speed(int node) const = 0;
+  virtual ActivityPtr start_flow(int src_node, int dst_node, double bytes) = 0;
 };
 
 }  // namespace smpi::sim

@@ -108,7 +108,7 @@ void start_rendezvous_transfer(std::shared_ptr<Envelope> env, Request& recv) {
   SMPI_ENSURE(send != nullptr, "rendezvous transfer without sender");
   auto data_flow = world->network().start_flow(world->process(env->src_world_rank)->node,
                                                world->process(env->dst_world_rank)->node,
-                                               static_cast<double>(env->bytes), {});
+                                               static_cast<double>(env->bytes));
   // The flow's callback holds the envelope, so the envelope must not hold
   // the flow: while in flight only the network model owns it, and an abort
   // that freezes the transfer drops the whole chain, unfired, when the
@@ -181,7 +181,7 @@ void match(std::shared_ptr<Envelope> env, Request& recv) {
         return;
       }
       auto cts = world->network().start_flow(world->process(env->dst_world_rank)->node,
-                                             world->process(env->src_world_rank)->node, 0, {});
+                                             world->process(env->src_world_rank)->node, 0);
       cts->on_completion([env, recv_ptr, world](sim::Activity& done) {
         if (world->aborted()) return;
         if (done.state() != sim::Activity::State::kDone) {
@@ -348,12 +348,12 @@ void post_send(Request& request) {
       }
     }
     env->data_flow = world->network().start_flow(request.owner->node, receiver->node,
-                                                 static_cast<double>(bytes), {});
+                                                 static_cast<double>(bytes));
   } else {
     request.token = sim::new_activity("send");
     env->send_request = &request;
     if (personality.emulate_protocol_messages) {
-      env->rts_flow = world->network().start_flow(request.owner->node, receiver->node, 0, {});
+      env->rts_flow = world->network().start_flow(request.owner->node, receiver->node, 0);
     }
   }
   try_match_new_envelope(*receiver, std::move(env));

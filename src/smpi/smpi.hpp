@@ -261,7 +261,7 @@ class SmpiWorld {
   // This run's observers; all null once the simulation in run() has ended.
   const Observers& observers() const { return observers_; }
   sim::NetworkBackend& network() { return *network_; }
-  sim::ComputeBackend& cpu() { return *cpu_; }
+  surf::CpuModel& cpu() { return *cpu_; }
 
   // --- internal services (used by the MPI call implementations) -----------
   static SmpiWorld* instance();
@@ -286,10 +286,9 @@ class SmpiWorld {
   SmpiConfig config_;
   Observers observers_;
   std::unique_ptr<sim::Engine> engine_;
-  std::shared_ptr<surf::CpuModel> cpu_model_;
+  std::shared_ptr<surf::CpuModel> cpu_;
   sim::NetworkBackend* network_ = nullptr;
   surf::FlowNetworkModel* flow_network_ = nullptr;  // null with the packet backend
-  sim::ComputeBackend* cpu_ = nullptr;
   std::vector<std::unique_ptr<Process>> processes_;
   Comm* world_comm_ = nullptr;
   Group* empty_group_ = nullptr;

@@ -154,10 +154,9 @@ SmpiWorld::SmpiWorld(const platform::Platform& platform, SmpiConfig config, Obse
   // One knob drives both analytical solvers (network and CPU share the
   // max-min implementation and its full-reference flag). With a resource
   // collector the models register their hosts/links with it here.
-  cpu_model_ = std::make_shared<surf::CpuModel>(platform_, config_.network.solver_mode,
-                                                observers_.resources);
-  cpu_ = cpu_model_.get();
-  engine_->add_model(cpu_model_);
+  cpu_ = std::make_shared<surf::CpuModel>(platform_, config_.network.solver_mode,
+                                          observers_.resources);
+  engine_->add_model(cpu_);
   if (config_.noise.has_message_jitter && !config_.noise.message_jitter.is_identity(0.0)) {
     // Install before the network model is built: the model copies its
     // config. An identity (zero-sigma) channel installs nothing, so the
@@ -195,7 +194,7 @@ SmpiWorld::SmpiWorld(const platform::Platform& platform, SmpiConfig config, Obse
     index.find_link = [this](const std::string& name) { return platform_.find_link(name); };
     auto faults = std::make_shared<sim::FaultModel>(resolve_faults(config_.faults, index));
     faults->set_host_hook([this](int host, bool up) {
-      cpu_model_->set_host_up(host, up);
+      cpu_->set_host_up(host, up);
       flow_network_->set_host_up(host, up);
     });
     faults->set_link_hook([this](int link, bool up, double factor) {
@@ -230,7 +229,7 @@ SmpiWorld::~SmpiWorld() {
   // incomplete executions holding pooled activities, and those must return
   // to the engine's pools inside ~Engine (models_ holds the last ref), not
   // after it.
-  cpu_model_.reset();
+  cpu_.reset();
   engine_.reset();
   g_world = nullptr;
 }
@@ -453,7 +452,7 @@ void SmpiWorld::finish_run() {
     // changed sets (no settle runs after the last event): drain both models
     // before closing the observed window at the makespan.
     if (flow_network_ != nullptr) flow_network_->flush_observations(end);
-    cpu_model_->flush_observations(end);
+    cpu_->flush_observations(end);
     observers.resources->finalize(end);
     const obs::ResourceCollector::Summary summary = observers.resources->summary();
     result_.resources_analyzed = true;
@@ -472,7 +471,7 @@ void SmpiWorld::finish_run() {
   }
   if (observers.spans != nullptr) {
     result_.analyzed = true;
-    result_.analysis = obs::analyze(*observers.spans);
+    result_.analysis = obs::analyze(*observers.spans, result_.rank_compute_s);
     for (const obs::RankBreakdown& b : result_.analysis.ranks) {
       result_.rank_wait_s.push_back(b.wait_s);
       result_.rank_transfer_s.push_back(b.transfer_s);
@@ -494,7 +493,7 @@ void SmpiWorld::finish_run() {
     sum.observe_drains += oc.observe_drains;
   };
   if (flow_network_ != nullptr) add(flow_network_->solver());
-  add(cpu_model_->solver());
+  add(cpu_->solver());
 }
 
 P2pCounters SmpiWorld::p2p_counters() const {

@@ -5,14 +5,12 @@
 // sharing system, where the max-min solver splits each link's capacity among
 // the flows crossing it. The flow's rate is additionally capped by
 //   - the piece-wise model: bw_factor(size) x bottleneck bandwidth,
-//   - a TCP congestion-window bound: window / RTT,
-//   - any caller-provided bound (FlowHints).
+//   - a TCP congestion-window bound: window / RTT.
 //
-// The model is heap-driven: each active flow owns one completion entry in
-// the engine's event calendar, and a solver re-solve reschedules entries
-// only for the flows whose allocation actually changed (the solver's
-// update-notification list). Remaining bytes are tracked lazily per flow as
-// a (rate, last_update) pair — see sim::FluidWork.
+// Flows are the sharing core's actions (surf/sharing.hpp): each active flow
+// owns one completion entry in the engine's event calendar, and a re-solve
+// reschedules entries only for the flows whose allocation actually changed.
+// This model adds routes, the latency phase, link faults and degradation.
 //
 // Setting `contention = false` reproduces the naive simulators of §2/§7
 // (every flow gets its full rate regardless of sharing) — the white bars of
@@ -20,17 +18,13 @@
 #pragma once
 
 #include <functional>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "platform/platform.hpp"
 #include "sim/model.hpp"
-#include "surf/maxmin.hpp"
 #include "surf/piecewise.hpp"
-
-namespace smpi::obs {
-class ResourceCollector;
-}
+#include "surf/sharing.hpp"
 
 namespace smpi::surf {
 
@@ -52,22 +46,18 @@ struct NetworkConfig {
   std::function<double(int src, int dst)> latency_jitter;
 };
 
-class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
+class FlowNetworkModel final : public SharingModel, public sim::NetworkBackend {
  public:
   // A non-null `resources` gets one resource per shared link here, and the
   // solver's changed-constraint tracking is turned on for it.
   FlowNetworkModel(const platform::Platform& platform, NetworkConfig config,
                    obs::ResourceCollector* resources = nullptr);
-  ~FlowNetworkModel() override;
 
   // sim::NetworkBackend
-  sim::ActivityPtr start_flow(int src_node, int dst_node, double bytes,
-                              const sim::FlowHints& hints) override;
-  const char* backend_name() const override { return "surf-flow"; }
+  sim::ActivityPtr start_flow(int src_node, int dst_node, double bytes) override;
 
   // sim::Model
   void on_calendar_event(double now, std::uint64_t tag) override;
-  void on_settle(double now) override;
 
   // The duration a single uncontended transfer of `bytes` would take — the
   // closed-form alpha_k + s/beta_k the piece-wise model predicts. Used by
@@ -75,11 +65,6 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
   double uncontended_duration(int src_node, int dst_node, double bytes) const;
 
   const NetworkConfig& config() const { return config_; }
-  std::size_t active_flow_count() const { return active_flows_; }
-  std::uint64_t total_flows_started() const { return total_flows_; }
-
-  // Property-test hook: total allocated rate through a link's constraint.
-  double link_usage(int link_id);
 
   // --- availability (driven by sim::FaultModel) ----------------------------
   // A down host fails every in-flight flow touching it (kFailed) and rejects
@@ -91,24 +76,10 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
   void set_host_up(int host, bool up);
   void set_link_up(int link, bool up);
   void set_link_degrade(int link, double factor);
-  bool host_is_up(int host) const;
   bool link_is_up(int link) const;
 
-  // Perf counter: solver work actually performed (see MaxMinSystem).
-  const MaxMinSystem& solver() const { return system_; }
-
-  // Resource observability: drain any still-pending solver changes into the
-  // obs::ResourceCollector (the settle path does this implicitly; the world
-  // calls it once more after the run so the final completions' usage drop
-  // reaches the timeline). No-op without a collector.
-  void flush_observations(double now);
-
  private:
-  struct Flow {
-    std::uint32_t slot = 0;  // its own index in slots_ (for calendar tags)
-    // Generation stamp: bumped when the slot retires, so calendar entries
-    // referring to a dead occupant are recognized as stale.
-    std::uint32_t gen = 0;
+  struct Flow : Action {
     // Latency phase: the first calendar event promotes the flow into the
     // bandwidth-sharing system instead of completing it. Using the calendar
     // for both phases (rather than an engine timer for the first) keeps the
@@ -116,80 +87,30 @@ class FlowNetworkModel final : public sim::Model, public sim::NetworkBackend {
     // because timers and calendar entries share one (date, seq) order.
     bool in_latency = false;
     double pending_bytes = 0;
+    double bound = 0;
     // Endpoints and route, kept for the flow's whole lifetime so the fault
     // layer can find the flows a dead host/link strands. `links` keeps its
     // capacity when the slot is recycled, so steady state does not allocate.
     int src = -1;
     int dst = -1;
     std::vector<int> links;
-    sim::ActivityPtr activity;
-    sim::FluidWork work;
-    int var = -1;  // -1 when not in the solver (no-contention mode)
-    int res_flow = -1;  // obs::ResourceCollector attribution id (lazy)
-    double bound = 0;
-    sim::EventCalendar::Handle event = sim::EventCalendar::kNoEvent;
   };
 
   // Compute (latency, rate bound) for a transfer along `links`.
   void path_parameters(const std::vector<int>& links, double bytes, double* latency_out,
                        double* bound_out) const;
-  // Slot bookkeeping: a live flow is identified by (slot, generation),
-  // packed into the calendar tag / latency-timer capture as gen<<32 | slot.
-  // Slot storage is stable (unique_ptr) and recycled, so the steady-state
-  // per-message cost is two vector pushes/pops — no hashing, no per-flow
-  // heap node. An earlier revision kept flows in an id-keyed hash map with
-  // extracted-node recycling; the insert/extract shuffle was the single
-  // hottest line of a 1024-rank collective profile.
-  static std::uint64_t pack_tag(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<std::uint64_t>(gen) << 32) | slot;
-  }
-  std::uint32_t acquire_slot();
-  void retire_slot(std::uint32_t slot);
-
   // End of the latency phase: the flow enters the bandwidth-sharing system.
   void promote(Flow& flow);
-  // Re-solve if dirty and reschedule completion events for the flows whose
-  // rate changed.
-  void resettle(double now);
-  void reschedule(Flow& flow, double now);
-  void complete(Flow& flow, sim::Activity::State state);
-  // Lazily size the availability vectors (first fault only).
-  void ensure_fault_state();
-  // Fail (kFailed) every active flow for which `doomed` is true.
-  template <typename Pred>
-  void fail_matching_flows(const Pred& doomed);
+  // Flow labels are src->dst host names, e.g. "node-0->node-3".
+  std::string action_label(const Action& action) const override;
+  // Lazily allocates the fault state, link availability included.
+  void enable_link_faults();
 
-  // Drain the solver's changed constraints into the resource collector
-  // (observing mode only; called at every settle).
-  void flush_resource_snapshots(double now);
-
-  const platform::Platform& platform_;
   NetworkConfig config_;
-  MaxMinSystem system_;
   std::vector<int> link_constraint_;  // per link id; -1 for fatpipe links
-  // Resource observability (null/empty without a collector): constraint id
-  // -> collector resource id, plus snapshot scratch so the settle path stays
-  // allocation-free in steady state.
-  obs::ResourceCollector* resources_ = nullptr;
-  std::vector<int> constraint_resource_;
-  std::vector<int> changed_scratch_;
-  std::vector<std::pair<int, double>> var_shares_scratch_;
-  std::vector<std::pair<int, double>> flow_shares_scratch_;
   // Route of the flow being posted, before it has a slot to own it.
   std::vector<int> route_scratch_;
-  std::vector<std::unique_ptr<Flow>> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t active_flows_ = 0;
-  // Indexed by solver variable id — ids are recycled, so this stays as small
-  // as the peak concurrent flow count; nullptr for retired slots.
-  std::vector<Flow*> var_to_flow_;
-  std::uint64_t total_flows_ = 0;
-  // Availability state; empty until the first fault (ensure_fault_state), so
-  // fault-free runs pay a single bool check per flow.
-  bool faults_enabled_ = false;
-  std::vector<char> host_up_;        // per host id
-  std::vector<char> link_up_;        // per link id
-  std::vector<double> link_degrade_; // per link id; capacity factor in (0, 1]
+  std::vector<char> link_up_;  // per link id; empty until the first link fault
 };
 
 }  // namespace smpi::surf

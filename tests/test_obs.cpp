@@ -27,11 +27,20 @@ using namespace smpi_test;
 
 namespace {
 
-// Runs `body` on `nprocs` ranks with `spans` as the world's span collector.
-double run_with_spans(obs::SpanCollector& spans, int nprocs, const std::function<void()>& body) {
+// Runs `body` on `nprocs` ranks with a span collector attached; the run
+// record carries the world's analysis of it.
+smpi::core::RunResult run_analyzed(int nprocs, const std::function<void()>& body) {
+  obs::SpanCollector spans(nprocs);
   smpi::core::Observers observers;
   observers.spans = &spans;
-  return run_mpi(nprocs, body, fast_config(), observers);
+  const auto platform = test_cluster(nprocs);
+  smpi::core::SmpiWorld world(platform, fast_config(), observers);
+  world.run(nprocs, [&body](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    body();
+    MPI_Finalize();
+  });
+  return world.result();
 }
 
 // Every span stream must satisfy the exact accounting identity and the
@@ -139,8 +148,7 @@ tr::TiTrace stencil_trace(int ranks) {
 // at the same date, so block start and flow start differ by the compute
 // alone.
 TEST(ObsWaitStates, LateSenderOfExactlyThreeMs) {
-  obs::SpanCollector collector(2);
-  run_with_spans(collector, 2, [] {
+  const smpi::core::RunResult run = run_analyzed(2, [] {
     char buf[8] = {0};
     if (my_rank() == 0) {
       smpi_execute_flops(3e6);
@@ -149,7 +157,7 @@ TEST(ObsWaitStates, LateSenderOfExactlyThreeMs) {
       MPI_Recv(buf, 8, MPI_CHAR, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
     }
   });
-  const obs::AnalysisResult a = obs::analyze(collector);
+  const obs::AnalysisResult& a = run.analysis;
   expect_analysis_invariants(a);
   EXPECT_NEAR(a.ranks[1].late_sender_s, 0.003, 1e-9);
   EXPECT_DOUBLE_EQ(a.ranks[1].late_receiver_s, 0.0);
@@ -164,8 +172,7 @@ TEST(ObsWaitStates, LateSenderOfExactlyThreeMs) {
 // receiver that computes 3 ms first leaves the sender in a late-receiver
 // wait of exactly 3 ms.
 TEST(ObsWaitStates, LateReceiverViaRendezvous) {
-  obs::SpanCollector collector(2);
-  run_with_spans(collector, 2, [] {
+  const smpi::core::RunResult run = run_analyzed(2, [] {
     std::vector<char> buf(128 * 1024);
     if (my_rank() == 0) {
       MPI_Send(buf.data(), static_cast<int>(buf.size()), MPI_CHAR, 1, 0, MPI_COMM_WORLD);
@@ -175,7 +182,7 @@ TEST(ObsWaitStates, LateReceiverViaRendezvous) {
                MPI_STATUS_IGNORE);
     }
   });
-  const obs::AnalysisResult a = obs::analyze(collector);
+  const obs::AnalysisResult& a = run.analysis;
   expect_analysis_invariants(a);
   EXPECT_NEAR(a.ranks[0].late_receiver_s, 0.003, 1e-9);
   EXPECT_DOUBLE_EQ(a.ranks[0].late_sender_s, 0.0);
@@ -185,18 +192,42 @@ TEST(ObsWaitStates, LateReceiverViaRendezvous) {
 // Load imbalance at a collective sync point surfaces as early-arrival time
 // on the fast ranks and none on the straggler.
 TEST(ObsWaitStates, EarlyArrivalAtBarrier) {
-  obs::SpanCollector collector(4);
-  run_with_spans(collector, 4, [] {
+  const smpi::core::RunResult run = run_analyzed(4, [] {
     if (my_rank() == 3) smpi_execute_flops(4e6);  // 4 ms straggler
     MPI_Barrier(MPI_COMM_WORLD);
   });
-  const obs::AnalysisResult a = obs::analyze(collector);
+  const obs::AnalysisResult& a = run.analysis;
   expect_analysis_invariants(a);
   for (int r = 0; r < 3; ++r) {
     EXPECT_GT(a.ranks[static_cast<std::size_t>(r)].early_arrival_s, 0.003) << "rank " << r;
   }
   EXPECT_EQ(a.dominant_wait_state, "early_arrival");
   EXPECT_GT(a.compute_imbalance, 1.0);  // one rank does all the flops
+}
+
+// The analysis reports the world's per-rank compute account, not a second
+// number summed from the spans: the two used to differ in the last ulp.
+TEST(ObsWaitStates, ComputeIsTheWorldsPerRankAccount) {
+  const smpi::core::RunResult run = run_analyzed(8, [] {
+    const int rank = my_rank();
+    const int size = world_size();
+    std::vector<char> out(3000, 'c');
+    std::vector<char> in(out.size());
+    double value = rank;
+    for (int iter = 0; iter < 6; ++iter) {
+      smpi_execute_flops(1.37e5 * (1 + (rank + iter) % 5));
+      MPI_Sendrecv(out.data(), static_cast<int>(out.size()), MPI_CHAR, (rank + 1) % size, iter,
+                   in.data(), static_cast<int>(in.size()), MPI_CHAR, (rank + size - 1) % size,
+                   iter, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+      MPI_Allreduce(MPI_IN_PLACE, &value, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD);
+    }
+  });
+  ASSERT_TRUE(run.analyzed);
+  ASSERT_EQ(run.analysis.ranks.size(), run.rank_compute_s.size());
+  for (std::size_t r = 0; r < run.rank_compute_s.size(); ++r) {
+    EXPECT_EQ(run.analysis.ranks[r].compute_s, run.rank_compute_s[r]) << "rank " << r;
+  }
+  expect_analysis_invariants(run.analysis);
 }
 
 // ---------------------------------------------------------------------------
@@ -207,8 +238,7 @@ TEST(ObsWaitStates, EarlyArrivalAtBarrier) {
 // must visit all of them, and its length must equal the makespan exactly.
 TEST(ObsCriticalPath, RingVisitsEveryRank) {
   constexpr int kRanks = 4;
-  obs::SpanCollector collector(kRanks);
-  run_with_spans(collector, kRanks, [] {
+  const smpi::core::RunResult run = run_analyzed(kRanks, [] {
     char token[64] = {0};
     const int rank = my_rank();
     if (rank > 0) {
@@ -219,7 +249,7 @@ TEST(ObsCriticalPath, RingVisitsEveryRank) {
       MPI_Send(token, 64, MPI_CHAR, rank + 1, 0, MPI_COMM_WORLD);
     }
   });
-  const obs::AnalysisResult a = obs::analyze(collector);
+  const obs::AnalysisResult& a = run.analysis;
   expect_analysis_invariants(a);
   EXPECT_EQ(static_cast<int>(path_ranks(a).size()), kRanks);
   // Four serialized 1 ms compute hops dominate the makespan.
@@ -231,8 +261,7 @@ TEST(ObsCriticalPath, RingVisitsEveryRank) {
 // and the makespan is far below the ring's serialized sum.
 TEST(ObsCriticalPath, StarStaysShort) {
   constexpr int kRanks = 4;
-  obs::SpanCollector collector(kRanks);
-  const double star_time = run_with_spans(collector, kRanks, [] {
+  const smpi::core::RunResult run = run_analyzed(kRanks, [] {
     char buf[64] = {0};
     if (my_rank() == 0) {
       for (int peer = 1; peer < world_size(); ++peer) {
@@ -242,9 +271,9 @@ TEST(ObsCriticalPath, StarStaysShort) {
       MPI_Recv(buf, 64, MPI_CHAR, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
     }
   });
-  const obs::AnalysisResult a = obs::analyze(collector);
+  const obs::AnalysisResult& a = run.analysis;
   expect_analysis_invariants(a);
-  EXPECT_NEAR(a.path_length_s, star_time, 1e-9);
+  EXPECT_NEAR(a.path_length_s, run.simulated_time, 1e-9);
   EXPECT_LT(a.makespan, 0.004);  // no serialized compute chain
 }
 

@@ -47,7 +47,7 @@ TEST(PacketNet, SingleFrameCrossesStoreAndForward) {
   Fixture fx(cluster(2, 1e8, 1e-3), no_rampup());
   double done_at = -1;
   fx.engine.spawn("s", 0, [&] {
-    fx.net->start_flow(0, 1, 1000, {})->wait();
+    fx.net->start_flow(0, 1, 1000)->wait();
     done_at = fx.engine.now();
   });
   fx.engine.run();
@@ -63,10 +63,10 @@ TEST(PacketNet, PerFrameOverheadQuantizesSmallMessages) {
   std::vector<double> done(2, -1);
   fx.engine.spawn("s", 0, [&] {
     const double t0 = fx.engine.now();
-    fx.net->start_flow(0, 1, 1, {})->wait();
+    fx.net->start_flow(0, 1, 1)->wait();
     done[0] = fx.engine.now() - t0;
     const double t1 = fx.engine.now();
-    fx.net->start_flow(0, 1, 1000, {})->wait();
+    fx.net->start_flow(0, 1, 1000)->wait();
     done[1] = fx.engine.now() - t1;
   });
   fx.engine.run();
@@ -78,7 +78,7 @@ TEST(PacketNet, LargeMessageGoodputBelowNominal) {
   double done_at = -1;
   const double bytes = 1e7;
   fx.engine.spawn("s", 0, [&] {
-    fx.net->start_flow(0, 1, bytes, {})->wait();
+    fx.net->start_flow(0, 1, bytes)->wait();
     done_at = fx.engine.now();
   });
   fx.engine.run();
@@ -107,10 +107,10 @@ TEST(PacketNet, MoreSwitchesAddPerHopCost) {
   double near_time = -1, far_time = -1;
   engine.spawn("s", 0, [&] {
     const double t0 = engine.now();
-    net->start_flow(0, 1, 1000, {})->wait();  // same cabinet: 1 switch
+    net->start_flow(0, 1, 1000)->wait();  // same cabinet: 1 switch
     near_time = engine.now() - t0;
     const double t1 = engine.now();
-    net->start_flow(0, 2, 1000, {})->wait();  // distant: 3 switches
+    net->start_flow(0, 2, 1000)->wait();  // distant: 3 switches
     far_time = engine.now() - t1;
   });
   engine.run();
@@ -133,7 +133,7 @@ TEST(PacketNet, TwoFlowsInterleaveFairly) {
     // own scope first.
     Fixture solo_fx(cluster(3, 1e8, 1e-4), config);
     solo_fx.engine.spawn("s", 0, [&] {
-      solo_fx.net->start_flow(0, 1, bytes, {})->wait();
+      solo_fx.net->start_flow(0, 1, bytes)->wait();
       solo = solo_fx.engine.now();
     });
     solo_fx.engine.run();
@@ -141,8 +141,8 @@ TEST(PacketNet, TwoFlowsInterleaveFairly) {
   Fixture fx(cluster(3, 1e8, 1e-4), config);
   std::vector<double> done(2, -1);
   fx.engine.spawn("s", 0, [&] {
-    auto f1 = fx.net->start_flow(0, 1, bytes, {});
-    auto f2 = fx.net->start_flow(0, 2, bytes, {});
+    auto f1 = fx.net->start_flow(0, 1, bytes);
+    auto f2 = fx.net->start_flow(0, 2, bytes);
     f1->on_completion([&](ss::Activity& a) { done[0] = a.finish_time(); });
     f2->on_completion([&](ss::Activity& a) { done[1] = a.finish_time(); });
     f1->wait();
@@ -164,7 +164,7 @@ TEST(PacketNet, WindowLimitsThroughputOnLongPath) {
   double done_at = -1;
   const double bytes = 1e6;
   fx.engine.spawn("s", 0, [&] {
-    fx.net->start_flow(0, 1, bytes, {})->wait();
+    fx.net->start_flow(0, 1, bytes)->wait();
     done_at = fx.engine.now();
   });
   fx.engine.run();
@@ -184,7 +184,7 @@ TEST(PacketNet, SlowStartRampsUp) {
     slow.initial_window_bytes = 2 * 1024;
     Fixture ramped(cluster(2, 1.25e8, 1e-3), slow);
     ramped.engine.spawn("s", 0, [&] {
-      ramped.net->start_flow(0, 1, bytes, {})->wait();
+      ramped.net->start_flow(0, 1, bytes)->wait();
       ramped_time = ramped.engine.now();
     });
     ramped.engine.run();
@@ -192,7 +192,7 @@ TEST(PacketNet, SlowStartRampsUp) {
   {
     Fixture warm(cluster(2, 1.25e8, 1e-3), no_rampup());
     warm.engine.spawn("s", 0, [&] {
-      warm.net->start_flow(0, 1, bytes, {})->wait();
+      warm.net->start_flow(0, 1, bytes)->wait();
       warm_time = warm.engine.now();
     });
     warm.engine.run();
@@ -205,7 +205,7 @@ TEST(PacketNet, ZeroByteMessageIsOneControlFrame) {
   Fixture fx(cluster(2, 1e8, 1e-3), no_rampup());
   double done_at = -1;
   fx.engine.spawn("s", 0, [&] {
-    fx.net->start_flow(0, 1, 0, {})->wait();
+    fx.net->start_flow(0, 1, 0)->wait();
     done_at = fx.engine.now();
   });
   fx.engine.run();
@@ -216,7 +216,7 @@ TEST(PacketNet, LoopbackIsImmediate) {
   Fixture fx(cluster(2, 1e8, 1e-3), no_rampup());
   double done_at = -1;
   fx.engine.spawn("s", 0, [&] {
-    fx.net->start_flow(0, 0, 12345, {})->wait();
+    fx.net->start_flow(0, 0, 12345)->wait();
     done_at = fx.engine.now();
   });
   fx.engine.run();
@@ -226,7 +226,7 @@ TEST(PacketNet, LoopbackIsImmediate) {
 TEST(PacketNet, FlowsRetireAfterAcksDrain) {
   Fixture fx(cluster(2, 1e8, 1e-4), no_rampup());
   fx.engine.spawn("s", 0, [&] {
-    fx.net->start_flow(0, 1, 1e5, {})->wait();
+    fx.net->start_flow(0, 1, 1e5)->wait();
     fx.engine.sleep_for(1.0);  // let the trailing acks drain
   });
   fx.engine.run();
@@ -236,7 +236,7 @@ TEST(PacketNet, FlowsRetireAfterAcksDrain) {
 TEST(PacketNet, FrameCountMatchesPayload) {
   Fixture fx(cluster(2, 1e8, 1e-4), no_rampup());
   fx.engine.spawn("s", 0, [&] {
-    fx.net->start_flow(0, 1, 14460, {})->wait();  // exactly 10 full frames
+    fx.net->start_flow(0, 1, 14460)->wait();  // exactly 10 full frames
     fx.engine.sleep_for(1.0);
   });
   fx.engine.run();
@@ -248,8 +248,8 @@ TEST(PacketNet, DeterministicEventCount) {
   auto run_once = [] {
     Fixture fx(cluster(4, 1e8, 1e-4), no_rampup());
     fx.engine.spawn("s", 0, [&] {
-      auto f1 = fx.net->start_flow(0, 1, 5e5, {});
-      auto f2 = fx.net->start_flow(2, 3, 5e5, {});
+      auto f1 = fx.net->start_flow(0, 1, 5e5);
+      auto f2 = fx.net->start_flow(2, 3, 5e5);
       f1->wait();
       f2->wait();
       fx.engine.sleep_for(1.0);

@@ -42,11 +42,6 @@ TEST(CpuModel, SingleExecutionTakesFlopsOverSpeed) {
   EXPECT_NEAR(done_at, 2.0, 1e-9);
 }
 
-TEST(CpuModel, NodeSpeedReportsPlatformRating) {
-  Fixture fx;
-  EXPECT_DOUBLE_EQ(fx.cpu->node_speed(0), 1e9);
-}
-
 TEST(CpuModel, TwoTasksOnTwoCoresRunInParallel) {
   Fixture fx(/*cores=*/2);
   std::vector<double> done(2, -1);

@@ -45,7 +45,7 @@ TEST(FlowNetwork, SingleTransferTime) {
   Fixture fx(config);
   double done_at = -1;
   fx.engine.spawn("sender", 0, [&] {
-    auto flow = fx.net->start_flow(0, 1, 1e8, {});
+    auto flow = fx.net->start_flow(0, 1, 1e8);
     flow->wait();
     done_at = fx.engine.now();
   });
@@ -62,7 +62,7 @@ TEST(FlowNetwork, BandwidthEfficiencyCapsRate) {
   Fixture fx(config);
   double done_at = -1;
   fx.engine.spawn("sender", 0, [&] {
-    fx.net->start_flow(0, 1, 1e8, {})->wait();
+    fx.net->start_flow(0, 1, 1e8)->wait();
     done_at = fx.engine.now();
   });
   fx.engine.run();
@@ -76,8 +76,8 @@ TEST(FlowNetwork, TwoFlowsOnSameSourceShareTheUplink) {
   Fixture fx(config);
   std::vector<double> done(2, -1);
   fx.engine.spawn("sender", 0, [&] {
-    auto f1 = fx.net->start_flow(0, 1, 1e8, {});
-    auto f2 = fx.net->start_flow(0, 2, 1e8, {});
+    auto f1 = fx.net->start_flow(0, 1, 1e8);
+    auto f2 = fx.net->start_flow(0, 2, 1e8);
     f1->on_completion([&](ss::Activity& a) { done[0] = a.finish_time(); });
     f2->on_completion([&](ss::Activity& a) { done[1] = a.finish_time(); });
     f1->wait();
@@ -96,8 +96,8 @@ TEST(FlowNetwork, DisjointFlowsDoNotInterfere) {
   Fixture fx(config);
   std::vector<double> done(2, -1);
   fx.engine.spawn("sender", 0, [&] {
-    auto f1 = fx.net->start_flow(0, 1, 1e8, {});
-    auto f2 = fx.net->start_flow(2, 3, 1e8, {});
+    auto f1 = fx.net->start_flow(0, 1, 1e8);
+    auto f2 = fx.net->start_flow(2, 3, 1e8);
     f1->on_completion([&](ss::Activity& a) { done[0] = a.finish_time(); });
     f2->on_completion([&](ss::Activity& a) { done[1] = a.finish_time(); });
     f1->wait();
@@ -116,8 +116,8 @@ TEST(FlowNetwork, ContentionOffRestoresFullRate) {
   Fixture fx(config);
   std::vector<double> done(2, -1);
   fx.engine.spawn("sender", 0, [&] {
-    auto f1 = fx.net->start_flow(0, 1, 1e8, {});
-    auto f2 = fx.net->start_flow(0, 2, 1e8, {});
+    auto f1 = fx.net->start_flow(0, 1, 1e8);
+    auto f2 = fx.net->start_flow(0, 2, 1e8);
     f1->on_completion([&](ss::Activity& a) { done[0] = a.finish_time(); });
     f2->on_completion([&](ss::Activity& a) { done[1] = a.finish_time(); });
     f1->wait();
@@ -136,13 +136,13 @@ TEST(FlowNetwork, LateJoinerSlowsExistingFlow) {
   Fixture fx(config);
   double done_first = -1;
   fx.engine.spawn("a", 0, [&] {
-    auto f = fx.net->start_flow(0, 1, 1e8, {});
+    auto f = fx.net->start_flow(0, 1, 1e8);
     f->wait();
     done_first = fx.engine.now();
   });
   fx.engine.spawn("b", 0, [&] {
     fx.engine.sleep_for(0.502);  // joins when the first flow is half done
-    fx.net->start_flow(0, 2, 1e8, {})->wait();
+    fx.net->start_flow(0, 2, 1e8)->wait();
   });
   fx.engine.run();
   // Joiner enters sharing at t=0.504 (sleep + its own latency); by then the
@@ -157,7 +157,7 @@ TEST(FlowNetwork, ZeroByteMessageCostsOnlyLatency) {
   Fixture fx(config);
   double done_at = -1;
   fx.engine.spawn("sender", 0, [&] {
-    fx.net->start_flow(0, 1, 0, {})->wait();
+    fx.net->start_flow(0, 1, 0)->wait();
     done_at = fx.engine.now();
   });
   fx.engine.run();
@@ -168,27 +168,11 @@ TEST(FlowNetwork, LoopbackIsImmediate) {
   Fixture fx;
   double done_at = -1;
   fx.engine.spawn("sender", 0, [&] {
-    fx.net->start_flow(0, 0, 1e9, {})->wait();
+    fx.net->start_flow(0, 0, 1e9)->wait();
     done_at = fx.engine.now();
   });
   fx.engine.run();
   EXPECT_DOUBLE_EQ(done_at, 0.0);
-}
-
-TEST(FlowNetwork, HintRateBoundIsHonored) {
-  sf::NetworkConfig config;
-  config.bandwidth_efficiency = 1.0;
-  config.tcp_window_bytes = 0;
-  Fixture fx(config);
-  double done_at = -1;
-  fx.engine.spawn("sender", 0, [&] {
-    ss::FlowHints hints;
-    hints.rate_bound = 2.5e7;
-    fx.net->start_flow(0, 1, 1e8, hints)->wait();
-    done_at = fx.engine.now();
-  });
-  fx.engine.run();
-  EXPECT_NEAR(done_at, 4.002, 1e-6);
 }
 
 TEST(FlowNetwork, TcpWindowLimitsLongFatPath) {
@@ -198,7 +182,7 @@ TEST(FlowNetwork, TcpWindowLimitsLongFatPath) {
   Fixture fx(config);
   double done_at = -1;
   fx.engine.spawn("sender", 0, [&] {
-    fx.net->start_flow(0, 1, 1e7, {})->wait();
+    fx.net->start_flow(0, 1, 1e7)->wait();
     done_at = fx.engine.now();
   });
   fx.engine.run();
@@ -216,10 +200,10 @@ TEST(FlowNetwork, PiecewiseFactorsSelectPerSizeBehaviour) {
   Fixture fx(config);
   double small_done = -1, large_done = -1;
   fx.engine.spawn("sender", 0, [&] {
-    fx.net->start_flow(0, 1, 100, {})->wait();
+    fx.net->start_flow(0, 1, 100)->wait();
     small_done = fx.engine.now();
     const double start = fx.engine.now();
-    fx.net->start_flow(0, 1, 1e8, {})->wait();
+    fx.net->start_flow(0, 1, 1e8)->wait();
     large_done = fx.engine.now() - start;
   });
   fx.engine.run();
@@ -249,8 +233,8 @@ TEST(FlowNetwork, FatpipeBackboneDoesNotContend) {
   engine.add_model(model);
   std::vector<double> done(2, -1);
   engine.spawn("sender", 0, [&] {
-    auto f1 = net->start_flow(0, 2, 1e8, {});  // cabinet 0 -> cabinet 1
-    auto f2 = net->start_flow(1, 3, 1e8, {});
+    auto f1 = net->start_flow(0, 2, 1e8);  // cabinet 0 -> cabinet 1
+    auto f2 = net->start_flow(1, 3, 1e8);
     f1->on_completion([&](ss::Activity& a) { done[0] = a.finish_time(); });
     f2->on_completion([&](ss::Activity& a) { done[1] = a.finish_time(); });
     f1->wait();
