@@ -17,10 +17,7 @@ CpuModel::CpuModel(const platform::Platform& platform, SolveMode solver_mode,
   for (int id = 0; id < platform_.host_count(); ++id) {
     const auto& host = platform_.host(id);
     host_constraint_.push_back(system_.new_constraint(host.speed_flops * host.cores));
-  }
-  for (int id = 0; id < platform_.host_count(); ++id) {
-    add_resource(host_constraint_[static_cast<std::size_t>(id)], obs::ResourceKind::kHost,
-                 platform_.host(id).name);
+    add_resource(host_constraint_.back(), obs::ResourceKind::kHost, host.name);
   }
 }
 

@@ -26,15 +26,12 @@ FlowNetworkModel::FlowNetworkModel(const platform::Platform& platform, NetworkCo
   link_constraint_.resize(static_cast<std::size_t>(platform_.link_count()), -1);
   for (int id = 0; id < platform_.link_count(); ++id) {
     const auto& link = platform_.link(id);
-    if (link.sharing == platform::LinkSharing::kShared) {
-      link_constraint_[static_cast<std::size_t>(id)] =
-          system_.new_constraint(link.bandwidth_bps * config_.bandwidth_efficiency);
-    }
-  }
-  for (int id = 0; id < platform_.link_count(); ++id) {
-    const int constraint = link_constraint_[static_cast<std::size_t>(id)];
-    if (constraint < 0) continue;  // fatpipe: unconstrained, nothing to watch
-    add_resource(constraint, obs::ResourceKind::kLink, platform_.link(id).name);
+    // A fatpipe link is unconstrained: no constraint, nothing to watch.
+    if (link.sharing != platform::LinkSharing::kShared) continue;
+    const int constraint =
+        system_.new_constraint(link.bandwidth_bps * config_.bandwidth_efficiency);
+    link_constraint_[static_cast<std::size_t>(id)] = constraint;
+    add_resource(constraint, obs::ResourceKind::kLink, link.name);
   }
 }
 

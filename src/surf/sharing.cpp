@@ -101,11 +101,10 @@ void SharingModel::retire(Action& action) {
 void SharingModel::add_resource(int constraint, obs::ResourceKind kind,
                                 const std::string& name) {
   if (resources_ == nullptr) return;
-  if (constraint_resource_.empty()) {
-    system_.set_observing(true);
-    constraint_resource_.assign(system_.constraint_count(), -1);
-  }
-  constraint_resource_[static_cast<std::size_t>(constraint)] =
+  system_.set_observing(true);
+  const auto index = static_cast<std::size_t>(constraint);
+  if (constraint_resource_.size() <= index) constraint_resource_.resize(index + 1, -1);
+  constraint_resource_[index] =
       resources_->add_resource(kind, name, system_.constraint_capacity(constraint));
 }
 

@@ -112,8 +112,8 @@ class SharingModel : public sim::Model {
   // Returns a slot that never entered the solver to the free list.
   void retire(Action& action);
 
-  // Names `constraint` as a collector resource; the first call turns on the
-  // solver's changed-constraint tracking. No-op without a collector.
+  // Names `constraint` as a collector resource and turns on the solver's
+  // changed-constraint tracking. No-op without a collector.
   void add_resource(int constraint, obs::ResourceKind kind, const std::string& name);
   // The action's attribution label in the resource report.
   virtual std::string action_label(const Action& action) const = 0;
