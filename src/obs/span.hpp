@@ -49,7 +49,6 @@ struct Span {
   double wait_s = 0;      // summed over the span's blocked intervals
   double transfer_s = 0;  // summed over the span's blocked intervals
   double elapsed() const { return t_end - t_start; }
-  double compute_s() const { return elapsed() - wait_s - transfer_s; }
 };
 
 struct BlockedInterval {
