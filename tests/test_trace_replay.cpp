@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
@@ -62,85 +63,142 @@ double capture_run(const smpi::platform::Platform& platform, const smpi::core::S
 // Record serialization
 // ---------------------------------------------------------------------------
 
-TEST(TiRecord, RoundTripsEveryOpKind) {
-  std::vector<tr::TiRecord> records;
-  {
-    tr::TiRecord r;
-    r.op = tr::TiOp::kCompute;
-    r.value = 1234.567891234567e7;  // must round-trip bit-exactly
-    records.push_back(r);
-  }
-  {
-    tr::TiRecord r;
-    r.op = tr::TiOp::kIsend;
-    r.peer = 12;
-    r.count = 1 << 30;  // 8 GiB message: count*elem must never flatten to int
-    r.elem = 8;
-    r.tag = 7;
-    r.req = 42;
-    records.push_back(r);
-  }
-  {
-    tr::TiRecord r;
-    r.op = tr::TiOp::kRecv;
-    r.peer = tr::kPeerAny;
-    r.count = 8;
-    r.tag = tr::kTagAny;
-    records.push_back(r);
-  }
-  {
-    tr::TiRecord r;
-    r.op = tr::TiOp::kWaitall;
-    r.reqs = {3, 1, 4, 1, 5};
-    records.push_back(r);
-  }
-  {
-    tr::TiRecord r;
-    r.op = tr::TiOp::kAllreduce;
-    r.count = 1000;
-    r.elem = 8;
-    r.commutative = false;
-    records.push_back(r);
-  }
-  {
-    tr::TiRecord r;
-    r.op = tr::TiOp::kAlltoallv;
-    r.elem = 4;
-    r.elem2 = 8;
-    r.counts = {1, 2, 3};
-    r.counts2 = {4, 5, 6};
-    records.push_back(r);
-  }
-  {
-    tr::TiRecord r;
-    r.op = tr::TiOp::kSendrecv;
-    r.peer = 1;
-    r.count = 100;
-    r.tag = 2;
-    r.peer2 = tr::kPeerNull;
-    r.count2 = 200;
-    r.tag2 = 3;
-    records.push_back(r);
-  }
+namespace {
 
-  for (const auto& original : records) {
-    const std::string line = tr::serialize_record(original);
+// Compares every member, so a field left at its default or read into the
+// wrong member shows up.
+void expect_same_record(const tr::TiRecord& actual, const tr::TiRecord& expected,
+                        const std::string& line) {
+  EXPECT_EQ(actual.op, expected.op) << line;
+  EXPECT_EQ(actual.value, expected.value) << line;  // bit-exact doubles
+  EXPECT_EQ(actual.peer, expected.peer) << line;
+  EXPECT_EQ(actual.peer2, expected.peer2) << line;
+  EXPECT_EQ(actual.tag, expected.tag) << line;
+  EXPECT_EQ(actual.tag2, expected.tag2) << line;
+  EXPECT_EQ(actual.count, expected.count) << line;
+  EXPECT_EQ(actual.count2, expected.count2) << line;
+  EXPECT_EQ(actual.elem, expected.elem) << line;
+  EXPECT_EQ(actual.elem2, expected.elem2) << line;
+  EXPECT_EQ(actual.req, expected.req) << line;
+  EXPECT_EQ(actual.commutative, expected.commutative) << line;
+  EXPECT_EQ(actual.reqs, expected.reqs) << line;
+  EXPECT_EQ(actual.counts, expected.counts) << line;
+  EXPECT_EQ(actual.counts2, expected.counts2) << line;
+}
+
+}  // namespace
+
+// One canonical line per op, with a distinct value in every field it
+// carries, next to the record it stands for. A round trip alone cannot see
+// a field order swapped on both the write and the read side; this can.
+TEST(TiRecord, RoundTripsEveryOpKind) {
+  struct Case {
+    const char* line;
+    tr::TiRecord record;
+  };
+  const auto make = [](tr::TiOp op, const std::function<void(tr::TiRecord&)>& set) {
+    tr::TiRecord r;
+    r.op = op;
+    set(r);
+    return r;
+  };
+  const auto none = [](tr::TiRecord&) {};
+  using Op = tr::TiOp;
+  const Case cases[] = {
+      {"init", make(Op::kInit, none)},
+      {"finalize", make(Op::kFinalize, none)},
+      {"compute 1234567890.1234567",
+       make(Op::kCompute, [](tr::TiRecord& r) { r.value = 1234567890.1234567; })},
+      {"sleep 0.25", make(Op::kSleep, [](tr::TiRecord& r) { r.value = 0.25; })},
+      {"send 3 1000 8 17", make(Op::kSend,
+                                [](tr::TiRecord& r) {
+                                  r.peer = 3; r.count = 1000; r.elem = 8; r.tag = 17;
+                                })},
+      // 8 GiB message: count*elem must never flatten to an int.
+      {"isend 4 1073741824 8 18 5",
+       make(Op::kIsend,
+            [](tr::TiRecord& r) {
+              r.peer = 4; r.count = 1LL << 30; r.elem = 8; r.tag = 18; r.req = 5;
+            })},
+      {"recv 6 1002 24 19", make(Op::kRecv,
+                                 [](tr::TiRecord& r) {
+                                   r.peer = 6; r.count = 1002; r.elem = 24; r.tag = 19;
+                                 })},
+      {"irecv 7 1003 32 20 8",
+       make(Op::kIrecv,
+            [](tr::TiRecord& r) {
+              r.peer = 7; r.count = 1003; r.elem = 32; r.tag = 20; r.req = 8;
+            })},
+      {"wait 9", make(Op::kWait, [](tr::TiRecord& r) { r.req = 9; })},
+      {"waitall 3 10 11 12", make(Op::kWaitall, [](tr::TiRecord& r) { r.reqs = {10, 11, 12}; })},
+      {"reqfree 13", make(Op::kReqFree, [](tr::TiRecord& r) { r.req = 13; })},
+      {"probe 14 21", make(Op::kProbe, [](tr::TiRecord& r) { r.peer = 14; r.tag = 21; })},
+      {"sendrecv 1 100 2 3 4 200 5 6",
+       make(Op::kSendrecv,
+            [](tr::TiRecord& r) {
+              r.peer = 1; r.count = 100; r.elem = 2; r.tag = 3;
+              r.peer2 = 4; r.count2 = 200; r.elem2 = 5; r.tag2 = 6;
+            })},
+      {"barrier", make(Op::kBarrier, none)},
+      {"bcast 300 8 2",
+       make(Op::kBcast, [](tr::TiRecord& r) { r.count = 300; r.elem = 8; r.peer = 2; })},
+      {"reduce 301 4 3 0", make(Op::kReduce,
+                                [](tr::TiRecord& r) {
+                                  r.count = 301; r.elem = 4; r.peer = 3; r.commutative = false;
+                                })},
+      {"allreduce 302 8 0",
+       make(Op::kAllreduce,
+            [](tr::TiRecord& r) { r.count = 302; r.elem = 8; r.commutative = false; })},
+      {"scan 303 16 1", make(Op::kScan, [](tr::TiRecord& r) { r.count = 303; r.elem = 16; })},
+      {"gather 304 4 305 8 5",
+       make(Op::kGather,
+            [](tr::TiRecord& r) {
+              r.count = 304; r.elem = 4; r.count2 = 305; r.elem2 = 8; r.peer = 5;
+            })},
+      {"gatherv 306 4 8 6 3 1 2 3",
+       make(Op::kGatherv,
+            [](tr::TiRecord& r) {
+              r.count = 306; r.elem = 4; r.elem2 = 8; r.peer = 6; r.counts = {1, 2, 3};
+            })},
+      {"scatter 307 8 308 4 7",
+       make(Op::kScatter,
+            [](tr::TiRecord& r) {
+              r.count = 307; r.elem = 8; r.count2 = 308; r.elem2 = 4; r.peer = 7;
+            })},
+      {"scatterv 309 4 8 1 2 5 6",
+       make(Op::kScatterv,
+            [](tr::TiRecord& r) {
+              r.count2 = 309; r.elem2 = 4; r.elem = 8; r.peer = 1; r.counts = {5, 6};
+            })},
+      {"allgather 310 8 311 16",
+       make(Op::kAllgather,
+            [](tr::TiRecord& r) { r.count = 310; r.elem = 8; r.count2 = 311; r.elem2 = 16; })},
+      {"allgatherv 312 4 8 2 7 9",
+       make(Op::kAllgatherv,
+            [](tr::TiRecord& r) {
+              r.count = 312; r.elem = 4; r.elem2 = 8; r.counts = {7, 9};
+            })},
+      {"alltoall 313 8 314 16",
+       make(Op::kAlltoall,
+            [](tr::TiRecord& r) { r.count = 313; r.elem = 8; r.count2 = 314; r.elem2 = 16; })},
+      {"alltoallv 4 8 2 1 2 2 3 4",
+       make(Op::kAlltoallv,
+            [](tr::TiRecord& r) {
+              r.elem = 4; r.elem2 = 8; r.counts = {1, 2}; r.counts2 = {3, 4};
+            })},
+      {"reducescatter 8 0 3 5 6 7",
+       make(Op::kReduceScatter,
+            [](tr::TiRecord& r) { r.elem = 8; r.commutative = false; r.counts = {5, 6, 7}; })},
+  };
+  std::vector<bool> seen(static_cast<std::size_t>(tr::TiOp::kReduceScatter) + 1, false);
+  for (const auto& c : cases) {
+    seen[static_cast<std::size_t>(c.record.op)] = true;
+    EXPECT_EQ(tr::serialize_record(c.record), c.line);
     tr::TiRecord parsed;
-    ASSERT_TRUE(tr::parse_record(line, &parsed)) << line;
-    EXPECT_EQ(parsed.op, original.op) << line;
-    EXPECT_EQ(parsed.value, original.value) << line;  // bit-exact doubles
-    EXPECT_EQ(parsed.peer, original.peer);
-    EXPECT_EQ(parsed.peer2, original.peer2);
-    EXPECT_EQ(parsed.count, original.count);
-    EXPECT_EQ(parsed.count2, original.count2);
-    EXPECT_EQ(parsed.tag, original.tag);
-    EXPECT_EQ(parsed.tag2, original.tag2);
-    EXPECT_EQ(parsed.req, original.req);
-    EXPECT_EQ(parsed.commutative, original.commutative);
-    EXPECT_EQ(parsed.reqs, original.reqs);
-    EXPECT_EQ(parsed.counts, original.counts);
-    EXPECT_EQ(parsed.counts2, original.counts2);
+    ASSERT_TRUE(tr::parse_record(c.line, &parsed)) << c.line;
+    expect_same_record(parsed, c.record, c.line);
   }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), false), 0) << "an op has no canonical line";
   tr::TiRecord bad;
   EXPECT_FALSE(tr::parse_record("frobnicate 1 2 3", &bad));
   EXPECT_FALSE(tr::parse_record("send 1", &bad));
@@ -482,6 +540,41 @@ TEST(TraceReplay, CaptureRejectsCollectivesOnDerivedComms) {
     MPI_Finalize();
   };
   EXPECT_THROW(capture_run(platform, config, 4, app, dir.str()), smpi::util::ContractError);
+}
+
+// The capture side's (count, elem) rule at its edges: a zero-size datatype
+// records zero elements of one byte, and a side that is not significant on a
+// rank (a scatter leaf's sendcount and sendtype, here garbage and
+// MPI_DATATYPE_NULL) is never read.
+TEST(TraceCapture, ZeroSizeAndNullTypesRecordPinnedBlocks) {
+  TempDir dir;
+  auto platform = test_cluster(3);
+  auto app = [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    const int rank = my_rank();
+    MPI_Datatype empty;
+    MPI_Type_contiguous(0, MPI_INT, &empty);
+    MPI_Type_commit(&empty);
+    int buf[8] = {};
+    MPI_Bcast(buf, 5, empty, 1, MPI_COMM_WORLD);
+    std::vector<int> all(9);
+    if (rank == 0) {
+      MPI_Scatter(all.data(), 3, MPI_INT, buf, 3, MPI_INT, 0, MPI_COMM_WORLD);
+    } else {
+      MPI_Scatter(nullptr, 99, MPI_DATATYPE_NULL, buf, 3, MPI_INT, 0, MPI_COMM_WORLD);
+    }
+    MPI_Type_free(&empty);
+    MPI_Finalize();
+  };
+  capture_run(platform, fast_config(), 3, app, dir.str());
+  for (int rank = 0; rank < 3; ++rank) {
+    std::ifstream in(dir.path / ("rank_" + std::to_string(rank) + ".ti"));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    const std::vector<std::string> expected = {"init", "bcast 0 1 1", "scatter 3 4 3 4 0",
+                                               "finalize"};
+    EXPECT_EQ(lines, expected) << "rank " << rank;
+  }
 }
 
 // ---------------------------------------------------------------------------
