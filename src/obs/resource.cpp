@@ -208,7 +208,8 @@ std::string ResourceCollector::report(std::size_t top_n) const {
       const auto& tl = timeline(b.resource);
       out << "    " << (i + 1) << ". " << resource_kind_name(tl.kind) << " " << tl.name
           << ": saturated " << std::setprecision(6) << b.saturated_s << " s ("
-          << tl.saturated.size() << " intervals, " << b.flows << " flows), max util "
+          << tl.saturated.size() << " intervals, " << b.flows
+          << (tl.kind == ResourceKind::kHost ? " executions" : " flows") << "), max util "
           << std::setprecision(1) << max_utilization(b.resource) * 100 << "%\n";
     }
     // Attribution for the dominant bottleneck: who was pinned on its longest

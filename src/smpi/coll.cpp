@@ -238,8 +238,8 @@ int scatter_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, 
 
   if (relative == 0) {
     if (!pf) {
-      staging.resize(block * static_cast<std::size_t>(size));
-      std::vector<unsigned char> packed(block * static_cast<std::size_t>(size));
+      staging.resize(std::max<std::size_t>(block * static_cast<std::size_t>(size), 1));
+      std::vector<unsigned char> packed(staging.size());
       sendtype->pack(sendbuf, sendcount * size, packed.data());
       for (int r = 0; r < size; ++r) {
         const int rel = (r - root + size) % size;
@@ -876,30 +876,6 @@ bool coll_recording(smpi::trace::ApiScope& scope, MPI_Comm comm) {
   return true;
 }
 
-// Record a (count, element-size) block where count*elem is the payload byte
-// count; zero-sized datatypes degrade to zero bytes so the replayed byte
-// count matches.
-void set_block(long long count, MPI_Datatype type, long long* out_count, long long* out_elem) {
-  const long long elem = type == MPI_DATATYPE_NULL ? 0 : static_cast<long long>(type->size());
-  if (elem <= 0) {
-    *out_count = 0;
-    *out_elem = 1;
-  } else {
-    *out_count = count;
-    *out_elem = elem;
-  }
-}
-
-// Variant for gather/scatter-style records where the count is meaningful on
-// every rank even when that rank's datatype for the side is null/unused
-// (e.g. a scatter leaf's sendtype): keep the count, clamp elem to >= 1.
-void set_count_block(long long count, MPI_Datatype type, long long* out_count,
-                     long long* out_elem) {
-  const long long elem = type == MPI_DATATYPE_NULL ? 1 : static_cast<long long>(type->size());
-  *out_count = count;
-  *out_elem = elem <= 0 ? 1 : elem;
-}
-
 std::vector<long long> to_longs(const int* values, int n) {
   return std::vector<long long>(values, values + n);
 }
@@ -927,7 +903,7 @@ int MPI_Bcast(void* buffer, int count, MPI_Datatype datatype, int root, MPI_Comm
   if (coll_recording(scope, comm)) {
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kBcast;
-    set_block(count, datatype, &r.count, &r.elem);
+    ti_block(count, datatype, &r.count, &r.elem);
     r.peer = root;
     scope.emit(r);
   }
@@ -968,15 +944,15 @@ int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kScatter;
     if (rank == root) {
-      set_count_block(sendcount, sendtype, &r.count, &r.elem);
+      ti_block(sendcount, sendtype, &r.count, &r.elem);
       if (recvbuf == MPI_IN_PLACE) {
-        set_count_block(sendcount, sendtype, &r.count2, &r.elem2);
+        ti_block(sendcount, sendtype, &r.count2, &r.elem2);
       } else {
-        set_count_block(recvcount, recvtype, &r.count2, &r.elem2);
+        ti_block(recvcount, recvtype, &r.count2, &r.elem2);
       }
     } else {
-      set_count_block(recvcount, recvtype, &r.count, &r.elem);
-      set_count_block(recvcount, recvtype, &r.count2, &r.elem2);
+      ti_block(recvcount, recvtype, &r.count, &r.elem);
+      ti_block(recvcount, recvtype, &r.count2, &r.elem2);
     }
     r.peer = root;
     scope.emit(r);
@@ -995,9 +971,8 @@ int MPI_Scatterv(const void* sendbuf, const int sendcounts[], const int displs[]
   if (coll_recording(scope, comm) && (rank != root || (sendcounts != nullptr && valid_type(sendtype)))) {
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kScatterv;
-    set_count_block(recvcount, recvtype, &r.count2, &r.elem2);
-    r.elem = rank == root ? static_cast<long long>(sendtype->size()) : 1;
-    if (r.elem <= 0) r.elem = 1;
+    ti_block(recvcount, recvtype, &r.count2, &r.elem2);
+    r.elem = rank == root ? ti_elem(sendtype) : 1;
     r.peer = root;
     if (rank == root) r.counts = to_longs(sendcounts, size);
     scope.emit(r);
@@ -1049,12 +1024,12 @@ int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* 
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kGather;
     if (sendbuf == MPI_IN_PLACE) {  // in-place root contributes its recv block
-      set_count_block(recvcount, recvtype, &r.count, &r.elem);
+      ti_block(recvcount, recvtype, &r.count, &r.elem);
     } else {
-      set_count_block(sendcount, sendtype, &r.count, &r.elem);
+      ti_block(sendcount, sendtype, &r.count, &r.elem);
     }
     if (rank == root) {
-      set_count_block(recvcount, recvtype, &r.count2, &r.elem2);
+      ti_block(recvcount, recvtype, &r.count2, &r.elem2);
     } else {
       r.count2 = r.count;
       r.elem2 = r.elem;
@@ -1076,12 +1051,9 @@ int MPI_Gatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
   if (coll_recording(scope, comm) && (rank != root || recvcounts != nullptr)) {
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kGatherv;
-    set_count_block(sendbuf == MPI_IN_PLACE ? 0 : sendcount, sendtype, &r.count, &r.elem);
+    ti_block(sendbuf == MPI_IN_PLACE ? 0 : sendcount, sendtype, &r.count, &r.elem);
     // recvtype is significant at the root only.
-    r.elem2 = rank == root && recvtype != MPI_DATATYPE_NULL
-                  ? static_cast<long long>(recvtype->size())
-                  : 1;
-    if (r.elem2 <= 0) r.elem2 = 1;
+    r.elem2 = rank == root ? ti_elem(recvtype) : 1;
     r.peer = root;
     if (rank == root) r.counts = to_longs(recvcounts, size);
     scope.emit(r);
@@ -1121,11 +1093,11 @@ int MPI_Allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, voi
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kAllgather;
     if (sendbuf == MPI_IN_PLACE) {
-      set_count_block(recvcount, recvtype, &r.count, &r.elem);
+      ti_block(recvcount, recvtype, &r.count, &r.elem);
     } else {
-      set_count_block(sendcount, sendtype, &r.count, &r.elem);
+      ti_block(sendcount, sendtype, &r.count, &r.elem);
     }
-    set_count_block(recvcount, recvtype, &r.count2, &r.elem2);
+    ti_block(recvcount, recvtype, &r.count2, &r.elem2);
     scope.emit(r);
   }
   const std::string& forced = coll_selection().allgather;
@@ -1157,12 +1129,11 @@ int MPI_Allgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kAllgatherv;
     if (sendbuf == MPI_IN_PLACE) {
-      set_count_block(recvcounts[rank], recvtype, &r.count, &r.elem);
+      ti_block(recvcounts[rank], recvtype, &r.count, &r.elem);
     } else {
-      set_count_block(sendcount, sendtype, &r.count, &r.elem);
+      ti_block(sendcount, sendtype, &r.count, &r.elem);
     }
-    r.elem2 = recvtype == MPI_DATATYPE_NULL ? 1 : static_cast<long long>(recvtype->size());
-    if (r.elem2 <= 0) r.elem2 = 1;
+    r.elem2 = ti_elem(recvtype);
     r.counts = to_longs(recvcounts, size);
     scope.emit(r);
   }
@@ -1203,7 +1174,7 @@ int MPI_Reduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datat
   if (coll_recording(scope, comm)) {
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kReduce;
-    set_block(count, datatype, &r.count, &r.elem);
+    ti_block(count, datatype, &r.count, &r.elem);
     r.peer = root;
     r.commutative = op->commutative();
     scope.emit(r);
@@ -1223,7 +1194,7 @@ int MPI_Allreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype da
   if (coll_recording(scope, comm)) {
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kAllreduce;
-    set_block(count, datatype, &r.count, &r.elem);
+    ti_block(count, datatype, &r.count, &r.elem);
     r.commutative = op->commutative();
     scope.emit(r);
   }
@@ -1266,7 +1237,7 @@ int MPI_Scan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datatyp
   if (coll_recording(scope, comm)) {
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kScan;
-    set_block(count, datatype, &r.count, &r.elem);
+    ti_block(count, datatype, &r.count, &r.elem);
     r.commutative = op->commutative();
     scope.emit(r);
   }
@@ -1315,8 +1286,7 @@ int MPI_Reduce_scatter(const void* sendbuf, void* recvbuf, const int recvcounts[
   if (coll_recording(scope, comm)) {
     smpi::trace::TiRecord rec;
     rec.op = smpi::trace::TiOp::kReduceScatter;
-    rec.elem = static_cast<long long>(datatype->size());
-    if (rec.elem <= 0) rec.elem = 1;
+    rec.elem = ti_elem(datatype);
     rec.commutative = op->commutative();
     rec.counts = to_longs(recvcounts, size);
     scope.emit(rec);
@@ -1353,8 +1323,8 @@ int MPI_Alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void
   if (coll_recording(scope, comm)) {
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kAlltoall;
-    set_count_block(sendcount, sendtype, &r.count, &r.elem);
-    set_count_block(recvcount, recvtype, &r.count2, &r.elem2);
+    ti_block(sendcount, sendtype, &r.count, &r.elem);
+    ti_block(recvcount, recvtype, &r.count2, &r.elem2);
     scope.emit(r);
   }
   const std::string& forced = coll_selection().alltoall;
@@ -1396,10 +1366,8 @@ int MPI_Alltoallv(const void* sendbuf, const int sendcounts[], const int sdispls
   if (coll_recording(scope, comm)) {
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kAlltoallv;
-    r.elem = sendtype == MPI_DATATYPE_NULL ? 1 : static_cast<long long>(sendtype->size());
-    if (r.elem <= 0) r.elem = 1;
-    r.elem2 = recvtype == MPI_DATATYPE_NULL ? 1 : static_cast<long long>(recvtype->size());
-    if (r.elem2 <= 0) r.elem2 = 1;
+    r.elem = ti_elem(sendtype);
+    r.elem2 = ti_elem(recvtype);
     r.counts = to_longs(sendcounts, size);
     r.counts2 = to_longs(recvcounts, size);
     scope.emit(r);

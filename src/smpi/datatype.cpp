@@ -84,7 +84,7 @@ bool payload_free_mode() {
 
 void Datatype::pack(const void* user_buffer, int count, void* packed) const {
   if (payload_free_mode()) return;
-  if (count == 0) return;  // zero-byte message: buffers may legally be null
+  if (count == 0 || size_ == 0) return;  // zero bytes: buffers may legally be null
   const auto* src = static_cast<const unsigned char*>(user_buffer);
   auto* dst = static_cast<unsigned char*>(packed);
   if (!needs_packing()) {
@@ -102,7 +102,7 @@ void Datatype::pack(const void* user_buffer, int count, void* packed) const {
 
 void Datatype::unpack(const void* packed, int count, void* user_buffer) const {
   if (payload_free_mode()) return;
-  if (count == 0) return;  // zero-byte message: buffers may legally be null
+  if (count == 0 || size_ == 0) return;  // zero bytes: buffers may legally be null
   const auto* src = static_cast<const unsigned char*>(packed);
   auto* dst = static_cast<unsigned char*>(user_buffer);
   if (!needs_packing()) {

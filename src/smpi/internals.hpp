@@ -526,6 +526,26 @@ class BlockedOpGuard {
 // transfer engine are never dereferenced (datatype.cpp).
 bool payload_free_mode();
 
+// The TI capture rule for `count` elements of `type` (trace/record.hpp): an
+// element count and size, never a flat byte count, so a >2 GiB message
+// replays within the int counts the MPI entry points take. A null or
+// zero-size type records zero elements of one byte, the zero bytes the call
+// moves.
+inline void ti_block(long long count, MPI_Datatype type, long long* out_count,
+                     long long* out_elem) {
+  const bool empty = type == MPI_DATATYPE_NULL || type->size() == 0;
+  *out_count = empty ? 0 : count;
+  *out_elem = empty ? 1 : static_cast<long long>(type->size());
+}
+
+// The element size alone, for a side whose counts are recorded as an array.
+inline long long ti_elem(MPI_Datatype type) {
+  long long count = 0;
+  long long elem = 1;
+  ti_block(0, type, &count, &elem);
+  return elem;
+}
+
 // Core transfer engine (p2p.cpp).
 void post_send(Request& request);
 void post_recv(Request& request);

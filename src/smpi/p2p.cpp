@@ -679,27 +679,13 @@ long long trace_peer(Comm* comm, int peer) {
 
 long long trace_tag(int tag) { return tag == MPI_ANY_TAG ? smpi::trace::kTagAny : tag; }
 
-// Counts are recorded as (element count, element size) — not a flat byte
-// count — so a >2 GiB message replays without overflowing the int count the
-// MPI entry points take.
-void p2p_block(int count, MPI_Datatype type, long long* out_count, long long* out_elem) {
-  const long long elem = static_cast<long long>(type->size());
-  if (elem <= 0) {
-    *out_count = 0;
-    *out_elem = 1;
-  } else {
-    *out_count = count;
-    *out_elem = elem;
-  }
-}
-
 void emit_p2p(smpi::trace::ApiScope& scope, smpi::trace::TiOp op, Comm* comm, int peer, int count,
               MPI_Datatype type, int tag, long long req = -1) {
   if (!scope.recording()) return;
   smpi::trace::TiRecord r;
   r.op = op;
   r.peer = trace_peer(comm, peer);
-  p2p_block(count, type, &r.count, &r.elem);
+  ti_block(count, type, &r.count, &r.elem);
   r.tag = trace_tag(tag);
   r.req = req;
   scope.emit(r);
@@ -797,10 +783,10 @@ int MPI_Sendrecv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, int 
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kSendrecv;
     r.peer = trace_peer(comm, dest);
-    p2p_block(sendcount, sendtype, &r.count, &r.elem);
+    ti_block(sendcount, sendtype, &r.count, &r.elem);
     r.tag = trace_tag(sendtag);
     r.peer2 = trace_peer(comm, source);
-    p2p_block(recvcount, recvtype, &r.count2, &r.elem2);
+    ti_block(recvcount, recvtype, &r.count2, &r.elem2);
     r.tag2 = trace_tag(recvtag);
     scope.emit(r);
   }

@@ -95,9 +95,8 @@ struct SmpiConfig {
   std::uint64_t host_ram_budget_bytes = 16ull << 30;
 
   // Rank placement: rank r runs on node placement[r] when `placement` is
-  // non-empty, otherwise on node (r * placement_stride) % host_count.
+  // non-empty, otherwise on node r % host_count.
   std::vector<int> placement;
-  int placement_stride = 1;
 
   // Forced collective-algorithm variants (campaign what-ifs); see above.
   CollSelection coll;

@@ -358,7 +358,6 @@ void SmpiWorld::run(int nprocs, MpiMain app, std::vector<std::string> args,
                     std::string app_name) {
   SMPI_REQUIRE(nprocs >= 1, "need at least one MPI process");
   SMPI_REQUIRE(processes_.empty(), "SmpiWorld::run may only be called once");
-  SMPI_REQUIRE(config_.placement_stride >= 1, "placement stride must be >= 1");
   SMPI_REQUIRE(observers_.ti == nullptr || observers_.ti->nranks() == nprocs,
                "TI writer sized for a different rank count");
   SMPI_REQUIRE(observers_.spans == nullptr || observers_.spans->nranks() == nprocs,
@@ -389,7 +388,7 @@ void SmpiWorld::run(int nprocs, MpiMain app, std::vector<std::string> args,
       node = config_.placement[static_cast<std::size_t>(rank) % config_.placement.size()];
       SMPI_REQUIRE(node >= 0 && node < platform_.host_count(), "placement node out of range");
     } else {
-      node = (rank * config_.placement_stride) % platform_.host_count();
+      node = rank % platform_.host_count();
     }
     processes_.push_back(std::make_unique<Process>(this, rank, node));
     Process* proc = processes_.back().get();

@@ -10,28 +10,6 @@ namespace smpi::trace {
 
 namespace {
 
-bool is_collective(TiOp op) {
-  switch (op) {
-    case TiOp::kBarrier:
-    case TiOp::kBcast:
-    case TiOp::kReduce:
-    case TiOp::kAllreduce:
-    case TiOp::kScan:
-    case TiOp::kGather:
-    case TiOp::kGatherv:
-    case TiOp::kScatter:
-    case TiOp::kScatterv:
-    case TiOp::kAllgather:
-    case TiOp::kAllgatherv:
-    case TiOp::kAlltoall:
-    case TiOp::kAlltoallv:
-    case TiOp::kReduceScatter:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Per-destination p2p accounting. Exact buckets are (source, tag); wildcard
 // receives are only tallied (they can absorb anything, so per-bucket
 // comparison is off for ranks that post them).
@@ -91,7 +69,7 @@ TraceCheckReport check_trace(const TiTrace& trace) {
         }
         ++self.total_recvs;
       }
-      if (is_collective(r.op)) {
+      if (ti_op_is_collective(r.op)) {
         collectives[static_cast<std::size_t>(rank)].push_back(r.op);
       }
     }

@@ -8,40 +8,80 @@ namespace smpi::trace {
 
 namespace {
 
-struct OpName {
-  TiOp op;
-  std::string_view name;
+// One field of a record line: an integer or list member of TiRecord, the
+// reduction-op commutativity flag (written 1 or 0, any nonzero reads as 1),
+// or the %.17g value. A default Field ends a row's field list.
+struct Field {
+  enum Kind : unsigned char { kEnd, kInteger, kList, kFlag, kValue } kind = kEnd;
+  long long TiRecord::*integer = nullptr;
+  std::vector<long long> TiRecord::*list = nullptr;
 };
 
-constexpr OpName kOpNames[] = {
-    {TiOp::kInit, "init"},
-    {TiOp::kFinalize, "finalize"},
-    {TiOp::kCompute, "compute"},
-    {TiOp::kSleep, "sleep"},
-    {TiOp::kSend, "send"},
-    {TiOp::kIsend, "isend"},
-    {TiOp::kRecv, "recv"},
-    {TiOp::kIrecv, "irecv"},
-    {TiOp::kWait, "wait"},
-    {TiOp::kWaitall, "waitall"},
-    {TiOp::kReqFree, "reqfree"},
-    {TiOp::kProbe, "probe"},
-    {TiOp::kSendrecv, "sendrecv"},
-    {TiOp::kBarrier, "barrier"},
-    {TiOp::kBcast, "bcast"},
-    {TiOp::kReduce, "reduce"},
-    {TiOp::kAllreduce, "allreduce"},
-    {TiOp::kScan, "scan"},
-    {TiOp::kGather, "gather"},
-    {TiOp::kGatherv, "gatherv"},
-    {TiOp::kScatter, "scatter"},
-    {TiOp::kScatterv, "scatterv"},
-    {TiOp::kAllgather, "allgather"},
-    {TiOp::kAllgatherv, "allgatherv"},
-    {TiOp::kAlltoall, "alltoall"},
-    {TiOp::kAlltoallv, "alltoallv"},
-    {TiOp::kReduceScatter, "reducescatter"},
+constexpr Field kValue{Field::kValue};
+constexpr Field kFlag{Field::kFlag};
+constexpr Field kPeer{Field::kInteger, &TiRecord::peer};
+constexpr Field kCount{Field::kInteger, &TiRecord::count};
+constexpr Field kElem{Field::kInteger, &TiRecord::elem};
+constexpr Field kTag{Field::kInteger, &TiRecord::tag};
+constexpr Field kReq{Field::kInteger, &TiRecord::req};
+constexpr Field kPeer2{Field::kInteger, &TiRecord::peer2};
+constexpr Field kCount2{Field::kInteger, &TiRecord::count2};
+constexpr Field kElem2{Field::kInteger, &TiRecord::elem2};
+constexpr Field kTag2{Field::kInteger, &TiRecord::tag2};
+constexpr Field kReqs{Field::kList, nullptr, &TiRecord::reqs};
+constexpr Field kCounts{Field::kList, nullptr, &TiRecord::counts};
+constexpr Field kCounts2{Field::kList, nullptr, &TiRecord::counts2};
+
+// The record format: one row per op, in TiOp order. A line is the op's name
+// followed by its fields in row order, blank-separated.
+struct OpFormat {
+  TiOp op;
+  std::string_view name;
+  bool collective;
+  Field fields[8];
 };
+
+constexpr OpFormat kFormats[] = {
+    {TiOp::kInit, "init", false, {}},
+    {TiOp::kFinalize, "finalize", false, {}},
+    {TiOp::kCompute, "compute", false, {kValue}},
+    {TiOp::kSleep, "sleep", false, {kValue}},
+    {TiOp::kSend, "send", false, {kPeer, kCount, kElem, kTag}},
+    {TiOp::kIsend, "isend", false, {kPeer, kCount, kElem, kTag, kReq}},
+    {TiOp::kRecv, "recv", false, {kPeer, kCount, kElem, kTag}},
+    {TiOp::kIrecv, "irecv", false, {kPeer, kCount, kElem, kTag, kReq}},
+    {TiOp::kWait, "wait", false, {kReq}},
+    {TiOp::kWaitall, "waitall", false, {kReqs}},
+    {TiOp::kReqFree, "reqfree", false, {kReq}},
+    {TiOp::kProbe, "probe", false, {kPeer, kTag}},
+    {TiOp::kSendrecv, "sendrecv", false,
+     {kPeer, kCount, kElem, kTag, kPeer2, kCount2, kElem2, kTag2}},
+    {TiOp::kBarrier, "barrier", true, {}},
+    {TiOp::kBcast, "bcast", true, {kCount, kElem, kPeer}},
+    {TiOp::kReduce, "reduce", true, {kCount, kElem, kPeer, kFlag}},
+    {TiOp::kAllreduce, "allreduce", true, {kCount, kElem, kFlag}},
+    {TiOp::kScan, "scan", true, {kCount, kElem, kFlag}},
+    {TiOp::kGather, "gather", true, {kCount, kElem, kCount2, kElem2, kPeer}},
+    {TiOp::kGatherv, "gatherv", true, {kCount, kElem, kElem2, kPeer, kCounts}},
+    {TiOp::kScatter, "scatter", true, {kCount, kElem, kCount2, kElem2, kPeer}},
+    {TiOp::kScatterv, "scatterv", true, {kCount2, kElem2, kElem, kPeer, kCounts}},
+    {TiOp::kAllgather, "allgather", true, {kCount, kElem, kCount2, kElem2}},
+    {TiOp::kAllgatherv, "allgatherv", true, {kCount, kElem, kElem2, kCounts}},
+    {TiOp::kAlltoall, "alltoall", true, {kCount, kElem, kCount2, kElem2}},
+    {TiOp::kAlltoallv, "alltoallv", true, {kElem, kElem2, kCounts, kCounts2}},
+    {TiOp::kReduceScatter, "reducescatter", true, {kElem, kFlag, kCounts}},
+};
+
+constexpr bool formats_in_op_order() {
+  int i = 0;
+  for (const OpFormat& row : kFormats) {
+    if (static_cast<int>(row.op) != i++) return false;
+  }
+  return i == static_cast<int>(TiOp::kReduceScatter) + 1;
+}
+static_assert(formats_in_op_order(), "kFormats must hold one row per TiOp, in TiOp order");
+
+const OpFormat& format_of(TiOp op) { return kFormats[static_cast<std::size_t>(op)]; }
 
 void append_double(std::string& out, double value) {
   char buf[40];
@@ -117,82 +157,36 @@ class Cursor {
   const char* end_;
 };
 
-// Reads the fields of `r->op` in their serialized order; the commutativity
-// flag of the reductions goes to `*flag`.
-bool read_fields(Cursor& in, TiRecord* r, long long* flag) {
-  switch (r->op) {
-    case TiOp::kInit:
-    case TiOp::kFinalize:
-    case TiOp::kBarrier:
-      return true;
-    case TiOp::kCompute:
-    case TiOp::kSleep:
+bool read_field(Cursor& in, const Field& field, TiRecord* r) {
+  switch (field.kind) {
+    case Field::kInteger:
+      return in.read(&(r->*field.integer));
+    case Field::kList:
+      return in.read(&(r->*field.list));
+    case Field::kValue:
       return in.read(&r->value);
-    case TiOp::kSend:
-    case TiOp::kRecv:
-      return in.read(&r->peer) && in.read(&r->count) && in.read(&r->elem) &&
-             in.read(&r->tag);
-    case TiOp::kIsend:
-    case TiOp::kIrecv:
-      return in.read(&r->peer) && in.read(&r->count) && in.read(&r->elem) &&
-             in.read(&r->tag) && in.read(&r->req);
-    case TiOp::kWait:
-    case TiOp::kReqFree:
-      return in.read(&r->req);
-    case TiOp::kWaitall:
-      return in.read(&r->reqs);
-    case TiOp::kProbe:
-      return in.read(&r->peer) && in.read(&r->tag);
-    case TiOp::kSendrecv:
-      return in.read(&r->peer) && in.read(&r->count) && in.read(&r->elem) &&
-             in.read(&r->tag) && in.read(&r->peer2) && in.read(&r->count2) &&
-             in.read(&r->elem2) && in.read(&r->tag2);
-    case TiOp::kBcast:
-      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->peer);
-    case TiOp::kReduce:
-      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->peer) && in.read(flag);
-    case TiOp::kAllreduce:
-    case TiOp::kScan:
-      return in.read(&r->count) && in.read(&r->elem) && in.read(flag);
-    case TiOp::kGather:
-    case TiOp::kScatter:
-      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->count2) &&
-             in.read(&r->elem2) && in.read(&r->peer);
-    case TiOp::kAllgather:
-    case TiOp::kAlltoall:
-      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->count2) &&
-             in.read(&r->elem2);
-    case TiOp::kGatherv:
-      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->elem2) &&
-             in.read(&r->peer) && in.read(&r->counts);
-    case TiOp::kScatterv:
-      return in.read(&r->count2) && in.read(&r->elem2) && in.read(&r->elem) &&
-             in.read(&r->peer) && in.read(&r->counts);
-    case TiOp::kAllgatherv:
-      return in.read(&r->count) && in.read(&r->elem) && in.read(&r->elem2) &&
-             in.read(&r->counts);
-    case TiOp::kAlltoallv:
-      return in.read(&r->elem) && in.read(&r->elem2) && in.read(&r->counts) &&
-             in.read(&r->counts2);
-    case TiOp::kReduceScatter:
-      return in.read(&r->elem) && in.read(flag) && in.read(&r->counts);
+    case Field::kFlag: {
+      long long flag = 0;
+      if (!in.read(&flag)) return false;
+      r->commutative = flag != 0;
+      return true;
+    }
+    case Field::kEnd:
+      break;
   }
-  return false;
+  return true;
 }
 
 }  // namespace
 
-const char* ti_op_name(TiOp op) {
-  for (const auto& entry : kOpNames) {
-    if (entry.op == op) return entry.name.data();
-  }
-  return "?";
-}
+const char* ti_op_name(TiOp op) { return format_of(op).name.data(); }
+
+bool ti_op_is_collective(TiOp op) { return format_of(op).collective; }
 
 bool ti_op_from_name(std::string_view name, TiOp* out) {
-  for (const auto& entry : kOpNames) {
-    if (name == entry.name) {
-      *out = entry.op;
+  for (const OpFormat& row : kFormats) {
+    if (name == row.name) {
+      *out = row.op;
       return true;
     }
   }
@@ -200,115 +194,25 @@ bool ti_op_from_name(std::string_view name, TiOp* out) {
 }
 
 std::string serialize_record(const TiRecord& r) {
-  std::string out = ti_op_name(r.op);
-  switch (r.op) {
-    case TiOp::kInit:
-    case TiOp::kFinalize:
-    case TiOp::kBarrier:
-      break;
-    case TiOp::kCompute:
-    case TiOp::kSleep:
-      append_double(out, r.value);
-      break;
-    case TiOp::kSend:
-    case TiOp::kRecv:
-      append_ll(out, r.peer);
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.tag);
-      break;
-    case TiOp::kIsend:
-    case TiOp::kIrecv:
-      append_ll(out, r.peer);
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.tag);
-      append_ll(out, r.req);
-      break;
-    case TiOp::kWait:
-    case TiOp::kReqFree:
-      append_ll(out, r.req);
-      break;
-    case TiOp::kWaitall:
-      append_list(out, r.reqs);
-      break;
-    case TiOp::kProbe:
-      append_ll(out, r.peer);
-      append_ll(out, r.tag);
-      break;
-    case TiOp::kSendrecv:
-      append_ll(out, r.peer);
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.tag);
-      append_ll(out, r.peer2);
-      append_ll(out, r.count2);
-      append_ll(out, r.elem2);
-      append_ll(out, r.tag2);
-      break;
-    case TiOp::kBcast:
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.peer);
-      break;
-    case TiOp::kReduce:
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.peer);
-      append_ll(out, r.commutative ? 1 : 0);
-      break;
-    case TiOp::kAllreduce:
-    case TiOp::kScan:
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.commutative ? 1 : 0);
-      break;
-    case TiOp::kGather:
-    case TiOp::kScatter:
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.count2);
-      append_ll(out, r.elem2);
-      append_ll(out, r.peer);
-      break;
-    case TiOp::kAllgather:
-    case TiOp::kAlltoall:
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.count2);
-      append_ll(out, r.elem2);
-      break;
-    case TiOp::kGatherv:
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.elem2);
-      append_ll(out, r.peer);
-      append_list(out, r.counts);
-      break;
-    case TiOp::kScatterv:
-      append_ll(out, r.count2);
-      append_ll(out, r.elem2);
-      append_ll(out, r.elem);
-      append_ll(out, r.peer);
-      append_list(out, r.counts);
-      break;
-    case TiOp::kAllgatherv:
-      append_ll(out, r.count);
-      append_ll(out, r.elem);
-      append_ll(out, r.elem2);
-      append_list(out, r.counts);
-      break;
-    case TiOp::kAlltoallv:
-      append_ll(out, r.elem);
-      append_ll(out, r.elem2);
-      append_list(out, r.counts);
-      append_list(out, r.counts2);
-      break;
-    case TiOp::kReduceScatter:
-      append_ll(out, r.elem);
-      append_ll(out, r.commutative ? 1 : 0);
-      append_list(out, r.counts);
-      break;
+  const OpFormat& format = format_of(r.op);
+  std::string out(format.name);
+  for (const Field& field : format.fields) {
+    switch (field.kind) {
+      case Field::kInteger:
+        append_ll(out, r.*field.integer);
+        break;
+      case Field::kList:
+        append_list(out, r.*field.list);
+        break;
+      case Field::kValue:
+        append_double(out, r.value);
+        break;
+      case Field::kFlag:
+        append_ll(out, r.commutative ? 1 : 0);
+        break;
+      case Field::kEnd:
+        return out;
+    }
   }
   return out;
 }
@@ -317,9 +221,10 @@ bool parse_record(std::string_view line, TiRecord* out) {
   Cursor in(line);
   *out = TiRecord{};
   if (!ti_op_from_name(in.token(), &out->op)) return false;
-  long long flag = 1;
-  if (!read_fields(in, out, &flag)) return false;
-  out->commutative = flag != 0;
+  for (const Field& field : format_of(out->op).fields) {
+    if (field.kind == Field::kEnd) break;
+    if (!read_field(in, field, out)) return false;
+  }
   return in.at_end();
 }
 

@@ -56,42 +56,39 @@ constexpr long long kPeerAny = -1;   // MPI_ANY_SOURCE
 constexpr long long kPeerNull = -2;  // MPI_PROC_NULL
 constexpr long long kTagAny = -1;    // MPI_ANY_TAG
 
-// One captured event. Field use by op:
-//   compute/sleep     value = flops / seconds
-//   send/recv (+i)    peer = world rank (or sentinel), count/elem = element
-//                     count and size (bytes = count*elem; never flattened,
-//                     so >2 GiB messages replay within int counts), tag,
-//                     req = capture-side request id (nonblocking only)
-//   wait/reqfree      req;  waitall: reqs
-//   probe             peer, tag
-//   sendrecv          peer/count/elem/tag = send side, *2 fields = recv
-//   collectives       count/elem = send-side element count and size,
-//                     count2/elem2 = recv side, peer = root,
-//                     counts/counts2 = per-rank counts of the v-variants
-//                     (empty on ranks that do not supply the array),
-//                     commutative = reduction-op commutativity (drives the
-//                     same algorithm dispatch the online run took)
+// One captured event. Which members an op carries, and in what order its
+// line holds them, is the op's row in `kFormats`, the format table in
+// record.cpp.
 struct TiRecord {
   TiOp op = TiOp::kInit;
-  double value = 0;
-  long long peer = 0;
-  long long peer2 = 0;
+  double value = 0;     // compute: flops; sleep: seconds
+  long long peer = 0;   // p2p: world rank or sentinel; collectives: root
+  long long peer2 = 0;  // the `*2` members are sendrecv's recv side
   long long tag = 0;
   long long tag2 = 0;
+  // Element count and size: bytes = count*elem, never flattened, so >2 GiB
+  // messages replay within int counts. Collectives: count/elem is the send
+  // side, count2/elem2 the recv side.
   long long count = 0;
   long long count2 = 0;
   long long elem = 1;
   long long elem2 = 1;
-  long long req = -1;
+  long long req = -1;  // capture-side request id (nonblocking p2p, wait, reqfree)
+  // The reduction op's commutativity: drives the same algorithm dispatch
+  // the online run took.
   bool commutative = true;
-  std::vector<long long> reqs;
+  std::vector<long long> reqs;  // waitall
+  // The v-variants' per-rank counts; empty on ranks that do not supply the
+  // array.
   std::vector<long long> counts;
   std::vector<long long> counts2;
 };
 
-// Op <-> token-name mapping (also the Paje state names).
+// Op <-> token-name mapping (also the Paje state names), and whether the op
+// is a collective every rank must enter in the same order.
 const char* ti_op_name(TiOp op);
 bool ti_op_from_name(std::string_view name, TiOp* out);
+bool ti_op_is_collective(TiOp op);
 
 // One-line text form (no trailing newline) and its inverse. parse returns
 // false on malformed input (an unknown op, a missing, non-decimal or

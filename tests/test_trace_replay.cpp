@@ -577,6 +577,36 @@ TEST(TraceCapture, ZeroSizeAndNullTypesRecordPinnedBlocks) {
   }
 }
 
+// A zero-size datatype moves no bytes on either side of a collective, and
+// its capture records zero elements there, so the replay moves the same
+// zero bytes and takes the same size-based algorithm dispatch.
+TEST(TraceReplay, ZeroSizeTypesReplayExactly) {
+  TempDir dir;
+  auto platform = test_cluster(8);
+  auto config = fast_config();
+  auto app = [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype empty;
+    MPI_Type_contiguous(0, MPI_INT, &empty);
+    MPI_Type_commit(&empty);
+    int in[8] = {};
+    int out[8] = {};
+    MPI_Alltoall(in, 4096, empty, out, 4096, empty, MPI_COMM_WORLD);
+    MPI_Gather(in, 4096, empty, out, 4096, empty, 0, MPI_COMM_WORLD);
+    MPI_Scatter(in, 4096, empty, out, 4096, empty, 0, MPI_COMM_WORLD);
+    MPI_Allgather(in, 4096, empty, out, 4096, empty, MPI_COMM_WORLD);
+    MPI_Type_free(&empty);
+    MPI_Finalize();
+  };
+  const double online = capture_run(platform, config, 8, app, dir.str());
+  const tr::TiTrace trace = tr::load_ti_trace(dir.str());
+  for (const tr::TiRecord& r : trace.ranks[0]) {
+    EXPECT_EQ(r.count * r.elem + r.count2 * r.elem2, 0) << tr::serialize_record(r);
+  }
+  const auto result = tr::replay_trace(platform, config, dir.str());
+  EXPECT_NEAR(result.simulated_time, online, 1e-9 * online);
+}
+
 // ---------------------------------------------------------------------------
 // Payload-free mode
 // ---------------------------------------------------------------------------
