@@ -876,10 +876,6 @@ bool coll_recording(smpi::trace::ApiScope& scope, MPI_Comm comm) {
   return true;
 }
 
-std::vector<long long> to_longs(const int* values, int n) {
-  return std::vector<long long>(values, values + n);
-}
-
 }  // namespace
 
 int MPI_Barrier(MPI_Comm comm) {
@@ -972,9 +968,8 @@ int MPI_Scatterv(const void* sendbuf, const int sendcounts[], const int displs[]
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kScatterv;
     ti_block(recvcount, recvtype, &r.count2, &r.elem2);
-    r.elem = rank == root ? ti_elem(sendtype) : 1;
     r.peer = root;
-    if (rank == root) r.counts = to_longs(sendcounts, size);
+    if (rank == root) ti_counts(sendcounts, size, sendtype, &r.counts, &r.elem);
     scope.emit(r);
   }
   if (rank == root) {
@@ -1052,10 +1047,9 @@ int MPI_Gatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kGatherv;
     ti_block(sendbuf == MPI_IN_PLACE ? 0 : sendcount, sendtype, &r.count, &r.elem);
-    // recvtype is significant at the root only.
-    r.elem2 = rank == root ? ti_elem(recvtype) : 1;
     r.peer = root;
-    if (rank == root) r.counts = to_longs(recvcounts, size);
+    // recvtype is significant at the root only.
+    if (rank == root) ti_counts(recvcounts, size, recvtype, &r.counts, &r.elem2);
     scope.emit(r);
   }
   if (rank != root) {
@@ -1133,8 +1127,7 @@ int MPI_Allgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
     } else {
       ti_block(sendcount, sendtype, &r.count, &r.elem);
     }
-    r.elem2 = ti_elem(recvtype);
-    r.counts = to_longs(recvcounts, size);
+    ti_counts(recvcounts, size, recvtype, &r.counts, &r.elem2);
     scope.emit(r);
   }
   auto* out = static_cast<unsigned char*>(recvbuf);
@@ -1286,9 +1279,8 @@ int MPI_Reduce_scatter(const void* sendbuf, void* recvbuf, const int recvcounts[
   if (coll_recording(scope, comm)) {
     smpi::trace::TiRecord rec;
     rec.op = smpi::trace::TiOp::kReduceScatter;
-    rec.elem = ti_elem(datatype);
+    ti_counts(recvcounts, size, datatype, &rec.counts, &rec.elem);
     rec.commutative = op->commutative();
-    rec.counts = to_longs(recvcounts, size);
     scope.emit(rec);
   }
   if (op->commutative()) {
@@ -1366,10 +1358,8 @@ int MPI_Alltoallv(const void* sendbuf, const int sendcounts[], const int sdispls
   if (coll_recording(scope, comm)) {
     smpi::trace::TiRecord r;
     r.op = smpi::trace::TiOp::kAlltoallv;
-    r.elem = ti_elem(sendtype);
-    r.elem2 = ti_elem(recvtype);
-    r.counts = to_longs(sendcounts, size);
-    r.counts2 = to_longs(recvcounts, size);
+    ti_counts(sendcounts, size, sendtype, &r.counts, &r.elem);
+    ti_counts(recvcounts, size, recvtype, &r.counts2, &r.elem2);
     scope.emit(r);
   }
   const auto* in = static_cast<const unsigned char*>(sendbuf);

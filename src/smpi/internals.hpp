@@ -538,12 +538,12 @@ inline void ti_block(long long count, MPI_Datatype type, long long* out_count,
   *out_elem = empty ? 1 : static_cast<long long>(type->size());
 }
 
-// The element size alone, for a side whose counts are recorded as an array.
-inline long long ti_elem(MPI_Datatype type) {
-  long long count = 0;
-  long long elem = 1;
-  ti_block(0, type, &count, &elem);
-  return elem;
+// The same rule for a side whose counts are recorded as an array, one per
+// rank of the communicator (`n` >= 1): each count is recorded by ti_block.
+inline void ti_counts(const int* counts, int n, MPI_Datatype type,
+                      std::vector<long long>* out_counts, long long* out_elem) {
+  out_counts->resize(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) ti_block(counts[r], type, &(*out_counts)[r], out_elem);
 }
 
 // Core transfer engine (p2p.cpp).

@@ -578,8 +578,9 @@ TEST(TraceCapture, ZeroSizeAndNullTypesRecordPinnedBlocks) {
 }
 
 // A zero-size datatype moves no bytes on either side of a collective, and
-// its capture records zero elements there, so the replay moves the same
-// zero bytes and takes the same size-based algorithm dispatch.
+// its capture records zero elements there (scalar counts and count arrays
+// alike), so the replay moves the same zero bytes and takes the same
+// size-based algorithm dispatch, with and without payloads.
 TEST(TraceReplay, ZeroSizeTypesReplayExactly) {
   TempDir dir;
   auto platform = test_cluster(8);
@@ -591,20 +592,36 @@ TEST(TraceReplay, ZeroSizeTypesReplayExactly) {
     MPI_Type_commit(&empty);
     int in[8] = {};
     int out[8] = {};
+    const int counts[8] = {4096, 4096, 4096, 4096, 4096, 4096, 4096, 4096};
+    const int displs[8] = {};
     MPI_Alltoall(in, 4096, empty, out, 4096, empty, MPI_COMM_WORLD);
     MPI_Gather(in, 4096, empty, out, 4096, empty, 0, MPI_COMM_WORLD);
     MPI_Scatter(in, 4096, empty, out, 4096, empty, 0, MPI_COMM_WORLD);
     MPI_Allgather(in, 4096, empty, out, 4096, empty, MPI_COMM_WORLD);
+    MPI_Scatterv(in, counts, displs, empty, out, 4096, empty, 0, MPI_COMM_WORLD);
+    MPI_Gatherv(in, 4096, empty, out, counts, displs, empty, 0, MPI_COMM_WORLD);
+    MPI_Allgatherv(in, 4096, empty, out, counts, displs, empty, MPI_COMM_WORLD);
+    MPI_Alltoallv(in, counts, displs, empty, out, counts, displs, empty, MPI_COMM_WORLD);
     MPI_Type_free(&empty);
     MPI_Finalize();
   };
   const double online = capture_run(platform, config, 8, app, dir.str());
   const tr::TiTrace trace = tr::load_ti_trace(dir.str());
-  for (const tr::TiRecord& r : trace.ranks[0]) {
-    EXPECT_EQ(r.count * r.elem + r.count2 * r.elem2, 0) << tr::serialize_record(r);
+  for (int rank : {0, 1}) {
+    for (const tr::TiRecord& r : trace.ranks[rank]) {
+      long long bytes = r.count * r.elem + r.count2 * r.elem2;
+      for (long long c : r.counts) bytes += c * r.elem;
+      for (long long c : r.counts2) bytes += c * r.elem2;
+      EXPECT_EQ(bytes, 0) << "rank " << rank << ": " << tr::serialize_record(r);
+    }
   }
-  const auto result = tr::replay_trace(platform, config, dir.str());
-  EXPECT_NEAR(result.simulated_time, online, 1e-9 * online);
+  for (bool payload_free : {true, false}) {
+    tr::ReplayOptions options;
+    options.payload_free = payload_free;
+    const auto result = tr::replay_trace(platform, config, dir.str(), options);
+    EXPECT_FALSE(result.aborted) << "payload_free=" << payload_free << ": " << result.failure;
+    EXPECT_NEAR(result.simulated_time, online, 1e-9 * online) << "payload_free=" << payload_free;
+  }
 }
 
 // ---------------------------------------------------------------------------
