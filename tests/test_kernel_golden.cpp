@@ -1,15 +1,18 @@
 // Golden simulated times and timer counts for runs whose event streams mix
 // engine timers with model calendar entries due at one date. The kernel
 // fires everything due at a date in (date, creation) order; any change to
-// that order, or to how many timers a run creates, moves these pins.
+// that order, or to how many timers a run creates, moves these pins. The
+// collective cases at the end pin each algorithm's messages and results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "smpi/coll.h"
 #include "smpi_test_util.hpp"
 
 namespace sc = smpi::core;
@@ -219,4 +222,473 @@ TEST(KernelGolden, HostCrashFailsExecutionAndFlowAtOnce) {
       config);
   expect_golden(got, "0.0050000000000000001", 1);
   EXPECT_EQ(got.failure, "rank 1 (node 1): compute burst failed: host went down");
+}
+
+// ---------------------------------------------------------------------------
+// Collectives: every variant the MPI layer dispatches to, on 6 ranks (ring,
+// linear and reduce+bcast paths) and 8 ranks (power-of-two paths). Each case
+// pins the simulated time, the six p2p counters and a checksum over every
+// rank's receive buffers, so a change to the messages an algorithm sends,
+// to the zero-copy scopes around them or to the bytes it delivers moves it.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Per-rank FNV-1a over the bytes each rank received, folded in rank order.
+std::vector<std::uint64_t> g_rank_sums;
+
+void fold_received(const void* data, std::size_t bytes) {
+  std::uint64_t& h = g_rank_sums[static_cast<std::size_t>(my_rank())];
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+}
+
+template <class T>
+void fold_received(const std::vector<T>& buffer) {
+  fold_received(buffer.data(), buffer.size() * sizeof(T));
+}
+
+// "<simulated time> p2p=<the six P2pCounters in declaration order>
+// sum=<receive-buffer checksum>" of one run of `body`.
+std::string run_coll(int nprocs, const std::function<void()>& body,
+                     const sc::SmpiConfig& config = fast_config()) {
+  g_rank_sums.assign(static_cast<std::size_t>(nprocs), 14695981039346656037ull);
+  const smpi::platform::Platform platform = smpi_test::test_cluster(nprocs);
+  sc::SmpiWorld world(platform, config);
+  world.run(nprocs, [&body](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    body();
+    MPI_Finalize();
+  });
+  std::uint64_t sum = 14695981039346656037ull;
+  for (const std::uint64_t h : g_rank_sums) sum = (sum ^ h) * 1099511628211ull;
+  const sc::P2pCounters& c = world.result().p2p;
+  char text[128];
+  std::snprintf(text, sizeof text, "%.17g p2p=%llu,%llu,%llu,%llu,%llu,%llu sum=%016llx",
+                world.simulated_time(), static_cast<unsigned long long>(c.pool_hits),
+                static_cast<unsigned long long>(c.pool_misses),
+                static_cast<unsigned long long>(c.eager_snapshots),
+                static_cast<unsigned long long>(c.eager_copy_elided),
+                static_cast<unsigned long long>(c.eager_flush_snapshots),
+                static_cast<unsigned long long>(c.bytes_not_copied),
+                static_cast<unsigned long long>(sum));
+  return text;
+}
+
+// A test's golden lines, matched in the order its cases run.
+class Goldens {
+ public:
+  Goldens(std::initializer_list<const char*> lines) : lines_(lines.begin(), lines.end()) {}
+  ~Goldens() { EXPECT_EQ(next_, lines_.size()) << "golden lines left unmatched"; }
+  void expect(const std::string& got) {
+    if (next_ == lines_.size()) {
+      ADD_FAILURE() << "no golden line for: " << got;
+      return;
+    }
+    EXPECT_EQ(got, lines_[next_++]);
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  std::size_t next_ = 0;
+};
+
+sc::SmpiConfig forced(std::string sc::CollSelection::*field, const char* variant) {
+  sc::SmpiConfig config = fast_config();
+  config.coll.*field = variant;
+  return config;
+}
+
+// Rank-distinct int payload: element i of rank r.
+std::vector<int> payload(int count, int salt = 0) {
+  std::vector<int> v(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    v[static_cast<std::size_t>(i)] = my_rank() * 100003 + i * 7 + salt;
+  }
+  return v;
+}
+
+// Non-commutative but associative: composition of affine maps x -> m x + c
+// over (m, c) pairs, in unsigned arithmetic so overflow wraps.
+void affine(void* in, void* inout, int* len, MPI_Datatype*) {
+  auto* a = static_cast<unsigned*>(in);
+  auto* b = static_cast<unsigned*>(inout);
+  for (int i = 0; i + 1 < *len; i += 2) {
+    const unsigned m = a[i] * b[i];
+    const unsigned c = b[i] * a[i + 1] + b[i + 1];
+    b[i] = m;
+    b[i + 1] = c;
+  }
+}
+
+// Runs `reduce(op)` with MPI_SUM or with the non-commutative affine op.
+template <class F>
+void with_op(bool commutative, F reduce) {
+  MPI_Op op = MPI_SUM;
+  if (!commutative) MPI_Op_create(&affine, 0, &op);
+  reduce(op);
+  if (!commutative) MPI_Op_free(&op);
+}
+
+// Variable per-rank counts and gapped displacements for the v-collectives.
+int vcount(int r) { return 40 + 17 * r; }
+std::vector<int> vdispls(int size, int gap) {
+  std::vector<int> d(static_cast<std::size_t>(size));
+  int at = 0;
+  for (int r = 0; r < size; ++r) {
+    d[static_cast<std::size_t>(r)] = at;
+    at += vcount(r) + gap;
+  }
+  return d;
+}
+std::vector<int> vcounts(int size) {
+  std::vector<int> c(static_cast<std::size_t>(size));
+  for (int r = 0; r < size; ++r) c[static_cast<std::size_t>(r)] = vcount(r);
+  return c;
+}
+int vextent(int size, int gap) { return vdispls(size, gap).back() + vcount(size - 1) + gap; }
+
+void bcast_body(int count, int root) {
+  std::vector<int> buffer = my_rank() == root ? payload(count) : std::vector<int>(count, -1);
+  MPI_Bcast(buffer.data(), count, MPI_INT, root, MPI_COMM_WORLD);
+  fold_received(buffer);
+}
+
+// A >= 512 KiB bcast of a strided type: the long-message algorithm packs
+// into its scratch buffer instead of forwarding the user buffer.
+void strided_bcast_body() {
+  MPI_Datatype strided;
+  MPI_Type_vector(2, 2, 3, MPI_INT, &strided);  // 16 bytes over a 20-byte extent
+  MPI_Type_commit(&strided);
+  const int count = 40000;  // 640000 packed bytes
+  const int root = 2;
+  std::vector<int> buffer =
+      my_rank() == root ? payload(count * 5) : std::vector<int>(count * 5, -1);
+  MPI_Bcast(buffer.data(), count, strided, root, MPI_COMM_WORLD);
+  fold_received(buffer);
+  MPI_Type_free(&strided);
+}
+
+void alltoall_body(int block) {
+  const auto size = static_cast<std::size_t>(world_size());
+  const std::vector<int> out = payload(block * static_cast<int>(size));
+  std::vector<int> in(out.size(), -1);
+  MPI_Alltoall(out.data(), block, MPI_INT, in.data(), block, MPI_INT, MPI_COMM_WORLD);
+  fold_received(in);
+}
+
+void allreduce_body(int count, bool commutative, bool in_place) {
+  with_op(commutative, [&](MPI_Op op) {
+    const std::vector<int> mine = payload(count, 1);
+    std::vector<int> result = in_place ? mine : std::vector<int>(mine.size(), -1);
+    MPI_Allreduce(in_place ? MPI_IN_PLACE : mine.data(), result.data(), count, MPI_INT, op,
+                  MPI_COMM_WORLD);
+    fold_received(result);
+  });
+}
+
+void allgather_body(int count, bool in_place) {
+  const int size = world_size();
+  const std::vector<int> mine = payload(count);
+  std::vector<int> all(static_cast<std::size_t>(count * size), -1);
+  if (in_place) {
+    std::copy(mine.begin(), mine.end(), all.begin() + static_cast<long>(my_rank()) * count);
+  }
+  MPI_Allgather(in_place ? MPI_IN_PLACE : mine.data(), count, MPI_INT, all.data(), count, MPI_INT,
+                MPI_COMM_WORLD);
+  fold_received(all);
+}
+
+void scatter_body(bool linear) {
+  const int count = 700;
+  const int root = 2;
+  const std::vector<int> all = payload(count * world_size());
+  std::vector<int> mine(static_cast<std::size_t>(count), -1);
+  if (linear) {
+    smpi::coll::scatter_linear(all.data(), count, MPI_INT, mine.data(), count, MPI_INT, root,
+                               MPI_COMM_WORLD);
+  } else {
+    MPI_Scatter(all.data(), count, MPI_INT, mine.data(), count, MPI_INT, root, MPI_COMM_WORLD);
+  }
+  fold_received(mine);
+}
+
+void gather_body(bool linear, bool in_place) {
+  const int count = 700;
+  const int root = 3;
+  const bool root_in_place = in_place && my_rank() == root;
+  const std::vector<int> mine = payload(count);
+  std::vector<int> all(static_cast<std::size_t>(count * world_size()), -1);
+  if (root_in_place) {
+    std::copy(mine.begin(), mine.end(), all.begin() + static_cast<long>(root) * count);
+  }
+  const void* send = root_in_place ? MPI_IN_PLACE : mine.data();
+  if (linear) {
+    smpi::coll::gather_linear(send, count, MPI_INT, all.data(), count, MPI_INT, root,
+                              MPI_COMM_WORLD);
+  } else {
+    MPI_Gather(send, count, MPI_INT, all.data(), count, MPI_INT, root, MPI_COMM_WORLD);
+  }
+  fold_received(all);
+}
+
+void reduce_body(bool commutative) {
+  with_op(commutative, [](MPI_Op op) {
+    const std::vector<int> mine = payload(2000, 3);
+    std::vector<int> result(mine.size(), -1);
+    MPI_Reduce(mine.data(), result.data(), 2000, MPI_INT, op, 4, MPI_COMM_WORLD);
+    fold_received(result);
+  });
+}
+
+void scan_body(bool commutative) {
+  with_op(commutative, [](MPI_Op op) {
+    const std::vector<int> mine = payload(2000, 5);
+    std::vector<int> result(mine.size(), -1);
+    MPI_Scan(mine.data(), result.data(), 2000, MPI_INT, op, MPI_COMM_WORLD);
+    fold_received(result);
+  });
+}
+
+void reduce_scatter_body(bool commutative) {
+  with_op(commutative, [](MPI_Op op) {
+    std::vector<int> counts = vcounts(world_size());
+    for (int& c : counts) c += c % 2;  // whole affine pairs
+    int total = 0;
+    for (const int c : counts) total += c;
+    const std::vector<int> mine = payload(total, 9);
+    std::vector<int> result(static_cast<std::size_t>(counts[static_cast<std::size_t>(my_rank())]),
+                            -1);
+    MPI_Reduce_scatter(mine.data(), result.data(), counts.data(), MPI_INT, op, MPI_COMM_WORLD);
+    fold_received(result);
+  });
+}
+
+void scatterv_body() {
+  const int size = world_size();
+  const std::vector<int> counts = vcounts(size);
+  const std::vector<int> displs = vdispls(size, 3);
+  const std::vector<int> all = payload(vextent(size, 3));
+  std::vector<int> mine(static_cast<std::size_t>(vcount(my_rank()) + 2), -1);
+  MPI_Scatterv(all.data(), counts.data(), displs.data(), MPI_INT, mine.data(), vcount(my_rank()),
+               MPI_INT, 1, MPI_COMM_WORLD);
+  fold_received(mine);
+}
+
+void gatherv_body() {
+  const int size = world_size();
+  const std::vector<int> counts = vcounts(size);
+  const std::vector<int> displs = vdispls(size, 5);
+  const std::vector<int> mine = payload(vcount(my_rank()));
+  std::vector<int> all(static_cast<std::size_t>(vextent(size, 5)), -1);
+  MPI_Gatherv(mine.data(), vcount(my_rank()), MPI_INT, all.data(), counts.data(), displs.data(),
+              MPI_INT, 4, MPI_COMM_WORLD);
+  fold_received(all);
+}
+
+void allgatherv_body(bool in_place) {
+  const int size = world_size();
+  const int rank = my_rank();
+  const std::vector<int> counts = vcounts(size);
+  const std::vector<int> displs = vdispls(size, 2);
+  const std::vector<int> mine = payload(vcount(rank));
+  std::vector<int> all(static_cast<std::size_t>(vextent(size, 2)), -1);
+  if (in_place) {
+    std::copy(mine.begin(), mine.end(), all.begin() + displs[static_cast<std::size_t>(rank)]);
+  }
+  MPI_Allgatherv(in_place ? MPI_IN_PLACE : mine.data(), vcount(rank), MPI_INT, all.data(),
+                 counts.data(), displs.data(), MPI_INT, MPI_COMM_WORLD);
+  fold_received(all);
+}
+
+// Rank r sends (r + p + 1) * 11 ints to rank p, with gaps on both sides.
+void alltoallv_body() {
+  const auto size = static_cast<std::size_t>(world_size());
+  const int rank = my_rank();
+  std::vector<int> counts(size);
+  std::vector<int> sdispls(size);
+  std::vector<int> rdispls(size);
+  int sat = 0;
+  int rat = 0;
+  for (std::size_t p = 0; p < size; ++p) {
+    counts[p] = (rank + static_cast<int>(p) + 1) * 11;
+    sdispls[p] = sat;
+    rdispls[p] = rat;
+    sat += counts[p] + 1;
+    rat += counts[p] + 4;
+  }
+  const std::vector<int> out = payload(sat);
+  std::vector<int> in(static_cast<std::size_t>(rat), -1);
+  MPI_Alltoallv(out.data(), counts.data(), sdispls.data(), MPI_INT, in.data(), counts.data(),
+                rdispls.data(), MPI_INT, MPI_COMM_WORLD);
+  fold_received(in);
+}
+
+}  // namespace
+
+TEST(KernelGolden, CollBcastVariants) {
+  Goldens golden{
+      "0.0036000000000000003 p2p=70,22,18,0,0,0 sum=a341fa5f4e69b8ef",
+      "0.0036000000000000003 p2p=98,26,24,0,0,0 sum=f1a54e94125fdd3d",
+      "0.003799810000000002 p2p=97,81,18,34,1,453332 sum=a341fa5f4e69b8ef",
+      "0.0043000000000000009 p2p=145,141,24,62,1,620000 sum=f1a54e94125fdd3d",
+      "0.0022006300000000007 p2p=147,138,24,63,0,221 sum=027cc607fa522ffd",
+      "0.019199999999999995 p2p=70,22,18,0,0,0 sum=fdc2cdb12888df37",
+      "0.012700000000000005 p2p=311,37,24,0,0,0 sum=aec58e1186b6c54d",
+      "0.013400000000000006 p2p=311,37,24,0,0,0 sum=170326c7ba16fcaf"
+  };
+  const auto field = &sc::CollSelection::bcast;
+  for (const char* variant : {"binomial", "scatter_ring_allgather"}) {
+    SCOPED_TRACE(variant);
+    golden.expect(run_coll(6, [] { bcast_body(20000, 1); }, forced(field, variant)));
+    golden.expect(run_coll(8, [] { bcast_body(20000, 1); }, forced(field, variant)));
+  }
+  // Fewer elements than ranks: the long algorithm's zero-size blocks.
+  golden.expect(run_coll(8, [] { bcast_body(7, 5); }, forced(field, "scatter_ring_allgather")));
+  golden.expect(run_coll(6, [] { bcast_body(150000, 0); }));  // auto: binomial (< 8 ranks)
+  golden.expect(run_coll(8, [] { bcast_body(150000, 0); }));  // auto: scatter + ring
+  golden.expect(run_coll(8, strided_bcast_body));
+}
+
+TEST(KernelGolden, CollAlltoallVariants) {
+  Goldens golden{
+      "0.0012840000000000002 p2p=123,21,36,0,0,0 sum=eef329364248aebe",
+      "0.0013440000000000001 p2p=161,31,48,0,0,0 sum=537f25f34a6edbbc",
+      "0.00085999999999999998 p2p=69,93,18,30,0,36000 sum=eef329364248aebe",
+      "0.00088400000000000002 p2p=91,173,24,56,0,67200 sum=537f25f34a6edbbc",
+      "0.0016600000000000005 p2p=93,69,18,30,0,36000 sum=eef329364248aebe",
+      "0.0020840000000000008 p2p=139,125,24,56,0,67200 sum=537f25f34a6edbbc",
+      "0.0012153600000000002 p2p=161,31,48,0,0,0 sum=273575f275957025",
+      "0.00085999999999999998 p2p=69,93,18,30,0,36000 sum=eef329364248aebe",
+      "0.0047999999999999996 p2p=139,125,24,56,0,2240000 sum=9d965635fc298d50"
+  };
+  const auto field = &sc::CollSelection::alltoall;
+  for (const char* variant : {"bruck", "basic", "pairwise"}) {
+    SCOPED_TRACE(variant);
+    golden.expect(run_coll(6, [] { alltoall_body(300); }, forced(field, variant)));
+    golden.expect(run_coll(8, [] { alltoall_body(300); }, forced(field, variant)));
+  }
+  golden.expect(run_coll(8, [] { alltoall_body(32); }));     // auto: bruck
+  golden.expect(run_coll(6, [] { alltoall_body(300); }));    // auto: basic
+  golden.expect(run_coll(8, [] { alltoall_body(10000); }));  // auto: pairwise
+}
+
+TEST(KernelGolden, CollAllreduceVariants) {
+  Goldens golden{
+      "0.0015600000000000002 p2p=161,31,48,0,0,0 sum=675f4df6fe513d45",
+      "0.0015600000000000002 p2p=161,31,48,0,0,0 sum=1227cedf229f0fa5",
+      "0.0036103200000000015 p2p=307,125,24,112,0,168056 sum=11e88f14f5ec2a0d",
+      "0.0036103200000000015 p2p=307,125,24,112,0,168056 sum=11e88f14f5ec2a0d",
+      "0.0022400000000000002 p2p=84,23,23,5,0,60000 sum=f19467eb7d9cd707",
+      "0.0028800000000000006 p2p=112,33,31,7,0,84000 sum=1227cedf229f0fa5",
+      "0.0047999999999999987 p2p=307,125,24,112,0,1120000 sum=d66640f8dfa1f2fd",
+      "0.0013200000000000002 p2p=161,31,48,0,0,0 sum=7d821e8a82fc43ad",
+      "0.0016800000000000005 p2p=84,23,23,5,0,20000 sum=f00c0de00cf59cd7"
+  };
+  const auto field = &sc::CollSelection::allreduce;
+  const sc::SmpiConfig doubling = forced(field, "recursive_doubling");
+  const sc::SmpiConfig rabenseifner = forced(field, "rabenseifner");
+  const sc::SmpiConfig reduce_bcast = forced(field, "reduce_bcast");
+  golden.expect(run_coll(8, [] { allreduce_body(3000, true, false); }, doubling));
+  golden.expect(run_coll(8, [] { allreduce_body(3000, false, false); }, doubling));
+  golden.expect(run_coll(8, [] { allreduce_body(3001, true, false); }, rabenseifner));
+  golden.expect(run_coll(8, [] { allreduce_body(3001, true, true); }, rabenseifner));
+  golden.expect(run_coll(6, [] { allreduce_body(3000, true, false); }, reduce_bcast));
+  golden.expect(run_coll(8, [] { allreduce_body(3000, false, false); }, reduce_bcast));
+  golden.expect(run_coll(8, [] { allreduce_body(20000, true, false); }));  // auto: rabenseifner
+  golden.expect(run_coll(8, [] { allreduce_body(1000, true, true); }));    // auto: doubling
+  golden.expect(run_coll(6, [] { allreduce_body(1000, false, false); }));  // auto: reduce+bcast
+}
+
+TEST(KernelGolden, CollAllgatherVariants) {
+  Goldens golden{
+      "0.00134 p2p=107,61,24,24,0,112000 sum=1fb330172a4b56ad",
+      "0.0017000000000000006 p2p=93,69,18,30,0,60000 sum=0c4d5ca9c9b528af",
+      "0.0021400000000000008 p2p=139,125,24,56,0,112000 sum=1fb330172a4b56ad",
+      "0.0017000000000000006 p2p=93,69,18,30,0,60000 sum=0c4d5ca9c9b528af",
+      "0.00134 p2p=107,61,24,24,0,112000 sum=1fb330172a4b56ad"
+  };
+  const auto field = &sc::CollSelection::allgather;
+  golden.expect(run_coll(8, [] { allgather_body(500, false); },
+                         forced(field, "recursive_doubling")));
+  golden.expect(run_coll(6, [] { allgather_body(500, false); }, forced(field, "ring")));
+  golden.expect(run_coll(8, [] { allgather_body(500, false); }, forced(field, "ring")));
+  golden.expect(run_coll(6, [] { allgather_body(500, true); }));  // auto: ring
+  golden.expect(run_coll(8, [] { allgather_body(500, true); }));  // auto: recursive doubling
+}
+
+TEST(KernelGolden, CollRootedAndLinear) {
+  Goldens golden{
+      "0.001168 p2p=68,24,23,0,0,0 sum=35b3c3e800030bb4",
+      "0.00114 p2p=64,28,23,0,0,0 sum=76a51e33cab99a2c",
+      "0.00114 p2p=64,28,23,0,0,0 sum=76a51e33cab99a2c",
+      "0.00093999999999999997 p2p=70,22,23,0,0,0 sum=35b3c3e800030bb4",
+      "0.00093999999999999997 p2p=60,32,23,0,0,0 sum=76a51e33cab99a2c",
+      "0.00093999999999999997 p2p=60,32,23,0,0,0 sum=76a51e33cab99a2c",
+      "0.0015080000000000002 p2p=91,33,31,0,0,0 sum=d70d99957da533ed",
+      "0.0013960000000000003 p2p=89,35,31,0,0,0 sum=6294cd7c315d33be",
+      "0.0013960000000000003 p2p=89,35,31,0,0,0 sum=6294cd7c315d33be",
+      "0.00099599999999999992 p2p=92,32,31,0,0,0 sum=d70d99957da533ed",
+      "0.00099599999999999992 p2p=81,43,31,0,0,0 sum=6294cd7c315d33be",
+      "0.00099599999999999992 p2p=81,43,31,0,0,0 sum=6294cd7c315d33be"
+  };
+  for (const int n : {6, 8}) {
+    SCOPED_TRACE(n);
+    for (const bool linear : {false, true}) {
+      golden.expect(run_coll(n, [linear] { scatter_body(linear); }));
+      golden.expect(run_coll(n, [linear] { gather_body(linear, false); }));
+      golden.expect(run_coll(n, [linear] { gather_body(linear, true); }));
+    }
+  }
+}
+
+TEST(KernelGolden, CollReductions) {
+  Goldens golden{
+      "0.0012400000000000002 p2p=66,26,23,0,0,0 sum=21b0c67d9b9a2887",
+      "0.0020000000000000005 p2p=67,25,23,0,0,0 sum=b6b4b30473b3690a",
+      "0.0016196800000000003 p2p=93,69,18,30,0,9960 sum=1d273588d85c658a",
+      "0.0012400000000000002 p2p=66,26,23,0,0,0 sum=0f3eb725da92f403",
+      "0.0020000000000000005 p2p=67,25,23,0,0,0 sum=f8ab3ce7d993be15",
+      "0.00127808 p2p=89,23,28,0,0,0 sum=7d488ccf70da7597",
+      "0.0014400000000000003 p2p=92,32,31,0,0,0 sum=46f317c7714d90ce",
+      "0.0025600000000000006 p2p=91,33,31,0,0,0 sum=ac75df7b856cc72c",
+      "0.0020304000000000003 p2p=139,125,24,56,0,22400 sum=9cbd6543d83c6be5",
+      "0.0014400000000000003 p2p=92,32,31,0,0,0 sum=af928a4a2f4303c3",
+      "0.0025600000000000006 p2p=91,33,31,0,0,0 sum=19bd2e10a4de0f8c",
+      "0.0015264000000000002 p2p=122,30,38,0,0,0 sum=c59e212950556e5f"
+  };
+  for (const int n : {6, 8}) {
+    for (const bool commutative : {true, false}) {
+      SCOPED_TRACE(std::to_string(n) + (commutative ? " commutative" : " non-commutative"));
+      golden.expect(run_coll(n, [commutative] { reduce_body(commutative); }));
+      golden.expect(run_coll(n, [commutative] { scan_body(commutative); }));
+      golden.expect(run_coll(n, [commutative] { reduce_scatter_body(commutative); }));
+    }
+  }
+}
+
+TEST(KernelGolden, CollVectorVariants) {
+  Goldens golden{
+      "0.00081751999999999997 p2p=66,26,23,0,0,0 sum=0fce936a624629b1",
+      "0.00081548000000000005 p2p=58,34,23,0,0,0 sum=f22723b7cb70e654",
+      "0.0016250000000000004 p2p=170,22,48,0,0,0 sum=c64fa55360cff07d",
+      "0.0016250000000000004 p2p=170,22,48,0,0,0 sum=c64fa55360cff07d",
+      "0.00081760000000000003 p2p=107,85,48,0,0,0 sum=de55e29a7a3e23ca",
+      "0.00082956000000000002 p2p=89,35,31,0,0,0 sum=68293e8650802e15",
+      "0.00082751999999999999 p2p=80,44,31,0,0,0 sum=73d6240c3173cd3b",
+      "0.0020445200000000002 p2p=288,32,80,0,0,0 sum=9d40f259b9c7ce5d",
+      "0.0020445200000000002 p2p=288,32,80,0,0,0 sum=9d40f259b9c7ce5d",
+      "0.00083387999999999995 p2p=163,157,80,0,0,0 sum=b2260b2ce70201bf"
+  };
+  for (const int n : {6, 8}) {
+    SCOPED_TRACE(n);
+    golden.expect(run_coll(n, scatterv_body));
+    golden.expect(run_coll(n, gatherv_body));
+    golden.expect(run_coll(n, [] { allgatherv_body(false); }));
+    golden.expect(run_coll(n, [] { allgatherv_body(true); }));
+    golden.expect(run_coll(n, alltoallv_body));
+  }
 }
