@@ -2,17 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "platform/builders.hpp"
 #include "platform/platform_xml.hpp"
+#include "smpi/coll.h"
 #include "util/check.hpp"
 
 namespace smpi::campaign {
 
 namespace {
 
-enum class ValueKind { kNumber, kString, kBool };
+// kVariant: a string naming "auto" or a row of the collective's variant
+// table (smpi/coll.h), checked here so a misspelled algorithm fails the
+// parse instead of every scenario that reaches the collective.
+enum class ValueKind { kNumber, kString, kBool, kVariant };
 
 struct ParamInfo {
   ValueKind kind;
@@ -31,10 +36,10 @@ const std::pair<const char*, ParamInfo> kParams[] = {
     {"cpu_scale", {ValueKind::kNumber, nullptr}},
     {"topology_nodes", {ValueKind::kNumber, nullptr}},
     {"placement", {ValueKind::kString, nullptr}},
-    {"coll_bcast", {ValueKind::kString, nullptr}},
-    {"coll_alltoall", {ValueKind::kString, nullptr}},
-    {"coll_allreduce", {ValueKind::kString, nullptr}},
-    {"coll_allgather", {ValueKind::kString, nullptr}},
+    {"coll_bcast", {ValueKind::kVariant, nullptr}},
+    {"coll_alltoall", {ValueKind::kVariant, nullptr}},
+    {"coll_allreduce", {ValueKind::kVariant, nullptr}},
+    {"coll_allgather", {ValueKind::kVariant, nullptr}},
     {"payload_free", {ValueKind::kBool, nullptr}},
     {"eager_threshold", {ValueKind::kNumber, nullptr}},
     {"overhead_send", {ValueKind::kNumber, nullptr}},
@@ -175,6 +180,18 @@ CampaignSpec CampaignSpec::parse(const util::JsonValue& doc) {
             SMPI_REQUIRE(v.is_bool(),
                          "campaign axis '" + axis.param + "': values must be booleans");
             break;
+          case ValueKind::kVariant: {
+            SMPI_REQUIRE(v.is_string(),
+                         "campaign axis '" + axis.param + "': values must be strings");
+            const auto names = coll::variant_names(axis.param.substr(std::strlen("coll_")));
+            std::string known = "auto";
+            for (const std::string& name : names) known += ", " + name;
+            SMPI_REQUIRE(v.as_string() == "auto" ||
+                             std::find(names.begin(), names.end(), v.as_string()) != names.end(),
+                         "campaign axis '" + axis.param + "': unknown variant '" + v.as_string() +
+                             "' (one of: " + known + ")");
+            break;
+          }
         }
         axis.values.push_back(v);
       }

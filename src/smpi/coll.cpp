@@ -4,7 +4,9 @@
 // implementations the paper copied (§5.3): binomial trees for rooted
 // operations, recursive doubling / ring for allgather-style ones, pairwise
 // exchange for many-to-many.
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "smpi/coll.h"
@@ -19,16 +21,9 @@ using namespace smpi::core;
 
 // Tags separating the collective kinds inside the shadow matching scope.
 enum CollTag {
-  kTagBarrier = 1,
-  kTagBcast,
-  kTagGather,
-  kTagScatter,
-  kTagAllgather,
-  kTagAlltoall,
-  kTagReduce,
-  kTagAllreduce,
-  kTagScan,
-  kTagReduceScatter,
+  kTagBarrier = 1, kTagBcast, kTagGather, kTagScatter, kTagAllgather, kTagAlltoall, kTagReduce,
+  kTagAllreduce, kTagReduceScatter = 10,
+  kTagScatterv = 100, kTagGatherv, kTagAllgatherv, kTagScan, kTagAlltoallv,
 };
 
 int comm_rank_of(MPI_Comm comm) {
@@ -36,13 +31,6 @@ int comm_rank_of(MPI_Comm comm) {
 }
 
 bool is_power_of_two(int x) { return x > 0 && (x & (x - 1)) == 0; }
-
-// Ordered reduction helper: result placed in `accumulator`, computed as
-// lower-rank-operand OP higher-rank-operand, which is what MPI mandates for
-// non-commutative operators.
-void reduce_ordered(const void* low, void* high_and_result, int count, Datatype* type, Op* op) {
-  op->apply(low, high_and_result, count, type);
-}
 
 int check_buffer_args(const void* buf, int count, MPI_Datatype type) {
   if (!valid_count(count)) return MPI_ERR_COUNT;
@@ -62,6 +50,185 @@ int check_buffer_args(const void* buf, int count, MPI_Datatype type) {
 //
 // The per-function `pf` locals below all read smpi::core::payload_free_mode().
 
+// A reduction's staging: `acc` starts as this rank's packed contribution,
+// `incoming` takes a peer's partial result. Both stay empty in payload-free
+// mode. Op::apply(in, inout) computes inout = in OP inout, so the lower-rank
+// operand goes first, as MPI mandates for non-commutative operators.
+struct Accumulator {
+  std::vector<unsigned char> acc;
+  std::vector<unsigned char> incoming;
+
+  Accumulator(const void* contribution, int count, MPI_Datatype type) {
+    if (payload_free_mode()) return;
+    const std::size_t bytes = static_cast<std::size_t>(count) * type->size();
+    acc.resize(std::max<std::size_t>(bytes, 1));
+    type->pack(contribution, count, acc.data());
+    incoming.resize(acc.size());
+  }
+};
+
+// --- Block layouts and the shapes built on them ----------------------------
+//
+// A layout maps a comm rank to its Block of a collective buffer: the first
+// byte and the element count. Each shape below runs over layouts, so a
+// fixed-size collective and its v-variant share one loop. The shapes open no
+// CollSendScope: proving a region stable for zero-copy sends is the caller's
+// job.
+struct Block {
+  unsigned char* ptr;
+  int count;
+};
+
+// `count` elements per rank laid end to end (the fixed-size collectives);
+// block(size).ptr is the end of the buffer. The datatype is read only when a
+// block is asked for, so a side that is not significant on this rank may
+// hold an invalid handle.
+auto uniform_blocks(const void* base, int count, MPI_Datatype type) {
+  auto* bytes = static_cast<unsigned char*>(const_cast<void*>(base));
+  return [bytes, count, type](int r) {
+    return Block{bytes + static_cast<std::size_t>(r) * static_cast<std::size_t>(count) *
+                             type->extent(),
+                 count};
+  };
+}
+
+// counts[r] elements starting displs[r] elements into `base` (the
+// v-collectives); read lazily, like uniform_blocks.
+auto displaced_blocks(const void* base, const int counts[], const int displs[],
+                      MPI_Datatype type) {
+  auto* bytes = static_cast<unsigned char*>(const_cast<void*>(base));
+  return [bytes, counts, displs, type](int r) {
+    return Block{bytes + static_cast<std::size_t>(displs[r]) * type->extent(), counts[r]};
+  };
+}
+
+// The one block of a collective that never crosses the network: a rank's
+// own, copied from its send side to its receive side. It moves
+// min(send bytes, receive bytes), the rule a received message follows, so
+// a longer receive block keeps its tail. Nothing moves when either side is
+// MPI_IN_PLACE (the block is already where it belongs) or in payload-free
+// mode.
+void copy_own_block(const void* src, int sendcount, MPI_Datatype sendtype, void* dst,
+                    int recvcount, MPI_Datatype recvtype) {
+  if (src == MPI_IN_PLACE || dst == MPI_IN_PLACE || payload_free_mode()) return;
+  const std::size_t send_bytes = static_cast<std::size_t>(sendcount) * sendtype->size();
+  const std::size_t bytes =
+      std::min(send_bytes, static_cast<std::size_t>(recvcount) * recvtype->size());
+  if (bytes == 0) return;
+  if (!sendtype->needs_packing()) {
+    recvtype->unpack_bytes(src, bytes, dst);
+    return;
+  }
+  std::vector<unsigned char> packed(send_bytes);
+  sendtype->pack(src, sendcount, packed.data());
+  recvtype->unpack_bytes(packed.data(), bytes, dst);
+}
+
+// One round of the pairwise shape: send a block to `dst` while receiving
+// one from `src`, then wait for both.
+void exchange(const void* sendbuf, int sendcount, MPI_Datatype sendtype, int dst, void* recvbuf,
+              int recvcount, MPI_Datatype recvtype, int src, int tag, MPI_Comm comm) {
+  Request* sreq = nullptr;
+  Request* rreq = nullptr;
+  internal_isend(sendbuf, sendcount, sendtype, dst, tag, comm, &sreq, true);
+  internal_irecv(recvbuf, recvcount, recvtype, src, tag, comm, &rreq, true);
+  internal_wait(sreq);
+  internal_wait(rreq);
+}
+
+// Ring allgather: in step s each rank sends its right neighbour the block it
+// received from its left one in step s - 1, starting with its own, which
+// must already be in place.
+template <class Layout>
+void ring_allgather(const Layout& block, MPI_Datatype type, int tag, MPI_Comm comm) {
+  const int size = comm->size();
+  const int rank = comm_rank_of(comm);
+  const int right = (rank + 1) % size;
+  const int left = (rank - 1 + size) % size;
+  for (int step = 0; step < size - 1; ++step) {
+    const Block out = block((rank - step + size) % size);
+    const Block in = block((rank - step - 1 + size) % size);
+    exchange(out.ptr, out.count, type, right, in.ptr, in.count, type, left, tag, comm);
+  }
+}
+
+// Linear scatter: the root sends every other rank its block and copies its
+// own; every other rank receives once.
+template <class Layout>
+int linear_scatter(const Layout& send, MPI_Datatype sendtype, void* recvbuf, int recvcount,
+                   MPI_Datatype recvtype, int root, int tag, MPI_Comm comm) {
+  const int size = comm->size();
+  const int rank = comm_rank_of(comm);
+  if (rank != root) {
+    return internal_recv(recvbuf, recvcount, recvtype, root, tag, comm, MPI_STATUS_IGNORE, true);
+  }
+  std::vector<Request*> requests;
+  for (int r = 0; r < size; ++r) {
+    const Block chunk = send(r);
+    if (r == rank) {
+      copy_own_block(chunk.ptr, chunk.count, sendtype, recvbuf, recvcount, recvtype);
+      continue;
+    }
+    Request* req = nullptr;
+    internal_isend(chunk.ptr, chunk.count, sendtype, r, tag, comm, &req, true);
+    requests.push_back(req);
+  }
+  for (Request* req : requests) internal_wait(req);
+  return MPI_SUCCESS;
+}
+
+// Linear gather, the mirror image: the root receives every other rank's
+// block and copies its own.
+template <class Layout>
+int linear_gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, const Layout& recv,
+                  MPI_Datatype recvtype, int root, int tag, MPI_Comm comm) {
+  const int size = comm->size();
+  const int rank = comm_rank_of(comm);
+  if (rank != root) return internal_send(sendbuf, sendcount, sendtype, root, tag, comm, true);
+  std::vector<Request*> requests;
+  for (int r = 0; r < size; ++r) {
+    const Block slot = recv(r);
+    if (r == rank) {
+      copy_own_block(sendbuf, sendcount, sendtype, slot.ptr, slot.count, recvtype);
+      continue;
+    }
+    Request* req = nullptr;
+    internal_irecv(slot.ptr, slot.count, recvtype, r, tag, comm, &req, true);
+    requests.push_back(req);
+  }
+  for (Request* req : requests) internal_wait(req);
+  return MPI_SUCCESS;
+}
+
+// Basic alltoall: post every receive, then every send, then wait for all;
+// the own block is copied.
+template <class SendLayout, class RecvLayout>
+void basic_alltoall(const SendLayout& send, MPI_Datatype sendtype, const RecvLayout& recv,
+                    MPI_Datatype recvtype, int tag, MPI_Comm comm) {
+  const int size = comm->size();
+  const int rank = comm_rank_of(comm);
+  std::vector<Request*> requests;
+  for (int r = 0; r < size; ++r) {
+    if (r == rank) continue;
+    const Block slot = recv(r);
+    Request* rreq = nullptr;
+    internal_irecv(slot.ptr, slot.count, recvtype, r, tag, comm, &rreq, true);
+    requests.push_back(rreq);
+  }
+  for (int r = 0; r < size; ++r) {
+    const Block chunk = send(r);
+    if (r == rank) {
+      const Block own = recv(rank);
+      copy_own_block(chunk.ptr, chunk.count, sendtype, own.ptr, own.count, recvtype);
+      continue;
+    }
+    Request* sreq = nullptr;
+    internal_isend(chunk.ptr, chunk.count, sendtype, r, tag, comm, &sreq, true);
+    requests.push_back(sreq);
+  }
+  for (Request* req : requests) internal_wait(req);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -75,12 +242,7 @@ int barrier_dissemination(MPI_Comm comm) {
   for (int mask = 1; mask < size; mask <<= 1) {
     const int dst = (rank + mask) % size;
     const int src = (rank - mask + size) % size;
-    Request* sreq = nullptr;
-    Request* rreq = nullptr;
-    internal_isend(nullptr, 0, MPI_BYTE, dst, kTagBarrier, comm, &sreq, true);
-    internal_irecv(nullptr, 0, MPI_BYTE, src, kTagBarrier, comm, &rreq, true);
-    internal_wait(sreq);
-    internal_wait(rreq);
+    exchange(nullptr, 0, MPI_BYTE, dst, nullptr, 0, MPI_BYTE, src, kTagBarrier, comm);
   }
   return MPI_SUCCESS;
 }
@@ -148,15 +310,11 @@ int bcast_scatter_ring_allgather(void* buffer, int count, MPI_Datatype datatype,
   Process& proc = current_process_checked();
   std::vector<std::size_t>& displs = proc.coll_displs;  // per-rank scratch
   displs.assign(static_cast<std::size_t>(size) + 1, 0);
-  for (int r = 0; r < size; ++r) {
-    const std::size_t block = total / static_cast<std::size_t>(size) +
-                              (static_cast<std::size_t>(r) < total % static_cast<std::size_t>(size)
-                                   ? 1
-                                   : 0);
-    displs[static_cast<std::size_t>(r) + 1] = displs[static_cast<std::size_t>(r)] + block;
-  }
-  auto block_of = [&displs](int r) {
-    return displs[static_cast<std::size_t>(r) + 1] - displs[static_cast<std::size_t>(r)];
+  const auto n = static_cast<std::size_t>(size);
+  for (std::size_t r = 0; r < n; ++r) displs[r + 1] = displs[r] + total / n + (r < total % n);
+  auto block = [data, &displs](int r) {
+    const auto i = static_cast<std::size_t>(r);
+    return Block{data + displs[i], static_cast<int>(displs[i + 1] - displs[i])};
   };
 
   // Zero-copy eligible over `data` (user buffer or scratch — both outlive
@@ -173,41 +331,26 @@ int bcast_scatter_ring_allgather(void* buffer, int count, MPI_Datatype datatype,
   reserve_coll_queues(proc, comm, static_cast<std::size_t>(size) + 1);
 
   // Phase 1: root scatters the blocks (linear, block r to comm rank r).
+  // Unlike linear_scatter it sends no zero-size block.
   if (rank == root) {
     std::vector<Request*>& sends = proc.coll_requests;  // per-rank scratch
     sends.clear();
     for (int r = 0; r < size; ++r) {
-      if (r == root || block_of(r) == 0) continue;
+      const Block b = block(r);
+      if (r == root || b.count == 0) continue;
       Request* req = nullptr;
-      internal_isend(data + displs[static_cast<std::size_t>(r)],
-                     static_cast<int>(block_of(r)), MPI_BYTE, r, kTagBcast, comm, &req, true);
+      internal_isend(b.ptr, b.count, MPI_BYTE, r, kTagBcast, comm, &req, true);
       sends.push_back(req);
     }
     for (Request* req : sends) internal_wait(req);
-  } else if (block_of(rank) > 0) {
-    const int rc = internal_recv(data + displs[static_cast<std::size_t>(rank)],
-                                 static_cast<int>(block_of(rank)), MPI_BYTE, root, kTagBcast,
-                                 comm, MPI_STATUS_IGNORE, true);
+  } else if (const Block mine = block(rank); mine.count > 0) {
+    const int rc = internal_recv(mine.ptr, mine.count, MPI_BYTE, root, kTagBcast, comm,
+                                 MPI_STATUS_IGNORE, true);
     if (rc != MPI_SUCCESS) return rc;
   }
 
   // Phase 2: ring allgather of the blocks.
-  const int right = (rank + 1) % size;
-  const int left = (rank - 1 + size) % size;
-  for (int step = 0; step < size - 1; ++step) {
-    const int send_block = (rank - step + size) % size;
-    const int recv_block = (rank - step - 1 + size) % size;
-    Request* sreq = nullptr;
-    Request* rreq = nullptr;
-    internal_isend(data + displs[static_cast<std::size_t>(send_block)],
-                   static_cast<int>(block_of(send_block)), MPI_BYTE, right, kTagBcast, comm,
-                   &sreq, true);
-    internal_irecv(data + displs[static_cast<std::size_t>(recv_block)],
-                   static_cast<int>(block_of(recv_block)), MPI_BYTE, left, kTagBcast, comm,
-                   &rreq, true);
-    internal_wait(sreq);
-    internal_wait(rreq);
-  }
+  ring_allgather(block, MPI_BYTE, kTagBcast, comm);
   if (!contiguous && rank != root) datatype->unpack(data, count, buffer);
   return MPI_SUCCESS;
 }
@@ -223,8 +366,11 @@ int scatter_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, 
   const int size = comm->size();
   const int rank = comm_rank_of(comm);
   const int relative = (rank - root + size) % size;
-  const std::size_t block = static_cast<std::size_t>(sendcount) *
-                            (rank == root ? sendtype->size() : recvtype->size());
+  // Each side sizes the block by its own significant arguments: the send
+  // side is read at the root only.
+  const std::size_t block = rank == root
+                                ? static_cast<std::size_t>(sendcount) * sendtype->size()
+                                : static_cast<std::size_t>(recvcount) * recvtype->size();
 
   // Packed staging buffer in *relative* rank order. The root rotates its send
   // buffer so subtree payloads are contiguous; an interior node at relative
@@ -288,32 +434,8 @@ int scatter_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, 
 
 int scatter_linear(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                    int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm) {
-  const int size = comm->size();
-  const int rank = comm_rank_of(comm);
-  if (rank == root) {
-    const auto* base = static_cast<const unsigned char*>(sendbuf);
-    std::vector<Request*> requests;
-    for (int r = 0; r < size; ++r) {
-      const void* chunk = base + static_cast<std::size_t>(r) *
-                                     static_cast<std::size_t>(sendcount) * sendtype->extent();
-      if (r == rank) {
-        if (recvbuf != MPI_IN_PLACE && !payload_free_mode()) {
-          std::vector<unsigned char> packed(static_cast<std::size_t>(sendcount) *
-                                            sendtype->size());
-          sendtype->pack(chunk, sendcount, packed.data());
-          recvtype->unpack(packed.data(), recvcount, recvbuf);
-        }
-        continue;
-      }
-      Request* req = nullptr;
-      internal_isend(chunk, sendcount, sendtype, r, kTagScatter, comm, &req, true);
-      requests.push_back(req);
-    }
-    for (Request* req : requests) internal_wait(req);
-    return MPI_SUCCESS;
-  }
-  return internal_recv(recvbuf, recvcount, recvtype, root, kTagScatter, comm, MPI_STATUS_IGNORE,
-                       true);
+  return linear_scatter(uniform_blocks(sendbuf, sendcount, sendtype), sendtype, recvbuf, recvcount,
+                        recvtype, root, kTagScatter, comm);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,14 +459,12 @@ int gather_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, v
   std::vector<unsigned char> staging;
   auto* user = static_cast<unsigned char*>(rank == root ? recvbuf : const_cast<void*>(sendbuf));
   auto seg = [&](std::size_t offset) { return pf ? user : staging.data() + offset; };
+  const auto slots = uniform_blocks(recvbuf, recvcount, recvtype);  // significant at the root
   if (!pf) {
     staging.resize(std::max<std::size_t>(block * span, 1));
     // Own block at offset 0 (packed).
     if (in_place_root) {
-      const auto* base = static_cast<const unsigned char*>(recvbuf);
-      recvtype->pack(base + static_cast<std::size_t>(rank) *
-                                static_cast<std::size_t>(recvcount) * recvtype->extent(),
-                     recvcount, staging.data());
+      recvtype->pack(slots(rank).ptr, recvcount, staging.data());
     } else {
       sendtype->pack(sendbuf, sendcount, staging.data());
     }
@@ -372,12 +492,9 @@ int gather_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, v
   const std::size_t recv_block = static_cast<std::size_t>(recvcount) * recvtype->size();
   SMPI_ENSURE(recv_block == block, "gather block size mismatch");
   if (!pf) {
-    auto* out = static_cast<unsigned char*>(recvbuf);
     for (int rel = 0; rel < size; ++rel) {
-      const int r = (rel + root) % size;
       recvtype->unpack(staging.data() + static_cast<std::size_t>(rel) * block, recvcount,
-                       out + static_cast<std::size_t>(r) * static_cast<std::size_t>(recvcount) *
-                                 recvtype->extent());
+                       slots((rel + root) % size).ptr);
     }
   }
   return MPI_SUCCESS;
@@ -385,30 +502,8 @@ int gather_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, v
 
 int gather_linear(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                   int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm) {
-  const int size = comm->size();
-  const int rank = comm_rank_of(comm);
-  if (rank != root) {
-    return internal_send(sendbuf, sendcount, sendtype, root, kTagGather, comm, true);
-  }
-  auto* out = static_cast<unsigned char*>(recvbuf);
-  std::vector<Request*> requests;
-  for (int r = 0; r < size; ++r) {
-    void* slot = out + static_cast<std::size_t>(r) * static_cast<std::size_t>(recvcount) *
-                           recvtype->extent();
-    if (r == rank) {
-      if (sendbuf != MPI_IN_PLACE && !payload_free_mode()) {
-        std::vector<unsigned char> packed(static_cast<std::size_t>(sendcount) * sendtype->size());
-        sendtype->pack(sendbuf, sendcount, packed.data());
-        recvtype->unpack(packed.data(), recvcount, slot);
-      }
-      continue;
-    }
-    Request* req = nullptr;
-    internal_irecv(slot, recvcount, recvtype, r, kTagGather, comm, &req, true);
-    requests.push_back(req);
-  }
-  for (Request* req : requests) internal_wait(req);
-  return MPI_SUCCESS;
+  return linear_gather(sendbuf, sendcount, sendtype, uniform_blocks(recvbuf, recvcount, recvtype),
+                       recvtype, root, kTagGather, comm);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,29 +516,17 @@ int allgather_recursive_doubling(const void* sendbuf, int sendcount, MPI_Datatyp
   const int size = comm->size();
   const int rank = comm_rank_of(comm);
   SMPI_REQUIRE(is_power_of_two(size), "recursive doubling requires a power-of-two size");
-  auto* out = static_cast<unsigned char*>(recvbuf);
-  const std::size_t block = static_cast<std::size_t>(recvcount) * recvtype->extent();
-  if (sendbuf != MPI_IN_PLACE && !payload_free_mode()) {
-    std::vector<unsigned char> packed(static_cast<std::size_t>(sendcount) * sendtype->size());
-    sendtype->pack(sendbuf, sendcount, packed.data());
-    recvtype->unpack(packed.data(), recvcount, out + static_cast<std::size_t>(rank) * block);
-  }
+  const auto blocks = uniform_blocks(recvbuf, recvcount, recvtype);
+  copy_own_block(sendbuf, sendcount, sendtype, blocks(rank).ptr, recvcount, recvtype);
   // Zero-copy eligible: round k sends a region assembled in rounds < k;
   // received regions are disjoint from everything already sent.
-  CollSendScope zc_scope(current_process_checked(), out,
-                         static_cast<std::size_t>(size) * block);
+  CollSendScope zc_scope(current_process_checked(), recvbuf, blocks(size).ptr - blocks(0).ptr);
   for (int mask = 1; mask < size; mask <<= 1) {
     const int partner = rank ^ mask;
-    const int my_start = rank & ~(mask - 1);
-    const int partner_start = partner & ~(mask - 1);
-    Request* sreq = nullptr;
-    Request* rreq = nullptr;
-    internal_isend(out + static_cast<std::size_t>(my_start) * block, recvcount * mask, recvtype,
-                   partner, kTagAllgather, comm, &sreq, true);
-    internal_irecv(out + static_cast<std::size_t>(partner_start) * block, recvcount * mask,
-                   recvtype, partner, kTagAllgather, comm, &rreq, true);
-    internal_wait(sreq);
-    internal_wait(rreq);
+    // Each side sends the `mask` blocks it has assembled so far.
+    exchange(blocks(rank & ~(mask - 1)).ptr, recvcount * mask, recvtype, partner,
+             blocks(partner & ~(mask - 1)).ptr, recvcount * mask, recvtype, partner,
+             kTagAllgather, comm);
   }
   return MPI_SUCCESS;
 }
@@ -451,32 +534,13 @@ int allgather_recursive_doubling(const void* sendbuf, int sendcount, MPI_Datatyp
 int allgather_ring(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                    int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
   const int size = comm->size();
-  const int rank = comm_rank_of(comm);
-  auto* out = static_cast<unsigned char*>(recvbuf);
-  const std::size_t block = static_cast<std::size_t>(recvcount) * recvtype->extent();
-  if (sendbuf != MPI_IN_PLACE && !payload_free_mode()) {
-    std::vector<unsigned char> packed(static_cast<std::size_t>(sendcount) * sendtype->size());
-    sendtype->pack(sendbuf, sendcount, packed.data());
-    recvtype->unpack(packed.data(), recvcount, out + static_cast<std::size_t>(rank) * block);
-  }
+  const auto blocks = uniform_blocks(recvbuf, recvcount, recvtype);
+  copy_own_block(sendbuf, sendcount, sendtype, blocks(comm_rank_of(comm)).ptr, recvcount,
+                 recvtype);
   // Zero-copy eligible: each ring step forwards the block received in the
   // previous step; a block is written once, before its first send.
-  CollSendScope zc_scope(current_process_checked(), out,
-                         static_cast<std::size_t>(size) * block);
-  const int right = (rank + 1) % size;
-  const int left = (rank - 1 + size) % size;
-  for (int step = 0; step < size - 1; ++step) {
-    const int send_block = (rank - step + size) % size;
-    const int recv_block = (rank - step - 1 + size) % size;
-    Request* sreq = nullptr;
-    Request* rreq = nullptr;
-    internal_isend(out + static_cast<std::size_t>(send_block) * block, recvcount, recvtype, right,
-                   kTagAllgather, comm, &sreq, true);
-    internal_irecv(out + static_cast<std::size_t>(recv_block) * block, recvcount, recvtype, left,
-                   kTagAllgather, comm, &rreq, true);
-    internal_wait(sreq);
-    internal_wait(rreq);
-  }
+  CollSendScope zc_scope(current_process_checked(), recvbuf, blocks(size).ptr - blocks(0).ptr);
+  ring_allgather(blocks, recvtype, kTagAllgather, comm);
   return MPI_SUCCESS;
 }
 
@@ -488,72 +552,30 @@ int alltoall_pairwise(const void* sendbuf, int sendcount, MPI_Datatype sendtype,
                       int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
   const int size = comm->size();
   const int rank = comm_rank_of(comm);
-  const auto* in = static_cast<const unsigned char*>(sendbuf);
-  auto* out = static_cast<unsigned char*>(recvbuf);
-  const std::size_t send_block = static_cast<std::size_t>(sendcount) * sendtype->extent();
-  const std::size_t recv_block = static_cast<std::size_t>(recvcount) * recvtype->extent();
-
-  // Own block.
-  if (!payload_free_mode()) {
-    std::vector<unsigned char> packed(static_cast<std::size_t>(sendcount) * sendtype->size());
-    sendtype->pack(in + static_cast<std::size_t>(rank) * send_block, sendcount, packed.data());
-    recvtype->unpack(packed.data(), recvcount, out + static_cast<std::size_t>(rank) * recv_block);
-  }
+  const auto send = uniform_blocks(sendbuf, sendcount, sendtype);
+  const auto recv = uniform_blocks(recvbuf, recvcount, recvtype);
+  copy_own_block(send(rank).ptr, sendcount, sendtype, recv(rank).ptr, recvcount, recvtype);
   // Zero-copy eligible: the send buffer is caller-const for the whole call
   // (MPI_Alltoall rejects MPI_IN_PLACE, so it cannot alias recvbuf).
-  CollSendScope zc_scope(current_process_checked(), in,
-                         static_cast<std::size_t>(size) * send_block);
+  CollSendScope zc_scope(current_process_checked(), sendbuf, send(size).ptr - send(0).ptr);
   // size-1 steps; at step k exchange with ranks at distance k (Figure 10).
   for (int step = 1; step < size; ++step) {
     const int dst = (rank + step) % size;
     const int src = (rank - step + size) % size;
-    Request* sreq = nullptr;
-    Request* rreq = nullptr;
-    internal_isend(in + static_cast<std::size_t>(dst) * send_block, sendcount, sendtype, dst,
-                   kTagAlltoall, comm, &sreq, true);
-    internal_irecv(out + static_cast<std::size_t>(src) * recv_block, recvcount, recvtype, src,
-                   kTagAlltoall, comm, &rreq, true);
-    internal_wait(sreq);
-    internal_wait(rreq);
+    exchange(send(dst).ptr, sendcount, sendtype, dst, recv(src).ptr, recvcount, recvtype, src,
+             kTagAlltoall, comm);
   }
   return MPI_SUCCESS;
 }
 
 int alltoall_basic(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                    int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
-  const int size = comm->size();
-  const int rank = comm_rank_of(comm);
-  const auto* in = static_cast<const unsigned char*>(sendbuf);
-  auto* out = static_cast<unsigned char*>(recvbuf);
-  const std::size_t send_block = static_cast<std::size_t>(sendcount) * sendtype->extent();
-  const std::size_t recv_block = static_cast<std::size_t>(recvcount) * recvtype->extent();
   // Zero-copy eligible: caller-const send buffer, no MPI_IN_PLACE aliasing.
-  CollSendScope zc_scope(current_process_checked(), in,
-                         static_cast<std::size_t>(size) * send_block);
-  std::vector<Request*> requests;
-  for (int r = 0; r < size; ++r) {
-    if (r == rank) continue;
-    Request* rreq = nullptr;
-    internal_irecv(out + static_cast<std::size_t>(r) * recv_block, recvcount, recvtype, r,
-                   kTagAlltoall, comm, &rreq, true);
-    requests.push_back(rreq);
-  }
-  for (int r = 0; r < size; ++r) {
-    if (r == rank) {
-      if (!payload_free_mode()) {
-        std::vector<unsigned char> packed(static_cast<std::size_t>(sendcount) * sendtype->size());
-        sendtype->pack(in + static_cast<std::size_t>(rank) * send_block, sendcount, packed.data());
-        recvtype->unpack(packed.data(), recvcount,
-                         out + static_cast<std::size_t>(rank) * recv_block);
-      }
-      continue;
-    }
-    Request* sreq = nullptr;
-    internal_isend(in + static_cast<std::size_t>(r) * send_block, sendcount, sendtype, r,
-                   kTagAlltoall, comm, &sreq, true);
-    requests.push_back(sreq);
-  }
-  for (Request* req : requests) internal_wait(req);
+  CollSendScope zc_scope(current_process_checked(), sendbuf,
+                         static_cast<std::size_t>(comm->size()) *
+                             static_cast<std::size_t>(sendcount) * sendtype->extent());
+  basic_alltoall(uniform_blocks(sendbuf, sendcount, sendtype), sendtype,
+                 uniform_blocks(recvbuf, recvcount, recvtype), recvtype, kTagAlltoall, comm);
   return MPI_SUCCESS;
 }
 
@@ -599,14 +621,9 @@ int alltoall_bruck(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
     }
     std::vector<unsigned char> incoming;
     if (!pf) incoming.resize(std::max<std::size_t>(moving * block, 1));
-    Request* sreq = nullptr;
-    Request* rreq = nullptr;
-    internal_isend(pf ? sendbuf : staging.data(), static_cast<int>(moving * block), MPI_BYTE, dst,
-                   kTagAlltoall, comm, &sreq, true);
-    internal_irecv(pf ? recvbuf : incoming.data(), static_cast<int>(moving * block), MPI_BYTE,
-                   src, kTagAlltoall, comm, &rreq, true);
-    internal_wait(sreq);
-    internal_wait(rreq);
+    exchange(pf ? sendbuf : staging.data(), static_cast<int>(moving * block), MPI_BYTE, dst,
+             pf ? recvbuf : incoming.data(), static_cast<int>(moving * block), MPI_BYTE, src,
+             kTagAlltoall, comm);
     if (!pf) {
       std::size_t landed = 0;
       for (int i = 0; i < size; ++i) {
@@ -622,12 +639,10 @@ int alltoall_bruck(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
   // Phase 2: inverse rotation — tmp[i] now holds the data from rank
   // (rank - i + size) % size.
   if (!pf) {
-    auto* out = static_cast<unsigned char*>(recvbuf);
-    const std::size_t recv_block = static_cast<std::size_t>(recvcount) * recvtype->extent();
+    const auto slots = uniform_blocks(recvbuf, recvcount, recvtype);
     for (int i = 0; i < size; ++i) {
-      const int src = (rank - i + size) % size;
       recvtype->unpack(tmp.data() + static_cast<std::size_t>(i) * block, recvcount,
-                       out + static_cast<std::size_t>(src) * recv_block);
+                       slots((rank - i + size) % size).ptr);
     }
   }
   return MPI_SUCCESS;
@@ -644,18 +659,11 @@ int reduce_binomial(const void* sendbuf, void* recvbuf, int count, MPI_Datatype 
   const int relative = (rank - root + size) % size;
   const std::size_t bytes = static_cast<std::size_t>(count) * datatype->size();
 
-  // Accumulator starts as my contribution (packed representation).
   // Payload-free: the accumulator and incoming buffers are elided — the
   // messages carry the same byte counts from the contribution pointer.
   const bool pf = payload_free_mode();
   const void* contribution = (sendbuf == MPI_IN_PLACE) ? recvbuf : sendbuf;
-  std::vector<unsigned char> acc;
-  std::vector<unsigned char> incoming;
-  if (!pf) {
-    acc.resize(std::max<std::size_t>(bytes, 1));
-    datatype->pack(contribution, count, acc.data());
-    incoming.resize(std::max<std::size_t>(bytes, 1));
-  }
+  auto [acc, incoming] = Accumulator(contribution, count, datatype);
   auto* user = const_cast<void*>(contribution);
   int mask = 1;
   while (mask < size) {
@@ -674,7 +682,7 @@ int reduce_binomial(const void* sendbuf, void* recvbuf, int count, MPI_Datatype 
       if (!pf) {
         // incoming holds higher relative ranks: acc = acc OP incoming, then
         // the result must live in acc.
-        reduce_ordered(acc.data(), incoming.data(), count, datatype, op);
+        op->apply(acc.data(), incoming.data(), count, datatype);
         acc.swap(incoming);
       }
     }
@@ -692,30 +700,19 @@ int allreduce_recursive_doubling(const void* sendbuf, void* recvbuf, int count,
   const std::size_t bytes = static_cast<std::size_t>(count) * datatype->size();
   const bool pf = payload_free_mode();
   const void* contribution = (sendbuf == MPI_IN_PLACE) ? recvbuf : sendbuf;
-  std::vector<unsigned char> acc;
-  std::vector<unsigned char> incoming;
-  if (!pf) {
-    acc.resize(std::max<std::size_t>(bytes, 1));
-    datatype->pack(contribution, count, acc.data());
-    incoming.resize(std::max<std::size_t>(bytes, 1));
-  }
+  auto [acc, incoming] = Accumulator(contribution, count, datatype);
 
   for (int mask = 1; mask < size; mask <<= 1) {
     const int partner = rank ^ mask;
-    Request* sreq = nullptr;
-    Request* rreq = nullptr;
-    internal_isend(pf ? recvbuf : acc.data(), static_cast<int>(bytes), MPI_BYTE, partner,
-                   kTagAllreduce, comm, &sreq, true);
-    internal_irecv(pf ? recvbuf : incoming.data(), static_cast<int>(bytes), MPI_BYTE, partner,
-                   kTagAllreduce, comm, &rreq, true);
-    internal_wait(sreq);
-    internal_wait(rreq);
+    exchange(pf ? recvbuf : acc.data(), static_cast<int>(bytes), MPI_BYTE, partner,
+             pf ? recvbuf : incoming.data(), static_cast<int>(bytes), MPI_BYTE, partner,
+             kTagAllreduce, comm);
     if (pf) continue;
     if (partner < rank) {
       // incoming is the lower-rank operand: acc = incoming OP acc.
-      reduce_ordered(incoming.data(), acc.data(), count, datatype, op);
+      op->apply(incoming.data(), acc.data(), count, datatype);
     } else {
-      reduce_ordered(acc.data(), incoming.data(), count, datatype, op);
+      op->apply(acc.data(), incoming.data(), count, datatype);
       acc.swap(incoming);
     }
   }
@@ -741,49 +738,27 @@ int allreduce_rabenseifner(const void* sendbuf, void* recvbuf, int count, MPI_Da
     offset += counts[static_cast<std::size_t>(r)];
   }
 
-  // Phase 1: reduce_scatter — I end with the reduction of my block.
-  const bool pf = payload_free_mode();
-  const int my_count = counts[static_cast<std::size_t>(rank)];
-  std::vector<unsigned char> my_block;
-  if (!pf) {
-    my_block.resize(
-        std::max<std::size_t>(static_cast<std::size_t>(my_count) * datatype->extent(), 1));
-  }
+  // Phase 1: reduce_scatter — I end with the reduction of my block, in
+  // place in recvbuf.
+  const auto blocks = displaced_blocks(recvbuf, counts.data(), displs.data(), datatype);
   const void* contribution = (sendbuf == MPI_IN_PLACE) ? recvbuf : sendbuf;
-  const int rs = reduce_scatter_pairwise(contribution, pf ? recvbuf : my_block.data(),
-                                         counts.data(), datatype, op, comm);
+  const int rs = reduce_scatter_pairwise(contribution, blocks(rank).ptr, counts.data(), datatype,
+                                         op, comm);
   if (rs != MPI_SUCCESS) return rs;
 
-  // Phase 2: allgatherv (ring) of the reduced blocks into recvbuf.
-  auto* out = static_cast<unsigned char*>(recvbuf);
-  if (!pf) {
-    std::memcpy(out + static_cast<std::size_t>(displs[static_cast<std::size_t>(rank)]) *
-                          datatype->extent(),
-                my_block.data(), static_cast<std::size_t>(my_count) * datatype->extent());
-  }
-  // Zero-copy eligible for the allgather ring: same single-write-then-
-  // forward causality as allgather_ring, over the reduced blocks.
-  CollSendScope zc_scope(current_process_checked(), out,
+  // Phase 2: ring allgather of the reduced blocks. Zero-copy eligible:
+  // same single-write-then-forward causality as allgather_ring.
+  CollSendScope zc_scope(current_process_checked(), recvbuf,
                          static_cast<std::size_t>(offset) * datatype->extent());
-  const int right = (rank + 1) % size;
-  const int left = (rank - 1 + size) % size;
-  for (int step = 0; step < size - 1; ++step) {
-    const int send_block = (rank - step + size) % size;
-    const int recv_block = (rank - step - 1 + size) % size;
-    Request* sreq = nullptr;
-    Request* rreq = nullptr;
-    internal_isend(out + static_cast<std::size_t>(displs[static_cast<std::size_t>(send_block)]) *
-                             datatype->extent(),
-                   counts[static_cast<std::size_t>(send_block)], datatype, right, kTagAllreduce,
-                   comm, &sreq, true);
-    internal_irecv(out + static_cast<std::size_t>(displs[static_cast<std::size_t>(recv_block)]) *
-                             datatype->extent(),
-                   counts[static_cast<std::size_t>(recv_block)], datatype, left, kTagAllreduce,
-                   comm, &rreq, true);
-    internal_wait(sreq);
-    internal_wait(rreq);
-  }
+  ring_allgather(blocks, datatype, kTagAllreduce, comm);
   return MPI_SUCCESS;
+}
+
+int allreduce_reduce_bcast(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datatype,
+                           MPI_Op op, MPI_Comm comm) {
+  const int rc = reduce_binomial(sendbuf, recvbuf, count, datatype, op, 0, comm);
+  if (rc != MPI_SUCCESS) return rc;
+  return bcast_binomial(recvbuf, count, datatype, 0, comm);
 }
 
 int reduce_scatter_pairwise(const void* sendbuf, void* recvbuf, const int recvcounts[],
@@ -803,13 +778,8 @@ int reduce_scatter_pairwise(const void* sendbuf, void* recvbuf, const int recvco
 
   // Start from my own contribution for my block.
   const bool pf = payload_free_mode();
-  std::vector<unsigned char> acc;
-  std::vector<unsigned char> incoming;
-  if (!pf) {
-    acc.resize(std::max<std::size_t>(my_bytes, 1));
-    datatype->pack(in + displs[static_cast<std::size_t>(rank)] * elem, my_count, acc.data());
-    incoming.resize(std::max<std::size_t>(my_bytes, 1));
-  }
+  auto [acc, incoming] =
+      Accumulator(in + displs[static_cast<std::size_t>(rank)] * elem, my_count, datatype);
 
   {
     // Zero-copy eligible: every send reads a distinct slice of the caller's
@@ -821,19 +791,69 @@ int reduce_scatter_pairwise(const void* sendbuf, void* recvbuf, const int recvco
     for (int step = 1; step < size; ++step) {
       const int dst = (rank - step + size) % size;  // they need my contribution for their block
       const int src = (rank + step) % size;         // they hold a contribution for my block
-      Request* sreq = nullptr;
-      Request* rreq = nullptr;
-      internal_isend(in + displs[static_cast<std::size_t>(dst)] * elem, recvcounts[dst], datatype,
-                     dst, kTagReduceScatter, comm, &sreq, true);
-      internal_irecv(pf ? recvbuf : incoming.data(), static_cast<int>(my_bytes), MPI_BYTE, src,
-                     kTagReduceScatter, comm, &rreq, true);
-      internal_wait(sreq);
-      internal_wait(rreq);
+      exchange(in + displs[static_cast<std::size_t>(dst)] * elem, recvcounts[dst], datatype, dst,
+               pf ? recvbuf : incoming.data(), static_cast<int>(my_bytes), MPI_BYTE, src,
+               kTagReduceScatter, comm);
       if (!pf) op->apply(incoming.data(), acc.data(), my_count, datatype);
     }
   }
   if (!pf) datatype->unpack(acc.data(), my_count, recvbuf);
   return MPI_SUCCESS;
+}
+
+// ---------------------------------------------------------------------------
+// Variant tables: the algorithms a CollSelection field may force instead of
+// the size-based "auto" dispatch, one table per collective.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+template <class Fn>
+struct Variant {
+  const char* name;
+  Fn run;
+};
+
+const Variant<decltype(&bcast_binomial)> kBcastVariants[] = {
+    {"binomial", bcast_binomial}, {"scatter_ring_allgather", bcast_scatter_ring_allgather}};
+const Variant<decltype(&alltoall_basic)> kAlltoallVariants[] = {
+    {"bruck", alltoall_bruck}, {"basic", alltoall_basic}, {"pairwise", alltoall_pairwise}};
+const Variant<decltype(&allreduce_rabenseifner)> kAllreduceVariants[] = {
+    {"recursive_doubling", allreduce_recursive_doubling},
+    {"rabenseifner", allreduce_rabenseifner},
+    {"reduce_bcast", allreduce_reduce_bcast}};
+const Variant<decltype(&allgather_ring)> kAllgatherVariants[] = {
+    {"recursive_doubling", allgather_recursive_doubling}, {"ring", allgather_ring}};
+
+template <class Fn, std::size_t N>
+std::vector<std::string> names_of(const Variant<Fn> (&table)[N]) {
+  std::vector<std::string> names;
+  for (const Variant<Fn>& v : table) names.emplace_back(v.name);
+  return names;
+}
+
+// The variant forced for one collective, or null for "auto". An unknown
+// name is a hard error: a silently ignored override would invalidate a
+// whole sweep.
+template <class Fn, std::size_t N>
+Fn forced_variant(const Variant<Fn> (&table)[N], const std::string& name,
+                  const char* collective) {
+  if (name == "auto") return nullptr;
+  const auto* found = std::find_if(std::begin(table), std::end(table),
+                                   [&name](const Variant<Fn>& v) { return name == v.name; });
+  SMPI_REQUIRE(found != std::end(table),
+               std::string("unknown coll.") + collective + " variant '" + name + "'");
+  return found->run;
+}
+
+}  // namespace
+
+std::vector<std::string> variant_names(const std::string& collective) {
+  if (collective == "bcast") return names_of(kBcastVariants);
+  if (collective == "alltoall") return names_of(kAlltoallVariants);
+  if (collective == "allreduce") return names_of(kAllreduceVariants);
+  if (collective == "allgather") return names_of(kAllgatherVariants);
+  return {};
 }
 
 }  // namespace smpi::coll
@@ -845,6 +865,7 @@ int reduce_scatter_pairwise(const void* sendbuf, void* recvbuf, const int recvco
 
 using namespace smpi::core;
 using namespace smpi::coll;
+namespace tr = smpi::trace;
 
 namespace {
 
@@ -854,26 +875,62 @@ int check_coll_comm(MPI_Comm comm, int root, bool has_root) {
   return MPI_SUCCESS;
 }
 
-bool pow2(int x) { return x > 0 && (x & (x - 1)) == 0; }
+// check_buffer_args for a v-collective side: every rank's count, one type.
+int check_vector_args(const void* buf, const int counts[], const int displs[], int size,
+                      MPI_Datatype type) {
+  if (counts == nullptr || displs == nullptr) return MPI_ERR_ARG;
+  for (int r = 0; r < size; ++r) {
+    const int rc = check_buffer_args(buf, counts[r], type);
+    if (rc != MPI_SUCCESS) return rc;
+  }
+  return MPI_SUCCESS;
+}
 
 // Forced collective-variant selection (SmpiConfig::coll): what-if campaigns
 // sweep over algorithm choices by overriding the size-based auto dispatch.
-// An unknown variant name is a hard error (a silently ignored override would
-// invalidate a whole sweep).
 const smpi::core::CollSelection& coll_selection() {
   return current_process_checked().world->config().coll;
 }
 
+// The checks every reduction entry point with a scalar count makes.
+int check_reduce_args(MPI_Comm comm, int root, bool has_root, int count, MPI_Datatype datatype,
+                      MPI_Op op) {
+  const int rc = check_coll_comm(comm, root, has_root);
+  if (rc != MPI_SUCCESS) return rc;
+  if (op == MPI_OP_NULL) return MPI_ERR_OP;
+  if (!valid_type(datatype)) return MPI_ERR_TYPE;
+  if (!valid_count(count)) return MPI_ERR_COUNT;
+  if (!op->valid_for(*datatype)) return MPI_ERR_OP;
+  return MPI_SUCCESS;
+}
+
 // --- TI capture helpers ----------------------------------------------------
 
-// TI traces replay collectives on MPI_COMM_WORLD; capturing one on a derived
-// communicator would silently change the traffic pattern, so it is rejected
-// outright (the documented capture limitation).
-bool coll_recording(smpi::trace::ApiScope& scope, MPI_Comm comm) {
-  if (!scope.recording()) return false;
+// Emits this rank's TI record of a collective, filled in by `fill`, when the
+// call is recorded. TI traces replay collectives on MPI_COMM_WORLD;
+// capturing one on a derived communicator would silently change the
+// traffic pattern, so it is rejected outright (the documented capture
+// limitation).
+template <class Fill>
+void record_coll(tr::ApiScope& scope, MPI_Comm comm, tr::TiOp op, Fill fill) {
+  if (!scope.recording()) return;
   SMPI_REQUIRE(comm == current_process_checked().world->world_comm(),
                "TI capture supports collectives on MPI_COMM_WORLD only");
-  return true;
+  tr::TiRecord r;
+  r.op = op;
+  fill(r);
+  scope.emit(r);
+}
+
+// A reduction's record: its count, root (0 when it has none) and whether
+// its op commutes.
+void record_reduction(tr::ApiScope& scope, MPI_Comm comm, tr::TiOp op_kind, int count,
+                      MPI_Datatype datatype, MPI_Op op, int root) {
+  record_coll(scope, comm, op_kind, [&](tr::TiRecord& r) {
+    ti_block(count, datatype, &r.count, &r.elem);
+    r.peer = root;
+    r.commutative = op->commutative();
+  });
 }
 
 }  // namespace
@@ -881,12 +938,8 @@ bool coll_recording(smpi::trace::ApiScope& scope, MPI_Comm comm) {
 int MPI_Barrier(MPI_Comm comm) {
   const int rc = check_coll_comm(comm, 0, false);
   if (rc != MPI_SUCCESS) return rc;
-  smpi::trace::ApiScope scope("barrier");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kBarrier;
-    scope.emit(r);
-  }
+  tr::ApiScope scope("barrier");
+  record_coll(scope, comm, tr::TiOp::kBarrier, [](tr::TiRecord&) {});
   return barrier_dissemination(comm);
 }
 
@@ -895,20 +948,14 @@ int MPI_Bcast(void* buffer, int count, MPI_Datatype datatype, int root, MPI_Comm
   if (rc != MPI_SUCCESS) return rc;
   rc = check_buffer_args(buffer, count, datatype);
   if (rc != MPI_SUCCESS) return rc;
-  smpi::trace::ApiScope scope("bcast");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kBcast;
+  tr::ApiScope scope("bcast");
+  record_coll(scope, comm, tr::TiOp::kBcast, [&](tr::TiRecord& r) {
     ti_block(count, datatype, &r.count, &r.elem);
     r.peer = root;
-    scope.emit(r);
+  });
+  if (const auto forced = forced_variant(kBcastVariants, coll_selection().bcast, "bcast")) {
+    return forced(buffer, count, datatype, root, comm);
   }
-  const std::string& forced = coll_selection().bcast;
-  if (forced == "binomial") return bcast_binomial(buffer, count, datatype, root, comm);
-  if (forced == "scatter_ring_allgather") {
-    return bcast_scatter_ring_allgather(buffer, count, datatype, root, comm);
-  }
-  SMPI_REQUIRE(forced == "auto", "unknown coll.bcast variant '" + forced + "'");
   // Size-based dispatch as in MPICH2 (§5.3): binomial tree for short
   // messages, scatter + ring allgather for long ones (avoids pushing the
   // whole payload through every tree level).
@@ -932,13 +979,11 @@ int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
     rc = check_buffer_args(recvbuf, recvcount, recvtype);
     if (rc != MPI_SUCCESS) return rc;
   }
-  smpi::trace::ApiScope scope("scatter");
-  if (coll_recording(scope, comm)) {
-    // Only this rank's *significant* arguments are read: the send side is
-    // defined at the root only (a conforming non-root may pass garbage
-    // there, including a dangling datatype handle).
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kScatter;
+  tr::ApiScope scope("scatter");
+  // Only this rank's *significant* arguments are read: the send side is
+  // defined at the root only (a conforming non-root may pass garbage there,
+  // including a dangling datatype handle).
+  record_coll(scope, comm, tr::TiOp::kScatter, [&](tr::TiRecord& r) {
     if (rank == root) {
       ti_block(sendcount, sendtype, &r.count, &r.elem);
       if (recvbuf == MPI_IN_PLACE) {
@@ -951,8 +996,7 @@ int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
       ti_block(recvcount, recvtype, &r.count2, &r.elem2);
     }
     r.peer = root;
-    scope.emit(r);
-  }
+  });
   return scatter_binomial(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root, comm);
 }
 
@@ -963,40 +1007,24 @@ int MPI_Scatterv(const void* sendbuf, const int sendcounts[], const int displs[]
   if (rc != MPI_SUCCESS) return rc;
   const int size = comm->size();
   const int rank = comm->rank_of_world(current_process_checked().world_rank);
-  smpi::trace::ApiScope scope("scatterv");
-  if (coll_recording(scope, comm) && (rank != root || (sendcounts != nullptr && valid_type(sendtype)))) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kScatterv;
+  if (rank == root) {
+    rc = check_vector_args(sendbuf, sendcounts, displs, size, sendtype);
+    if (rc != MPI_SUCCESS) return rc;
+  } else if (recvbuf == MPI_IN_PLACE) {
+    return MPI_ERR_ARG;
+  }
+  if (recvbuf != MPI_IN_PLACE) {
+    rc = check_buffer_args(recvbuf, recvcount, recvtype);
+    if (rc != MPI_SUCCESS) return rc;
+  }
+  tr::ApiScope scope("scatterv");
+  record_coll(scope, comm, tr::TiOp::kScatterv, [&](tr::TiRecord& r) {
     ti_block(recvcount, recvtype, &r.count2, &r.elem2);
     r.peer = root;
     if (rank == root) ti_counts(sendcounts, size, sendtype, &r.counts, &r.elem);
-    scope.emit(r);
-  }
-  if (rank == root) {
-    if (sendcounts == nullptr || displs == nullptr) return MPI_ERR_ARG;
-    if (!valid_type(sendtype)) return MPI_ERR_TYPE;
-    const auto* base = static_cast<const unsigned char*>(sendbuf);
-    std::vector<Request*> requests;
-    for (int r = 0; r < size; ++r) {
-      const void* chunk = base + static_cast<std::size_t>(displs[r]) * sendtype->extent();
-      if (r == rank) {
-        if (recvbuf != MPI_IN_PLACE && !payload_free_mode()) {
-          std::vector<unsigned char> packed(static_cast<std::size_t>(sendcounts[r]) *
-                                            sendtype->size());
-          sendtype->pack(chunk, sendcounts[r], packed.data());
-          recvtype->unpack(packed.data(), recvcount, recvbuf);
-        }
-        continue;
-      }
-      Request* req = nullptr;
-      internal_isend(chunk, sendcounts[r], sendtype, r, 100, comm, &req, true);
-      requests.push_back(req);
-    }
-    for (Request* req : requests) internal_wait(req);
-    return MPI_SUCCESS;
-  }
-  if (recvbuf == MPI_IN_PLACE) return MPI_ERR_ARG;
-  return internal_recv(recvbuf, recvcount, recvtype, root, 100, comm, MPI_STATUS_IGNORE, true);
+  });
+  return linear_scatter(displaced_blocks(sendbuf, sendcounts, displs, sendtype), sendtype, recvbuf,
+                        recvcount, recvtype, root, kTagScatterv, comm);
 }
 
 int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
@@ -1012,17 +1040,12 @@ int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* 
     rc = check_buffer_args(recvbuf, recvcount, recvtype);
     if (rc != MPI_SUCCESS) return rc;
   }
-  smpi::trace::ApiScope scope("gather");
-  if (coll_recording(scope, comm)) {
-    // The recv side is significant at the root only; a conforming non-root
-    // may pass garbage recvcount/recvtype.
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kGather;
-    if (sendbuf == MPI_IN_PLACE) {  // in-place root contributes its recv block
-      ti_block(recvcount, recvtype, &r.count, &r.elem);
-    } else {
-      ti_block(sendcount, sendtype, &r.count, &r.elem);
-    }
+  tr::ApiScope scope("gather");
+  // The recv side is significant at the root only; a conforming non-root
+  // may pass garbage recvcount/recvtype.
+  record_coll(scope, comm, tr::TiOp::kGather, [&](tr::TiRecord& r) {
+    const bool in_place = sendbuf == MPI_IN_PLACE;  // the root contributes its recv block
+    ti_block(in_place ? recvcount : sendcount, in_place ? recvtype : sendtype, &r.count, &r.elem);
     if (rank == root) {
       ti_block(recvcount, recvtype, &r.count2, &r.elem2);
     } else {
@@ -1030,8 +1053,7 @@ int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* 
       r.elem2 = r.elem;
     }
     r.peer = root;
-    scope.emit(r);
-  }
+  });
   return gather_binomial(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root, comm);
 }
 
@@ -1042,68 +1064,47 @@ int MPI_Gatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
   if (rc != MPI_SUCCESS) return rc;
   const int size = comm->size();
   const int rank = comm->rank_of_world(current_process_checked().world_rank);
-  smpi::trace::ApiScope scope("gatherv");
-  if (coll_recording(scope, comm) && (rank != root || recvcounts != nullptr)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kGatherv;
+  if (sendbuf != MPI_IN_PLACE) {
+    rc = check_buffer_args(sendbuf, sendcount, sendtype);
+    if (rc != MPI_SUCCESS) return rc;
+  }
+  if (rank == root) {
+    rc = check_vector_args(recvbuf, recvcounts, displs, size, recvtype);
+    if (rc != MPI_SUCCESS) return rc;
+  }
+  tr::ApiScope scope("gatherv");
+  record_coll(scope, comm, tr::TiOp::kGatherv, [&](tr::TiRecord& r) {
     ti_block(sendbuf == MPI_IN_PLACE ? 0 : sendcount, sendtype, &r.count, &r.elem);
     r.peer = root;
     // recvtype is significant at the root only.
     if (rank == root) ti_counts(recvcounts, size, recvtype, &r.counts, &r.elem2);
-    scope.emit(r);
-  }
-  if (rank != root) {
-    return internal_send(sendbuf, sendcount, sendtype, root, 101, comm, true);
-  }
-  if (recvcounts == nullptr || displs == nullptr) return MPI_ERR_ARG;
-  auto* out = static_cast<unsigned char*>(recvbuf);
-  std::vector<Request*> requests;
-  for (int r = 0; r < size; ++r) {
-    void* slot = out + static_cast<std::size_t>(displs[r]) * recvtype->extent();
-    if (r == rank) {
-      if (sendbuf != MPI_IN_PLACE && !payload_free_mode()) {
-        std::vector<unsigned char> packed(static_cast<std::size_t>(sendcount) * sendtype->size());
-        sendtype->pack(sendbuf, sendcount, packed.data());
-        recvtype->unpack(packed.data(), recvcounts[r], slot);
-      }
-      continue;
-    }
-    Request* req = nullptr;
-    internal_irecv(slot, recvcounts[r], recvtype, r, 101, comm, &req, true);
-    requests.push_back(req);
-  }
-  for (Request* req : requests) internal_wait(req);
-  return MPI_SUCCESS;
+  });
+  return linear_gather(sendbuf, sendcount, sendtype,
+                       displaced_blocks(recvbuf, recvcounts, displs, recvtype), recvtype, root,
+                       kTagGatherv, comm);
 }
 
 int MPI_Allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                   int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
   int rc = check_coll_comm(comm, 0, false);
   if (rc != MPI_SUCCESS) return rc;
+  if (sendbuf != MPI_IN_PLACE) {
+    rc = check_buffer_args(sendbuf, sendcount, sendtype);
+    if (rc != MPI_SUCCESS) return rc;
+  }
   rc = check_buffer_args(recvbuf, recvcount, recvtype);
   if (rc != MPI_SUCCESS) return rc;
-  smpi::trace::ApiScope scope("allgather");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kAllgather;
-    if (sendbuf == MPI_IN_PLACE) {
-      ti_block(recvcount, recvtype, &r.count, &r.elem);
-    } else {
-      ti_block(sendcount, sendtype, &r.count, &r.elem);
-    }
+  tr::ApiScope scope("allgather");
+  record_coll(scope, comm, tr::TiOp::kAllgather, [&](tr::TiRecord& r) {
+    const bool in_place = sendbuf == MPI_IN_PLACE;
+    ti_block(in_place ? recvcount : sendcount, in_place ? recvtype : sendtype, &r.count, &r.elem);
     ti_block(recvcount, recvtype, &r.count2, &r.elem2);
-    scope.emit(r);
+  });
+  if (const auto forced =
+          forced_variant(kAllgatherVariants, coll_selection().allgather, "allgather")) {
+    return forced(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm);
   }
-  const std::string& forced = coll_selection().allgather;
-  if (forced == "recursive_doubling") {
-    return allgather_recursive_doubling(sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                                        recvtype, comm);
-  }
-  if (forced == "ring") {
-    return allgather_ring(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm);
-  }
-  SMPI_REQUIRE(forced == "auto", "unknown coll.allgather variant '" + forced + "'");
-  if (pow2(comm->size())) {
+  if (is_power_of_two(comm->size())) {
     return allgather_recursive_doubling(sendbuf, sendcount, sendtype, recvbuf, recvcount,
                                         recvtype, comm);
   }
@@ -1115,97 +1116,48 @@ int MPI_Allgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
                    MPI_Comm comm) {
   int rc = check_coll_comm(comm, 0, false);
   if (rc != MPI_SUCCESS) return rc;
-  if (recvcounts == nullptr || displs == nullptr) return MPI_ERR_ARG;
   const int size = comm->size();
   const int rank = comm->rank_of_world(current_process_checked().world_rank);
-  smpi::trace::ApiScope scope("allgatherv");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kAllgatherv;
-    if (sendbuf == MPI_IN_PLACE) {
-      ti_block(recvcounts[rank], recvtype, &r.count, &r.elem);
-    } else {
-      ti_block(sendcount, sendtype, &r.count, &r.elem);
-    }
+  if (sendbuf != MPI_IN_PLACE) {
+    rc = check_buffer_args(sendbuf, sendcount, sendtype);
+    if (rc != MPI_SUCCESS) return rc;
+  }
+  rc = check_vector_args(recvbuf, recvcounts, displs, size, recvtype);
+  if (rc != MPI_SUCCESS) return rc;
+  tr::ApiScope scope("allgatherv");
+  record_coll(scope, comm, tr::TiOp::kAllgatherv, [&](tr::TiRecord& r) {
+    const bool in_place = sendbuf == MPI_IN_PLACE;
+    ti_block(in_place ? recvcounts[rank] : sendcount, in_place ? recvtype : sendtype, &r.count,
+             &r.elem);
     ti_counts(recvcounts, size, recvtype, &r.counts, &r.elem2);
-    scope.emit(r);
-  }
-  auto* out = static_cast<unsigned char*>(recvbuf);
-  // Ring over variable-size blocks.
-  if (sendbuf != MPI_IN_PLACE && !payload_free_mode()) {
-    std::vector<unsigned char> packed(static_cast<std::size_t>(sendcount) * sendtype->size());
-    sendtype->pack(sendbuf, sendcount, packed.data());
-    recvtype->unpack(packed.data(), recvcounts[rank],
-                     out + static_cast<std::size_t>(displs[rank]) * recvtype->extent());
-  }
-  const int right = (rank + 1) % size;
-  const int left = (rank - 1 + size) % size;
-  for (int step = 0; step < size - 1; ++step) {
-    const int send_block = (rank - step + size) % size;
-    const int recv_block = (rank - step - 1 + size) % size;
-    Request* sreq = nullptr;
-    Request* rreq = nullptr;
-    internal_isend(out + static_cast<std::size_t>(displs[send_block]) * recvtype->extent(),
-                   recvcounts[send_block], recvtype, right, 102, comm, &sreq, true);
-    internal_irecv(out + static_cast<std::size_t>(displs[recv_block]) * recvtype->extent(),
-                   recvcounts[recv_block], recvtype, left, 102, comm, &rreq, true);
-    internal_wait(sreq);
-    internal_wait(rreq);
-  }
+  });
+  const auto blocks = displaced_blocks(recvbuf, recvcounts, displs, recvtype);
+  copy_own_block(sendbuf, sendcount, sendtype, blocks(rank).ptr, recvcounts[rank], recvtype);
+  ring_allgather(blocks, recvtype, kTagAllgatherv, comm);
   return MPI_SUCCESS;
 }
 
 int MPI_Reduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datatype, MPI_Op op,
                int root, MPI_Comm comm) {
-  int rc = check_coll_comm(comm, root, true);
+  const int rc = check_reduce_args(comm, root, true, count, datatype, op);
   if (rc != MPI_SUCCESS) return rc;
-  if (op == MPI_OP_NULL) return MPI_ERR_OP;
-  if (!valid_type(datatype)) return MPI_ERR_TYPE;
-  if (!valid_count(count)) return MPI_ERR_COUNT;
-  if (!op->valid_for(*datatype)) return MPI_ERR_OP;
-  smpi::trace::ApiScope scope("reduce");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kReduce;
-    ti_block(count, datatype, &r.count, &r.elem);
-    r.peer = root;
-    r.commutative = op->commutative();
-    scope.emit(r);
-  }
+  tr::ApiScope scope("reduce");
+  record_reduction(scope, comm, tr::TiOp::kReduce, count, datatype, op, root);
   return reduce_binomial(sendbuf, recvbuf, count, datatype, op, root, comm);
 }
 
 int MPI_Allreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datatype, MPI_Op op,
                   MPI_Comm comm) {
-  int rc = check_coll_comm(comm, 0, false);
+  const int rc = check_reduce_args(comm, 0, false, count, datatype, op);
   if (rc != MPI_SUCCESS) return rc;
-  if (op == MPI_OP_NULL) return MPI_ERR_OP;
-  if (!valid_type(datatype)) return MPI_ERR_TYPE;
-  if (!valid_count(count)) return MPI_ERR_COUNT;
-  if (!op->valid_for(*datatype)) return MPI_ERR_OP;
-  smpi::trace::ApiScope scope("allreduce");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kAllreduce;
-    ti_block(count, datatype, &r.count, &r.elem);
-    r.commutative = op->commutative();
-    scope.emit(r);
+  tr::ApiScope scope("allreduce");
+  record_reduction(scope, comm, tr::TiOp::kAllreduce, count, datatype, op, 0);
+  if (const auto forced =
+          forced_variant(kAllreduceVariants, coll_selection().allreduce, "allreduce")) {
+    return forced(sendbuf, recvbuf, count, datatype, op, comm);
   }
-  const std::string& forced = coll_selection().allreduce;
-  if (forced == "recursive_doubling") {
-    return allreduce_recursive_doubling(sendbuf, recvbuf, count, datatype, op, comm);
-  }
-  if (forced == "rabenseifner") {
-    return allreduce_rabenseifner(sendbuf, recvbuf, count, datatype, op, comm);
-  }
-  if (forced == "reduce_bcast") {
-    rc = reduce_binomial(sendbuf, recvbuf, count, datatype, op, 0, comm);
-    if (rc != MPI_SUCCESS) return rc;
-    return bcast_binomial(recvbuf, count, datatype, 0, comm);
-  }
-  SMPI_REQUIRE(forced == "auto", "unknown coll.allreduce variant '" + forced + "'");
   const std::size_t bytes = static_cast<std::size_t>(count) * datatype->size();
-  if (pow2(comm->size())) {
+  if (is_power_of_two(comm->size())) {
     // Long commutative vectors: Rabenseifner halves the bytes each rank
     // moves compared to recursive doubling (§5.3-style dispatch).
     if (bytes >= 64 * 1024 && op->commutative() && count >= comm->size()) {
@@ -1213,50 +1165,32 @@ int MPI_Allreduce(const void* sendbuf, void* recvbuf, int count, MPI_Datatype da
     }
     return allreduce_recursive_doubling(sendbuf, recvbuf, count, datatype, op, comm);
   }
-  rc = reduce_binomial(sendbuf, recvbuf, count, datatype, op, 0, comm);
-  if (rc != MPI_SUCCESS) return rc;
-  return bcast_binomial(recvbuf, count, datatype, 0, comm);
+  return allreduce_reduce_bcast(sendbuf, recvbuf, count, datatype, op, comm);
 }
 
 int MPI_Scan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datatype, MPI_Op op,
              MPI_Comm comm) {
-  int rc = check_coll_comm(comm, 0, false);
+  int rc = check_reduce_args(comm, 0, false, count, datatype, op);
   if (rc != MPI_SUCCESS) return rc;
-  if (op == MPI_OP_NULL) return MPI_ERR_OP;
-  if (!valid_type(datatype)) return MPI_ERR_TYPE;
-  if (!valid_count(count)) return MPI_ERR_COUNT;
-  if (!op->valid_for(*datatype)) return MPI_ERR_OP;
-  smpi::trace::ApiScope scope("scan");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kScan;
-    ti_block(count, datatype, &r.count, &r.elem);
-    r.commutative = op->commutative();
-    scope.emit(r);
-  }
+  tr::ApiScope scope("scan");
+  record_reduction(scope, comm, tr::TiOp::kScan, count, datatype, op, 0);
   const int size = comm->size();
   const int rank = comm->rank_of_world(current_process_checked().world_rank);
   const std::size_t bytes = static_cast<std::size_t>(count) * datatype->size();
 
   const bool pf = payload_free_mode();
   const void* contribution = (sendbuf == MPI_IN_PLACE) ? recvbuf : sendbuf;
-  std::vector<unsigned char> acc;
-  if (!pf) {
-    acc.resize(std::max<std::size_t>(bytes, 1));
-    datatype->pack(contribution, count, acc.data());
-  }
+  auto [acc, prefix] = Accumulator(contribution, count, datatype);
   if (rank > 0) {
-    std::vector<unsigned char> prefix;
-    if (!pf) prefix.resize(std::max<std::size_t>(bytes, 1));
     rc = smpi::core::internal_recv(pf ? recvbuf : prefix.data(), static_cast<int>(bytes),
-                                   MPI_BYTE, rank - 1, 103, comm, MPI_STATUS_IGNORE, true);
+                                   MPI_BYTE, rank - 1, kTagScan, comm, MPI_STATUS_IGNORE, true);
     if (rc != MPI_SUCCESS) return rc;
     // prefix covers ranks [0, rank): result = prefix OP mine.
     if (!pf) op->apply(prefix.data(), acc.data(), count, datatype);
   }
   if (rank < size - 1) {
     rc = smpi::core::internal_send(pf ? recvbuf : acc.data(), static_cast<int>(bytes), MPI_BYTE,
-                                   rank + 1, 103, comm, true);
+                                   rank + 1, kTagScan, comm, true);
     if (rc != MPI_SUCCESS) return rc;
   }
   if (!pf) datatype->unpack(acc.data(), count, recvbuf);
@@ -1275,14 +1209,11 @@ int MPI_Reduce_scatter(const void* sendbuf, void* recvbuf, const int recvcounts[
   for (int r = 0; r < size; ++r) {
     if (recvcounts[r] < 0) return MPI_ERR_COUNT;
   }
-  smpi::trace::ApiScope scope("reducescatter");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord rec;
-    rec.op = smpi::trace::TiOp::kReduceScatter;
-    ti_counts(recvcounts, size, datatype, &rec.counts, &rec.elem);
-    rec.commutative = op->commutative();
-    scope.emit(rec);
-  }
+  tr::ApiScope scope("reducescatter");
+  record_coll(scope, comm, tr::TiOp::kReduceScatter, [&](tr::TiRecord& r) {
+    ti_counts(recvcounts, size, datatype, &r.counts, &r.elem);
+    r.commutative = op->commutative();
+  });
   if (op->commutative()) {
     return reduce_scatter_pairwise(sendbuf, recvbuf, recvcounts, datatype, op, comm);
   }
@@ -1311,25 +1242,17 @@ int MPI_Alltoall(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void
   rc = check_buffer_args(recvbuf, recvcount, recvtype);
   if (rc != MPI_SUCCESS) return rc;
   if (sendbuf == MPI_IN_PLACE) return MPI_ERR_ARG;
-  smpi::trace::ApiScope scope("alltoall");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kAlltoall;
+  rc = check_buffer_args(sendbuf, sendcount, sendtype);
+  if (rc != MPI_SUCCESS) return rc;
+  tr::ApiScope scope("alltoall");
+  record_coll(scope, comm, tr::TiOp::kAlltoall, [&](tr::TiRecord& r) {
     ti_block(sendcount, sendtype, &r.count, &r.elem);
     ti_block(recvcount, recvtype, &r.count2, &r.elem2);
-    scope.emit(r);
+  });
+  if (const auto forced =
+          forced_variant(kAlltoallVariants, coll_selection().alltoall, "alltoall")) {
+    return forced(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm);
   }
-  const std::string& forced = coll_selection().alltoall;
-  if (forced == "bruck") {
-    return alltoall_bruck(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm);
-  }
-  if (forced == "basic") {
-    return alltoall_basic(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm);
-  }
-  if (forced == "pairwise") {
-    return alltoall_pairwise(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm);
-  }
-  SMPI_REQUIRE(forced == "auto", "unknown coll.alltoall variant '" + forced + "'");
   // Size-based dispatch as in MPICH2: Bruck for short messages on enough
   // ranks (latency-bound), the naive full-throttle algorithm for medium
   // ones, pairwise exchange for long ones.
@@ -1348,46 +1271,19 @@ int MPI_Alltoallv(const void* sendbuf, const int sendcounts[], const int sdispls
                   const int rdispls[], MPI_Datatype recvtype, MPI_Comm comm) {
   int rc = check_coll_comm(comm, 0, false);
   if (rc != MPI_SUCCESS) return rc;
-  if (sendcounts == nullptr || sdispls == nullptr || recvcounts == nullptr ||
-      rdispls == nullptr) {
-    return MPI_ERR_ARG;
-  }
   const int size = comm->size();
-  const int rank = comm->rank_of_world(current_process_checked().world_rank);
-  smpi::trace::ApiScope scope("alltoallv");
-  if (coll_recording(scope, comm)) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kAlltoallv;
+  rc = check_vector_args(recvbuf, recvcounts, rdispls, size, recvtype);
+  if (rc != MPI_SUCCESS) return rc;
+  if (sendbuf == MPI_IN_PLACE) return MPI_ERR_ARG;
+  rc = check_vector_args(sendbuf, sendcounts, sdispls, size, sendtype);
+  if (rc != MPI_SUCCESS) return rc;
+  tr::ApiScope scope("alltoallv");
+  record_coll(scope, comm, tr::TiOp::kAlltoallv, [&](tr::TiRecord& r) {
     ti_counts(sendcounts, size, sendtype, &r.counts, &r.elem);
     ti_counts(recvcounts, size, recvtype, &r.counts2, &r.elem2);
-    scope.emit(r);
-  }
-  const auto* in = static_cast<const unsigned char*>(sendbuf);
-  auto* out = static_cast<unsigned char*>(recvbuf);
-  std::vector<Request*> requests;
-  for (int r = 0; r < size; ++r) {
-    if (r == rank) continue;
-    Request* rreq = nullptr;
-    internal_irecv(out + static_cast<std::size_t>(rdispls[r]) * recvtype->extent(), recvcounts[r],
-                   recvtype, r, 104, comm, &rreq, true);
-    requests.push_back(rreq);
-  }
-  for (int r = 0; r < size; ++r) {
-    if (r == rank) {
-      if (payload_free_mode()) continue;
-      std::vector<unsigned char> packed(static_cast<std::size_t>(sendcounts[r]) *
-                                        sendtype->size());
-      sendtype->pack(in + static_cast<std::size_t>(sdispls[r]) * sendtype->extent(),
-                     sendcounts[r], packed.data());
-      recvtype->unpack(packed.data(), recvcounts[r],
-                       out + static_cast<std::size_t>(rdispls[r]) * recvtype->extent());
-      continue;
-    }
-    Request* sreq = nullptr;
-    internal_isend(in + static_cast<std::size_t>(sdispls[r]) * sendtype->extent(), sendcounts[r],
-                   sendtype, r, 104, comm, &sreq, true);
-    requests.push_back(sreq);
-  }
-  for (Request* req : requests) internal_wait(req);
+  });
+  basic_alltoall(displaced_blocks(sendbuf, sendcounts, sdispls, sendtype), sendtype,
+                 displaced_blocks(recvbuf, recvcounts, rdispls, recvtype), recvtype,
+                 kTagAlltoallv, comm);
   return MPI_SUCCESS;
 }

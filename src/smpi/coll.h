@@ -6,6 +6,9 @@
 // paper's "manual implementation of the binomial/pairwise algorithm".
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "smpi/mpi.h"
 
 namespace smpi::coll {
@@ -20,7 +23,8 @@ int scatter_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, 
                      int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm);
 int gather_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                     int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm);
-// Linear variants (the v-collectives use these, as in MPICH2).
+// Linear variants. MPI_Scatterv and MPI_Gatherv run the same loops over
+// their count/displacement layouts, as in MPICH2.
 int scatter_linear(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                    int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm);
 int gather_linear(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
@@ -52,10 +56,18 @@ int allreduce_recursive_doubling(const void* sendbuf, void* recvbuf, int count,
 // moved per rank for long vectors. pow2 sizes, commutative ops, count >= P.
 int allreduce_rabenseifner(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datatype,
                            MPI_Op op, MPI_Comm comm);
+// Binomial reduce to rank 0, then binomial bcast: any size, any op.
+int allreduce_reduce_bcast(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datatype,
+                           MPI_Op op, MPI_Comm comm);
 int reduce_scatter_pairwise(const void* sendbuf, void* recvbuf, const int recvcounts[],
                             MPI_Datatype datatype, MPI_Op op, MPI_Comm comm);  // commutative
 
 // Barrier (dissemination).
 int barrier_dissemination(MPI_Comm comm);
+
+// The names a CollSelection field accepts besides "auto": the variant table
+// its MPI entry point dispatches through. `collective` is "bcast",
+// "alltoall", "allreduce" or "allgather"; any other name has no variants.
+std::vector<std::string> variant_names(const std::string& collective);
 
 }  // namespace smpi::coll

@@ -68,7 +68,8 @@ struct Personality {
 // every call, which is how what-if campaigns sweep over algorithm choices.
 // A forced variant must still satisfy its own preconditions (e.g.
 // recursive doubling needs a power-of-two size) — violating them is a hard
-// error, not a silent fallback.
+// error, not a silent fallback. The names are the variant tables in
+// smpi/coll.cpp (smpi::coll::variant_names); an unknown one is an error.
 struct CollSelection {
   std::string bcast = "auto";      // binomial | scatter_ring_allgather
   std::string alltoall = "auto";   // bruck | basic | pairwise

@@ -34,8 +34,8 @@ struct NetworkConfig {
   double tcp_window_bytes = 4.0 * 1024 * 1024;  // 0 disables the window bound
   bool contention = true;
   // Solve strategy for the bandwidth-sharing (and, via SmpiWorld, the CPU)
-  // system: lazy modified-set propagation (default), whole-component
-  // re-solve, or the full reference path for equivalence testing.
+  // system: lazy modified-set propagation (default) or the full reference
+  // re-solve for equivalence testing.
   SolveMode solver_mode = SolveMode::kLazy;
   // Stochastic per-message latency jitter hook (noise::MessageJitter):
   // called once per non-loopback flow at creation, its return value (in

@@ -20,6 +20,7 @@
 #include "obs/analysis.hpp"
 #include "obs/resource.hpp"
 #include "platform/builders.hpp"
+#include "smpi/coll.h"
 #include "smpi/smpi.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
@@ -114,6 +115,38 @@ TEST(CampaignSpec, RejectsBadSpecs) {
   EXPECT_THROW(parse_spec(R"({"axes": [
       {"param": "cpu_scale", "host": "node-0", "values": [1]}]})"),
                ContractError);  // target on an untargeted param
+}
+
+// A misspelled collective variant fails the parse, naming the param and the
+// value, instead of running as a no-op axis or failing every row after the
+// fork; every name in the variant tables (and "auto") parses.
+TEST(CampaignSpec, RejectsUnknownCollectiveVariants) {
+  try {
+    parse_spec(R"({"axes": [{"param": "coll_allreduce", "values": ["recursive_dubling"]}]})");
+    ADD_FAILURE() << "a misspelled coll_allreduce value parsed";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("'coll_allreduce': unknown variant 'recursive_dubling'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse_spec(R"({"axes": [{"param": "coll_alltoall", "values": ["auto", "brukc"]}]})"),
+               ContractError);
+  EXPECT_THROW(parse_spec(R"({"axes": [{"param": "coll_bcast", "values": ["ring"]}]})"),
+               ContractError);  // a name from another collective's table
+  EXPECT_THROW(parse_spec(R"({"axes": [{"param": "coll_allgather", "values": [1]}]})"),
+               ContractError);
+  for (const char* collective : {"bcast", "alltoall", "allreduce", "allgather"}) {
+    std::string values = "\"auto\"";
+    for (const std::string& name : smpi::coll::variant_names(collective)) {
+      values += ", \"" + name + "\"";
+    }
+    const auto spec = parse_spec(std::string(R"({"axes": [{"param": "coll_)") + collective +
+                                 R"(", "values": [)" + values + "]}]}");
+    ASSERT_EQ(spec.axes.size(), 1u);
+    EXPECT_EQ(spec.axes[0].values.size(), smpi::coll::variant_names(collective).size() + 1);
+  }
+  EXPECT_EQ(smpi::coll::variant_names("allreduce"),
+            (std::vector<std::string>{"recursive_doubling", "rabenseifner", "reduce_bcast"}));
 }
 
 TEST(CampaignSpec, EnumeratesBaselinePlusCrossProduct) {

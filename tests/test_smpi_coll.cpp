@@ -419,7 +419,122 @@ TEST(SmpiColl, CollectiveArgValidation) {
     EXPECT_EQ(MPI_Bcast(&v, -1, MPI_INT, 0, MPI_COMM_WORLD), MPI_ERR_COUNT);
     EXPECT_EQ(MPI_Barrier(MPI_COMM_NULL), MPI_ERR_COMM);
     EXPECT_EQ(MPI_Reduce(&v, &v, 1, MPI_INT, MPI_OP_NULL, 0, MPI_COMM_WORLD), MPI_ERR_OP);
+
+    // The v-collectives reject what their fixed-size twins reject.
+    int out[4] = {0, 0, 0, 0};
+    const int counts[2] = {1, 1};
+    const int bad_counts[2] = {1, -1};
+    const int displs[2] = {0, 1};
+    EXPECT_EQ(MPI_Allgatherv(&v, 1, MPI_INT, out, counts, displs, MPI_DATATYPE_NULL,
+                             MPI_COMM_WORLD),
+              MPI_ERR_TYPE);
+    EXPECT_EQ(MPI_Allgatherv(&v, 1, MPI_DATATYPE_NULL, out, counts, displs, MPI_INT,
+                             MPI_COMM_WORLD),
+              MPI_ERR_TYPE);
+    EXPECT_EQ(MPI_Allgatherv(&v, 1, MPI_INT, out, bad_counts, displs, MPI_INT, MPI_COMM_WORLD),
+              MPI_ERR_COUNT);
+    EXPECT_EQ(MPI_Allgather(&v, 1, MPI_DATATYPE_NULL, out, 1, MPI_INT, MPI_COMM_WORLD),
+              MPI_ERR_TYPE);
+    EXPECT_EQ(MPI_Alltoallv(MPI_IN_PLACE, counts, displs, MPI_INT, out, counts, displs, MPI_INT,
+                            MPI_COMM_WORLD),
+              MPI_ERR_ARG);
+    EXPECT_EQ(MPI_Alltoallv(out, counts, displs, MPI_DATATYPE_NULL, out + 2, counts, displs,
+                            MPI_INT, MPI_COMM_WORLD),
+              MPI_ERR_TYPE);
+    EXPECT_EQ(MPI_Alltoallv(out, bad_counts, displs, MPI_INT, out + 2, counts, displs, MPI_INT,
+                            MPI_COMM_WORLD),
+              MPI_ERR_COUNT);
+    EXPECT_EQ(MPI_Alltoall(out, 1, MPI_DATATYPE_NULL, out + 2, 1, MPI_INT, MPI_COMM_WORLD),
+              MPI_ERR_TYPE);
+    EXPECT_EQ(MPI_Gatherv(&v, 1, MPI_DATATYPE_NULL, out, counts, displs, MPI_INT, 0,
+                          MPI_COMM_WORLD),
+              MPI_ERR_TYPE);
+    EXPECT_EQ(MPI_Scatterv(out, counts, displs, MPI_INT, &v, -1, MPI_INT, 0, MPI_COMM_WORLD),
+              MPI_ERR_COUNT);
   });
+  // Root-only arguments, checked where only the root reads them.
+  run_mpi(1, [] {
+    int v = 0;
+    int out[2] = {0, 0};
+    const int counts[1] = {1};
+    const int bad_counts[1] = {-1};
+    const int displs[1] = {0};
+    EXPECT_EQ(MPI_Gatherv(&v, 1, MPI_INT, out, counts, displs, MPI_DATATYPE_NULL, 0,
+                          MPI_COMM_WORLD),
+              MPI_ERR_TYPE);
+    EXPECT_EQ(MPI_Gatherv(&v, 1, MPI_INT, out, bad_counts, displs, MPI_INT, 0, MPI_COMM_WORLD),
+              MPI_ERR_COUNT);
+    EXPECT_EQ(MPI_Scatterv(out, counts, displs, MPI_DATATYPE_NULL, &v, 1, MPI_INT, 0,
+                           MPI_COMM_WORLD),
+              MPI_ERR_TYPE);
+    EXPECT_EQ(MPI_Scatterv(out, bad_counts, displs, MPI_INT, &v, 1, MPI_INT, 0, MPI_COMM_WORLD),
+              MPI_ERR_COUNT);
+    EXPECT_EQ(MPI_Scatterv(out, nullptr, displs, MPI_INT, &v, 1, MPI_INT, 0, MPI_COMM_WORLD),
+              MPI_ERR_ARG);
+  });
+}
+
+// The send side of MPI_Scatter is significant at the root only: non-roots
+// passing a zero count and a null type still receive their blocks.
+TEST(SmpiColl, ScatterIgnoresNonRootSendArguments) {
+  for (const int n : {4, 6}) {
+    SCOPED_TRACE(n);
+    run_mpi(n, [] {
+      const int rank = my_rank();
+      const int root = 1;
+      std::vector<int> all(8 * static_cast<std::size_t>(world_size()));
+      std::iota(all.begin(), all.end(), 0);
+      std::vector<int> mine(8, -1);
+      ASSERT_EQ(MPI_Scatter(rank == root ? all.data() : nullptr, rank == root ? 8 : 0,
+                            rank == root ? MPI_INT : MPI_DATATYPE_NULL, mine.data(), 8, MPI_INT,
+                            root, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      for (int i = 0; i < 8; ++i) EXPECT_EQ(mine[static_cast<std::size_t>(i)], 8 * rank + i);
+    });
+  }
+}
+
+// A rank's own block moves min(send bytes, receive bytes): with one int sent
+// into two-int slots, the second int of every slot keeps its prior value
+// instead of bytes read past the sender's buffer. Runs the ring (3 ranks),
+// recursive doubling (4), the linear gather and the basic alltoall.
+TEST(SmpiColl, OwnBlockCopyStopsAtTheSentBytes) {
+  for (const int n : {3, 4}) {
+    SCOPED_TRACE(n);
+    run_mpi(n, [] {
+      const int rank = my_rank();
+      const int size = world_size();
+      const int mine = 100 + rank;
+      std::vector<int> all(2 * static_cast<std::size_t>(size), -1);
+      ASSERT_EQ(MPI_Allgather(&mine, 1, MPI_INT, all.data(), 2, MPI_INT, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      for (int r = 0; r < size; ++r) {
+        EXPECT_EQ(all[2 * static_cast<std::size_t>(r)], 100 + r);
+        EXPECT_EQ(all[2 * static_cast<std::size_t>(r) + 1], -1) << "slot " << r;
+      }
+
+      std::vector<int> counts(static_cast<std::size_t>(size), 2);
+      std::vector<int> displs(static_cast<std::size_t>(size));
+      for (int r = 0; r < size; ++r) displs[static_cast<std::size_t>(r)] = 2 * r;
+      std::vector<int> gathered(all.size(), -1);
+      ASSERT_EQ(MPI_Gatherv(&mine, 1, MPI_INT, gathered.data(), counts.data(), displs.data(),
+                            MPI_INT, 0, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      if (rank == 0) EXPECT_EQ(gathered[1], -1);
+
+      std::vector<int> ones(static_cast<std::size_t>(size), 1);
+      std::vector<int> next(static_cast<std::size_t>(size));
+      std::iota(next.begin(), next.end(), 0);
+      std::vector<int> to_each(static_cast<std::size_t>(size), mine);
+      std::vector<int> from_each(all.size(), -1);
+      ASSERT_EQ(MPI_Alltoallv(to_each.data(), ones.data(), next.data(), MPI_INT,
+                              from_each.data(), counts.data(), displs.data(), MPI_INT,
+                              MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      EXPECT_EQ(from_each[2 * static_cast<std::size_t>(rank)], mine);
+      EXPECT_EQ(from_each[2 * static_cast<std::size_t>(rank) + 1], -1);
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
