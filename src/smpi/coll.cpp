@@ -21,9 +21,20 @@ using namespace smpi::core;
 
 // Tags separating the collective kinds inside the shadow matching scope.
 enum CollTag {
-  kTagBarrier = 1, kTagBcast, kTagGather, kTagScatter, kTagAllgather, kTagAlltoall, kTagReduce,
-  kTagAllreduce, kTagReduceScatter = 10,
-  kTagScatterv = 100, kTagGatherv, kTagAllgatherv, kTagScan, kTagAlltoallv,
+  kTagBarrier = 1,
+  kTagBcast,
+  kTagGather,
+  kTagScatter,
+  kTagAllgather,
+  kTagAlltoall,
+  kTagReduce,
+  kTagAllreduce,
+  kTagReduceScatter = 10,
+  kTagScatterv = 100,
+  kTagGatherv,
+  kTagAllgatherv,
+  kTagScan,
+  kTagAlltoallv,
 };
 
 int comm_rank_of(MPI_Comm comm) {
@@ -37,6 +48,28 @@ int check_buffer_args(const void* buf, int count, MPI_Datatype type) {
   if (!valid_type(type)) return MPI_ERR_TYPE;
   if (buf == nullptr && count > 0) return MPI_ERR_BUFFER;
   return MPI_SUCCESS;
+}
+
+// check_buffer_args for a side that may be MPI_IN_PLACE: it has no buffer,
+// count or type of its own to check.
+int check_side_args(const void* buf, int count, MPI_Datatype type) {
+  return buf == MPI_IN_PLACE ? MPI_SUCCESS : check_buffer_args(buf, count, type);
+}
+
+// Packs `size` blocks of `count` elements from `buf`, rotated so that block
+// i of the result is block (i + shift) % size of `buf`.
+std::vector<unsigned char> pack_rotated(const void* buf, int count, MPI_Datatype type, int size,
+                                        int shift) {
+  const std::size_t block = static_cast<std::size_t>(count) * type->size();
+  std::vector<unsigned char> packed(
+      std::max<std::size_t>(block * static_cast<std::size_t>(size), 1));
+  type->pack(buf, count * size, packed.data());
+  std::vector<unsigned char> rotated(packed.size());
+  for (int i = 0; i < size; ++i) {
+    std::memcpy(rotated.data() + static_cast<std::size_t>(i) * block,
+                packed.data() + static_cast<std::size_t>((i + shift) % size) * block, block);
+  }
+  return rotated;
 }
 
 // In payload-free mode the transfer engine never dereferences payload
@@ -115,10 +148,6 @@ void copy_own_block(const void* src, int sendcount, MPI_Datatype sendtype, void*
   const std::size_t bytes =
       std::min(send_bytes, static_cast<std::size_t>(recvcount) * recvtype->size());
   if (bytes == 0) return;
-  if (!sendtype->needs_packing()) {
-    recvtype->unpack_bytes(src, bytes, dst);
-    return;
-  }
   std::vector<unsigned char> packed(send_bytes);
   sendtype->pack(src, sendcount, packed.data());
   recvtype->unpack_bytes(packed.data(), bytes, dst);
@@ -383,16 +412,7 @@ int scatter_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, 
   int mask = 1;
 
   if (relative == 0) {
-    if (!pf) {
-      staging.resize(std::max<std::size_t>(block * static_cast<std::size_t>(size), 1));
-      std::vector<unsigned char> packed(staging.size());
-      sendtype->pack(sendbuf, sendcount * size, packed.data());
-      for (int r = 0; r < size; ++r) {
-        const int rel = (r - root + size) % size;
-        std::memcpy(staging.data() + static_cast<std::size_t>(rel) * block,
-                    packed.data() + static_cast<std::size_t>(r) * block, block);
-      }
-    }
+    if (!pf) staging = pack_rotated(sendbuf, sendcount, sendtype, size, root);
     while (mask < size) mask <<= 1;
   } else {
     while (!(relative & mask)) mask <<= 1;
@@ -425,9 +445,12 @@ int scatter_binomial(const void* sendbuf, int sendcount, MPI_Datatype sendtype, 
   }
   for (Request* req : forwards) internal_wait(req);
 
-  // Own block is block 0 of the staging area.
+  // Own block is block 0 of the staging area; at most `block` bytes of it
+  // are the root's, as in copy_own_block.
   if (!pf && recvbuf != MPI_IN_PLACE) {
-    recvtype->unpack(staging.data(), recvcount, recvbuf);
+    recvtype->unpack_bytes(
+        staging.data(),
+        std::min(block, static_cast<std::size_t>(recvcount) * recvtype->size()), recvbuf);
   }
   return MPI_SUCCESS;
 }
@@ -592,16 +615,7 @@ int alltoall_bruck(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
 
   // Phase 0: pack and rotate so tmp[i] = my block for rank (rank + i) % size.
   std::vector<unsigned char> tmp;
-  if (!pf) {
-    tmp.resize(std::max<std::size_t>(block * static_cast<std::size_t>(size), 1));
-    std::vector<unsigned char> packed(tmp.size());
-    sendtype->pack(sendbuf, sendcount * size, packed.data());
-    for (int i = 0; i < size; ++i) {
-      const int src_block = (rank + i) % size;
-      std::memcpy(tmp.data() + static_cast<std::size_t>(i) * block,
-                  packed.data() + static_cast<std::size_t>(src_block) * block, block);
-    }
-  }
+  if (!pf) tmp = pack_rotated(sendbuf, sendcount, sendtype, size, rank);
 
   // Phase 1: log2(size) rounds; round k ships every block whose index has
   // bit k set, aggregated into one message.
@@ -640,9 +654,12 @@ int alltoall_bruck(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
   // (rank - i + size) % size.
   if (!pf) {
     const auto slots = uniform_blocks(recvbuf, recvcount, recvtype);
+    // At most `block` bytes per source, as in copy_own_block.
+    const std::size_t bytes =
+        std::min(block, static_cast<std::size_t>(recvcount) * recvtype->size());
     for (int i = 0; i < size; ++i) {
-      recvtype->unpack(tmp.data() + static_cast<std::size_t>(i) * block, recvcount,
-                       slots((rank - i + size) % size).ptr);
+      recvtype->unpack_bytes(tmp.data() + static_cast<std::size_t>(i) * block, bytes,
+                             slots((rank - i + size) % size).ptr);
     }
   }
   return MPI_SUCCESS;
@@ -825,13 +842,6 @@ const Variant<decltype(&allreduce_rabenseifner)> kAllreduceVariants[] = {
 const Variant<decltype(&allgather_ring)> kAllgatherVariants[] = {
     {"recursive_doubling", allgather_recursive_doubling}, {"ring", allgather_ring}};
 
-template <class Fn, std::size_t N>
-std::vector<std::string> names_of(const Variant<Fn> (&table)[N]) {
-  std::vector<std::string> names;
-  for (const Variant<Fn>& v : table) names.emplace_back(v.name);
-  return names;
-}
-
 // The variant forced for one collective, or null for "auto". An unknown
 // name is a hard error: a silently ignored override would invalidate a
 // whole sweep.
@@ -849,10 +859,15 @@ Fn forced_variant(const Variant<Fn> (&table)[N], const std::string& name,
 }  // namespace
 
 std::vector<std::string> variant_names(const std::string& collective) {
-  if (collective == "bcast") return names_of(kBcastVariants);
-  if (collective == "alltoall") return names_of(kAlltoallVariants);
-  if (collective == "allreduce") return names_of(kAllreduceVariants);
-  if (collective == "allgather") return names_of(kAllgatherVariants);
+  const auto names = [](const auto& table) {
+    std::vector<std::string> out;
+    for (const auto& v : table) out.emplace_back(v.name);
+    return out;
+  };
+  if (collective == "bcast") return names(kBcastVariants);
+  if (collective == "alltoall") return names(kAlltoallVariants);
+  if (collective == "allreduce") return names(kAllreduceVariants);
+  if (collective == "allgather") return names(kAllgatherVariants);
   return {};
 }
 
@@ -970,15 +985,13 @@ int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
                 int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm) {
   int rc = check_coll_comm(comm, root, true);
   if (rc != MPI_SUCCESS) return rc;
-  const int rank = comm->rank_of_world(current_process_checked().world_rank);
+  const int rank = comm_rank_of(comm);
   if (rank == root) {
     rc = check_buffer_args(sendbuf, sendcount, sendtype);
     if (rc != MPI_SUCCESS) return rc;
   }
-  if (recvbuf != MPI_IN_PLACE) {
-    rc = check_buffer_args(recvbuf, recvcount, recvtype);
-    if (rc != MPI_SUCCESS) return rc;
-  }
+  rc = check_side_args(recvbuf, recvcount, recvtype);
+  if (rc != MPI_SUCCESS) return rc;
   tr::ApiScope scope("scatter");
   // Only this rank's *significant* arguments are read: the send side is
   // defined at the root only (a conforming non-root may pass garbage there,
@@ -1006,17 +1019,15 @@ int MPI_Scatterv(const void* sendbuf, const int sendcounts[], const int displs[]
   int rc = check_coll_comm(comm, root, true);
   if (rc != MPI_SUCCESS) return rc;
   const int size = comm->size();
-  const int rank = comm->rank_of_world(current_process_checked().world_rank);
+  const int rank = comm_rank_of(comm);
   if (rank == root) {
     rc = check_vector_args(sendbuf, sendcounts, displs, size, sendtype);
     if (rc != MPI_SUCCESS) return rc;
   } else if (recvbuf == MPI_IN_PLACE) {
     return MPI_ERR_ARG;
   }
-  if (recvbuf != MPI_IN_PLACE) {
-    rc = check_buffer_args(recvbuf, recvcount, recvtype);
-    if (rc != MPI_SUCCESS) return rc;
-  }
+  rc = check_side_args(recvbuf, recvcount, recvtype);
+  if (rc != MPI_SUCCESS) return rc;
   tr::ApiScope scope("scatterv");
   record_coll(scope, comm, tr::TiOp::kScatterv, [&](tr::TiRecord& r) {
     ti_block(recvcount, recvtype, &r.count2, &r.elem2);
@@ -1031,11 +1042,9 @@ int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* 
                int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm) {
   int rc = check_coll_comm(comm, root, true);
   if (rc != MPI_SUCCESS) return rc;
-  const int rank = comm->rank_of_world(current_process_checked().world_rank);
-  if (sendbuf != MPI_IN_PLACE) {
-    rc = check_buffer_args(sendbuf, sendcount, sendtype);
-    if (rc != MPI_SUCCESS) return rc;
-  }
+  const int rank = comm_rank_of(comm);
+  rc = check_side_args(sendbuf, sendcount, sendtype);
+  if (rc != MPI_SUCCESS) return rc;
   if (rank == root) {
     rc = check_buffer_args(recvbuf, recvcount, recvtype);
     if (rc != MPI_SUCCESS) return rc;
@@ -1063,11 +1072,9 @@ int MPI_Gatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
   int rc = check_coll_comm(comm, root, true);
   if (rc != MPI_SUCCESS) return rc;
   const int size = comm->size();
-  const int rank = comm->rank_of_world(current_process_checked().world_rank);
-  if (sendbuf != MPI_IN_PLACE) {
-    rc = check_buffer_args(sendbuf, sendcount, sendtype);
-    if (rc != MPI_SUCCESS) return rc;
-  }
+  const int rank = comm_rank_of(comm);
+  rc = check_side_args(sendbuf, sendcount, sendtype);
+  if (rc != MPI_SUCCESS) return rc;
   if (rank == root) {
     rc = check_vector_args(recvbuf, recvcounts, displs, size, recvtype);
     if (rc != MPI_SUCCESS) return rc;
@@ -1088,10 +1095,8 @@ int MPI_Allgather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, voi
                   int recvcount, MPI_Datatype recvtype, MPI_Comm comm) {
   int rc = check_coll_comm(comm, 0, false);
   if (rc != MPI_SUCCESS) return rc;
-  if (sendbuf != MPI_IN_PLACE) {
-    rc = check_buffer_args(sendbuf, sendcount, sendtype);
-    if (rc != MPI_SUCCESS) return rc;
-  }
+  rc = check_side_args(sendbuf, sendcount, sendtype);
+  if (rc != MPI_SUCCESS) return rc;
   rc = check_buffer_args(recvbuf, recvcount, recvtype);
   if (rc != MPI_SUCCESS) return rc;
   tr::ApiScope scope("allgather");
@@ -1117,11 +1122,9 @@ int MPI_Allgatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, vo
   int rc = check_coll_comm(comm, 0, false);
   if (rc != MPI_SUCCESS) return rc;
   const int size = comm->size();
-  const int rank = comm->rank_of_world(current_process_checked().world_rank);
-  if (sendbuf != MPI_IN_PLACE) {
-    rc = check_buffer_args(sendbuf, sendcount, sendtype);
-    if (rc != MPI_SUCCESS) return rc;
-  }
+  const int rank = comm_rank_of(comm);
+  rc = check_side_args(sendbuf, sendcount, sendtype);
+  if (rc != MPI_SUCCESS) return rc;
   rc = check_vector_args(recvbuf, recvcounts, displs, size, recvtype);
   if (rc != MPI_SUCCESS) return rc;
   tr::ApiScope scope("allgatherv");
@@ -1175,7 +1178,7 @@ int MPI_Scan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datatyp
   tr::ApiScope scope("scan");
   record_reduction(scope, comm, tr::TiOp::kScan, count, datatype, op, 0);
   const int size = comm->size();
-  const int rank = comm->rank_of_world(current_process_checked().world_rank);
+  const int rank = comm_rank_of(comm);
   const std::size_t bytes = static_cast<std::size_t>(count) * datatype->size();
 
   const bool pf = payload_free_mode();
@@ -1199,15 +1202,12 @@ int MPI_Scan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype datatyp
 
 int MPI_Reduce_scatter(const void* sendbuf, void* recvbuf, const int recvcounts[],
                        MPI_Datatype datatype, MPI_Op op, MPI_Comm comm) {
-  int rc = check_coll_comm(comm, 0, false);
+  int rc = check_reduce_args(comm, 0, false, 0, datatype, op);
   if (rc != MPI_SUCCESS) return rc;
-  if (op == MPI_OP_NULL) return MPI_ERR_OP;
-  if (!valid_type(datatype)) return MPI_ERR_TYPE;
   if (recvcounts == nullptr) return MPI_ERR_ARG;
-  if (!op->valid_for(*datatype)) return MPI_ERR_OP;
   const int size = comm->size();
   for (int r = 0; r < size; ++r) {
-    if (recvcounts[r] < 0) return MPI_ERR_COUNT;
+    if (!valid_count(recvcounts[r])) return MPI_ERR_COUNT;
   }
   tr::ApiScope scope("reducescatter");
   record_coll(scope, comm, tr::TiOp::kReduceScatter, [&](tr::TiRecord& r) {
@@ -1224,7 +1224,7 @@ int MPI_Reduce_scatter(const void* sendbuf, void* recvbuf, const int recvcounts[
     displs[static_cast<std::size_t>(r)] = total;
     total += recvcounts[r];
   }
-  const int rank = comm->rank_of_world(current_process_checked().world_rank);
+  const int rank = comm_rank_of(comm);
   const bool pf = payload_free_mode();
   std::vector<unsigned char> full;
   if (!pf) full.resize(static_cast<std::size_t>(total) * datatype->extent());

@@ -497,7 +497,7 @@ TEST(SmpiColl, ScatterIgnoresNonRootSendArguments) {
 // A rank's own block moves min(send bytes, receive bytes): with one int sent
 // into two-int slots, the second int of every slot keeps its prior value
 // instead of bytes read past the sender's buffer. Runs the ring (3 ranks),
-// recursive doubling (4), the linear gather and the basic alltoall.
+// recursive doubling (4), the linear gather, the basic alltoall and Bruck's.
 TEST(SmpiColl, OwnBlockCopyStopsAtTheSentBytes) {
   for (const int n : {3, 4}) {
     SCOPED_TRACE(n);
@@ -535,6 +535,23 @@ TEST(SmpiColl, OwnBlockCopyStopsAtTheSentBytes) {
       EXPECT_EQ(from_each[2 * static_cast<std::size_t>(rank) + 1], -1);
     });
   }
+  // Bruck's alltoall stages packed blocks of the sent size: it unpacks no
+  // more than that into each receive block either.
+  smpi::core::SmpiConfig bruck = fast_config();
+  bruck.coll.alltoall = "bruck";
+  run_mpi(
+      4,
+      [] {
+        const std::vector<int> out(4, 100 + my_rank());
+        std::vector<int> in(8, -1);
+        ASSERT_EQ(MPI_Alltoall(out.data(), 1, MPI_INT, in.data(), 2, MPI_INT, MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+        for (int r = 0; r < 4; ++r) {
+          EXPECT_EQ(in[2 * static_cast<std::size_t>(r)], 100 + r);
+          EXPECT_EQ(in[2 * static_cast<std::size_t>(r) + 1], -1) << "slot " << r;
+        }
+      },
+      bruck);
 }
 
 // ---------------------------------------------------------------------------
