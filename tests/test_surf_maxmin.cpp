@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "util/check.hpp"
@@ -462,4 +464,165 @@ TEST(MaxMinLazy, LazySolveStopsAtUnsaturatedHub) {
   EXPECT_EQ(full.vars_touched() - full_before, static_cast<std::uint64_t>(kFlows));
   EXPECT_EQ(lazy.vars_touched() - lazy_before, 1u);
   EXPECT_LT(lazy.last_solved_variables().size(), full.last_solved_variables().size());
+}
+
+// ---------------------------------------------------------------------------
+// Golden churn: exact pins of the solver's arithmetic and work. A seeded
+// churn (attach, release, set_capacity, set_bound) runs on a two-level
+// topology — nodes in cabinets, each cabinet behind an uplink/downlink pair
+// that the inter-cabinet flows saturate, so the lazy path solves against
+// boundaries with many out-of-set members. Bounds come from a small set in
+// which bound/weight ties exactly (1/1 == 2/2 in units of kShare), and they
+// sit below the fair share, so bound events fire and tie. Observing is on.
+// Each case pins an FNV-1a hash of every live variable's "%.17g" value after
+// every solve, a hash of the drained changed-constraint id sequence, and the
+// solve/fill/saturation counters: a change to the fill order, to any
+// floating-point sum or to the work done moves one of them.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct GoldenHash {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(const char* text) {
+    for (; *text != '\0'; ++text) {
+      h ^= static_cast<unsigned char>(*text);
+      h *= 1099511628211ull;
+    }
+  }
+  void add(double value) {
+    char text[40];
+    std::snprintf(text, sizeof text, "%.17g;", value);
+    add(text);
+  }
+  void add(int id) {
+    char text[16];
+    std::snprintf(text, sizeof text, "%d;", id);
+    add(text);
+  }
+};
+
+std::string golden_churn(sf::SolveMode mode, std::uint64_t seed) {
+  constexpr int kCabinets = 6;
+  constexpr int kNodesPerCabinet = 8;
+  constexpr int kNodes = kCabinets * kNodesPerCabinet;
+  constexpr int kSteps = 600;
+  constexpr double kNodeLink = 1.25e8;
+  constexpr double kCabinetLink = 2.5e8;  // ~2 node links: saturated early
+  constexpr double kShare = 2e6;          // bound unit, below most fair shares
+
+  smpi::util::Xoshiro256StarStar rng(seed);
+  sf::MaxMinSystem sys;
+  sys.set_mode(mode);
+  sys.set_observing(true);
+
+  std::vector<int> node_up, node_down, cab_up, cab_down;
+  for (int n = 0; n < kNodes; ++n) {
+    node_up.push_back(sys.new_constraint(kNodeLink));
+    node_down.push_back(sys.new_constraint(kNodeLink));
+  }
+  for (int c = 0; c < kCabinets; ++c) {
+    cab_up.push_back(sys.new_constraint(kCabinetLink));
+    cab_down.push_back(sys.new_constraint(kCabinetLink));
+  }
+  auto pick = [&](std::uint64_t n) { return rng.next_in_range(0, n - 1); };
+  auto random_bound = [&](double weight) {
+    switch (pick(4)) {
+      case 0: return kShare * weight;        // level kShare: ties across weights
+      case 1: return 2 * kShare * weight;    // level 2 kShare
+      case 2: return 3 * kShare;             // level 3 or 1.5 kShare
+      default: return sf::MaxMinSystem::kUnbounded;
+    }
+  };
+
+  std::vector<int> live;
+  GoldenHash values, changed;
+  std::vector<int> drained;
+  for (int step = 0; step < kSteps; ++step) {
+    const std::uint64_t dice = pick(100);
+    if (dice < 45 || live.size() < 8) {
+      const int src = static_cast<int>(pick(kNodes));
+      int dst = src;
+      while (dst == src) dst = static_cast<int>(pick(kNodes));
+      const double weight = pick(3) == 0 ? 2.0 : 1.0;
+      const int v = sys.new_variable(weight, random_bound(weight));
+      sys.attach(v, node_up[static_cast<std::size_t>(src)]);
+      const int src_cab = src / kNodesPerCabinet;
+      const int dst_cab = dst / kNodesPerCabinet;
+      if (src_cab != dst_cab) {
+        sys.attach(v, cab_up[static_cast<std::size_t>(src_cab)]);
+        sys.attach(v, cab_down[static_cast<std::size_t>(dst_cab)]);
+      }
+      sys.attach(v, node_down[static_cast<std::size_t>(dst)]);
+      live.push_back(v);
+    } else if (dice < 75) {
+      const auto idx = static_cast<std::size_t>(pick(live.size()));
+      sys.release_variable(live[idx]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (dice < 85) {
+      const auto cab = static_cast<std::size_t>(pick(kCabinets));
+      const double capacity = kCabinetLink * static_cast<double>(1 + pick(3)) / 2;
+      sys.set_capacity(pick(2) == 0 ? cab_up[cab] : cab_down[cab], capacity);
+    } else if (dice < 90) {
+      const auto n = static_cast<std::size_t>(pick(kNodes));
+      const double capacity = kNodeLink * static_cast<double>(1 + pick(4)) / 4;
+      sys.set_capacity(pick(2) == 0 ? node_up[n] : node_down[n], capacity);
+    } else {
+      const auto idx = static_cast<std::size_t>(pick(live.size()));
+      const std::uint64_t level = pick(4);
+      sys.set_bound(live[idx], level == 3 ? sf::MaxMinSystem::kUnbounded
+                                          : kShare * static_cast<double>(1 + level));
+    }
+    // Mutations sometimes batch up before a solve, as they do within one
+    // simulated date.
+    if (pick(4) == 0 && step + 1 < kSteps) continue;
+    sys.solve();
+    for (int v : live) values.add(sys.value(v));
+    drained.clear();
+    sys.drain_changed_constraints(drained);
+    for (int c : drained) changed.add(c);
+    changed.add("|");
+  }
+  char text[160];
+  std::snprintf(text, sizeof text,
+                "values=%016llx changed=%016llx solves=%llu vars=%llu cons=%llu sat=%llu",
+                static_cast<unsigned long long>(values.h),
+                static_cast<unsigned long long>(changed.h),
+                static_cast<unsigned long long>(sys.solve_count()),
+                static_cast<unsigned long long>(sys.vars_touched()),
+                static_cast<unsigned long long>(sys.cons_touched()),
+                static_cast<unsigned long long>(sys.observe_counters().saturation_events));
+  return text;
+}
+
+}  // namespace
+
+TEST(MaxMinGolden, LazySeed1) {
+  EXPECT_EQ(golden_churn(sf::SolveMode::kLazy, 1),
+            "values=476bdd45bfe515ed changed=871c4a8c9a35f618 "
+            "solves=364 vars=4121 cons=8343 sat=1014");
+}
+
+TEST(MaxMinGolden, LazySeed2) {
+  EXPECT_EQ(golden_churn(sf::SolveMode::kLazy, 2),
+            "values=7ec4a3bbb50a2317 changed=17d81bacc1c4cbb7 "
+            "solves=360 vars=4579 cons=9359 sat=1216");
+}
+
+TEST(MaxMinGolden, LazySeed3) {
+  EXPECT_EQ(golden_churn(sf::SolveMode::kLazy, 3),
+            "values=0675882ad3561a61 changed=932f434d07bc1220 "
+            "solves=353 vars=1759 cons=4439 sat=547");
+}
+
+TEST(MaxMinGolden, FullSeed1) {
+  EXPECT_EQ(golden_churn(sf::SolveMode::kFull, 1),
+            "values=9d530421fb2b070f changed=8b45f489f0b00d84 "
+            "solves=459 vars=25493 cons=49572 sat=3518");
+}
+
+TEST(MaxMinGolden, FullSeed2) {
+  EXPECT_EQ(golden_churn(sf::SolveMode::kFull, 2),
+            "values=d0dd877152af1a85 changed=58c0f63d8500d9c0 "
+            "solves=455 vars=19828 cons=49140 sat=3244");
 }
