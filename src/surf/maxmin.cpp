@@ -372,40 +372,35 @@ void MaxMinSystem::solve_lazy() {
 
     solve_subset(all_cons_, active_vars_);
 
+    // The fill's boundary walk left each boundary's frozen remainder and its
+    // in-set members behind: the check reads those instead of walking every
+    // member again.
     promoted_cons_.clear();
     for (int c : boundary_cons_) {
       auto& cons = constraints_[static_cast<std::size_t>(c)];
-      double external = 0, in_old = 0, in_new = 0;
-      double max_external_level = 0;
+      double in_old = 0, in_new = 0;
       double min_capped_level = kUnbounded;
       bool changed = false, starved = false;
-      for (int v : cons.variables) {
-        const auto& var = variables_[static_cast<std::size_t>(v)];
-        if (!var.active) continue;
-        if (var.in_set) {
-          in_old += var.old_value;
-          in_new += var.value;
-          if (std::fabs(var.value - var.old_value) >
-              kChangeEps * std::max(1.0, cons.capacity)) {
-            changed = true;
-          }
-          if (var.value <= kStarveEps * cons.capacity) starved = true;
-          if (var.fixed_by == c) {
-            min_capped_level = std::min(min_capped_level, var.value / var.weight);
-          }
-        } else {
-          external += var.value;
-          max_external_level = std::max(max_external_level, var.value / var.weight);
+      for (std::uint32_t i = cons.in_set_begin; i < cons.in_set_end; ++i) {
+        const auto& var = variables_[static_cast<std::size_t>(boundary_members_[i])];
+        in_old += var.old_value;
+        in_new += var.value;
+        if (std::fabs(var.value - var.old_value) > kChangeEps * std::max(1.0, cons.capacity)) {
+          changed = true;
+        }
+        if (var.value <= kStarveEps * cons.capacity) starved = true;
+        if (var.fixed_by == c) {
+          min_capped_level = std::min(min_capped_level, var.value / var.weight);
         }
       }
       const double saturation = cons.capacity * (1 - kSatEps);
-      const bool saturated_before = external + in_old >= saturation;
-      const bool saturated_after = external + in_new >= saturation;
+      const bool saturated_before = cons.external + in_old >= saturation;
+      const bool saturated_after = cons.external + in_new >= saturation;
       // This boundary's frozen remainder capped an in-set member below an
       // out-of-set member's fill level: global max-min would equalize them
       // (the frozen member must shrink), so fairness across the boundary is
       // unresolved even though no in-set value moved.
-      const bool squeezed = max_external_level > min_capped_level * (1 + kSatEps);
+      const bool squeezed = cons.max_external_level > min_capped_level * (1 + kSatEps);
       if (squeezed || ((changed || starved) && (saturated_before || saturated_after))) {
         promoted_cons_.push_back(c);
       }
@@ -458,16 +453,29 @@ void MaxMinSystem::solve_subset(const std::vector<int>& cons_ids,
   // until every variable is fixed.
   constexpr double kEpsRel = 1e-12;
 
+  boundary_members_.clear();
   for (int c : cons_ids) {
     auto& cons = constraints_[static_cast<std::size_t>(c)];
     if (cons.boundary) {
       // Boundary constraint: its out-of-set members keep their allocation,
-      // so only the leftover capacity is up for filling.
+      // so only the leftover capacity is up for filling. The one walk over
+      // the members also records what the promotion check and the fill need.
       double external = 0;
+      double max_external_level = 0;
+      cons.in_set_begin = static_cast<std::uint32_t>(boundary_members_.size());
       for (int v : cons.variables) {
         const auto& var = variables_[static_cast<std::size_t>(v)];
-        if (var.active && !var.in_set) external += var.value;
+        if (!var.active) continue;
+        if (var.in_set) {
+          boundary_members_.push_back(v);
+        } else {
+          external += var.value;
+          max_external_level = std::max(max_external_level, var.value / var.weight);
+        }
       }
+      cons.in_set_end = static_cast<std::uint32_t>(boundary_members_.size());
+      cons.external = external;
+      cons.max_external_level = max_external_level;
       cons.remaining = std::max(0.0, cons.capacity - external);
     } else {
       cons.remaining = cons.capacity;
@@ -500,7 +508,16 @@ void MaxMinSystem::solve_subset(const std::vector<int>& cons_ids,
   vars_touched_ += var_ids.size();
   cons_touched_ += cons_ids.size();
 
+  // A lower bound on the lowest bound level (bound / weight) among the
+  // unfixed variables, exact while at_mu_bound > 0 unfixed variables sit on
+  // it. Fixing a variable only raises the true minimum, so a stale level
+  // above the next constraint event still decides that event correctly:
+  // the variables are rescanned only once the fill reaches a level whose
+  // variables are all fixed.
+  double mu_bound = -MaxMinSystem::kUnbounded;
+  std::size_t at_mu_bound = 0;
   auto fix_variable = [&](Variable& var, double value, int by) {
+    if (var.bound / var.weight == mu_bound) --at_mu_bound;
     var.value = value;
     var.fixed = true;
     var.fixed_by = by;
@@ -515,21 +532,35 @@ void MaxMinSystem::solve_subset(const std::vector<int>& cons_ids,
     --unfixed;
   };
 
+  // Constraints with unfixed members, in cons_ids order. A weight_sum only
+  // ever shrinks during the fill, so a constraint that reaches 0 leaves for
+  // good; each event's min scan drops them.
+  live_cons_.assign(cons_ids.begin(), cons_ids.end());
   while (unfixed > 0) {
     // Scale at which the first constraint saturates.
     double mu_constraint = MaxMinSystem::kUnbounded;
-    for (int c : cons_ids) {
+    std::size_t live = 0;
+    for (int c : live_cons_) {
       const auto& cons = constraints_[static_cast<std::size_t>(c)];
-      if (cons.weight_sum > 0) {
-        mu_constraint = std::min(mu_constraint, cons.remaining / cons.weight_sum);
-      }
+      if (!(cons.weight_sum > 0)) continue;
+      live_cons_[live++] = c;
+      mu_constraint = std::min(mu_constraint, cons.remaining / cons.weight_sum);
     }
+    live_cons_.resize(live);
     // Scale at which the first variable hits its bound.
-    double mu_bound = MaxMinSystem::kUnbounded;
-    for (int v : var_ids) {
-      const auto& var = variables_[static_cast<std::size_t>(v)];
-      if (var.fixed) continue;
-      mu_bound = std::min(mu_bound, var.bound / var.weight);
+    if (at_mu_bound == 0 && mu_bound <= mu_constraint) {
+      mu_bound = MaxMinSystem::kUnbounded;
+      for (int v : var_ids) {
+        const auto& var = variables_[static_cast<std::size_t>(v)];
+        if (var.fixed) continue;
+        const double level = var.bound / var.weight;
+        if (level < mu_bound) {
+          mu_bound = level;
+          at_mu_bound = 1;
+        } else if (level == mu_bound) {
+          ++at_mu_bound;
+        }
+      }
     }
     SMPI_ENSURE(std::isfinite(mu_constraint) || std::isfinite(mu_bound),
                 "unbounded variable attached to no saturable constraint");
@@ -549,19 +580,24 @@ void MaxMinSystem::solve_subset(const std::vector<int>& cons_ids,
       SMPI_ENSURE(fixed_any, "bound event fixed no variable");
     } else {
       // Saturate the tightest constraint(s): every unfixed variable crossing
-      // one gets mu * weight.
+      // one gets mu * weight. A boundary's out-of-set members are all fixed
+      // already, so walking only its in-set members fixes the same variables
+      // in the same order.
       const double cutoff = mu_constraint * (1 + kEpsRel);
       bool fixed_any = false;
-      for (int c : cons_ids) {
+      for (int c : live_cons_) {
         const auto& cons = constraints_[static_cast<std::size_t>(c)];
         if (cons.weight_sum <= 0) continue;
         if (cons.remaining / cons.weight_sum > cutoff) continue;
-        // Iterate over a snapshot (reused scratch, so the steady-state solve
-        // stays allocation-free): fix_variable mutates weight_sum/remaining.
-        fill_members_.assign(cons.variables.begin(), cons.variables.end());
+        const int* first = cons.variables.data();
+        const int* last = first + cons.variables.size();
+        if (cons.boundary) {
+          first = boundary_members_.data() + cons.in_set_begin;
+          last = boundary_members_.data() + cons.in_set_end;
+        }
         bool fixed_here = false;
-        for (int v : fill_members_) {
-          auto& var = variables_[static_cast<std::size_t>(v)];
+        for (; first != last; ++first) {
+          auto& var = variables_[static_cast<std::size_t>(*first)];
           if (!var.active || var.fixed) continue;
           fix_variable(var, mu_constraint * var.weight, c);
           fixed_any = true;

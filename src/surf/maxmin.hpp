@@ -167,6 +167,14 @@ class MaxMinSystem {
     // Scratch state for the progressive-filling loop.
     double remaining = 0;
     double weight_sum = 0;
+    // Boundary walk of the last fill, read back by the promotion check: the
+    // frozen usage of the out-of-set members (summed in member order), their
+    // highest fill level, and the in-set members, in member order, as the
+    // slice [in_set_begin, in_set_end) of boundary_members_.
+    double external = 0;
+    double max_external_level = 0;
+    std::uint32_t in_set_begin = 0;
+    std::uint32_t in_set_end = 0;
   };
 
   // Mutation-kind bits pending for the next solve()'s trigger classification.
@@ -204,7 +212,8 @@ class MaxMinSystem {
   void solve_lazy();
   // Progressive filling restricted to the given constraint/variable ids.
   // Constraints flagged .boundary contribute capacity minus the usage of
-  // their out-of-set members.
+  // their out-of-set members; the walk that sums it also records each
+  // boundary's in-set members for the fill and the promotion check.
   void solve_subset(const std::vector<int>& cons_ids, const std::vector<int>& var_ids);
 
   std::vector<Variable> variables_;
@@ -220,7 +229,8 @@ class MaxMinSystem {
   std::vector<int> promoted_cons_;          // scratch: boundaries promoted this round
   std::vector<int> boundary_cons_;          // scratch: current boundary frontier
   std::vector<int> all_cons_;               // scratch: active_cons_ + boundary_cons_
-  std::vector<int> fill_members_;           // scratch: saturation-event member snapshot
+  std::vector<int> boundary_members_;       // scratch: in-set members of each boundary
+  std::vector<int> live_cons_;              // scratch: fill constraints with weight_sum > 0
   std::vector<int> last_solved_;
   std::vector<int> changed_constraints_;    // observation: ids with .changed set
   std::vector<double> observe_prev_values_;  // scratch: pre-fill values of var_ids
