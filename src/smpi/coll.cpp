@@ -989,6 +989,8 @@ int MPI_Scatter(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
   if (rank == root) {
     rc = check_buffer_args(sendbuf, sendcount, sendtype);
     if (rc != MPI_SUCCESS) return rc;
+  } else if (recvbuf == MPI_IN_PLACE) {
+    return MPI_ERR_ARG;  // MPI_IN_PLACE is the root's alone
   }
   rc = check_side_args(recvbuf, recvcount, recvtype);
   if (rc != MPI_SUCCESS) return rc;
@@ -1048,6 +1050,8 @@ int MPI_Gather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* 
   if (rank == root) {
     rc = check_buffer_args(recvbuf, recvcount, recvtype);
     if (rc != MPI_SUCCESS) return rc;
+  } else if (sendbuf == MPI_IN_PLACE) {
+    return MPI_ERR_ARG;
   }
   tr::ApiScope scope("gather");
   // The recv side is significant at the root only; a conforming non-root
@@ -1078,6 +1082,8 @@ int MPI_Gatherv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void*
   if (rank == root) {
     rc = check_vector_args(recvbuf, recvcounts, displs, size, recvtype);
     if (rc != MPI_SUCCESS) return rc;
+  } else if (sendbuf == MPI_IN_PLACE) {
+    return MPI_ERR_ARG;
   }
   tr::ApiScope scope("gatherv");
   record_coll(scope, comm, tr::TiOp::kGatherv, [&](tr::TiRecord& r) {

@@ -452,6 +452,24 @@ TEST(SmpiColl, CollectiveArgValidation) {
     EXPECT_EQ(MPI_Scatterv(out, counts, displs, MPI_INT, &v, -1, MPI_INT, 0, MPI_COMM_WORLD),
               MPI_ERR_COUNT);
   });
+  // MPI_IN_PLACE is valid at the root only. A non-root passing it gets
+  // MPI_ERR_ARG before anything is sent, so the root never joins the call.
+  run_mpi(4, [] {
+    if (my_rank() != 2) return;
+    int out[4] = {0, 0, 0, 0};
+    const int counts[4] = {1, 1, 1, 1};
+    const int displs[4] = {0, 1, 2, 3};
+    EXPECT_EQ(MPI_Gather(MPI_IN_PLACE, 1, MPI_INT, out, 1, MPI_INT, 0, MPI_COMM_WORLD),
+              MPI_ERR_ARG);
+    EXPECT_EQ(MPI_Gatherv(MPI_IN_PLACE, 1, MPI_INT, out, counts, displs, MPI_INT, 0,
+                          MPI_COMM_WORLD),
+              MPI_ERR_ARG);
+    EXPECT_EQ(MPI_Scatter(out, 1, MPI_INT, MPI_IN_PLACE, 1, MPI_INT, 0, MPI_COMM_WORLD),
+              MPI_ERR_ARG);
+    EXPECT_EQ(MPI_Scatterv(out, counts, displs, MPI_INT, MPI_IN_PLACE, 1, MPI_INT, 0,
+                           MPI_COMM_WORLD),
+              MPI_ERR_ARG);
+  });
   // Root-only arguments, checked where only the root reads them.
   run_mpi(1, [] {
     int v = 0;
