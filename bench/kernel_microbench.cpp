@@ -5,10 +5,12 @@
 // => fast and scalable).
 //
 // Besides the google-benchmark tables, main() emits BENCH_solver.json with
-// the lazy-vs-full solver churn trajectory (see bench_json.hpp).
+// the solver churn trajectory: lazy vs full on a backbone fabric, and lazy
+// on saturated cabinet links (see bench_json.hpp).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "platform/builders.hpp"
@@ -71,16 +73,32 @@ BENCHMARK(BM_MaxMinSolve)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 // The engine hot path under MPI traffic: one flow finishes, another starts,
 // the solver re-solves. Links are modeled as per-node up/down pairs plus a
-// generously-provisioned shared backbone every flow crosses — the
-// cluster-with-a-switch-fabric shape real platforms have. The backbone
-// welds the whole system into ONE connected component, so a per-component
-// re-solve would redo everything on every churn, as the full reference
-// does, while the lazy modified-set path stops at the unsaturated backbone
-// and re-solves only the flows whose allocation can actually move.
+// shared fabric, in one of two shapes:
+//
+//   kBackbone — a generously-provisioned backbone every flow crosses, the
+//     cluster-with-a-switch-fabric shape. The backbone welds the whole
+//     system into ONE connected component, so a per-component re-solve
+//     would redo everything on every churn, as the full reference does,
+//     while the lazy modified-set path stops at the unsaturated backbone
+//     and re-solves only the flows whose allocation can actually move.
+//   kCabinets — the nodes sit in four cabinets, each behind an uplink and a
+//     downlink of two node links' capacity, which the inter-cabinet flows
+//     saturate (the hierarchical gdx shape). A churn then re-fills against
+//     saturated boundaries with many out-of-set members: at 1024 flows each
+//     cabinet link carries about 190 of them.
+enum class Fabric { kBackbone, kCabinets };
+
 struct ChurnWorkload {
-  explicit ChurnWorkload(int flows, smpi::surf::SolveMode mode) : rng(42), nodes(flows) {
+  static constexpr int kCabinets = 4;
+
+  ChurnWorkload(int flows, smpi::surf::SolveMode mode, Fabric fabric)
+      : rng(42), nodes(flows), fabric(fabric) {
     sys.set_mode(mode);
-    backbone = sys.new_constraint(static_cast<double>(flows) * 2e8);
+    if (fabric == Fabric::kBackbone) {
+      backbone = sys.new_constraint(static_cast<double>(flows) * 2e8);
+    } else {
+      for (int c = 0; c < 2 * kCabinets; ++c) cabinet_links.push_back(sys.new_constraint(2e8));
+    }
     for (int n = 0; n < 2 * nodes; ++n) links.push_back(sys.new_constraint(1e8));
     for (int f = 0; f < flows; ++f) active.push_back(make_flow());
     sys.solve();
@@ -95,7 +113,16 @@ struct ChurnWorkload {
     const int v = sys.new_variable(1.0, 1.25e8);
     sys.attach(v, links[static_cast<std::size_t>(2 * src)]);      // src uplink
     sys.attach(v, links[static_cast<std::size_t>(2 * dst + 1)]);  // dst downlink
-    sys.attach(v, backbone);                                      // shared fabric
+    if (fabric == Fabric::kBackbone) {
+      sys.attach(v, backbone);  // shared fabric
+    } else {
+      const int src_cabinet = src * kCabinets / nodes;
+      const int dst_cabinet = dst * kCabinets / nodes;
+      if (src_cabinet != dst_cabinet) {
+        sys.attach(v, cabinet_links[static_cast<std::size_t>(2 * src_cabinet)]);
+        sys.attach(v, cabinet_links[static_cast<std::size_t>(2 * dst_cabinet + 1)]);
+      }
+    }
     return v;
   }
 
@@ -108,24 +135,28 @@ struct ChurnWorkload {
 
   smpi::util::Xoshiro256StarStar rng;
   int nodes;
+  Fabric fabric;
   smpi::surf::MaxMinSystem sys;
   int backbone = -1;
+  std::vector<int> cabinet_links;
   std::vector<int> links;
   std::vector<int> active;
 };
 
-void BM_MaxMinChurn(benchmark::State& state, smpi::surf::SolveMode mode) {
-  ChurnWorkload workload(static_cast<int>(state.range(0)), mode);
+void BM_MaxMinChurn(benchmark::State& state, smpi::surf::SolveMode mode, Fabric fabric) {
+  ChurnWorkload workload(static_cast<int>(state.range(0)), mode, fabric);
   for (auto _ : state) {
     workload.churn();
     benchmark::DoNotOptimize(workload.sys.value(workload.active[0]));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_MaxMinChurn, lazy, smpi::surf::SolveMode::kLazy)
+BENCHMARK_CAPTURE(BM_MaxMinChurn, lazy, smpi::surf::SolveMode::kLazy, Fabric::kBackbone)
     ->Arg(16)->Arg(128)->Arg(1024);
-BENCHMARK_CAPTURE(BM_MaxMinChurn, full, smpi::surf::SolveMode::kFull)
+BENCHMARK_CAPTURE(BM_MaxMinChurn, full, smpi::surf::SolveMode::kFull, Fabric::kBackbone)
     ->Arg(16)->Arg(128)->Arg(1024);
+BENCHMARK_CAPTURE(BM_MaxMinChurn, contended, smpi::surf::SolveMode::kLazy, Fabric::kCabinets)
+    ->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_EngineTimerChurn(benchmark::State& state) {
   for (auto _ : state) {
@@ -171,20 +202,27 @@ void BM_XmlParsePlatform(benchmark::State& state) {
 BENCHMARK(BM_XmlParsePlatform);
 
 // Perf-trajectory artifact: ns per churn op (flow departure + arrival +
-// re-solve) for both solver paths, across concurrent flow counts.
+// re-solve) for both solver paths on the backbone fabric, and for the lazy
+// path on saturated cabinet links, across concurrent flow counts.
 void write_solver_trajectory() {
   struct Series {
     const char* name;
     smpi::surf::SolveMode mode;
+    Fabric fabric;
+    std::vector<int> flows;
   };
   const Series series[] = {
-      {"solver_churn_lazy", smpi::surf::SolveMode::kLazy},
-      {"solver_churn_full", smpi::surf::SolveMode::kFull},
+      {"solver_churn_lazy", smpi::surf::SolveMode::kLazy, Fabric::kBackbone,
+       {16, 64, 128, 256, 512, 1024}},
+      {"solver_churn_full", smpi::surf::SolveMode::kFull, Fabric::kBackbone,
+       {16, 64, 128, 256, 512, 1024}},
+      {"solver_churn_contended", smpi::surf::SolveMode::kLazy, Fabric::kCabinets,
+       {64, 256, 1024}},
   };
   bench::JsonWriter writer("BENCH_solver.json");
-  for (const int flows : {16, 64, 128, 256, 512, 1024}) {
-    for (const auto& s : series) {
-      ChurnWorkload workload(flows, s.mode);
+  for (const auto& s : series) {
+    for (const int flows : s.flows) {
+      ChurnWorkload workload(flows, s.mode, s.fabric);
       const int warmup = 32;
       for (int i = 0; i < warmup; ++i) workload.churn();
       const int iterations = 256;
