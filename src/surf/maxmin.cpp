@@ -372,9 +372,9 @@ void MaxMinSystem::solve_lazy() {
 
     solve_subset(all_cons_, active_vars_);
 
-    // The fill's boundary walk left each boundary's frozen remainder and its
-    // in-set members behind: the check reads those instead of walking every
-    // member again.
+    // The fill's boundary walk recorded each boundary's frozen remainder,
+    // highest out-of-set level and in-set members; the fill moves only
+    // in-set values, so all three still hold here.
     promoted_cons_.clear();
     for (int c : boundary_cons_) {
       auto& cons = constraints_[static_cast<std::size_t>(c)];
