@@ -2,18 +2,25 @@
 // engine timers with model calendar entries due at one date. The kernel
 // fires everything due at a date in (date, creation) order; any change to
 // that order, or to how many timers a run creates, moves these pins. The
-// collective cases at the end pin each algorithm's messages and results.
+// collective cases pin each algorithm's messages and results, and the last
+// case pins every request-completion entry point under TI capture.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "smpi/coll.h"
 #include "smpi_test_util.hpp"
+#include "trace/writer.hpp"
 
 namespace sc = smpi::core;
 using smpi_test::fast_config;
@@ -691,4 +698,223 @@ TEST(KernelGolden, CollVectorVariants) {
     golden.expect(run_coll(n, [] { allgatherv_body(true); }));
     golden.expect(run_coll(n, alltoallv_body));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Request completion: every Wait/Test/Probe entry point, persistent requests
+// and a freed in-flight request on 4 ranks with a TI writer attached. The
+// case pins the simulated time, each rank's blocked time (rank_comm_s), the
+// six p2p counters and a hash of each rank's captured records, so a change
+// to when a request completes, what a wait charges or what it records
+// moves it.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// "<simulated time> comm=<rank_comm_s per rank> p2p=<the six P2pCounters>
+// ti=<FNV-1a of each rank's TI file>" of one captured run of `body`.
+std::string run_captured(int nprocs, const std::function<void()>& body) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("smpi_kernel_golden_ti_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  std::ostringstream out;
+  {
+    smpi::trace::TiWriter writer(dir.string(), nprocs, "golden");
+    const smpi::platform::Platform platform = smpi_test::test_cluster(nprocs);
+    sc::SmpiWorld world(platform, fast_config(), {&writer});
+    world.run(nprocs, [&body](int, char**) {
+      MPI_Init(nullptr, nullptr);
+      body();
+      MPI_Finalize();
+    });
+    writer.finish();
+    char text[64];
+    std::snprintf(text, sizeof text, "%.17g comm=", world.simulated_time());
+    out << text;
+    for (const double s : world.result().rank_comm_s) {
+      std::snprintf(text, sizeof text, "%.17g,", s);
+      out << text;
+    }
+    const sc::P2pCounters& c = world.result().p2p;
+    out << " p2p=" << c.pool_hits << ',' << c.pool_misses << ',' << c.eager_snapshots << ','
+        << c.eager_copy_elided << ',' << c.eager_flush_snapshots << ',' << c.bytes_not_copied
+        << " ti=";
+  }
+  for (int r = 0; r < nprocs; ++r) {
+    std::ifstream in(dir / ("rank_" + std::to_string(r) + ".ti"), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    char text[32];
+    std::snprintf(text, sizeof text, "%016llx,",
+                  static_cast<unsigned long long>(fnv1a(bytes.str())));
+    out << text;
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  return out.str();
+}
+
+void request_family_body() {
+  const int rank = my_rank();
+  const int size = world_size();
+  const int right = (rank + 1) % size;
+  const int left = (rank + size - 1) % size;
+  constexpr int kBig = 128 * 1024;  // past the 64 KiB eager threshold
+  std::vector<char> big_out(kBig, static_cast<char>('a' + rank));
+  std::vector<char> big_in(kBig);
+  const int mine = rank;
+  int got = -1;
+
+  // MPI_Waitany over an eager and a rendezvous receive, MPI_Waitall over
+  // the sends, MPI_Wait on each side.
+  MPI_Request recvs[2];
+  MPI_Request sends[2];
+  MPI_Irecv(&got, 1, MPI_INT, left, 1, MPI_COMM_WORLD, &recvs[0]);
+  MPI_Irecv(big_in.data(), kBig, MPI_CHAR, left, 2, MPI_COMM_WORLD, &recvs[1]);
+  MPI_Isend(big_out.data(), kBig, MPI_CHAR, right, 2, MPI_COMM_WORLD, &sends[0]);
+  smpi_sleep(1e-4 * rank);
+  MPI_Isend(&mine, 1, MPI_INT, right, 1, MPI_COMM_WORLD, &sends[1]);
+  for (int k = 0; k < 2; ++k) {
+    int index = -1;
+    MPI_Waitany(2, recvs, &index, MPI_STATUS_IGNORE);
+  }
+  EXPECT_EQ(got, left);
+  MPI_Waitall(2, sends, MPI_STATUSES_IGNORE);
+  MPI_Request one;
+  MPI_Isend(&mine, 1, MPI_INT, right, 3, MPI_COMM_WORLD, &one);
+  MPI_Wait(&one, MPI_STATUS_IGNORE);
+  MPI_Irecv(&got, 1, MPI_INT, left, 3, MPI_COMM_WORLD, &one);
+  MPI_Wait(&one, MPI_STATUS_IGNORE);
+
+  // MPI_Waitsome over one receive from every other rank, sent at staggered
+  // dates, until no request is left pending.
+  std::vector<int> from(static_cast<std::size_t>(size), -1);
+  std::vector<MPI_Request> some;
+  for (int peer = 0; peer < size; ++peer) {
+    if (peer == rank) continue;
+    some.emplace_back();
+    MPI_Irecv(&from[static_cast<std::size_t>(peer)], 1, MPI_INT, peer, 4, MPI_COMM_WORLD,
+              &some.back());
+  }
+  smpi_sleep(2e-4 * rank);
+  for (int peer = 0; peer < size; ++peer) {
+    if (peer != rank) MPI_Send(&mine, 1, MPI_INT, peer, 4, MPI_COMM_WORLD);
+  }
+  int outcount = 0;
+  int indices[4];
+  do {
+    MPI_Waitsome(static_cast<int>(some.size()), some.data(), &outcount, indices,
+                 MPI_STATUSES_IGNORE);
+  } while (outcount != MPI_UNDEFINED);
+
+  // MPI_Test polled past escalation (rank 0), MPI_Testany (rank 2) and
+  // MPI_Testall, first incomplete, then complete (rank 1).
+  if (rank == 0) {
+    MPI_Request r;
+    MPI_Irecv(&got, 1, MPI_INT, 1, 5, MPI_COMM_WORLD, &r);
+    int flag = 0;
+    while (flag == 0) MPI_Test(&r, &flag, MPI_STATUS_IGNORE);
+    smpi_sleep(1e-3);
+    MPI_Send(&mine, 1, MPI_INT, 1, 8, MPI_COMM_WORLD);
+    smpi_sleep(1e-3);
+    MPI_Send(&mine, 1, MPI_INT, 1, 9, MPI_COMM_WORLD);
+  } else if (rank == 1) {
+    smpi_sleep(3e-3);
+    MPI_Send(&mine, 1, MPI_INT, 0, 5, MPI_COMM_WORLD);
+    int pair[2] = {-1, -1};
+    MPI_Request r[2];
+    MPI_Irecv(&pair[0], 1, MPI_INT, 0, 8, MPI_COMM_WORLD, &r[0]);
+    MPI_Irecv(&pair[1], 1, MPI_INT, 0, 9, MPI_COMM_WORLD, &r[1]);
+    int flag = -1;
+    MPI_Testall(2, r, &flag, MPI_STATUSES_IGNORE);
+    EXPECT_EQ(flag, 0);
+    while (flag == 0) MPI_Testall(2, r, &flag, MPI_STATUSES_IGNORE);
+    EXPECT_EQ(pair[1], 0);
+  } else if (rank == 2) {
+    int pair[2] = {-1, -1};
+    MPI_Request r[2];
+    MPI_Irecv(&pair[0], 1, MPI_INT, 3, 6, MPI_COMM_WORLD, &r[0]);
+    MPI_Irecv(&pair[1], 1, MPI_INT, 3, 7, MPI_COMM_WORLD, &r[1]);
+    for (int done = 0; done < 2;) {
+      int index = -1;
+      int flag = 0;
+      MPI_Testany(2, r, &index, &flag, MPI_STATUS_IGNORE);
+      if (flag != 0 && index != MPI_UNDEFINED) ++done;
+    }
+    EXPECT_EQ(pair[1], 3);
+  } else {
+    smpi_sleep(1e-3);
+    MPI_Send(&mine, 1, MPI_INT, 2, 6, MPI_COMM_WORLD);
+    smpi_sleep(1e-3);
+    MPI_Send(&mine, 1, MPI_INT, 2, 7, MPI_COMM_WORLD);
+  }
+
+  // An MPI_Iprobe loop (rank 3) and a wildcard MPI_Probe of a rendezvous
+  // message (rank 2).
+  MPI_Status status;
+  if (rank == 0) {
+    smpi_sleep(2e-3);
+    MPI_Send(&mine, 1, MPI_INT, 3, 10, MPI_COMM_WORLD);
+  } else if (rank == 1) {
+    smpi_sleep(1e-3);
+    MPI_Send(big_out.data(), kBig, MPI_CHAR, 2, 11, MPI_COMM_WORLD);
+  } else if (rank == 2) {
+    MPI_Probe(MPI_ANY_SOURCE, 11, MPI_COMM_WORLD, &status);
+    EXPECT_EQ(status.MPI_SOURCE, 1);
+    MPI_Recv(big_in.data(), kBig, MPI_CHAR, status.MPI_SOURCE, 11, MPI_COMM_WORLD,
+             MPI_STATUS_IGNORE);
+  } else {
+    int flag = 0;
+    while (flag == 0) MPI_Iprobe(0, 10, MPI_COMM_WORLD, &flag, &status);
+    MPI_Recv(&got, 1, MPI_INT, 0, 10, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+  }
+
+  // Persistent requests around the ring: two MPI_Startall rounds, then one
+  // MPI_Start of each, then freed.
+  MPI_Request persist[2];
+  MPI_Recv_init(&got, 1, MPI_INT, left, 12, MPI_COMM_WORLD, &persist[0]);
+  MPI_Send_init(&mine, 1, MPI_INT, right, 12, MPI_COMM_WORLD, &persist[1]);
+  for (int round = 0; round < 2; ++round) {
+    MPI_Startall(2, persist);
+    MPI_Waitall(2, persist, MPI_STATUSES_IGNORE);
+  }
+  MPI_Start(&persist[0]);
+  MPI_Start(&persist[1]);
+  MPI_Wait(&persist[1], MPI_STATUS_IGNORE);
+  MPI_Wait(&persist[0], MPI_STATUS_IGNORE);
+  MPI_Request_free(&persist[0]);
+  MPI_Request_free(&persist[1]);
+
+  // MPI_Request_free of a rendezvous send still in flight.
+  if (rank == 0) {
+    MPI_Request r;
+    MPI_Isend(big_out.data(), kBig, MPI_CHAR, 1, 13, MPI_COMM_WORLD, &r);
+    MPI_Request_free(&r);
+  } else if (rank == 1) {
+    smpi_sleep(1e-3);
+    MPI_Recv(big_in.data(), kBig, MPI_CHAR, 0, 13, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+    EXPECT_EQ(big_in[0], 'a');
+  }
+  MPI_Barrier(MPI_COMM_WORLD);
+}
+
+}  // namespace
+
+TEST(KernelGolden, RequestFamilyUnderCapture) {
+  EXPECT_EQ(run_captured(4, request_family_body),
+            "0.014332680000000004"
+            " comm=0.0067325800000000019,0.0064324800000000026,0.011532580000000002,"
+            "0.0060325800000000018,"
+            " p2p=324,35,54,0,0,0"
+            " ti=fcb0c2d882f482f0,1ad8ecd5d27a58be,42fe4f83cc174589,3dcde644fa5485c3,");
 }
