@@ -202,7 +202,6 @@ class Request {
   bool active = false;       // between Start and completion
   bool released = false;     // user freed the handle
   bool recycled = false;     // parked on the owner's free list
-  bool ever_started = false;
 
   // Parameters (retained for persistent restart).
   const void* send_buf = nullptr;
@@ -551,12 +550,6 @@ void post_send(Request& request);
 void post_recv(Request& request);
 // Wait for a single request's token from the calling rank.
 int wait_request(Request*& request, MPI_Status* status);
-void fill_status(const Request& request, MPI_Status* status);
-// Charges the blocked interval [block_start, now] to `proc`'s blocked_s and,
-// when a span collector is attached, records it on the rank's span stream,
-// classified late-sender / late-receiver / early-arrival from the request's
-// kind and scope (p2p.cpp; shared between wait_request and the waitany path).
-void record_blocked_wait(Process& proc, const Request& request, double block_start);
 
 // Collective building blocks shared with coll.cpp. `coll` selects the shadow
 // matching scope used by collective algorithms.

@@ -33,10 +33,18 @@ int scope_key(const Comm* comm, bool coll_scope) {
   return coll_scope ? -(comm->id() + 1) : comm->id();
 }
 
-bool matches(const Envelope& env, const Request& recv) {
-  if (recv.peer != MPI_ANY_SOURCE && recv.peer != env.src_comm_rank) return false;
-  if (recv.tag != MPI_ANY_TAG && recv.tag != env.tag) return false;
-  return true;
+// Would a receive (or probe) of (source, tag) take this envelope?
+bool matches(const Envelope& env, int source, int tag) {
+  return (source == MPI_ANY_SOURCE || source == env.src_comm_rank) &&
+         (tag == MPI_ANY_TAG || tag == env.tag);
+}
+
+// The first unexpected envelope a receive of (source, tag) takes: arrival
+// order is what MPI's non-overtaking rule needs.
+std::vector<std::shared_ptr<Envelope>>::iterator first_match(MatchQueues& queues, int source,
+                                                            int tag) {
+  return std::find_if(queues.unexpected.begin(), queues.unexpected.end(),
+                      [&](const auto& env) { return matches(*env, source, tag); });
 }
 
 // Copy the message payload into the receive buffer, honoring datatypes and
@@ -204,7 +212,7 @@ void match(std::shared_ptr<Envelope> env, Request& recv) {
 void try_match_new_envelope(Process& receiver, std::shared_ptr<Envelope> env) {
   MatchQueues& queues = receiver.match_queues(env->comm_id);
   for (auto it = queues.posted_recvs.begin(); it != queues.posted_recvs.end(); ++it) {
-    if (matches(*env, **it)) {
+    if (matches(*env, (*it)->peer, (*it)->tag)) {
       Request* recv = *it;
       queues.posted_recvs.erase(it);
       match(std::move(env), *recv);
@@ -288,7 +296,6 @@ void post_send(Request& request) {
   request.token = nullptr;
   request.status_error = MPI_SUCCESS;
   request.active = true;
-  request.ever_started = true;
 
   if (request.peer == MPI_PROC_NULL) return;
 
@@ -363,7 +370,6 @@ void post_recv(Request& request) {
   request.status_error = MPI_SUCCESS;
   request.status_bytes = 0;
   request.active = true;
-  request.ever_started = true;
 
   if (request.peer == MPI_PROC_NULL) {
     request.token = nullptr;  // null token == already complete
@@ -389,32 +395,37 @@ void post_recv(Request& request) {
 
   Process& receiver = *request.owner;
   MatchQueues& queues = receiver.match_queues(scope_key(request.comm, request.coll_scope));
-  for (auto it = queues.unexpected.begin(); it != queues.unexpected.end(); ++it) {
-    if (matches(**it, request)) {
-      auto env = *it;
-      queues.unexpected.erase(it);
-      match(std::move(env), request);
-      return;
-    }
+  const auto it = first_match(queues, request.peer, request.tag);
+  if (it == queues.unexpected.end()) {
+    queues.posted_recvs.push_back(&request);
+    return;
   }
-  queues.posted_recvs.push_back(&request);
-}
-
-void fill_status(const Request& request, MPI_Status* status) {
-  if (status == MPI_STATUS_IGNORE) return;
-  status->MPI_SOURCE = request.status_source;
-  status->MPI_TAG = request.status_tag;
-  status->MPI_ERROR = request.status_error;
-  status->count_bytes = static_cast<long long>(request.status_bytes);
+  auto env = *it;
+  queues.unexpected.erase(it);
+  match(std::move(env), request);
 }
 
 namespace {
 
-// Post-completion bookkeeping shared by the wait/test family. Fills status,
-// deactivates (persistent) or releases (ordinary) the request, and nulls the
-// user handle for ordinary requests.
+// MPI's "empty" status: what completing a null or inactive request returns.
+void fill_empty_status(MPI_Status* status) {
+  if (status == MPI_STATUS_IGNORE) return;
+  status->MPI_SOURCE = MPI_ANY_SOURCE;
+  status->MPI_TAG = MPI_ANY_TAG;
+  status->MPI_ERROR = MPI_SUCCESS;
+  status->count_bytes = 0;
+}
+
+// Post-completion bookkeeping: fills the status, deactivates (persistent) or
+// releases (ordinary) the request, and nulls the user handle for ordinary
+// requests.
 int finalize_completed(Request*& request, MPI_Status* status) {
-  fill_status(*request, status);
+  if (status != MPI_STATUS_IGNORE) {
+    status->MPI_SOURCE = request->status_source;
+    status->MPI_TAG = request->status_tag;
+    status->MPI_ERROR = request->status_error;
+    status->count_bytes = static_cast<long long>(request->status_bytes);
+  }
   const int rc = request->status_error;
   request->active = false;
   if (!request->persistent) {
@@ -428,12 +439,15 @@ int finalize_completed(Request*& request, MPI_Status* status) {
   return rc;
 }
 
+// Started and not yet completed by a wait or test.
 bool is_pending(const MPI_Request& request) {
-  return request != MPI_REQUEST_NULL && request->ever_started && request->active;
+  return request != MPI_REQUEST_NULL && request->active;
 }
 
-}  // namespace
-
+// Charges the blocked interval [block_start, now] to `proc`'s blocked_s and,
+// when a span collector is attached, records it on the rank's span stream,
+// classified late-sender / late-receiver / early-arrival from the request's
+// kind and scope.
 void record_blocked_wait(Process& proc, const Request& request, double block_start) {
   const double t1 = proc.world->engine().now();
   proc.blocked_s += t1 - block_start;
@@ -455,15 +469,31 @@ void record_blocked_wait(Process& proc, const Request& request, double block_sta
                     request.obs_peer_ready, request.obs_peer_world, bytes, cls);
 }
 
+// A fresh request of the calling rank for one send or receive of `count`
+// elements; `buf` is the send source or the receive destination.
+Request* new_p2p_request(Request::Kind kind, const void* buf, int count, Datatype* type,
+                         int peer, int tag, Comm* comm, bool coll) {
+  Request* req = current_process_checked().new_request();
+  req->kind = kind;
+  req->coll_scope = coll;
+  if (kind == Request::Kind::kSend) {
+    req->send_buf = buf;
+  } else {
+    req->recv_buf = const_cast<void*>(buf);
+  }
+  req->count = count;
+  req->datatype = type;
+  req->peer = peer;
+  req->tag = tag;
+  req->comm = comm;
+  return req;
+}
+
+}  // namespace
+
 int wait_request(Request*& request, MPI_Status* status) {
-  if (request == MPI_REQUEST_NULL || !request->ever_started || !request->active) {
-    // MPI: waiting on an inactive/null request returns an "empty" status.
-    if (status != MPI_STATUS_IGNORE) {
-      status->MPI_SOURCE = MPI_ANY_SOURCE;
-      status->MPI_TAG = MPI_ANY_TAG;
-      status->MPI_ERROR = MPI_SUCCESS;
-      status->count_bytes = 0;
-    }
+  if (!is_pending(request)) {
+    fill_empty_status(status);
     return MPI_SUCCESS;
   }
   if (request->token != nullptr) {
@@ -495,16 +525,7 @@ int wait_request(Request*& request, MPI_Status* status) {
 
 int internal_isend(const void* buf, int count, Datatype* type, int dest, int tag, Comm* comm,
                    Request** out, bool coll) {
-  Process& proc = current_process_checked();
-  Request* req = proc.new_request();
-  req->kind = Request::Kind::kSend;
-  req->coll_scope = coll;
-  req->send_buf = buf;
-  req->count = count;
-  req->datatype = type;
-  req->peer = dest;
-  req->tag = tag;
-  req->comm = comm;
+  Request* req = new_p2p_request(Request::Kind::kSend, buf, count, type, dest, tag, comm, coll);
   post_send(*req);
   *out = req;
   return MPI_SUCCESS;
@@ -512,16 +533,7 @@ int internal_isend(const void* buf, int count, Datatype* type, int dest, int tag
 
 int internal_irecv(void* buf, int count, Datatype* type, int src, int tag, Comm* comm,
                    Request** out, bool coll) {
-  Process& proc = current_process_checked();
-  Request* req = proc.new_request();
-  req->kind = Request::Kind::kRecv;
-  req->coll_scope = coll;
-  req->recv_buf = buf;
-  req->count = count;
-  req->datatype = type;
-  req->peer = src;
-  req->tag = tag;
-  req->comm = comm;
+  Request* req = new_p2p_request(Request::Kind::kRecv, buf, count, type, src, tag, comm, coll);
   post_recv(*req);
   *out = req;
   return MPI_SUCCESS;
@@ -805,42 +817,39 @@ int MPI_Sendrecv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, int 
 // Persistent requests
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// MPI_Send_init / MPI_Recv_init: an inactive persistent request, activated
+// by MPI_Start.
+int init_persistent(Request::Kind kind, const void* buf, int count, MPI_Datatype datatype,
+                    int peer, int tag, MPI_Comm comm, MPI_Request* request) {
+  if (request == nullptr) return MPI_ERR_REQUEST;
+  const int rc =
+      check_p2p_args(buf, count, datatype, peer, tag, comm, kind == Request::Kind::kRecv);
+  if (rc != MPI_SUCCESS) return rc;
+  *request = new_p2p_request(kind, buf, count, datatype, peer, tag, comm, false);
+  (*request)->persistent = true;
+  return MPI_SUCCESS;
+}
+
+// The rule for every call that takes a request array: MPI_ERR_COUNT for a
+// negative count, MPI_ERR_REQUEST for a missing array.
+int check_requests(int count, const MPI_Request requests[]) {
+  if (count < 0) return MPI_ERR_COUNT;
+  if (count > 0 && requests == nullptr) return MPI_ERR_REQUEST;
+  return MPI_SUCCESS;
+}
+
+}  // namespace
+
 int MPI_Send_init(const void* buf, int count, MPI_Datatype datatype, int dest, int tag,
                   MPI_Comm comm, MPI_Request* request) {
-  if (request == nullptr) return MPI_ERR_REQUEST;
-  const int rc = check_p2p_args(buf, count, datatype, dest, tag, comm, false);
-  if (rc != MPI_SUCCESS) return rc;
-  Process& proc = current_process_checked();
-  Request* req = proc.new_request();
-  req->kind = Request::Kind::kSend;
-  req->persistent = true;
-  req->send_buf = buf;
-  req->count = count;
-  req->datatype = datatype;
-  req->peer = dest;
-  req->tag = tag;
-  req->comm = comm;
-  *request = req;
-  return MPI_SUCCESS;
+  return init_persistent(Request::Kind::kSend, buf, count, datatype, dest, tag, comm, request);
 }
 
 int MPI_Recv_init(void* buf, int count, MPI_Datatype datatype, int source, int tag, MPI_Comm comm,
                   MPI_Request* request) {
-  if (request == nullptr) return MPI_ERR_REQUEST;
-  const int rc = check_p2p_args(buf, count, datatype, source, tag, comm, true);
-  if (rc != MPI_SUCCESS) return rc;
-  Process& proc = current_process_checked();
-  Request* req = proc.new_request();
-  req->kind = Request::Kind::kRecv;
-  req->persistent = true;
-  req->recv_buf = buf;
-  req->count = count;
-  req->datatype = datatype;
-  req->peer = source;
-  req->tag = tag;
-  req->comm = comm;
-  *request = req;
-  return MPI_SUCCESS;
+  return init_persistent(Request::Kind::kRecv, buf, count, datatype, source, tag, comm, request);
 }
 
 int MPI_Start(MPI_Request* request) {
@@ -862,13 +871,9 @@ int MPI_Start(MPI_Request* request) {
 }
 
 int MPI_Startall(int count, MPI_Request requests[]) {
-  if (count < 0) return MPI_ERR_COUNT;
-  if (count > 0 && requests == nullptr) return MPI_ERR_REQUEST;
-  for (int i = 0; i < count; ++i) {
-    const int rc = MPI_Start(&requests[i]);
-    if (rc != MPI_SUCCESS) return rc;
-  }
-  return MPI_SUCCESS;
+  int rc = check_requests(count, requests);
+  for (int i = 0; rc == MPI_SUCCESS && i < count; ++i) rc = MPI_Start(&requests[i]);
+  return rc;
 }
 
 int MPI_Request_free(MPI_Request* request) {
@@ -895,41 +900,47 @@ int MPI_Request_free(MPI_Request* request) {
 
 // ---------------------------------------------------------------------------
 // Wait / Test families
+//
+// One completion path: a call finds the first completed pending request
+// (first_completed), blocks until one completes (wait_any) or charges a
+// failed poll (fail_test), and completes a request through
+// complete_recorded, which is wait_request plus the call's TI wait record.
+// MPI_Waitall and MPI_Testall's all-done branch share emit_waitall and
+// complete_all.
 // ---------------------------------------------------------------------------
 
-int MPI_Wait(MPI_Request* request, MPI_Status* status) {
-  if (request == nullptr) return MPI_ERR_REQUEST;
-  smpi::trace::ApiScope scope("wait");
-  const long long id = scope.recording() ? scope.lookup_request(*request, true) : -1;
-  const int rc = wait_request(*request, status);
-  emit_wait(scope, id);
-  return rc;
+namespace {
+
+// Pending and not yet complete: what a wait blocks on and a poll watches.
+bool in_flight(const MPI_Request& request) {
+  return is_pending(request) && !request->completed();
 }
 
-namespace {
-int waitany_impl(int count, MPI_Request requests[], int* index, MPI_Status* status) {
-  if (count < 0) return MPI_ERR_COUNT;
-  if (index == nullptr) return MPI_ERR_ARG;
-  *index = MPI_UNDEFINED;
-  if (count == 0 || requests == nullptr) return MPI_SUCCESS;
+bool any_in_flight(int count, const MPI_Request requests[]) {
+  return std::any_of(requests, requests + count, in_flight);
+}
 
-  bool any_pending = false;
-  for (int i = 0; i < count; ++i) {
-    if (!is_pending(requests[i])) continue;
-    any_pending = true;
-    if (requests[i]->completed()) {
-      *index = i;
-      return wait_request(requests[i], status);
-    }
+// Index of the first pending request at or after `from` that has completed;
+// MPI_UNDEFINED when there is none.
+int first_completed(int count, const MPI_Request requests[], int from = 0) {
+  for (int i = from; i < count; ++i) {
+    if (is_pending(requests[i]) && requests[i]->completed()) return i;
   }
-  if (!any_pending) return MPI_SUCCESS;  // all null/inactive: empty status
+  return MPI_UNDEFINED;
+}
 
+// The first completed pending request, blocking until one completes when
+// none has yet; MPI_UNDEFINED when no request is pending. The blocked time
+// is charged to the request that ended the block.
+int wait_any(int count, MPI_Request requests[]) {
+  const int done = first_completed(count, requests);
+  if (done != MPI_UNDEFINED || !any_in_flight(count, requests)) return done;
   // Block on a fresh merged token finished by whichever request completes
   // first. Late finishes on the same token are harmless (finish is
   // idempotent).
   auto merged = sim::new_activity("waitany");
   for (int i = 0; i < count; ++i) {
-    if (is_pending(requests[i])) {
+    if (in_flight(requests[i])) {
       requests[i]->token->on_completion(
           [merged](sim::Activity&) { merged->finish(sim::Activity::State::kDone); });
     }
@@ -940,110 +951,110 @@ int waitany_impl(int count, MPI_Request requests[], int* index, MPI_Status* stat
     BlockedOpGuard guard(proc, "waitany");
     merged->wait();
   }
-  for (int i = 0; i < count; ++i) {
-    if (is_pending(requests[i]) && requests[i]->completed()) {
-      *index = i;
-      // Attribute the blocked time to the request that unblocked us; the
-      // follow-up wait_request below records nothing (zero-length wait).
-      record_blocked_wait(proc, *requests[i], block_start);
-      return wait_request(requests[i], status);
-    }
-  }
-  SMPI_UNREACHABLE("waitany woke with no completed request");
+  const int woke = first_completed(count, requests);
+  SMPI_ENSURE(woke != MPI_UNDEFINED, "waitany woke with no completed request");
+  // The wait_request that completes it records nothing (zero-length wait).
+  record_blocked_wait(proc, *requests[woke], block_start);
+  return woke;
 }
-}  // namespace
 
-int MPI_Waitany(int count, MPI_Request requests[], int* index, MPI_Status* status) {
-  smpi::trace::ApiScope scope("waitany");
-  // The chosen request is only known post-hoc, and wait_request nulls its
-  // slot — snapshot the handles so the capture id can still be resolved.
-  std::vector<const Request*> snapshot;
-  if (scope.recording() && count > 0 && requests != nullptr) {
-    snapshot.assign(requests, requests + count);
+// Completes `request`, blocking until it finishes, and records the wait
+// that consumed it. The capture id is looked up first: wait_request
+// recycles an ordinary request and nulls its handle.
+int complete_recorded(smpi::trace::ApiScope& scope, MPI_Request& request, MPI_Status* status) {
+  const long long id = scope.lookup_request(request, true);
+  const int rc = wait_request(request, status);
+  emit_wait(scope, id);
+  return rc;
+}
+
+MPI_Status* status_at(MPI_Status statuses[], int i) {
+  return statuses == MPI_STATUSES_IGNORE ? MPI_STATUS_IGNORE : &statuses[i];
+}
+
+// One waitall record naming every captured request the call completes.
+void emit_waitall(smpi::trace::ApiScope& scope, int count, const MPI_Request requests[]) {
+  if (!scope.recording()) return;
+  smpi::trace::TiRecord r;
+  r.op = smpi::trace::TiOp::kWaitall;
+  for (int i = 0; i < count; ++i) {
+    const long long id = scope.lookup_request(requests[i], true);
+    if (id >= 0) r.reqs.push_back(id);
   }
-  const int rc = waitany_impl(count, requests, index, status);
-  if (!snapshot.empty() && rc == MPI_SUCCESS && index != nullptr && *index != MPI_UNDEFINED) {
-    emit_wait(scope, scope.lookup_request(snapshot[static_cast<std::size_t>(*index)], true));
+  scope.emit(r);
+}
+
+// Completes every request in order; MPI_ERR_IN_STATUS when any failed.
+int complete_all(int count, MPI_Request requests[], MPI_Status statuses[]) {
+  int rc = MPI_SUCCESS;
+  for (int i = 0; i < count; ++i) {
+    if (wait_request(requests[i], status_at(statuses, i)) != MPI_SUCCESS) rc = MPI_ERR_IN_STATUS;
   }
   return rc;
+}
+
+// A test that found nothing to complete: let simulated time advance (a pure
+// yield would starve the clock when the poller is the only runnable
+// process), woken by any of the requests still in flight.
+int fail_test(smpi::trace::ApiScope& scope, int count, const MPI_Request requests[]) {
+  charge_unsuccessful_poll([count, requests] {
+    std::vector<sim::ActivityPtr> tokens;
+    for (int i = 0; i < count; ++i) {
+      if (in_flight(requests[i])) tokens.push_back(requests[i]->token);
+    }
+    return tokens;
+  });
+  emit_poll_sleep(scope);
+  return MPI_SUCCESS;
+}
+
+}  // namespace
+
+int MPI_Wait(MPI_Request* request, MPI_Status* status) {
+  if (request == nullptr) return MPI_ERR_REQUEST;
+  smpi::trace::ApiScope scope("wait");
+  return complete_recorded(scope, *request, status);
+}
+
+int MPI_Waitany(int count, MPI_Request requests[], int* index, MPI_Status* status) {
+  const int rc = check_requests(count, requests);
+  if (rc != MPI_SUCCESS) return rc;
+  if (index == nullptr) return MPI_ERR_ARG;
+  smpi::trace::ApiScope scope("waitany");
+  *index = wait_any(count, requests);
+  if (*index != MPI_UNDEFINED) return complete_recorded(scope, requests[*index], status);
+  fill_empty_status(status);
+  return MPI_SUCCESS;
 }
 
 int MPI_Waitall(int count, MPI_Request requests[], MPI_Status statuses[]) {
-  if (count < 0) return MPI_ERR_COUNT;
-  if (count > 0 && requests == nullptr) return MPI_ERR_REQUEST;
-  smpi::trace::ApiScope scope("waitall");
-  if (scope.recording()) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kWaitall;
-    for (int i = 0; i < count; ++i) {
-      const long long id = scope.lookup_request(requests[i], true);
-      if (id >= 0) r.reqs.push_back(id);
-    }
-    scope.emit(r);
-  }
-  int rc = MPI_SUCCESS;
-  for (int i = 0; i < count; ++i) {
-    MPI_Status* status = statuses == MPI_STATUSES_IGNORE ? MPI_STATUS_IGNORE : &statuses[i];
-    const int one = wait_request(requests[i], status);
-    if (one != MPI_SUCCESS) rc = MPI_ERR_IN_STATUS;
-  }
-  return rc;
-}
-
-namespace {
-int waitsome_impl(int incount, MPI_Request requests[], int* outcount, int indices[],
-                  MPI_Status statuses[]) {
-  if (incount < 0) return MPI_ERR_COUNT;
-  if (outcount == nullptr || (incount > 0 && (requests == nullptr || indices == nullptr))) {
-    return MPI_ERR_ARG;
-  }
-  *outcount = 0;
-  bool any_pending = false;
-  for (int i = 0; i < incount; ++i) {
-    if (is_pending(requests[i])) any_pending = true;
-  }
-  if (!any_pending) {
-    *outcount = MPI_UNDEFINED;
-    return MPI_SUCCESS;
-  }
-  // Wait until at least one completes.
-  int first = MPI_UNDEFINED;
-  const int rc = MPI_Waitany(incount, requests, &first, MPI_STATUS_IGNORE);
+  const int rc = check_requests(count, requests);
   if (rc != MPI_SUCCESS) return rc;
-  if (first == MPI_UNDEFINED) {
-    *outcount = MPI_UNDEFINED;
-    return MPI_SUCCESS;
-  }
-  indices[(*outcount)++] = first;
-  // Collect everything else that is already done.
-  for (int i = 0; i < incount; ++i) {
-    if (i == first) continue;
-    if (is_pending(requests[i]) && requests[i]->completed()) {
-      MPI_Status* status =
-          statuses == MPI_STATUSES_IGNORE ? MPI_STATUS_IGNORE : &statuses[*outcount];
-      wait_request(requests[i], status);
-      indices[(*outcount)++] = i;
-    }
-  }
-  return MPI_SUCCESS;
+  smpi::trace::ApiScope scope("waitall");
+  emit_waitall(scope, count, requests);
+  return complete_all(count, requests, statuses);
 }
-}  // namespace
 
 int MPI_Waitsome(int incount, MPI_Request requests[], int* outcount, int indices[],
                  MPI_Status statuses[]) {
+  int rc = check_requests(incount, requests);
+  if (rc != MPI_SUCCESS) return rc;
+  if (outcount == nullptr || (incount > 0 && indices == nullptr)) return MPI_ERR_ARG;
   smpi::trace::ApiScope scope("waitsome");
-  std::vector<const Request*> snapshot;
-  if (scope.recording() && incount > 0 && requests != nullptr) {
-    snapshot.assign(requests, requests + incount);
+  int done = wait_any(incount, requests);
+  if (done == MPI_UNDEFINED) {
+    *outcount = MPI_UNDEFINED;
+    return MPI_SUCCESS;
   }
-  const int rc = waitsome_impl(incount, requests, outcount, indices, statuses);
-  if (!snapshot.empty() && rc == MPI_SUCCESS && *outcount != MPI_UNDEFINED) {
-    // One wait record per returned index: the first blocks until its date,
-    // the rest were already complete and replay as zero-time waits.
-    for (int k = 0; k < *outcount; ++k) {
-      emit_wait(scope,
-                scope.lookup_request(snapshot[static_cast<std::size_t>(indices[k])], true));
+  // One wait record per returned index: the first blocks until its date,
+  // the rest were already complete and replay as zero-time waits.
+  for (*outcount = 0; done != MPI_UNDEFINED;
+       done = first_completed(incount, requests, done + 1)) {
+    if (complete_recorded(scope, requests[done], status_at(statuses, *outcount)) !=
+        MPI_SUCCESS) {
+      rc = MPI_ERR_IN_STATUS;
     }
+    indices[(*outcount)++] = done;
   }
   return rc;
 }
@@ -1051,103 +1062,33 @@ int MPI_Waitsome(int incount, MPI_Request requests[], int* outcount, int indices
 int MPI_Test(MPI_Request* request, int* flag, MPI_Status* status) {
   if (request == nullptr || flag == nullptr) return MPI_ERR_ARG;
   smpi::trace::ApiScope scope("test");
-  if (*request == MPI_REQUEST_NULL || !(*request)->ever_started || !(*request)->active) {
-    *flag = 1;
-    return wait_request(*request, status);  // empty status path
-  }
-  if ((*request)->completed()) {
-    *flag = 1;
-    const long long id = scope.recording() ? scope.lookup_request(*request, true) : -1;
-    const int rc = wait_request(*request, status);
-    emit_wait(scope, id);
-    return rc;
-  }
-  *flag = 0;
-  // Let simulated time advance between polls; a pure yield would starve the
-  // clock when the poller is the only runnable process.
-  MPI_Request req = *request;
-  charge_unsuccessful_poll([req] { return std::vector<sim::ActivityPtr>{req->token}; });
-  emit_poll_sleep(scope);
-  return MPI_SUCCESS;
+  *flag = in_flight(*request) ? 0 : 1;
+  if (*flag != 0) return complete_recorded(scope, *request, status);
+  return fail_test(scope, 1, request);
 }
 
 int MPI_Testany(int count, MPI_Request requests[], int* index, int* flag, MPI_Status* status) {
-  if (count < 0) return MPI_ERR_COUNT;
+  const int rc = check_requests(count, requests);
+  if (rc != MPI_SUCCESS) return rc;
   if (index == nullptr || flag == nullptr) return MPI_ERR_ARG;
   smpi::trace::ApiScope scope("testany");
-  *index = MPI_UNDEFINED;
-  *flag = 0;
-  bool any_pending = false;
-  for (int i = 0; i < count; ++i) {
-    if (!is_pending(requests[i])) continue;
-    any_pending = true;
-    if (requests[i]->completed()) {
-      *index = i;
-      *flag = 1;
-      const long long id = scope.recording() ? scope.lookup_request(requests[i], true) : -1;
-      const int rc = wait_request(requests[i], status);
-      emit_wait(scope, id);
-      return rc;
-    }
-  }
-  if (!any_pending) {
-    *flag = 1;  // all inactive: returns flag=true with empty status
-    if (status != MPI_STATUS_IGNORE) {
-      status->MPI_SOURCE = MPI_ANY_SOURCE;
-      status->MPI_TAG = MPI_ANY_TAG;
-      status->MPI_ERROR = MPI_SUCCESS;
-      status->count_bytes = 0;
-    }
-    return MPI_SUCCESS;
-  }
-  charge_unsuccessful_poll([requests, count] {
-    std::vector<sim::ActivityPtr> pending;
-    for (int i = 0; i < count; ++i) {
-      if (is_pending(requests[i])) pending.push_back(requests[i]->token);
-    }
-    return pending;
-  });
-  emit_poll_sleep(scope);
+  *index = first_completed(count, requests);
+  *flag = *index != MPI_UNDEFINED || !any_in_flight(count, requests) ? 1 : 0;
+  if (*index != MPI_UNDEFINED) return complete_recorded(scope, requests[*index], status);
+  if (*flag == 0) return fail_test(scope, count, requests);
+  fill_empty_status(status);
   return MPI_SUCCESS;
 }
 
 int MPI_Testall(int count, MPI_Request requests[], int* flag, MPI_Status statuses[]) {
-  if (count < 0) return MPI_ERR_COUNT;
+  const int rc = check_requests(count, requests);
+  if (rc != MPI_SUCCESS) return rc;
   if (flag == nullptr) return MPI_ERR_ARG;
   smpi::trace::ApiScope scope("testall");
-  bool any_incomplete = false;
-  for (int i = 0; i < count; ++i) {
-    if (is_pending(requests[i]) && !requests[i]->completed()) {
-      any_incomplete = true;
-      break;
-    }
-  }
-  if (any_incomplete) {
-    *flag = 0;
-    // Any completion is progress worth re-polling for.
-    charge_unsuccessful_poll([requests, count] {
-      std::vector<sim::ActivityPtr> incomplete;
-      for (int i = 0; i < count; ++i) {
-        if (is_pending(requests[i]) && !requests[i]->completed()) {
-          incomplete.push_back(requests[i]->token);
-        }
-      }
-      return incomplete;
-    });
-    emit_poll_sleep(scope);
-    return MPI_SUCCESS;
-  }
-  *flag = 1;
-  if (scope.recording()) {
-    smpi::trace::TiRecord r;
-    r.op = smpi::trace::TiOp::kWaitall;
-    for (int i = 0; i < count; ++i) {
-      const long long id = scope.lookup_request(requests[i], true);
-      if (id >= 0) r.reqs.push_back(id);
-    }
-    scope.emit(r);
-  }
-  return MPI_Waitall(count, requests, statuses);
+  *flag = any_in_flight(count, requests) ? 0 : 1;
+  if (*flag == 0) return fail_test(scope, count, requests);
+  emit_waitall(scope, count, requests);
+  return complete_all(count, requests, statuses);
 }
 
 // ---------------------------------------------------------------------------
@@ -1155,17 +1096,6 @@ int MPI_Testall(int count, MPI_Request requests[], int* flag, MPI_Status statuse
 // ---------------------------------------------------------------------------
 
 namespace {
-
-smpi::core::Envelope* find_probe_match(Process& proc, int source, int tag, MPI_Comm comm) {
-  auto it = proc.matching.find(comm->id());
-  if (it == proc.matching.end()) return nullptr;
-  for (auto& env : it->second.unexpected) {
-    const bool src_ok = source == MPI_ANY_SOURCE || env->src_comm_rank == source;
-    const bool tag_ok = tag == MPI_ANY_TAG || env->tag == tag;
-    if (src_ok && tag_ok) return env.get();
-  }
-  return nullptr;
-}
 
 void fill_probe_status(const Envelope& env, MPI_Status* status) {
   if (status == MPI_STATUS_IGNORE) return;
@@ -1184,10 +1114,11 @@ int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status
   if (!valid_tag(tag, true)) return MPI_ERR_TAG;
   smpi::trace::ApiScope scope("iprobe");
   Process& proc = current_process_checked();
-  Envelope* env = find_probe_match(proc, source, tag, comm);
-  if (env != nullptr) {
+  MatchQueues& queues = proc.match_queues(comm->id());
+  const auto found = first_match(queues, source, tag);
+  if (found != queues.unexpected.end()) {
     *flag = 1;
-    fill_probe_status(*env, status);
+    fill_probe_status(**found, status);
     // Successful probes consume neither time nor messages: nothing to replay.
   } else {
     *flag = 0;
@@ -1216,20 +1147,22 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
     scope.emit(r);
   }
   Process& proc = current_process_checked();
+  MatchQueues& queues = proc.match_queues(comm->id());
   const double block_start = proc.world->engine().now();
   while (true) {
-    Envelope* env = find_probe_match(proc, source, tag, comm);
-    if (env != nullptr) {
+    const auto found = first_match(queues, source, tag);
+    if (found != queues.unexpected.end()) {
+      const Envelope& env = **found;
       const double now = proc.world->engine().now();
       proc.blocked_s += now - block_start;
       smpi::obs::SpanCollector* spans = proc.world->observers().spans;
       if (spans != nullptr && now > block_start) {
         // Pure wait-for-arrival: no transfer happens inside a probe.
         spans->on_blocked(proc.world_rank, block_start, now, /*flow_start=*/now,
-                          env->obs_post_date, env->src_world_rank, env->bytes,
+                          env.obs_post_date, env.src_world_rank, env.bytes,
                           smpi::obs::WaitClass::kLateSender);
       }
-      fill_probe_status(*env, status);
+      fill_probe_status(env, status);
       return MPI_SUCCESS;
     }
     if (proc.arrival_signal == nullptr) {

@@ -4,10 +4,10 @@
 // The writers are the world's observers (core::Observers, passed to the
 // SmpiWorld constructor); each scope reads them from the running world. The
 // MPI entry points open an ApiScope; only the *outermost* scope on a rank
-// records — the collectives, MPI_Finalize, MPI_Waitsome, ... are
-// implemented on top of other MPI calls, and those inner calls must not be
-// captured (the replay re-issues the outer operation through the very same
-// implementation). MPI_Startall and the communicator-management calls
+// records — the collectives, MPI_Finalize, ... are implemented on top of
+// other MPI calls, and those inner calls must not be captured (the replay
+// re-issues the outer operation through the very same implementation).
+// MPI_Startall and the communicator-management calls
 // deliberately open no scope: each inner MPI_Start records its own
 // activation, and MPI_Comm_dup/split/free's internal world-comm
 // allgather/barrier record as the plain collectives they are (on a

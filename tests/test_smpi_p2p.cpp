@@ -198,6 +198,43 @@ TEST(SmpiP2P, WaitsomeCollectsCompleted) {
   });
 }
 
+// Every returned index gets its status, the one that ended the block too.
+TEST(SmpiP2P, WaitsomeFillsEveryStatus) {
+  run_mpi(4, [] {
+    const int rank = my_rank();
+    if (rank == 0) {
+      int vals[3] = {-1, -1, -1};
+      MPI_Request reqs[3];
+      for (int peer = 1; peer <= 3; ++peer) {
+        MPI_Irecv(&vals[peer - 1], 1, MPI_INT, peer, 10 + peer, MPI_COMM_WORLD, &reqs[peer - 1]);
+      }
+      smpi_sleep(0.01);  // ranks 2 and 3 have arrived, rank 1 has not
+      int total = 0;
+      for (int call = 0; call < 2; ++call) {
+        int outcount = 0;
+        int indices[3];
+        MPI_Status statuses[3];
+        std::memset(statuses, 0x5a, sizeof statuses);
+        EXPECT_EQ(MPI_Waitsome(3, reqs, &outcount, indices, statuses), MPI_SUCCESS);
+        EXPECT_EQ(outcount, call == 0 ? 2 : 1);
+        for (int k = 0; k < outcount; ++k) {
+          const int peer = indices[k] + 1;
+          EXPECT_EQ(statuses[k].MPI_SOURCE, peer) << "call " << call << " slot " << k;
+          EXPECT_EQ(statuses[k].MPI_TAG, 10 + peer) << "call " << call << " slot " << k;
+          EXPECT_EQ(statuses[k].MPI_ERROR, MPI_SUCCESS);
+          EXPECT_EQ(vals[indices[k]], 100 * peer);
+        }
+        total += outcount;
+      }
+      EXPECT_EQ(total, 3);
+    } else {
+      if (rank == 1) smpi_sleep(0.05);
+      const int v = 100 * rank;
+      MPI_Send(&v, 1, MPI_INT, 0, 10 + rank, MPI_COMM_WORLD);
+    }
+  });
+}
+
 TEST(SmpiP2P, TestPollsWithoutBlocking) {
   run_mpi(2, [] {
     if (my_rank() == 0) {
@@ -347,6 +384,7 @@ TEST(SmpiP2P, TruncationReportsError) {
     if (my_rank() == 0) {
       std::vector<int> data(100, 3);
       MPI_Send(data.data(), 100, MPI_INT, 1, 0, MPI_COMM_WORLD);
+      MPI_Send(data.data(), 100, MPI_INT, 1, 1, MPI_COMM_WORLD);
     } else if (my_rank() == 1) {
       std::vector<int> data(10, -1);
       MPI_Status status;
@@ -356,6 +394,16 @@ TEST(SmpiP2P, TruncationReportsError) {
       int count = -1;
       MPI_Get_count(&status, MPI_INT, &count);
       EXPECT_EQ(count, 10);
+      // MPI_Waitsome returns a truncated request's index with its status.
+      MPI_Request req;
+      MPI_Irecv(data.data(), 10, MPI_INT, 0, 1, MPI_COMM_WORLD, &req);
+      int outcount = 0;
+      int index = -1;
+      EXPECT_EQ(MPI_Waitsome(1, &req, &outcount, &index, &status), MPI_ERR_IN_STATUS);
+      EXPECT_EQ(outcount, 1);
+      EXPECT_EQ(index, 0);
+      EXPECT_EQ(status.MPI_ERROR, MPI_ERR_TRUNCATE);
+      EXPECT_EQ(req, MPI_REQUEST_NULL);
     }
   });
 }
@@ -465,6 +513,24 @@ TEST(SmpiP2P, ArgumentValidation) {
     EXPECT_EQ(MPI_Send(nullptr, 1, MPI_INT, 1, 0, MPI_COMM_WORLD), MPI_ERR_BUFFER);
     // ANY_SOURCE is a receive-side wildcard only.
     EXPECT_EQ(MPI_Send(&v, 1, MPI_INT, MPI_ANY_SOURCE, 0, MPI_COMM_WORLD), MPI_ERR_RANK);
+    // Every call that takes a request array rejects a negative count and a
+    // missing array.
+    int index = 0;
+    int flag = 0;
+    int outcount = 0;
+    EXPECT_EQ(MPI_Waitany(1, nullptr, &index, MPI_STATUS_IGNORE), MPI_ERR_REQUEST);
+    EXPECT_EQ(MPI_Testany(1, nullptr, &index, &flag, MPI_STATUS_IGNORE), MPI_ERR_REQUEST);
+    EXPECT_EQ(MPI_Testall(1, nullptr, &flag, MPI_STATUSES_IGNORE), MPI_ERR_REQUEST);
+    EXPECT_EQ(MPI_Waitall(1, nullptr, MPI_STATUSES_IGNORE), MPI_ERR_REQUEST);
+    EXPECT_EQ(MPI_Waitsome(1, nullptr, &outcount, &index, MPI_STATUSES_IGNORE), MPI_ERR_REQUEST);
+    EXPECT_EQ(MPI_Startall(1, nullptr), MPI_ERR_REQUEST);
+    MPI_Request none = MPI_REQUEST_NULL;
+    EXPECT_EQ(MPI_Waitany(-1, &none, &index, MPI_STATUS_IGNORE), MPI_ERR_COUNT);
+    EXPECT_EQ(MPI_Testany(-1, &none, &index, &flag, MPI_STATUS_IGNORE), MPI_ERR_COUNT);
+    EXPECT_EQ(MPI_Testall(-1, &none, &flag, MPI_STATUSES_IGNORE), MPI_ERR_COUNT);
+    EXPECT_EQ(MPI_Waitall(-1, &none, MPI_STATUSES_IGNORE), MPI_ERR_COUNT);
+    EXPECT_EQ(MPI_Waitsome(-1, &none, &outcount, &index, MPI_STATUSES_IGNORE), MPI_ERR_COUNT);
+    EXPECT_EQ(MPI_Startall(-1, &none), MPI_ERR_COUNT);
   });
 }
 
