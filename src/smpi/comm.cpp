@@ -44,19 +44,33 @@ Group* adopt_group(std::vector<int> world_ranks) {
   return proc.groups.back().get();
 }
 
-// Fetch-or-create the communicator for the current creation collective.
-// `build` is invoked by the first arriving rank only.
-Comm* creation_slot_fetch(Comm* parent, const std::function<Comm*()>& build) {
+Comm* adopt_comm(std::vector<int> world_ranks) {
+  Process& proc = current_process_checked();
+  proc.owned_comms.push_back(
+      std::make_unique<Comm>(proc.world->next_comm_id(), Group(std::move(world_ranks))));
+  return proc.owned_comms.back().get();
+}
+
+// Fetch-or-build the communicators of the current creation collective on
+// `parent`. `build` runs on the first arriving member only and returns one
+// communicator per color; each member takes the one of its `color`
+// (MPI_COMM_NULL for MPI_UNDEFINED), and the last one retires the slot.
+Comm* creation_slot_fetch(Comm* parent, int color,
+                          const std::function<std::map<int, Comm*>()>& build) {
   Process& proc = current_process_checked();
   const std::uint64_t epoch = parent->creation_epoch[proc.world_rank]++;
-  auto it = parent->creation_slots.find(epoch);
-  if (it == parent->creation_slots.end()) {
-    Comm* created = build();
-    it = parent->creation_slots.emplace(epoch, std::make_pair(created, 0)).first;
+  auto it = parent->pending_creations.find(epoch);
+  if (it == parent->pending_creations.end()) {
+    it = parent->pending_creations.emplace(epoch, std::make_pair(build(), 0)).first;
   }
-  it->second.second += 1;
-  Comm* result = it->second.first;
-  if (it->second.second == parent->size()) parent->creation_slots.erase(it);
+  auto& [comms, fetched] = it->second;
+  Comm* result = MPI_COMM_NULL;
+  if (color != MPI_UNDEFINED) {
+    auto found = comms.find(color);
+    SMPI_ENSURE(found != comms.end(), "creation slot missing this color");
+    result = found->second;
+  }
+  if (++fetched == parent->size()) parent->pending_creations.erase(it);
   return result;
 }
 
@@ -212,11 +226,8 @@ int MPI_Comm_group(MPI_Comm comm, MPI_Group* group) {
 
 int MPI_Comm_dup(MPI_Comm comm, MPI_Comm* newcomm) {
   if (!valid_comm(comm) || newcomm == nullptr) return MPI_ERR_COMM;
-  Process& proc = current_process_checked();
-  *newcomm = creation_slot_fetch(comm, [&] {
-    proc.owned_comms.push_back(std::make_unique<Comm>(proc.world->next_comm_id(),
-                                                      Group(comm->group().world_ranks())));
-    return proc.owned_comms.back().get();
+  *newcomm = creation_slot_fetch(comm, 0, [&] {
+    return std::map<int, Comm*>{{0, adopt_comm(comm->group().world_ranks())}};
   });
   return MPI_Barrier(comm);
 }
@@ -224,24 +235,20 @@ int MPI_Comm_dup(MPI_Comm comm, MPI_Comm* newcomm) {
 int MPI_Comm_create(MPI_Comm comm, MPI_Group group, MPI_Comm* newcomm) {
   if (!valid_comm(comm) || newcomm == nullptr) return MPI_ERR_COMM;
   if (group == MPI_GROUP_NULL) return MPI_ERR_GROUP;
-  Process& proc = current_process_checked();
-  Comm* created = creation_slot_fetch(comm, [&] {
-    proc.owned_comms.push_back(
-        std::make_unique<Comm>(proc.world->next_comm_id(), Group(group->world_ranks())));
-    return proc.owned_comms.back().get();
+  Comm* created = creation_slot_fetch(comm, 0, [&] {
+    return std::map<int, Comm*>{{0, adopt_comm(group->world_ranks())}};
   });
   const int rc = MPI_Barrier(comm);
-  *newcomm =
-      created->rank_of_world(proc.world_rank) == MPI_UNDEFINED ? MPI_COMM_NULL : created;
+  *newcomm = created->rank_of_world(current_process_checked().world_rank) == MPI_UNDEFINED
+                 ? MPI_COMM_NULL
+                 : created;
   return rc;
 }
 
 int MPI_Comm_split(MPI_Comm comm, int color, int key, MPI_Comm* newcomm) {
   if (!valid_comm(comm) || newcomm == nullptr) return MPI_ERR_COMM;
   if (color < 0 && color != MPI_UNDEFINED) return MPI_ERR_ARG;
-  Process& proc = current_process_checked();
   const int size = comm->size();
-  const int rank = comm->rank_of_world(proc.world_rank);
 
   // Everyone learns everyone's (color, key).
   std::vector<int> mine{color, key};
@@ -249,11 +256,9 @@ int MPI_Comm_split(MPI_Comm comm, int color, int key, MPI_Comm* newcomm) {
   const int rc = MPI_Allgather(mine.data(), 2, MPI_INT, all.data(), 2, MPI_INT, comm);
   if (rc != MPI_SUCCESS) return rc;
 
-  // Deterministic slot: the first arriving member builds one communicator
-  // per color; everyone fetches theirs.
-  const std::uint64_t epoch = comm->creation_epoch[proc.world_rank]++;
-  auto it = comm->split_slots.find(epoch);
-  if (it == comm->split_slots.end()) {
+  // The first arriving member builds one communicator per color; everyone
+  // fetches theirs.
+  *newcomm = creation_slot_fetch(comm, color, [&] {
     std::map<int, std::vector<std::pair<int, int>>> members;  // color -> [(key, old rank)]
     for (int r = 0; r < size; ++r) {
       const int c = all[static_cast<std::size_t>(2 * r)];
@@ -269,22 +274,10 @@ int MPI_Comm_split(MPI_Comm comm, int color, int key, MPI_Comm* newcomm) {
         (void)k;
         world_ranks.push_back(comm->world_rank(r));
       }
-      proc.owned_comms.push_back(
-          std::make_unique<Comm>(proc.world->next_comm_id(), Group(std::move(world_ranks))));
-      comms.emplace(c, proc.owned_comms.back().get());
+      comms.emplace(c, adopt_comm(std::move(world_ranks)));
     }
-    it = comm->split_slots.emplace(epoch, std::make_pair(std::move(comms), 0)).first;
-  }
-  it->second.second += 1;
-  Comm* result = MPI_COMM_NULL;
-  if (color != MPI_UNDEFINED) {
-    auto found = it->second.first.find(color);
-    SMPI_ENSURE(found != it->second.first.end(), "split slot missing this color");
-    result = found->second;
-  }
-  if (it->second.second == size) comm->split_slots.erase(it);
-  *newcomm = result;
-  (void)rank;
+    return comms;
+  });
   return MPI_Barrier(comm);
 }
 

@@ -145,10 +145,10 @@ class Comm {
 
   // Collective-creation support: deterministic slot shared by all members.
   // Each member arriving at the k-th communicator-creating collective on this
-  // comm agrees on k; the first to arrive builds the object.
-  std::unordered_map<std::uint64_t, std::pair<Comm*, int>> creation_slots;  // epoch -> (comm, fetch count)
-  // Comm_split slots: epoch -> (color -> comm, fetch count).
-  std::unordered_map<std::uint64_t, std::pair<std::map<int, Comm*>, int>> split_slots;
+  // comm agrees on k; the first to arrive builds the communicators, one per
+  // color (split builds one per color, dup and create one), and the last
+  // to fetch its own retires the slot. epoch -> (color -> comm, fetch count).
+  std::unordered_map<std::uint64_t, std::pair<std::map<int, Comm*>, int>> pending_creations;
   std::unordered_map<int, std::uint64_t> creation_epoch;  // per member world rank
 
  private:
