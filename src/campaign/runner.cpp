@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 
@@ -203,6 +205,9 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
 
   const auto sweep_start = std::chrono::steady_clock::now();
   const double timeout_s = options.timeout_s > 0 ? options.timeout_s : spec.timeout_s;
+  // A watchdog far beyond any run is no watchdog; the clamp keeps the
+  // deadline within the clock's range.
+  const double watchdog_s = std::min(timeout_s, 1e8);
   std::vector<Worker> pool(static_cast<std::size_t>(workers));
 
   auto spawn_worker = [&](Worker& worker) {
@@ -298,7 +303,7 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
     if (timeout_s > 0) {
       worker.deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(timeout_s));
+                            std::chrono::duration<double>(watchdog_s));
     }
   };
   for (Worker& worker : pool) dispatch(worker);
@@ -316,11 +321,13 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
     int poll_timeout_ms = -1;
     if (timeout_s > 0) {
       const auto now = std::chrono::steady_clock::now();
-      double wait_s = timeout_s;
+      double wait_s = watchdog_s;
       for (const Worker* worker : owners) {
         wait_s = std::min(wait_s, std::chrono::duration<double>(worker->deadline - now).count());
       }
-      poll_timeout_ms = std::max(0, static_cast<int>(wait_s * 1000.0) + 1);
+      // Whole milliseconds past the nearest deadline, within poll's int.
+      poll_timeout_ms = static_cast<int>(
+          std::clamp(std::trunc(wait_s * 1000.0) + 1, 0.0, static_cast<double>(INT_MAX)));
     }
     const int ready = ::poll(fds.data(), fds.size(), poll_timeout_ms);
     if (ready < 0 && errno == EINTR) continue;

@@ -122,7 +122,8 @@ CampaignSpec CampaignSpec::parse(const util::JsonValue& doc) {
   }
   if (const auto* timeout = doc.find("timeout_s")) {
     spec.timeout_s = timeout->as_number();
-    SMPI_REQUIRE(spec.timeout_s >= 0, "campaign spec: timeout_s must be >= 0");
+    SMPI_REQUIRE(std::isfinite(spec.timeout_s) && spec.timeout_s >= 0,
+                 "campaign spec: timeout_s must be a finite number >= 0");
   }
   if (const auto* analysis = doc.find("analysis")) {
     spec.analysis = analysis->as_bool();

@@ -1,12 +1,32 @@
-// Unit parsing and formatting: byte sizes ("64KiB"), rates ("1Gbps",
-// "125MBps"), durations ("50us"). Used by the platform XML parser and the
-// bench table printers.
+// Number and unit parsing and formatting: whole-token numbers, byte sizes
+// ("64KiB"), rates ("1Gbps", "125MBps"), durations ("50us"). Used by the
+// command-line tools, the platform XML parser and the bench table printers.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <system_error>
+
+#include "util/check.hpp"
 
 namespace smpi::util {
+
+// The whole of `text` as a number of type T (int, long long, double).
+// Throws ContractError "invalid value '<text>' for <what>" on anything else
+// (empty, trailing characters, out of range), where std::stoi/stod would
+// take the longest numeric prefix. "nan" and "inf" are doubles: a caller
+// that needs a finite value checks for one.
+template <typename T>
+T parse_number(const std::string& what, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw ContractError("invalid value '" + text + "' for " + what);
+  }
+  return value;
+}
 
 // "64KiB" -> 65536; accepts B, KiB, MiB, GiB, KB, MB, GB (decimal) and bare
 // numbers. Throws ContractError on malformed input.

@@ -181,3 +181,38 @@ TEST(CampaignHardening, FaultAxesRejectSpecsWithoutFaults) {
   EXPECT_NO_THROW(cp::materialize(spec, scenarios[0], 4));  // baseline: no override
   EXPECT_THROW(cp::materialize(spec, scenarios[1], 4), ContractError);
 }
+
+TEST(CampaignHardening, WatchdogFarBeyondAnyRunIsInRange) {
+  // A watchdog of ~116 days puts the poll timeout in milliseconds past an
+  // int; the runner clamps it instead of overflowing the conversion.
+  const auto spec = cp::CampaignSpec::parse(parse_json(R"({
+    "name": "long-watchdog",
+    "platform": {"kind": "flat"},
+    "workload": {"name": "w", "ranks": 4, "seed": 3, "pattern": "stencil2d",
+                 "iterations": 2, "bytes": 4096},
+    "axes": [{"param": "cpu_scale", "values": [1, 2]}],
+    "timeout_s": 1e7
+  })",
+                                                       "test spec"));
+  EXPECT_EQ(spec.timeout_s, 1e7);
+  const auto scenarios = cp::enumerate_scenarios(spec);
+  const auto trace = smpi::workload::generate_workload(spec.workload);
+  cp::RunOptions options;
+  options.workers = 1;
+  const auto outcome = cp::run_campaign(spec, scenarios, trace, options);
+  ASSERT_EQ(outcome.results.size(), scenarios.size());
+  for (const auto& r : outcome.results) {
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.timed_out);
+  }
+
+  // A timeout that is not a finite number >= 0 is rejected at parse time.
+  for (const char* bad : {"1e400", "-1"}) {
+    EXPECT_THROW(cp::CampaignSpec::parse(
+                     parse_json(std::string(R"({"platform": {"kind": "flat"}, "timeout_s": )") +
+                                    bad + "}",
+                                "test spec")),
+                 ContractError)
+        << bad;
+  }
+}

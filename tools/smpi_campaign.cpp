@@ -22,6 +22,7 @@
 // plus a rank-stability verdict; --resume adopts completed replications
 // individually. Exit code: 0 when every run succeeded, 1 on usage errors,
 // 2 when any run failed.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -31,6 +32,7 @@
 #include "campaign/spec.hpp"
 #include "trace/reader.hpp"
 #include "util/json.hpp"
+#include "util/units.hpp"
 #include "workload/generate.hpp"
 
 namespace {
@@ -86,9 +88,9 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--resume") {
         options.resume_file = need_value(i);
       } else if (arg == "--workers") {
-        options.workers = std::stoi(need_value(i));
+        options.workers = smpi::util::parse_number<int>(arg, need_value(i));
       } else if (arg == "--timeout") {
-        options.timeout_s = std::stod(need_value(i));
+        options.timeout_s = smpi::util::parse_number<double>(arg, need_value(i));
       } else if (arg == "--out") {
         options.out_json = need_value(i);
       } else if (arg == "--csv") {
@@ -108,7 +110,9 @@ Options parse_options(int argc, char** argv) {
   }
   if (options.spec_file.empty()) usage("--spec is required");
   if (options.workers < 1) usage("--workers must be >= 1");
-  if (options.timeout_s < 0) usage("--timeout must be >= 0");
+  if (!std::isfinite(options.timeout_s) || options.timeout_s < 0) {
+    usage("--timeout must be a finite number >= 0");
+  }
   if (!options.trace_dir.empty() && !options.workload_file.empty()) {
     usage("--trace and --workload are mutually exclusive");
   }

@@ -33,13 +33,11 @@
 // diagnostic is printed to stderr), 4 when --max-sim-time or --wall-timeout
 // fires.
 #include <algorithm>
-#include <charconv>
 #include <cinttypes>
 #include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -137,20 +135,6 @@ struct Options {
   std::exit(1);
 }
 
-// The whole of `text` as a number: a usage error on anything else (empty,
-// trailing characters, out of range), where std::stoi/stod would take the
-// longest numeric prefix.
-template <typename T>
-T parse_number(const std::string& option, const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end) {
-    usage(("invalid value '" + std::string(text) + "' for " + option).c_str());
-  }
-  return value;
-}
-
 Options parse_options(int argc, char** argv) {
   Options options;
   auto need_value = [&](int& i) -> const char* {
@@ -161,11 +145,11 @@ Options parse_options(int argc, char** argv) {
     const std::string arg = argv[i];
     try {
       if (arg == "--np") {
-        options.np = parse_number<int>(arg, need_value(i));
+        options.np = smpi::util::parse_number<int>(arg, need_value(i));
       } else if (arg == "--platform") {
         options.platform_file = need_value(i);
       } else if (arg == "--cluster") {
-        options.cluster_nodes = parse_number<int>(arg, need_value(i));
+        options.cluster_nodes = smpi::util::parse_number<int>(arg, need_value(i));
         if (options.cluster_nodes < 1) usage("--cluster must be >= 1");
       } else if (arg == "--machine") {
         options.named_platform = need_value(i);
@@ -182,9 +166,9 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--fold") {
         options.dt_fold = true;
       } else if (arg == "--log2-pairs") {
-        options.ep_log2_pairs = parse_number<int>(arg, need_value(i));
+        options.ep_log2_pairs = smpi::util::parse_number<int>(arg, need_value(i));
       } else if (arg == "--sampling") {
-        options.ep_sampling = parse_number<double>(arg, need_value(i));
+        options.ep_sampling = smpi::util::parse_number<double>(arg, need_value(i));
       } else if (arg == "--trace-ti") {
         options.trace_ti_dir = need_value(i);
       } else if (arg == "--replay") {
@@ -196,12 +180,12 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--noise") {
         options.noise = need_value(i);
       } else if (arg == "--noise-seed") {
-        options.noise_seed = parse_number<long long>(arg, need_value(i));
+        options.noise_seed = smpi::util::parse_number<long long>(arg, need_value(i));
         if (options.noise_seed < 0) usage("--noise-seed must be >= 0");
       } else if (arg == "--max-sim-time") {
-        options.max_sim_time = parse_number<double>(arg, need_value(i));
+        options.max_sim_time = smpi::util::parse_number<double>(arg, need_value(i));
       } else if (arg == "--wall-timeout") {
-        options.wall_timeout = parse_number<double>(arg, need_value(i));
+        options.wall_timeout = smpi::util::parse_number<double>(arg, need_value(i));
       } else if (arg == "--analyze") {
         options.analyze = true;
       } else if (arg == "--resources") {
