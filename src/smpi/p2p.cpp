@@ -1168,8 +1168,11 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
     if (proc.arrival_signal == nullptr) {
       proc.arrival_signal = sim::new_activity("probe");
     }
+    // Hold the signal: the arrival that finishes it also drops the
+    // process's reference before this wait returns.
+    const sim::ActivityPtr arrival = proc.arrival_signal;
     BlockedOpGuard guard(proc, "probe", source, tag, comm->id());
-    proc.arrival_signal->wait();
+    arrival->wait();
   }
 }
 
