@@ -407,25 +407,25 @@ void post_recv(Request& request) {
 
 namespace {
 
+void set_status(MPI_Status* status, int source, int tag, int error, std::size_t bytes) {
+  if (status == MPI_STATUS_IGNORE) return;
+  status->MPI_SOURCE = source;
+  status->MPI_TAG = tag;
+  status->MPI_ERROR = error;
+  status->count_bytes = static_cast<long long>(bytes);
+}
+
 // MPI's "empty" status: what completing a null or inactive request returns.
 void fill_empty_status(MPI_Status* status) {
-  if (status == MPI_STATUS_IGNORE) return;
-  status->MPI_SOURCE = MPI_ANY_SOURCE;
-  status->MPI_TAG = MPI_ANY_TAG;
-  status->MPI_ERROR = MPI_SUCCESS;
-  status->count_bytes = 0;
+  set_status(status, MPI_ANY_SOURCE, MPI_ANY_TAG, MPI_SUCCESS, 0);
 }
 
 // Post-completion bookkeeping: fills the status, deactivates (persistent) or
 // releases (ordinary) the request, and nulls the user handle for ordinary
 // requests.
 int finalize_completed(Request*& request, MPI_Status* status) {
-  if (status != MPI_STATUS_IGNORE) {
-    status->MPI_SOURCE = request->status_source;
-    status->MPI_TAG = request->status_tag;
-    status->MPI_ERROR = request->status_error;
-    status->count_bytes = static_cast<long long>(request->status_bytes);
-  }
+  set_status(status, request->status_source, request->status_tag, request->status_error,
+             request->status_bytes);
   const int rc = request->status_error;
   request->active = false;
   if (!request->persistent) {
@@ -1095,18 +1095,6 @@ int MPI_Testall(int count, MPI_Request requests[], int* flag, MPI_Status statuse
 // Probe
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void fill_probe_status(const Envelope& env, MPI_Status* status) {
-  if (status == MPI_STATUS_IGNORE) return;
-  status->MPI_SOURCE = env.src_comm_rank;
-  status->MPI_TAG = env.tag;
-  status->MPI_ERROR = MPI_SUCCESS;
-  status->count_bytes = static_cast<long long>(env.bytes);
-}
-
-}  // namespace
-
 int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status) {
   if (!valid_comm(comm)) return MPI_ERR_COMM;
   if (flag == nullptr) return MPI_ERR_ARG;
@@ -1118,7 +1106,7 @@ int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status
   const auto found = first_match(queues, source, tag);
   if (found != queues.unexpected.end()) {
     *flag = 1;
-    fill_probe_status(**found, status);
+    set_status(status, (*found)->src_comm_rank, (*found)->tag, MPI_SUCCESS, (*found)->bytes);
     // Successful probes consume neither time nor messages: nothing to replay.
   } else {
     *flag = 0;
@@ -1162,7 +1150,7 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
                           env.obs_post_date, env.src_world_rank, env.bytes,
                           smpi::obs::WaitClass::kLateSender);
       }
-      fill_probe_status(env, status);
+      set_status(status, env.src_comm_rank, env.tag, MPI_SUCCESS, env.bytes);
       return MPI_SUCCESS;
     }
     if (proc.arrival_signal == nullptr) {
