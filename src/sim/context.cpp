@@ -88,6 +88,7 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* stack_bo
                                     std::size_t stack_size);
 void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** stack_bottom_old,
                                      std::size_t* stack_size_old);
+void __asan_unpoison_memory_region(void const volatile* addr, std::size_t size);
 }
 #endif
 
@@ -132,7 +133,15 @@ inline void asan_finish_switch(void* save, const void** old_bottom, std::size_t*
 
 struct FiberStack {
   FiberStack(std::size_t bytes, std::string owner)
-      : region(bytes, /*guard_page=*/true), name(std::move(owner)) {}
+      : region(bytes, /*guard_page=*/true), name(std::move(owner)) {
+#if defined(SMPI_ASAN_FIBERS)
+    // The mapping may reuse the addresses of an unmapped fiber stack whose
+    // frames that never returned (a finished fiber's trampoline, say) left
+    // their redzones poisoned in ASan's shadow; that poison is not this
+    // fiber's and would be reported as a stack-buffer-overflow in it.
+    __asan_unpoison_memory_region(region.data(), region.size());
+#endif
+  }
   MappedRegion region;
   std::string name;  // printed by the overflow report
 };
