@@ -420,6 +420,12 @@ void fill_empty_status(MPI_Status* status) {
   set_status(status, MPI_ANY_SOURCE, MPI_ANY_TAG, MPI_SUCCESS, 0);
 }
 
+// A probe of MPI_PROC_NULL returns at once with the status a receive from
+// it completes with (post_recv).
+void fill_proc_null_status(MPI_Status* status) {
+  set_status(status, MPI_PROC_NULL, MPI_ANY_TAG, MPI_SUCCESS, 0);
+}
+
 // Post-completion bookkeeping: fills the status, deactivates (persistent) or
 // releases (ordinary) the request, and nulls the user handle for ordinary
 // requests.
@@ -1101,6 +1107,11 @@ int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status
   if (!valid_rank_or_wildcards(source, comm, true)) return MPI_ERR_RANK;
   if (!valid_tag(tag, true)) return MPI_ERR_TAG;
   smpi::trace::ApiScope scope("iprobe");
+  if (source == MPI_PROC_NULL) {
+    *flag = 1;
+    fill_proc_null_status(status);
+    return MPI_SUCCESS;
+  }
   Process& proc = current_process_checked();
   MatchQueues& queues = proc.match_queues(comm->id());
   const auto found = first_match(queues, source, tag);
@@ -1133,6 +1144,10 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
     r.peer = trace_peer(comm, source);
     r.tag = trace_tag(tag);
     scope.emit(r);
+  }
+  if (source == MPI_PROC_NULL) {
+    fill_proc_null_status(status);
+    return MPI_SUCCESS;
   }
   Process& proc = current_process_checked();
   MatchQueues& queues = proc.match_queues(comm->id());

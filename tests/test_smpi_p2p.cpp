@@ -492,6 +492,36 @@ TEST(SmpiP2P, IprobeReturnsImmediately) {
   });
 }
 
+// A probe of MPI_PROC_NULL returns at once, like a receive from it: source
+// MPI_PROC_NULL, tag MPI_ANY_TAG, count 0, and Iprobe's flag set. No rank
+// sends anything, so a probe that waited would end in the deadlock report.
+TEST(SmpiP2P, ProbeOfProcNullReturnsAtOnce) {
+  const double elapsed = run_mpi(2, [] {
+    MPI_Status status;
+    status.MPI_SOURCE = 12345;
+    EXPECT_EQ(MPI_Probe(MPI_PROC_NULL, 3, MPI_COMM_WORLD, &status), MPI_SUCCESS);
+    EXPECT_EQ(status.MPI_SOURCE, MPI_PROC_NULL);
+    EXPECT_EQ(status.MPI_TAG, MPI_ANY_TAG);
+    int count = -1;
+    MPI_Get_count(&status, MPI_INT, &count);
+    EXPECT_EQ(count, 0);
+
+    int flag = 0;
+    status.MPI_SOURCE = 12345;
+    EXPECT_EQ(MPI_Iprobe(MPI_PROC_NULL, MPI_ANY_TAG, MPI_COMM_WORLD, &flag, &status),
+              MPI_SUCCESS);
+    EXPECT_EQ(flag, 1);
+    EXPECT_EQ(status.MPI_SOURCE, MPI_PROC_NULL);
+    EXPECT_EQ(status.MPI_TAG, MPI_ANY_TAG);
+    count = -1;
+    MPI_Get_count(&status, MPI_INT, &count);
+    EXPECT_EQ(count, 0);
+    EXPECT_EQ(MPI_Probe(MPI_PROC_NULL, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE), MPI_SUCCESS);
+  });
+  // Neither probe costs simulated time (only Finalize's barrier does).
+  EXPECT_EQ(elapsed, run_mpi(2, [] {}));
+}
+
 TEST(SmpiP2P, WaitOnNullRequestIsEmptySuccess) {
   run_mpi(2, [] {
     MPI_Request req = MPI_REQUEST_NULL;
