@@ -1,6 +1,5 @@
 #include "trace/reader.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <string_view>
 
@@ -60,8 +59,8 @@ TiTrace load_ti_trace(const std::string& dir, bool validate) {
     SMPI_REQUIRE(read_file(path, &text),
                  "trace file missing for rank " + std::to_string(rank) + ": " + path +
                      " (manifest declares " + std::to_string(trace.nranks) + " ranks)");
-    auto& records = trace.ranks.emplace_back();
-    records.reserve(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
+    TiRecords& records = trace.ranks.emplace_back();
+    TiRecord scratch;
     long long line_no = 0;
     long long last_record_line = 0;
     for (std::size_t begin = 0; begin < text.size();) {
@@ -71,11 +70,13 @@ TiTrace load_ti_trace(const std::string& dir, bool validate) {
       begin = end + 1;
       ++line_no;
       if (line.empty() || line == "\r" || line[0] == '#') continue;
-      SMPI_REQUIRE(parse_record(line, &records.emplace_back()),
+      SMPI_REQUIRE(parse_record(line, &scratch),
                    "malformed trace record at " + path + ":" + std::to_string(line_no) + ": " +
                        std::string(line));
+      records.push_back(scratch);
       last_record_line = line_no;
     }
+    records.shrink_to_fit();
     // Structural validation, up front: a replay of a trace that stops short
     // of finalize deadlocks deep inside the simulation (peers wait on
     // messages that are never re-issued), so reject it here with the rank,

@@ -1,5 +1,8 @@
-// TI trace loader: manifest + per-rank record vectors, parsed upfront so the
-// replay actors run a plain in-memory cursor (no IO inside the simulation).
+// TI trace loader: manifest + one packed record stream per rank, parsed
+// upfront so the replay actors run a plain in-memory cursor (no IO inside
+// the simulation). Each line is parsed into one scratch TiRecord and
+// appended packed (trace::TiRecords), so a loaded trace costs about 10
+// bytes per record, not an array of TiRecord.
 #pragma once
 
 #include <string>
@@ -12,7 +15,7 @@ namespace smpi::trace {
 struct TiTrace {
   int nranks = 0;
   std::string app;
-  std::vector<std::vector<TiRecord>> ranks;  // ranks[r] = rank r's records, in order
+  std::vector<TiRecords> ranks;  // ranks[r] = rank r's records, in order
 
   long long total_records() const {
     long long total = 0;

@@ -3,12 +3,13 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace smpi::trace {
 
 namespace {
 
-// One field of a record line: an integer or list member of TiRecord, the
+// One field of a record: an integer or list member of TiRecord, the
 // reduction-op commutativity flag (written 1 or 0, any nonzero reads as 1),
 // or the %.17g value. A default Field ends a row's field list.
 struct Field {
@@ -33,7 +34,9 @@ constexpr Field kCounts{Field::kList, nullptr, &TiRecord::counts};
 constexpr Field kCounts2{Field::kList, nullptr, &TiRecord::counts2};
 
 // The record format: one row per op, in TiOp order. A line is the op's name
-// followed by its fields in row order, blank-separated.
+// followed by its fields in row order, blank-separated; a packed record
+// (TiRecords) is the op's byte followed by the same fields in the same
+// order.
 struct OpFormat {
   TiOp op;
   std::string_view name;
@@ -177,6 +180,104 @@ bool read_field(Cursor& in, const Field& field, TiRecord* r) {
   return true;
 }
 
+// --- packed form -------------------------------------------------------------
+
+void put_varint(std::vector<unsigned char>& out, std::uint64_t value) {
+  while (value >= 0x80) {
+    out.push_back(static_cast<unsigned char>(value | 0x80));
+    value >>= 7;
+  }
+  out.push_back(static_cast<unsigned char>(value));
+}
+
+// Zigzag maps small magnitudes of either sign to small unsigned values, so
+// the -1/-2 sentinels take one byte like small ranks do.
+void put_integer(std::vector<unsigned char>& out, long long value) {
+  const auto bits = static_cast<std::uint64_t>(value);
+  put_varint(out, (bits << 1) ^ (value < 0 ? ~std::uint64_t{0} : 0));
+}
+
+std::uint64_t get_varint(const unsigned char*& in) {
+  std::uint64_t value = 0;
+  for (int shift = 0;; shift += 7) {
+    const unsigned char byte = *in++;
+    value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) return value;
+  }
+}
+
+long long get_integer(const unsigned char*& in) {
+  const std::uint64_t zigzag = get_varint(in);
+  return static_cast<long long>((zigzag >> 1) ^ (0 - (zigzag & 1)));
+}
+
+void pack_record(std::vector<unsigned char>& out, const TiRecord& r) {
+  const OpFormat& format = format_of(r.op);
+  out.push_back(static_cast<unsigned char>(r.op));
+  for (const Field& field : format.fields) {
+    switch (field.kind) {
+      case Field::kInteger:
+        put_integer(out, r.*field.integer);
+        break;
+      case Field::kList: {
+        const std::vector<long long>& list = r.*field.list;
+        put_varint(out, list.size());
+        for (long long v : list) put_integer(out, v);
+        break;
+      }
+      case Field::kValue: {
+        unsigned char raw[sizeof(double)];
+        std::memcpy(raw, &r.value, sizeof(raw));
+        out.insert(out.end(), raw, raw + sizeof(raw));
+        break;
+      }
+      case Field::kFlag:
+        out.push_back(r.commutative ? 1 : 0);
+        break;
+      case Field::kEnd:
+        return;
+    }
+  }
+}
+
+// Decodes the packed record at `in` into *r, which ends up equal to what
+// parse_record makes of the record's line; returns where the next record
+// starts. The lists keep their capacity for the next record.
+const unsigned char* unpack_record(const unsigned char* in, TiRecord* r) {
+  TiRecord blank;
+  blank.reqs.swap(r->reqs);
+  blank.counts.swap(r->counts);
+  blank.counts2.swap(r->counts2);
+  *r = std::move(blank);
+  r->reqs.clear();
+  r->counts.clear();
+  r->counts2.clear();
+  r->op = static_cast<TiOp>(*in++);
+  for (const Field& field : format_of(r->op).fields) {
+    switch (field.kind) {
+      case Field::kInteger:
+        r->*field.integer = get_integer(in);
+        break;
+      case Field::kList: {
+        std::vector<long long>& list = r->*field.list;
+        list.resize(static_cast<std::size_t>(get_varint(in)));
+        for (long long& v : list) v = get_integer(in);
+        break;
+      }
+      case Field::kValue:
+        std::memcpy(&r->value, in, sizeof(r->value));
+        in += sizeof(r->value);
+        break;
+      case Field::kFlag:
+        r->commutative = *in++ != 0;
+        break;
+      case Field::kEnd:
+        return in;
+    }
+  }
+  return in;
+}
+
 }  // namespace
 
 const char* ti_op_name(TiOp op) { return format_of(op).name.data(); }
@@ -226,6 +327,28 @@ bool parse_record(std::string_view line, TiRecord* out) {
     if (!read_field(in, field, out)) return false;
   }
   return in.at_end();
+}
+
+void TiRecords::push_back(const TiRecord& record) {
+  back_offset_ = bytes_.size();
+  pack_record(bytes_, record);
+  ++size_;
+}
+
+TiRecord TiRecords::front() const {
+  TiRecord record;
+  unpack_record(bytes_.data(), &record);
+  return record;
+}
+
+TiRecord TiRecords::back() const {
+  TiRecord record;
+  unpack_record(bytes_.data() + back_offset_, &record);
+  return record;
+}
+
+void TiRecords::const_iterator::decode() {
+  if (pos_ != end_) next_ = unpack_record(pos_, &record_);
 }
 
 }  // namespace smpi::trace

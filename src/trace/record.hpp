@@ -12,9 +12,16 @@
 // `manifest.txt` naming the rank count; see docs/architecture.md for the
 // full schema. Doubles are printed with %.17g so recorded flop counts
 // round-trip bit-exactly — replay equivalence is asserted at 1e-9.
+//
+// In memory, a rank's records are one packed byte stream (TiRecords), not
+// an array of TiRecord: the op table in record.cpp that defines each op's
+// line also defines its packed bytes, so the text and the in-memory form
+// carry the same fields and cannot drift apart.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,9 +63,10 @@ constexpr long long kPeerAny = -1;   // MPI_ANY_SOURCE
 constexpr long long kPeerNull = -2;  // MPI_PROC_NULL
 constexpr long long kTagAny = -1;    // MPI_ANY_TAG
 
-// One captured event. Which members an op carries, and in what order its
-// line holds them, is the op's row in `kFormats`, the format table in
-// record.cpp.
+// One captured event: the interchange form that capture, generation,
+// parsing and the writer build and read. Which members an op carries, and
+// in what order its line and its packed bytes hold them, is the op's row in
+// `kFormats`, the format table in record.cpp.
 struct TiRecord {
   TiOp op = TiOp::kInit;
   double value = 0;     // compute: flops; sleep: seconds
@@ -96,5 +104,73 @@ bool ti_op_is_collective(TiOp op);
 // unspecified.
 std::string serialize_record(const TiRecord& record);
 bool parse_record(std::string_view line, TiRecord* out);
+
+// One rank's records, packed: the in-memory form of a loaded or generated
+// trace. A record is its op byte followed by the fields of its kFormats
+// row, in row order: integers as zigzag LEB128, the value as its 8 raw
+// bytes (bit-exact), the commutativity flag as one byte, and a list as its
+// length followed by its elements. Fields outside the row are not stored
+// and decode to their TiRecord defaults, as in the text form. A stencil
+// record packs into about 10 bytes, against sizeof(TiRecord) = 168.
+class TiRecords {
+ public:
+  // Decodes one record at a time into a TiRecord the iterator owns and
+  // reuses (lists keep their capacity), so a range-for over a rank makes no
+  // allocation per record. A reference from operator* is valid only until
+  // the iterator advances.
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = TiRecord;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const TiRecord*;
+    using reference = const TiRecord&;
+
+    const_iterator() = default;
+
+    reference operator*() const { return record_; }
+    const_iterator& operator++() {
+      pos_ = next_;
+      decode();
+      return *this;
+    }
+    bool operator==(const const_iterator& other) const { return pos_ == other.pos_; }
+    bool operator!=(const const_iterator& other) const { return pos_ != other.pos_; }
+
+   private:
+    friend class TiRecords;
+    const_iterator(const unsigned char* pos, const unsigned char* end)
+        : pos_(pos), end_(end) {
+      decode();
+    }
+    void decode();
+
+    const unsigned char* pos_ = nullptr;
+    const unsigned char* next_ = nullptr;  // the record after record_
+    const unsigned char* end_ = nullptr;
+    TiRecord record_;
+  };
+
+  void push_back(const TiRecord& record);
+  // Releases the stream's spare capacity once a rank is complete.
+  void shrink_to_fit() { bytes_.shrink_to_fit(); }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  // The first and last records, decoded. Both require !empty().
+  TiRecord front() const;
+  TiRecord back() const;
+
+  const_iterator begin() const { return {bytes_.data(), bytes_.data() + bytes_.size()}; }
+  const_iterator end() const {
+    const unsigned char* end = bytes_.data() + bytes_.size();
+    return {end, end};
+  }
+
+ private:
+  std::vector<unsigned char> bytes_;
+  std::size_t size_ = 0;
+  std::size_t back_offset_ = 0;  // where the last record starts
+};
 
 }  // namespace smpi::trace

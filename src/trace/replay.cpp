@@ -1,9 +1,11 @@
 #include "trace/replay.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/span.hpp"
@@ -97,6 +99,78 @@ std::vector<int> prefix_displs(const std::vector<int>& counts) {
   return displs;
 }
 
+// The rank's outstanding requests by capture-side id. Ids are sparse and
+// arbitrary (a capture numbers them per rank, a hand-made trace may use
+// any long long), so this is a hash table: open addressing with linear
+// probing and backward-shift deletion in one flat array, kept at most half
+// full. A replay then makes no heap node per request, only the array's few
+// growths.
+class RequestTable {
+ public:
+  RequestTable() : slots_(16) {}
+
+  void put(long long id, MPI_Request handle) {
+    if (2 * (live_ + 1) > slots_.size()) grow();
+    Slot& slot = slots_[find(id)];
+    if (!slot.used) ++live_;
+    slot = {id, handle, true};
+  }
+
+  MPI_Request take(long long id) {
+    std::size_t hole = find(id);
+    SMPI_REQUIRE(slots_[hole].used, "trace waits on unknown request id");
+    const MPI_Request handle = slots_[hole].handle;
+    // Pull each later entry of the probe run back into the hole unless its
+    // home slot lies cyclically within (hole, next]; a lookup never meets
+    // an empty slot before its entry.
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t next = (hole + 1) & mask; slots_[next].used; next = (next + 1) & mask) {
+      const std::size_t home = home_of(slots_[next].id);
+      if (((next - home) & mask) >= ((next - hole) & mask)) {
+        slots_[hole] = slots_[next];
+        hole = next;
+      }
+    }
+    slots_[hole].used = false;
+    --live_;
+    return handle;
+  }
+
+ private:
+  struct Slot {
+    long long id = 0;
+    MPI_Request handle = MPI_REQUEST_NULL;
+    bool used = false;
+  };
+
+  std::size_t home_of(long long id) const {
+    // splitmix64's finalizer: consecutive ids spread over the whole table.
+    auto h = static_cast<std::uint64_t>(id);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    return static_cast<std::size_t>(h) & (slots_.size() - 1);
+  }
+
+  // The slot holding `id`, or the empty slot where it would go.
+  std::size_t find(long long id) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home_of(id);
+    while (slots_[i].used && slots_[i].id != id) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(2 * slots_.size()));
+    for (const Slot& slot : old) {
+      if (slot.used) slots_[find(slot.id)] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;  // a power of two long
+  std::size_t live_ = 0;
+};
+
 // Non-commutative reductions only need the *shape* of the online dispatch;
 // the reduction itself costs no simulated time, so the body is empty.
 void replay_reduce_stub(void* /*in*/, void* /*inout*/, int* /*len*/, MPI_Datatype* /*type*/) {}
@@ -106,7 +180,7 @@ void replay_rank(const TiTrace& trace, unsigned char* base) {
   const auto rank = static_cast<std::size_t>(world->current_process()->world_rank);
   const auto& records = trace.ranks[rank];
 
-  std::unordered_map<long long, MPI_Request> requests;
+  RequestTable requests;
   std::unordered_map<long long, MPI_Datatype> types;
   MPI_Op noncommutative = MPI_OP_NULL;
 
@@ -128,13 +202,6 @@ void replay_rank(const TiTrace& trace, unsigned char* base) {
                   "replay op creation failed");
     }
     return noncommutative;
-  };
-  auto take_request = [&requests](long long id) -> MPI_Request {
-    auto it = requests.find(id);
-    SMPI_REQUIRE(it != requests.end(), "trace waits on unknown request id");
-    MPI_Request handle = it->second;
-    requests.erase(it);
-    return handle;
   };
   auto check = [](int rc) { SMPI_ENSURE(rc == MPI_SUCCESS, "replayed MPI call failed"); };
 
@@ -164,29 +231,29 @@ void replay_rank(const TiTrace& trace, unsigned char* base) {
         MPI_Request handle = MPI_REQUEST_NULL;
         check(MPI_Isend(base, as_int(r.count), type_of(r.elem), decode_rank(r.peer),
                         decode_tag(r.tag), MPI_COMM_WORLD, &handle));
-        requests[r.req] = handle;
+        requests.put(r.req, handle);
         break;
       }
       case TiOp::kIrecv: {
         MPI_Request handle = MPI_REQUEST_NULL;
         check(MPI_Irecv(base, as_int(r.count), type_of(r.elem), decode_rank(r.peer),
                         decode_tag(r.tag), MPI_COMM_WORLD, &handle));
-        requests[r.req] = handle;
+        requests.put(r.req, handle);
         break;
       }
       case TiOp::kWait: {
-        MPI_Request handle = take_request(r.req);
+        MPI_Request handle = requests.take(r.req);
         check(MPI_Wait(&handle, MPI_STATUS_IGNORE));
         break;
       }
       case TiOp::kWaitall:
         for (long long id : r.reqs) {
-          MPI_Request handle = take_request(id);
+          MPI_Request handle = requests.take(id);
           check(MPI_Wait(&handle, MPI_STATUS_IGNORE));
         }
         break;
       case TiOp::kReqFree: {
-        MPI_Request handle = take_request(r.req);
+        MPI_Request handle = requests.take(r.req);
         check(MPI_Request_free(&handle));
         break;
       }

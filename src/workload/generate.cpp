@@ -26,6 +26,7 @@ trace::TiTrace generate_workload(const WorkloadSpec& spec) {
     trace::TiRecord finalize;
     finalize.op = trace::TiOp::kFinalize;
     records.push_back(finalize);
+    records.shrink_to_fit();
   }
   return trace;
 }

@@ -11,6 +11,7 @@ namespace {
 
 using trace::TiOp;
 using trace::TiRecord;
+using trace::TiRecords;
 
 // Independent sub-streams per (phase, rank) and per (phase, iteration):
 // every consumer seeds its own generator from a counter, so no pattern can
@@ -67,7 +68,7 @@ TiRecord p2p_record(TiOp op, int peer, long long bytes, long long tag, long long
   return r;
 }
 
-void maybe_compute(std::vector<TiRecord>& out, ComputeDraw& draw, const PhaseSpec& phase) {
+void maybe_compute(TiRecords& out, ComputeDraw& draw, const PhaseSpec& phase) {
   if (phase.compute.flops > 0) out.push_back(compute_record(draw.next()));
 }
 
@@ -136,7 +137,7 @@ int opposite(int direction) { return direction ^ 1; }
 // Halo exchange: per iteration, each rank computes, posts a receive from and
 // a send to every existing neighbour (nonblocking), then waits for all.
 void emit_stencil(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_index,
-                  std::vector<std::vector<TiRecord>>& ranks, std::vector<long long>& next_req,
+                  std::vector<TiRecords>& ranks, std::vector<long long>& next_req,
                   bool is_3d) {
   const Grid grid = stencil_grid(spec, phase, is_3d);
   auto draws = make_draws(spec, phase, phase_index);
@@ -166,7 +167,7 @@ void emit_stencil(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_in
       TiRecord wait;
       wait.op = TiOp::kWaitall;
       wait.reqs = std::move(reqs);
-      out.push_back(std::move(wait));
+      out.push_back(wait);
     }
   }
 }
@@ -174,7 +175,7 @@ void emit_stencil(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_in
 // Ring pipeline: a simultaneous shift — send to the right neighbour while
 // receiving from the left one.
 void emit_ring(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_index,
-               std::vector<std::vector<TiRecord>>& ranks) {
+               std::vector<TiRecords>& ranks) {
   const int n = spec.ranks;
   auto draws = make_draws(spec, phase, phase_index);
   for (int iter = 0; iter < phase.iterations; ++iter) {
@@ -193,14 +194,14 @@ void emit_ring(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_index
       rec.count2 = bytes;
       rec.elem2 = 1;
       rec.tag2 = 0;
-      out.push_back(std::move(rec));
+      out.push_back(rec);
     }
   }
 }
 
 // FFT-style transpose: one MPI_Alltoall per iteration, `bytes` per pair.
 void emit_alltoall(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_index,
-                   std::vector<std::vector<TiRecord>>& ranks) {
+                   std::vector<TiRecords>& ranks) {
   auto draws = make_draws(spec, phase, phase_index);
   for (int iter = 0; iter < phase.iterations; ++iter) {
     const long long bytes = phase.bytes_at(iter);
@@ -213,7 +214,7 @@ void emit_alltoall(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_i
       rec.elem = 1;
       rec.count2 = bytes;
       rec.elem2 = 1;
-      out.push_back(std::move(rec));
+      out.push_back(rec);
     }
   }
 }
@@ -221,7 +222,7 @@ void emit_alltoall(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_i
 // Tree phases: reduce everything to the root, broadcast the result back —
 // the backbone of iterative solvers' convergence checks.
 void emit_reduce_bcast(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_index,
-                       std::vector<std::vector<TiRecord>>& ranks) {
+                       std::vector<TiRecords>& ranks) {
   auto draws = make_draws(spec, phase, phase_index);
   for (int iter = 0; iter < phase.iterations; ++iter) {
     const long long bytes = phase.bytes_at(iter);
@@ -234,13 +235,13 @@ void emit_reduce_bcast(const WorkloadSpec& spec, const PhaseSpec& phase, int pha
       reduce.elem = 1;
       reduce.peer = phase.root;
       reduce.commutative = phase.commutative;
-      out.push_back(std::move(reduce));
+      out.push_back(reduce);
       TiRecord bcast;
       bcast.op = TiOp::kBcast;
       bcast.count = bytes;
       bcast.elem = 1;
       bcast.peer = phase.root;
-      out.push_back(std::move(bcast));
+      out.push_back(bcast);
     }
   }
 }
@@ -250,7 +251,7 @@ void emit_reduce_bcast(const WorkloadSpec& spec, const PhaseSpec& phase, int pha
 // the wave propagates along the diagonal (blocking calls, but the
 // dependency graph is a DAG, so the order is deadlock-free).
 void emit_wavefront(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_index,
-                    std::vector<std::vector<TiRecord>>& ranks) {
+                    std::vector<TiRecords>& ranks) {
   const Grid grid = stencil_grid(spec, phase, /*is_3d=*/false);
   auto draws = make_draws(spec, phase, phase_index);
   const int px = grid.dims[0];
@@ -277,7 +278,7 @@ void emit_wavefront(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_
 // (each rank sends to `degree` distinct random peers); both endpoints are
 // emitted from the same edge list, so the trace always matches up.
 void emit_random_sparse(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_index,
-                        std::vector<std::vector<TiRecord>>& ranks,
+                        std::vector<TiRecords>& ranks,
                         std::vector<long long>& next_req) {
   const int n = spec.ranks;
   auto draws = make_draws(spec, phase, phase_index);
@@ -321,7 +322,7 @@ void emit_random_sparse(const WorkloadSpec& spec, const PhaseSpec& phase, int ph
       TiRecord wait;
       wait.op = TiOp::kWaitall;
       wait.reqs = std::move(reqs);
-      out.push_back(std::move(wait));
+      out.push_back(wait);
     }
   }
 }
@@ -354,7 +355,7 @@ void factor_grid_3d(int ranks, int* px, int* py, int* pz) {
 }
 
 void emit_phase(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_index,
-                std::vector<std::vector<trace::TiRecord>>& ranks,
+                std::vector<trace::TiRecords>& ranks,
                 std::vector<long long>& next_req) {
   SMPI_REQUIRE(static_cast<int>(ranks.size()) == spec.ranks &&
                    static_cast<int>(next_req.size()) == spec.ranks,

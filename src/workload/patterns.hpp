@@ -28,7 +28,7 @@ namespace smpi::workload {
 // Appends the records of `phase` (index `phase_index` in the spec) to every
 // rank's record list. `next_req[r]` is rank r's next nonblocking-request id.
 void emit_phase(const WorkloadSpec& spec, const PhaseSpec& phase, int phase_index,
-                std::vector<std::vector<trace::TiRecord>>& ranks,
+                std::vector<trace::TiRecords>& ranks,
                 std::vector<long long>& next_req);
 
 // Near-square (2D) / near-cubic (3D) factorization used when a spec leaves

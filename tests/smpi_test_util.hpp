@@ -4,10 +4,13 @@
 #pragma once
 
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "platform/builders.hpp"
 #include "smpi/mpi.h"
 #include "smpi/smpi.hpp"
+#include "trace/reader.hpp"
 
 namespace smpi_test {
 
@@ -72,6 +75,25 @@ inline int world_size() {
   int size = -1;
   MPI_Comm_size(MPI_COMM_WORLD, &size);
   return size;
+}
+
+// A trace of these records, rank by rank, packed as the loader packs them.
+inline smpi::trace::TiTrace pack_trace(
+    const std::vector<std::vector<smpi::trace::TiRecord>>& ranks,
+    const std::string& app = "test") {
+  smpi::trace::TiTrace trace;
+  trace.nranks = static_cast<int>(ranks.size());
+  trace.app = app;
+  for (const auto& records : ranks) {
+    smpi::trace::TiRecords& packed = trace.ranks.emplace_back();
+    for (const smpi::trace::TiRecord& r : records) packed.push_back(r);
+  }
+  return trace;
+}
+
+// One rank's records, decoded.
+inline std::vector<smpi::trace::TiRecord> unpack(const smpi::trace::TiRecords& records) {
+  return {records.begin(), records.end()};
 }
 
 }  // namespace smpi_test

@@ -78,47 +78,44 @@ std::set<int> path_ranks(const obs::AnalysisResult& a) {
 // 2-rank overlap micro-trace: rank 1 prepost an Irecv, computes while the
 // rendezvous transfer runs underneath, then waits out the remainder.
 tr::TiTrace overlap_trace(double overlap_flops) {
-  tr::TiTrace trace;
-  trace.nranks = 2;
-  trace.app = "overlap";
-  trace.ranks.resize(2);
+  std::vector<std::vector<tr::TiRecord>> ranks(2);
   auto rec = [](tr::TiOp op) {
     tr::TiRecord r;
     r.op = op;
     return r;
   };
   // rank 0: send 1 MB (rendezvous: > 64 KiB eager threshold).
-  trace.ranks[0].push_back(rec(tr::TiOp::kInit));
+  ranks[0].push_back(rec(tr::TiOp::kInit));
   {
     tr::TiRecord r = rec(tr::TiOp::kSend);
     r.peer = 1;
     r.count = 1000000;
     r.elem = 1;
-    trace.ranks[0].push_back(r);
+    ranks[0].push_back(r);
   }
-  trace.ranks[0].push_back(rec(tr::TiOp::kFinalize));
+  ranks[0].push_back(rec(tr::TiOp::kFinalize));
   // rank 1: irecv; compute; wait.
-  trace.ranks[1].push_back(rec(tr::TiOp::kInit));
+  ranks[1].push_back(rec(tr::TiOp::kInit));
   {
     tr::TiRecord r = rec(tr::TiOp::kIrecv);
     r.peer = 0;
     r.count = 1000000;
     r.elem = 1;
     r.req = 0;
-    trace.ranks[1].push_back(r);
+    ranks[1].push_back(r);
   }
   {
     tr::TiRecord r = rec(tr::TiOp::kCompute);
     r.value = overlap_flops;
-    trace.ranks[1].push_back(r);
+    ranks[1].push_back(r);
   }
   {
     tr::TiRecord r = rec(tr::TiOp::kWait);
     r.req = 0;
-    trace.ranks[1].push_back(r);
+    ranks[1].push_back(r);
   }
-  trace.ranks[1].push_back(rec(tr::TiOp::kFinalize));
-  return trace;
+  ranks[1].push_back(rec(tr::TiOp::kFinalize));
+  return smpi_test::pack_trace(ranks, "overlap");
 }
 
 tr::TiTrace stencil_trace(int ranks) {

@@ -217,10 +217,7 @@ TEST(LazyCommit, PayloadFreeReplayLeavesArenaUncommitted) {
   GTEST_SKIP() << "ASan's shadow memory makes resident-set sizes meaningless";
 #endif
   constexpr long long kBytes = 256LL * 1024 * 1024;
-  tr::TiTrace trace;
-  trace.nranks = 2;
-  trace.app = "lazy-arena";
-  trace.ranks.resize(2);
+  std::vector<std::vector<tr::TiRecord>> ranks(2);
   for (int rank = 0; rank < 2; ++rank) {
     tr::TiRecord init;
     init.op = tr::TiOp::kInit;
@@ -230,8 +227,9 @@ TEST(LazyCommit, PayloadFreeReplayLeavesArenaUncommitted) {
     transfer.count = kBytes;
     tr::TiRecord finalize;
     finalize.op = tr::TiOp::kFinalize;
-    trace.ranks[rank] = {init, transfer, finalize};
+    ranks[rank] = {init, transfer, finalize};
   }
+  const tr::TiTrace trace = smpi_test::pack_trace(ranks, "lazy-arena");
   ASSERT_EQ(tr::compute_arena_bytes(trace), kBytes);
   EXPECT_EXIT(
       {

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -267,6 +270,84 @@ TEST(TiRecord, ParserAcceptsWholeTokensAndRejectsEverythingElse) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Packed in-memory form
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+}  // namespace
+
+// Every op, with every field cycled through the varint edge cases, the
+// sentinels, -0.0, a denormal and 1e308, and empty, short and long lists:
+// unpacked, each record serializes to its original line, keeps its value's
+// bits, and equals what parse_record makes of that line, so the fields
+// outside the op's row read back at their defaults.
+TEST(TiRecords, EveryOpRoundTripsThroughThePackedForm) {
+  const std::vector<long long> integers = {0,   1,    tr::kPeerAny, tr::kPeerNull, 63,
+                                           -64, 64,   -65,          1LL << 40,     LLONG_MAX,
+                                           LLONG_MIN, LLONG_MIN + 1};
+  const std::vector<double> values = {0.0, -0.0, 4.9406564584124654e-324, 1e308,
+                                      -1.2345678901234567e9};
+  std::vector<long long> long_list;
+  for (long long i = 0; i < 1000; ++i) long_list.push_back(i % 2 ? -i * 9973 : i << 50);
+  const std::vector<std::vector<long long>> lists = {
+      {}, {LLONG_MIN, tr::kPeerNull, tr::kPeerAny, 0, LLONG_MAX}, long_list};
+
+  std::vector<tr::TiRecord> originals;
+  tr::TiRecords packed;
+  EXPECT_TRUE(packed.empty());
+  const std::size_t n = integers.size();
+  for (int op = 0; op <= static_cast<int>(tr::TiOp::kReduceScatter); ++op) {
+    for (std::size_t i = 0; i < n; ++i) {
+      tr::TiRecord r;
+      r.op = static_cast<tr::TiOp>(op);
+      r.peer = integers[i];
+      r.count = integers[(i + 1) % n];
+      r.elem = integers[(i + 2) % n];
+      r.tag = integers[(i + 3) % n];
+      r.req = integers[(i + 4) % n];
+      r.peer2 = integers[(i + 5) % n];
+      r.count2 = integers[(i + 6) % n];
+      r.elem2 = integers[(i + 7) % n];
+      r.tag2 = integers[(i + 8) % n];
+      r.value = values[i % values.size()];
+      r.commutative = i % 2 == 0;
+      r.reqs = lists[i % 3];
+      r.counts = lists[(i + 1) % 3];
+      r.counts2 = lists[(i + 2) % 3];
+      packed.push_back(r);
+      originals.push_back(r);
+    }
+  }
+  ASSERT_EQ(packed.size(), originals.size());
+  EXPECT_FALSE(packed.empty());
+
+  std::size_t i = 0;
+  for (const tr::TiRecord& r : packed) {
+    ASSERT_LT(i, originals.size());
+    const tr::TiRecord& original = originals[i++];
+    const std::string line = tr::serialize_record(original);
+    EXPECT_EQ(tr::serialize_record(r), line);
+    tr::TiRecord parsed;
+    ASSERT_TRUE(tr::parse_record(line, &parsed)) << line;
+    expect_same_record(r, parsed, line);
+    EXPECT_EQ(bits_of(r.value), bits_of(parsed.value)) << line;
+    if (r.op == tr::TiOp::kCompute || r.op == tr::TiOp::kSleep) {
+      EXPECT_EQ(bits_of(r.value), bits_of(original.value)) << line;
+    }
+  }
+  EXPECT_EQ(i, originals.size());
+  EXPECT_EQ(tr::serialize_record(packed.front()), tr::serialize_record(originals.front()));
+  EXPECT_EQ(tr::serialize_record(packed.back()), tr::serialize_record(originals.back()));
+}
+
 TEST(TiWriterReader, WriterProducesLoadableTraces) {
   TempDir dir;
   {
@@ -289,8 +370,9 @@ TEST(TiWriterReader, WriterProducesLoadableTraces) {
   EXPECT_EQ(trace.app, "unit");
   ASSERT_EQ(trace.ranks[0].size(), 3u);
   ASSERT_EQ(trace.ranks[1].size(), 2u);
-  EXPECT_EQ(trace.ranks[0][1].op, tr::TiOp::kCompute);
-  EXPECT_EQ(trace.ranks[0][1].value, 5e6);
+  const std::vector<tr::TiRecord> rank0 = unpack(trace.ranks[0]);
+  EXPECT_EQ(rank0[1].op, tr::TiOp::kCompute);
+  EXPECT_EQ(rank0[1].value, 5e6);
 }
 
 // ---------------------------------------------------------------------------
@@ -540,6 +622,110 @@ TEST(TraceReplay, CaptureRejectsCollectivesOnDerivedComms) {
     MPI_Finalize();
   };
   EXPECT_THROW(capture_run(platform, config, 4, app, dir.str()), smpi::util::ContractError);
+}
+
+// A probe of MPI_PROC_NULL is captured as `probe -2 ...` and replays
+// without blocking, to the online time.
+TEST(TraceReplay, ProcNullProbeReplaysWithoutBlocking) {
+  TempDir dir;
+  auto platform = test_cluster(2);
+  auto config = fast_config();
+  auto app = [](int, char**) {
+    MPI_Init(nullptr, nullptr);
+    smpi_execute_flops(1e6);
+    MPI_Probe(MPI_PROC_NULL, 4, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+    smpi_execute_flops(1e6);
+    MPI_Finalize();
+  };
+  const double online = capture_run(platform, config, 2, app, dir.str());
+  const tr::TiTrace trace = tr::load_ti_trace(dir.str());
+  std::vector<std::string> lines;
+  for (const tr::TiRecord& r : trace.ranks[0]) lines.push_back(tr::serialize_record(r));
+  EXPECT_NE(std::find(lines.begin(), lines.end(), "probe -2 4"), lines.end());
+  const auto result = tr::replay_trace(platform, config, trace);
+  EXPECT_FALSE(result.aborted);
+  EXPECT_NEAR(result.simulated_time, online, 1e-9 * online);
+}
+
+namespace {
+
+// Two ranks exchange `messages` messages each way through nonblocking
+// requests whose ids come from `id`. Each rank waits for its first request
+// alone, then for the rest in one waitall that lists them in reverse.
+tr::TiTrace exchange_trace(int messages, const std::function<long long(int)>& id) {
+  std::vector<std::vector<tr::TiRecord>> ranks(2);
+  for (int rank = 0; rank < 2; ++rank) {
+    auto& out = ranks[static_cast<std::size_t>(rank)];
+    tr::TiRecord r;
+    r.op = tr::TiOp::kInit;
+    out.push_back(r);
+    std::vector<long long> posted;
+    for (int m = 0; m < messages; ++m) {
+      for (const tr::TiOp op : {tr::TiOp::kIrecv, tr::TiOp::kIsend}) {
+        r = tr::TiRecord{};
+        r.op = op;
+        r.peer = 1 - rank;
+        r.count = 1000 * (m + 1);
+        r.tag = m;
+        r.req = id(2 * m + (op == tr::TiOp::kIsend ? 1 : 0));
+        out.push_back(r);
+        posted.push_back(r.req);
+      }
+    }
+    // The last receive first, out of posting order...
+    r = tr::TiRecord{};
+    r.op = tr::TiOp::kWait;
+    r.req = posted[posted.size() - 2];
+    out.push_back(r);
+    posted.erase(posted.end() - 2);
+    // ...then everything else, newest first.
+    r = tr::TiRecord{};
+    r.op = tr::TiOp::kWaitall;
+    r.reqs.assign(posted.rbegin(), posted.rend());
+    out.push_back(r);
+    r = tr::TiRecord{};
+    r.op = tr::TiOp::kFinalize;
+    out.push_back(r);
+  }
+  return pack_trace(ranks);
+}
+
+}  // namespace
+
+// Request ids are opaque: sparse, huge or negative ids, waited on out of
+// order, replay exactly like dense ones, and enough of them are outstanding
+// at once to make the rank's request table grow.
+TEST(TraceReplay, SparseRequestIdsReplayLikeDenseOnes) {
+  auto platform = test_cluster(2);
+  auto config = fast_config();
+  const tr::TiTrace dense = exchange_trace(40, [](int i) { return static_cast<long long>(i); });
+  const tr::TiTrace sparse = exchange_trace(40, [](int i) {
+    return i % 3 == 0 ? LLONG_MAX - i : (i % 3 == 1 ? 1000000000000000LL * (i + 1) : -7LL * i - 3);
+  });
+  const auto expected = tr::replay_trace(platform, config, dense);
+  const auto actual = tr::replay_trace(platform, config, sparse);
+  ASSERT_FALSE(expected.aborted);
+  EXPECT_FALSE(actual.aborted);
+  EXPECT_GT(expected.simulated_time, 0);
+  EXPECT_EQ(actual.simulated_time, expected.simulated_time);
+  EXPECT_EQ(actual.records, expected.records);
+}
+
+TEST(TraceReplay, WaitOnUnknownRequestIdIsAContractError) {
+  auto platform = test_cluster(2);
+  tr::TiTrace trace = exchange_trace(2, [](int i) { return 1000000000000000LL + i; });
+  std::vector<std::vector<tr::TiRecord>> ranks = {unpack(trace.ranks[0]), unpack(trace.ranks[1])};
+  tr::TiRecord again;  // rank 0 waits once more on a request it already completed
+  again.op = tr::TiOp::kWait;
+  again.req = 1000000000000000LL;
+  ranks[0].insert(ranks[0].end() - 1, again);
+  try {
+    tr::replay_trace(platform, fast_config(), pack_trace(ranks));
+    ADD_FAILURE() << "a wait on a completed request id must throw";
+  } catch (const smpi::util::ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("trace waits on unknown request id"), std::string::npos)
+        << e.what();
+  }
 }
 
 // The capture side's (count, elem) rule at its edges: a zero-size datatype
@@ -895,10 +1081,11 @@ TEST(TraceValidation, LoaderKeepsCommentBlankAndCrlfLeniencies) {
   const tr::TiTrace trace = tr::load_ti_trace(dir.str(), /*validate=*/true);
   ASSERT_EQ(trace.ranks.size(), 1u);
   ASSERT_EQ(trace.ranks[0].size(), 4u);
-  EXPECT_EQ(trace.ranks[0][1].op, tr::TiOp::kCompute);
-  EXPECT_EQ(trace.ranks[0][1].value, 1e6);
-  EXPECT_EQ(tr::serialize_record(trace.ranks[0][2]), "send 1 8 1 0");
-  EXPECT_EQ(trace.ranks[0][3].op, tr::TiOp::kFinalize);
+  const std::vector<tr::TiRecord> records = unpack(trace.ranks[0]);
+  EXPECT_EQ(records[1].op, tr::TiOp::kCompute);
+  EXPECT_EQ(records[1].value, 1e6);
+  EXPECT_EQ(tr::serialize_record(records[2]), "send 1 8 1 0");
+  EXPECT_EQ(records[3].op, tr::TiOp::kFinalize);
 }
 
 TEST(TraceValidation, MalformedRecordNamesPathAndLine) {
@@ -1034,6 +1221,10 @@ TEST(TiReaderFuzz, MutatedRecordsParseToRoundTrippingRecordsOrFail) {
       ASSERT_TRUE(tr::parse_record(canonical, &again))
           << "'" << line << "' -> '" << canonical << "'";
       ASSERT_EQ(tr::serialize_record(again), canonical) << "'" << line << "'";
+      // Whatever the parser accepts must also survive the packed form.
+      tr::TiRecords packed;
+      packed.push_back(parsed);
+      ASSERT_EQ(tr::serialize_record(*packed.begin()), canonical) << "'" << line << "'";
     }
   }
   // Both outcomes must be exercised, or the mutations are not probing much.
