@@ -69,10 +69,8 @@ ScenarioResult run_one_scenario(const CampaignSpec& spec, const Scenario& scenar
     // trace through copy-on-write pages.
     const trace::TiTrace* effective = &trace;
     trace::TiTrace regenerated;
-    if (has_workload_override(scenario)) {
-      SMPI_REQUIRE(spec.has_workload,
-                   "campaign scenario sweeps workload_* but the trace source is a capture");
-      regenerated = workload::generate_workload(apply_workload_overrides(spec.workload, scenario));
+    if (spec.sweeps_workload() && !scenario.params.empty()) {
+      regenerated = workload::generate_workload(apply_workload_overrides(spec, scenario));
       effective = &regenerated;
       arena_bytes = 0;  // the baseline hint sized a different trace
     }

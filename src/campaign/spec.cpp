@@ -9,62 +9,243 @@
 #include "platform/platform_xml.hpp"
 #include "smpi/coll.h"
 #include "util/check.hpp"
+#include "util/units.hpp"
 
 namespace smpi::campaign {
 
 namespace {
 
-// kVariant: a string naming "auto" or a row of the collective's variant
-// table (smpi/coll.h), checked here so a misspelled algorithm fails the
-// parse instead of every scenario that reaches the collective.
-enum class ValueKind { kNumber, kString, kBool, kVariant };
+// A numeric value contract: min < x (min_open) or min <= x, and x < max.
+// The upper bounds keep each value inside the type its effect converts it to.
+struct Range {
+  double min;
+  bool min_open;
+  double max;
+  bool integer;
+  const char* text;  // as spec.hpp documents it
+};
+constexpr Range kPositive{0, true, HUGE_VAL, false, "a number > 0"};
+constexpr Range kNonNegative{0, false, HUGE_VAL, false, "a number >= 0"};
+constexpr Range kFraction{0, false, 1, false, "a number in [0, 1)"};
+constexpr Range kByteCount{0, false, 0x1p64, false, "a number in [0, 2^64)"};
+constexpr Range kCount{1, false, 0x1p31, true, "an integer in [1, 2^31)"};
+constexpr Range kNatural{0, false, 0x1p63, true, "an integer in [0, 2^63)"};
 
-struct ParamInfo {
-  ValueKind kind;
+// What a param needs from the rest of the campaign spec.
+struct Need {
+  const char* what;
+  bool (*met)(const CampaignSpec&);
+};
+constexpr Need kFaults{"a campaign-level 'faults' spec",
+                       [](const CampaignSpec& s) { return !s.faults.empty(); }};
+constexpr Need kRandomFaults{"a campaign-level 'faults' spec with a 'random' block",
+                             [](const CampaignSpec& s) { return s.faults.has_random; }};
+constexpr Need kNoise{"a campaign-level 'noise' spec",
+                      [](const CampaignSpec& s) { return !s.noise.empty(); }};
+constexpr Need kFlatBase{"the flat base platform", [](const CampaignSpec& s) {
+                           return s.base_kind == CampaignSpec::BaseKind::kFlat;
+                         }};
+
+// kPlacement: round_robin | block | stride:<k>. kVariant: "auto" or a name
+// in the collective's variant table (smpi/coll.h).
+enum class Kind { kNumber, kBool, kPlacement, kVariant };
+
+// One axis value applied to a scenario's setup.
+struct Setting {
+  ScenarioSetup& setup;
+  platform::Platform& platform;  // setup.platform
+  const util::JsonValue& value;
+  int entity;  // the host or link of a targeted param
+  int nranks;
+  double number() const { return value.as_number(); }
+};
+
+using Workload = workload::WorkloadSpec;
+
+// One sweepable parameter: its name, value contract and effect, on the
+// workload spec the runner regenerates (workload_*) or on the scenario setup
+// (neither for topology_nodes and noise_seed: materialize applies them).
+struct Param {
+  const char* name;
   const char* target_key;  // "host", "link", or nullptr when untargeted
+  Kind kind;
+  const Range* range;  // kNumber only
+  const Need* need;    // nullptr when the param stands alone
+  void (*workload)(Workload&, double);
+  void (*setup)(const Setting&);
 };
 
-// The closed catalog of sweepable parameters; an unknown name is rejected at
-// parse time so a typo cannot silently produce a no-op axis.
-const std::pair<const char*, ParamInfo> kParams[] = {
-    {"host_speed_scale", {ValueKind::kNumber, nullptr}},
-    {"link_bandwidth_scale", {ValueKind::kNumber, nullptr}},
-    {"link_latency_scale", {ValueKind::kNumber, nullptr}},
-    {"host_speed", {ValueKind::kNumber, "host"}},
-    {"link_bandwidth", {ValueKind::kNumber, "link"}},
-    {"link_latency", {ValueKind::kNumber, "link"}},
-    {"cpu_scale", {ValueKind::kNumber, nullptr}},
-    {"topology_nodes", {ValueKind::kNumber, nullptr}},
-    {"placement", {ValueKind::kString, nullptr}},
-    {"coll_bcast", {ValueKind::kVariant, nullptr}},
-    {"coll_alltoall", {ValueKind::kVariant, nullptr}},
-    {"coll_allreduce", {ValueKind::kVariant, nullptr}},
-    {"coll_allgather", {ValueKind::kVariant, nullptr}},
-    {"payload_free", {ValueKind::kBool, nullptr}},
-    {"eager_threshold", {ValueKind::kNumber, nullptr}},
-    {"overhead_send", {ValueKind::kNumber, nullptr}},
-    {"overhead_recv", {ValueKind::kNumber, nullptr}},
-    {"copy_cost", {ValueKind::kNumber, nullptr}},
-    {"workload_ranks", {ValueKind::kNumber, nullptr}},
-    {"workload_bytes", {ValueKind::kNumber, nullptr}},
-    {"workload_iterations", {ValueKind::kNumber, nullptr}},
-    {"workload_imbalance", {ValueKind::kNumber, nullptr}},
-    {"workload_seed", {ValueKind::kNumber, nullptr}},
-    {"fault_seed", {ValueKind::kNumber, nullptr}},
-    {"fault_time_scale", {ValueKind::kNumber, nullptr}},
-    {"fault_count_scale", {ValueKind::kNumber, nullptr}},
-    {"noise_seed", {ValueKind::kNumber, nullptr}},
-};
-
-bool is_workload_param(const std::string& param) {
-  return param.rfind("workload_", 0) == 0;
+// The stride of a placement value: rank r runs on host (r * stride) % hosts,
+// so round_robin is stride 1; 0 stands for block.
+int placement_stride(const std::string& text) {
+  if (text == "block") return 0;
+  if (text == "round_robin") return 1;
+  SMPI_REQUIRE(text.rfind("stride:", 0) == 0, "campaign axis 'placement': unknown policy '" +
+                                                  text + "' (round_robin | block | stride:<k>)");
+  const int stride = util::parse_number<int>("campaign axis 'placement' stride", text.substr(7));
+  SMPI_REQUIRE(stride >= 1, "campaign axis 'placement': stride must be >= 1");
+  return stride;
 }
 
-const ParamInfo* param_info(const std::string& name) {
-  for (const auto& [param, info] : kParams) {
-    if (name == param) return &info;
+std::vector<int> build_placement(int stride, int nranks, int hosts) {
+  std::vector<int> placement(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) {
+    // Block: contiguous blocks of ranks per host (the "fill each node
+    // first" mapping MPI launchers call by-node vs by-slot).
+    placement[static_cast<std::size_t>(r)] =
+        static_cast<int>(stride == 0 ? (static_cast<long long>(r) * hosts) / nranks
+                                     : (static_cast<long long>(r) * stride) % hosts);
+  }
+  return placement;
+}
+
+// The closed catalog of sweepable parameters, one row each; an unknown name
+// is rejected at parse time so a typo cannot silently produce a no-op axis.
+const Param kParams[] = {
+    {"host_speed_scale", nullptr, Kind::kNumber, &kPositive, nullptr, nullptr,
+     [](const Setting& s) {
+       for (int h = 0; h < s.platform.host_count(); ++h) {
+         s.platform.set_host_speed(h, s.platform.host(h).speed_flops * s.number());
+       }
+     }},
+    {"link_bandwidth_scale", nullptr, Kind::kNumber, &kPositive, nullptr, nullptr,
+     [](const Setting& s) {
+       for (int l = 0; l < s.platform.link_count(); ++l) {
+         s.platform.set_link_bandwidth(l, s.platform.link(l).bandwidth_bps * s.number());
+       }
+     }},
+    {"link_latency_scale", nullptr, Kind::kNumber, &kNonNegative, nullptr, nullptr,
+     [](const Setting& s) {
+       for (int l = 0; l < s.platform.link_count(); ++l) {
+         s.platform.set_link_latency(l, s.platform.link(l).latency_s * s.number());
+       }
+     }},
+    {"host_speed", "host", Kind::kNumber, &kPositive, nullptr, nullptr,
+     [](const Setting& s) { s.platform.set_host_speed(s.entity, s.number()); }},
+    {"link_bandwidth", "link", Kind::kNumber, &kPositive, nullptr, nullptr,
+     [](const Setting& s) { s.platform.set_link_bandwidth(s.entity, s.number()); }},
+    {"link_latency", "link", Kind::kNumber, &kNonNegative, nullptr, nullptr,
+     [](const Setting& s) { s.platform.set_link_latency(s.entity, s.number()); }},
+    {"cpu_scale", nullptr, Kind::kNumber, &kPositive, nullptr, nullptr,
+     [](const Setting& s) { s.setup.config.cpu_scale = s.number(); }},
+    {"topology_nodes", nullptr, Kind::kNumber, &kCount, &kFlatBase, nullptr, nullptr},
+    {"placement", nullptr, Kind::kPlacement, nullptr, nullptr, nullptr,
+     [](const Setting& s) {
+       s.setup.config.placement = build_placement(placement_stride(s.value.as_string()),
+                                                  s.nranks, s.platform.host_count());
+     }},
+    {"coll_bcast", nullptr, Kind::kVariant, nullptr, nullptr, nullptr,
+     [](const Setting& s) { s.setup.config.coll.bcast = s.value.as_string(); }},
+    {"coll_alltoall", nullptr, Kind::kVariant, nullptr, nullptr, nullptr,
+     [](const Setting& s) { s.setup.config.coll.alltoall = s.value.as_string(); }},
+    {"coll_allreduce", nullptr, Kind::kVariant, nullptr, nullptr, nullptr,
+     [](const Setting& s) { s.setup.config.coll.allreduce = s.value.as_string(); }},
+    {"coll_allgather", nullptr, Kind::kVariant, nullptr, nullptr, nullptr,
+     [](const Setting& s) { s.setup.config.coll.allgather = s.value.as_string(); }},
+    {"payload_free", nullptr, Kind::kBool, nullptr, nullptr, nullptr,
+     [](const Setting& s) { s.setup.payload_free = s.value.as_bool(); }},
+    {"eager_threshold", nullptr, Kind::kNumber, &kByteCount, nullptr, nullptr,
+     [](const Setting& s) {
+       s.setup.config.personality.eager_threshold = static_cast<std::uint64_t>(s.number());
+     }},
+    {"overhead_send", nullptr, Kind::kNumber, &kNonNegative, nullptr, nullptr,
+     [](const Setting& s) { s.setup.config.personality.overhead_send_s = s.number(); }},
+    {"overhead_recv", nullptr, Kind::kNumber, &kNonNegative, nullptr, nullptr,
+     [](const Setting& s) { s.setup.config.personality.overhead_recv_s = s.number(); }},
+    {"copy_cost", nullptr, Kind::kNumber, &kNonNegative, nullptr, nullptr,
+     [](const Setting& s) { s.setup.config.personality.copy_cost_s_per_byte = s.number(); }},
+    {"workload_ranks", nullptr, Kind::kNumber, &kCount, nullptr,
+     [](Workload& w, double x) { w.ranks = static_cast<int>(x); }, nullptr},
+    {"workload_bytes", nullptr, Kind::kNumber, &kNatural, nullptr,
+     [](Workload& w, double x) { for (auto& p : w.phases) p.bytes = {static_cast<long long>(x)}; },
+     nullptr},
+    {"workload_iterations", nullptr, Kind::kNumber, &kCount, nullptr,
+     [](Workload& w, double x) { for (auto& p : w.phases) p.iterations = static_cast<int>(x); },
+     nullptr},
+    {"workload_imbalance", nullptr, Kind::kNumber, &kFraction, nullptr,
+     [](Workload& w, double x) { for (auto& p : w.phases) p.compute.imbalance = x; }, nullptr},
+    {"workload_seed", nullptr, Kind::kNumber, &kNatural, nullptr,
+     [](Workload& w, double x) { w.seed = static_cast<std::uint64_t>(x); }, nullptr},
+    {"fault_seed", nullptr, Kind::kNumber, &kNatural, &kRandomFaults, nullptr,
+     [](const Setting& s) {
+       s.setup.config.faults.random.seed = static_cast<std::uint64_t>(s.number());
+     }},
+    {"fault_time_scale", nullptr, Kind::kNumber, &kPositive, &kFaults, nullptr,
+     [](const Setting& s) {
+       sim::FaultSpec& faults = s.setup.config.faults;
+       for (auto& event : faults.events) event.time *= s.number();
+       faults.random.time_min *= s.number();
+       faults.random.time_max *= s.number();
+       faults.random.mttr *= s.number();
+     }},
+    {"fault_count_scale", nullptr, Kind::kNumber, &kNonNegative, &kRandomFaults, nullptr,
+     [](const Setting& s) {
+       auto& random = s.setup.config.faults.random;
+       for (long long* count :
+            {&random.host_crashes, &random.link_failures, &random.link_degradations}) {
+         *count = std::llround(static_cast<double>(*count) * s.number());
+       }
+     }},
+    {"noise_seed", nullptr, Kind::kNumber, &kNatural, &kNoise, nullptr, nullptr},
+};
+
+platform::Platform build_base(const CampaignSpec& spec, int nranks, int nodes_override) {
+  switch (spec.base_kind) {
+    case CampaignSpec::BaseKind::kFlat: {
+      platform::FlatClusterParams params;
+      params.nodes = nodes_override > 0 ? nodes_override
+                     : spec.base_nodes > 0 ? spec.base_nodes
+                                           : nranks;
+      return platform::build_flat_cluster(params);
+    }
+    case CampaignSpec::BaseKind::kGriffon: return platform::build_griffon();
+    case CampaignSpec::BaseKind::kGdx: return platform::build_gdx();
+    case CampaignSpec::BaseKind::kXmlFile:
+      return platform::load_platform_from_file(spec.platform_file);
+  }
+  SMPI_UNREACHABLE("bad base kind");
+}
+
+// The row of an axis key ("host_speed:node-0" -> host_speed), or nullptr.
+const Param* param_of(const std::string& key) {
+  const std::string name = key.substr(0, key.find(':'));
+  for (const Param& param : kParams) {
+    if (name == param.name) return &param;
   }
   return nullptr;
+}
+
+// Throws ContractError, naming the param, unless `v` is in its contract.
+void check_value(const Param& param, const util::JsonValue& v) {
+  const std::string where = "campaign axis '" + std::string(param.name) + "': ";
+  switch (param.kind) {
+    case Kind::kNumber: {
+      SMPI_REQUIRE(v.is_number(), where + "values must be numbers");
+      const Range& r = *param.range;
+      const double x = v.as_number();
+      const bool in_range = (x > r.min || (!r.min_open && x == r.min)) && x < r.max &&
+                            (!r.integer || x == std::floor(x));
+      SMPI_REQUIRE(in_range, where + "value " + v.dump() + " is not " + r.text);
+      break;
+    }
+    case Kind::kBool:
+      SMPI_REQUIRE(v.is_bool(), where + "values must be booleans");
+      break;
+    case Kind::kPlacement:
+      SMPI_REQUIRE(v.is_string(), where + "values must be strings");
+      placement_stride(v.as_string());
+      break;
+    case Kind::kVariant: {
+      SMPI_REQUIRE(v.is_string(), where + "values must be strings");
+      const auto names = coll::variant_names(std::string(param.name).substr(std::strlen("coll_")));
+      std::string known = "auto";
+      for (const std::string& name : names) known += ", " + name;
+      SMPI_REQUIRE(v.as_string() == "auto" ||
+                       std::find(names.begin(), names.end(), v.as_string()) != names.end(),
+                   where + "unknown variant '" + v.as_string() + "' (one of: " + known + ")");
+      break;
+    }
+  }
 }
 
 std::string value_text(const util::JsonValue& v) {
@@ -86,7 +267,7 @@ const util::JsonValue* Scenario::find(const std::string& key) const {
 
 bool CampaignSpec::sweeps_workload() const {
   for (const Axis& axis : axes) {
-    if (is_workload_param(axis.param)) return true;
+    if (param_of(axis.param)->workload != nullptr) return true;
   }
   return false;
 }
@@ -157,43 +338,21 @@ CampaignSpec CampaignSpec::parse(const util::JsonValue& doc) {
     for (const auto& entry : axes->items()) {
       Axis axis;
       axis.param = entry.at("param", "campaign axis").as_string();
-      const ParamInfo* info = param_info(axis.param);
-      SMPI_REQUIRE(info != nullptr, "campaign axis: unknown param '" + axis.param + "'");
-      if (info->target_key != nullptr) {
-        axis.target = entry.at(info->target_key, "campaign axis '" + axis.param + "'").as_string();
+      const Param* param = param_of(axis.param);
+      SMPI_REQUIRE(param != nullptr && axis.param == param->name,
+                   "campaign axis: unknown param '" + axis.param + "'");
+      if (param->target_key != nullptr) {
+        axis.target = entry.at(param->target_key, "campaign axis '" + axis.param + "'").as_string();
       } else {
         SMPI_REQUIRE(entry.find("host") == nullptr && entry.find("link") == nullptr,
                      "campaign axis '" + axis.param + "' does not take a host/link target");
       }
+      SMPI_REQUIRE(param->need == nullptr || param->need->met(spec),
+                   "campaign axis '" + axis.param + "' needs " + param->need->what);
       const auto& values = entry.at("values", "campaign axis '" + axis.param + "'").items();
       SMPI_REQUIRE(!values.empty(), "campaign axis '" + axis.param + "' has no values");
       for (const auto& v : values) {
-        switch (info->kind) {
-          case ValueKind::kNumber:
-            SMPI_REQUIRE(v.is_number(),
-                         "campaign axis '" + axis.param + "': values must be numbers");
-            break;
-          case ValueKind::kString:
-            SMPI_REQUIRE(v.is_string(),
-                         "campaign axis '" + axis.param + "': values must be strings");
-            break;
-          case ValueKind::kBool:
-            SMPI_REQUIRE(v.is_bool(),
-                         "campaign axis '" + axis.param + "': values must be booleans");
-            break;
-          case ValueKind::kVariant: {
-            SMPI_REQUIRE(v.is_string(),
-                         "campaign axis '" + axis.param + "': values must be strings");
-            const auto names = coll::variant_names(axis.param.substr(std::strlen("coll_")));
-            std::string known = "auto";
-            for (const std::string& name : names) known += ", " + name;
-            SMPI_REQUIRE(v.as_string() == "auto" ||
-                             std::find(names.begin(), names.end(), v.as_string()) != names.end(),
-                         "campaign axis '" + axis.param + "': unknown variant '" + v.as_string() +
-                             "' (one of: " + known + ")");
-            break;
-          }
-        }
+        check_value(*param, v);
         axis.values.push_back(v);
       }
       SMPI_REQUIRE(seen.insert(axis.key()).second,
@@ -244,169 +403,27 @@ std::vector<Scenario> enumerate_scenarios(const CampaignSpec& spec) {
   return scenarios;
 }
 
-namespace {
-
-platform::Platform build_base(const CampaignSpec& spec, int nranks, int nodes_override) {
-  switch (spec.base_kind) {
-    case CampaignSpec::BaseKind::kFlat: {
-      platform::FlatClusterParams params;
-      params.nodes = nodes_override > 0 ? nodes_override
-                     : spec.base_nodes > 0 ? spec.base_nodes
-                                           : nranks;
-      return platform::build_flat_cluster(params);
-    }
-    case CampaignSpec::BaseKind::kGriffon:
-      SMPI_REQUIRE(nodes_override == 0, "topology_nodes applies to the flat base platform only");
-      return platform::build_griffon();
-    case CampaignSpec::BaseKind::kGdx:
-      SMPI_REQUIRE(nodes_override == 0, "topology_nodes applies to the flat base platform only");
-      return platform::build_gdx();
-    case CampaignSpec::BaseKind::kXmlFile:
-      SMPI_REQUIRE(nodes_override == 0, "topology_nodes applies to the flat base platform only");
-      return platform::load_platform_from_file(spec.platform_file);
-  }
-  SMPI_UNREACHABLE("bad base kind");
-}
-
-std::vector<int> build_placement(const std::string& policy, int nranks, int hosts) {
-  std::vector<int> placement(static_cast<std::size_t>(nranks));
-  if (policy == "round_robin") {
-    for (int r = 0; r < nranks; ++r) placement[static_cast<std::size_t>(r)] = r % hosts;
-  } else if (policy == "block") {
-    // Contiguous blocks of ranks per host (the "fill each node first"
-    // mapping MPI launchers call by-node vs by-slot).
-    for (int r = 0; r < nranks; ++r) {
-      placement[static_cast<std::size_t>(r)] =
-          static_cast<int>((static_cast<long long>(r) * hosts) / nranks);
-    }
-  } else if (policy.rfind("stride:", 0) == 0) {
-    const int stride = std::stoi(policy.substr(7));
-    SMPI_REQUIRE(stride >= 1, "placement stride must be >= 1");
-    for (int r = 0; r < nranks; ++r) {
-      placement[static_cast<std::size_t>(r)] = static_cast<int>(
-          (static_cast<long long>(r) * stride) % hosts);
-    }
-  } else {
-    SMPI_REQUIRE(false, "unknown placement policy '" + policy + "'");
-  }
-  return placement;
-}
-
-}  // namespace
-
 ScenarioSetup materialize(const CampaignSpec& spec, const Scenario& scenario, int nranks,
                           int replication) {
   SMPI_REQUIRE(replication >= 0, "replication index must be >= 0");
   // Topology first: every other override applies to the rebuilt platform.
-  int nodes_override = 0;
-  if (const auto* nodes = scenario.find("topology_nodes")) {
-    nodes_override = static_cast<int>(nodes->as_int());
-    SMPI_REQUIRE(nodes_override > 0, "topology_nodes must be > 0");
-  }
-
+  const util::JsonValue* nodes = scenario.find("topology_nodes");
+  const int nodes_override = nodes != nullptr ? static_cast<int>(nodes->as_int()) : 0;
   ScenarioSetup setup{build_base(spec, nranks, nodes_override), {}, true};
-  platform::Platform& p = setup.platform;
-  core::SmpiConfig& config = setup.config;
-  config.faults = spec.faults;  // fault_* overrides below edit this copy
+  setup.config.faults = spec.faults;  // fault_* overrides below edit this copy
 
   for (const auto& [key, value] : scenario.params) {
-    const std::string param = key.substr(0, key.find(':'));
-    const std::string target = key.find(':') == std::string::npos
-                                   ? std::string()
-                                   : key.substr(key.find(':') + 1);
-    if (param == "topology_nodes") {
-      continue;  // applied above
-    } else if (param == "host_speed_scale") {
-      for (int h = 0; h < p.host_count(); ++h) {
-        p.set_host_speed(h, p.host(h).speed_flops * value.as_number());
-      }
-    } else if (param == "link_bandwidth_scale") {
-      for (int l = 0; l < p.link_count(); ++l) {
-        p.set_link_bandwidth(l, p.link(l).bandwidth_bps * value.as_number());
-      }
-    } else if (param == "link_latency_scale") {
-      for (int l = 0; l < p.link_count(); ++l) {
-        p.set_link_latency(l, p.link(l).latency_s * value.as_number());
-      }
-    } else if (param == "host_speed") {
-      const int host = p.find_host(target);
-      SMPI_REQUIRE(host >= 0, "campaign override on nonexistent host '" + target + "'");
-      p.set_host_speed(host, value.as_number());
-    } else if (param == "link_bandwidth") {
-      const int link = p.find_link(target);
-      SMPI_REQUIRE(link >= 0, "campaign override on nonexistent link '" + target + "'");
-      p.set_link_bandwidth(link, value.as_number());
-    } else if (param == "link_latency") {
-      const int link = p.find_link(target);
-      SMPI_REQUIRE(link >= 0, "campaign override on nonexistent link '" + target + "'");
-      p.set_link_latency(link, value.as_number());
-    } else if (param == "cpu_scale") {
-      config.cpu_scale = value.as_number();
-      SMPI_REQUIRE(config.cpu_scale > 0, "cpu_scale must be > 0");
-    } else if (param == "placement") {
-      config.placement = build_placement(value.as_string(), nranks, p.host_count());
-    } else if (param == "coll_bcast") {
-      config.coll.bcast = value.as_string();
-    } else if (param == "coll_alltoall") {
-      config.coll.alltoall = value.as_string();
-    } else if (param == "coll_allreduce") {
-      config.coll.allreduce = value.as_string();
-    } else if (param == "coll_allgather") {
-      config.coll.allgather = value.as_string();
-    } else if (param == "payload_free") {
-      setup.payload_free = value.as_bool();
-    } else if (param == "eager_threshold") {
-      const double threshold = value.as_number();
-      SMPI_REQUIRE(threshold >= 0, "eager_threshold must be >= 0");
-      config.personality.eager_threshold = static_cast<std::uint64_t>(threshold);
-    } else if (param == "overhead_send") {
-      const double overhead = value.as_number();
-      SMPI_REQUIRE(overhead >= 0, "overhead_send must be >= 0");
-      config.personality.overhead_send_s = overhead;
-    } else if (param == "overhead_recv") {
-      const double overhead = value.as_number();
-      SMPI_REQUIRE(overhead >= 0, "overhead_recv must be >= 0");
-      config.personality.overhead_recv_s = overhead;
-    } else if (param == "copy_cost") {
-      const double cost = value.as_number();
-      SMPI_REQUIRE(cost >= 0, "copy_cost must be >= 0");
-      config.personality.copy_cost_s_per_byte = cost;
-    } else if (param == "fault_seed") {
-      SMPI_REQUIRE(config.faults.has_random,
-                   "fault_seed needs a campaign-level 'faults' spec with a 'random' block");
-      SMPI_REQUIRE(value.as_int() >= 0, "fault_seed must be >= 0");
-      config.faults.random.seed = static_cast<std::uint64_t>(value.as_int());
-    } else if (param == "fault_time_scale") {
-      const double scale = value.as_number();
-      SMPI_REQUIRE(scale > 0, "fault_time_scale must be > 0");
-      SMPI_REQUIRE(!config.faults.empty(),
-                   "fault_time_scale needs a campaign-level 'faults' spec");
-      for (auto& event : config.faults.events) event.time *= scale;
-      config.faults.random.time_min *= scale;
-      config.faults.random.time_max *= scale;
-      config.faults.random.mttr *= scale;
-    } else if (param == "noise_seed") {
-      SMPI_REQUIRE(!spec.noise.empty(),
-                   "noise_seed needs a campaign-level 'noise' spec");
-      SMPI_REQUIRE(value.as_int() >= 0, "noise_seed must be >= 0");
-      // Applied in the noise block after the loop.
-    } else if (param == "fault_count_scale") {
-      const double scale = value.as_number();
-      SMPI_REQUIRE(scale >= 0, "fault_count_scale must be >= 0");
-      SMPI_REQUIRE(config.faults.has_random,
-                   "fault_count_scale needs a campaign-level 'faults' spec with a 'random' block");
-      auto& random = config.faults.random;
-      random.host_crashes = std::llround(static_cast<double>(random.host_crashes) * scale);
-      random.link_failures = std::llround(static_cast<double>(random.link_failures) * scale);
-      random.link_degradations =
-          std::llround(static_cast<double>(random.link_degradations) * scale);
-    } else if (is_workload_param(param)) {
-      // Applied by the runner when it regenerates the trace; nothing to do
-      // on the platform/config side.
-      continue;
-    } else {
-      SMPI_REQUIRE(false, "campaign scenario: unknown param '" + param + "'");
+    const Param* param = param_of(key);
+    SMPI_REQUIRE(param != nullptr, "campaign scenario: unknown param '" + key + "'");
+    int entity = -1;
+    if (param->target_key != nullptr) {
+      const std::string target = key.substr(key.find(':') + 1);
+      const bool host = std::strcmp(param->target_key, "host") == 0;
+      entity = host ? setup.platform.find_host(target) : setup.platform.find_link(target);
+      SMPI_REQUIRE(entity >= 0, "campaign override on nonexistent " +
+                                    std::string(param->target_key) + " '" + target + "'");
     }
+    if (param->setup != nullptr) param->setup({setup, setup.platform, value, entity, nranks});
   }
 
   if (!spec.noise.empty()) {
@@ -414,46 +431,25 @@ ScenarioSetup materialize(const CampaignSpec& spec, const Scenario& scenario, in
     // are per-entity, so axis overrides and noise factors compose). The
     // replication index selects an independent sub-seed; a noise_seed axis
     // rebases the whole family.
-    config.noise = spec.noise;
+    setup.config.noise = spec.noise;
     if (const auto* seed = scenario.find("noise_seed")) {
-      config.noise.seed = static_cast<std::uint64_t>(seed->as_int());
+      setup.config.noise.seed = static_cast<std::uint64_t>(seed->as_int());
     }
-    config.noise.seed = noise::replication_seed(config.noise.seed, replication);
-    noise::apply_platform_noise(p, config.noise);
+    setup.config.noise.seed = noise::replication_seed(setup.config.noise.seed, replication);
+    noise::apply_platform_noise(setup.platform, setup.config.noise);
   }
   return setup;
 }
 
-bool has_workload_override(const Scenario& scenario) {
-  for (const auto& [key, value] : scenario.params) {
-    if (is_workload_param(key)) return true;
-  }
-  return false;
-}
-
-workload::WorkloadSpec apply_workload_overrides(const workload::WorkloadSpec& base,
+workload::WorkloadSpec apply_workload_overrides(const CampaignSpec& campaign,
                                                 const Scenario& scenario) {
-  workload::WorkloadSpec spec = base;
+  workload::WorkloadSpec spec = campaign.workload;
   for (const auto& [key, value] : scenario.params) {
-    if (key == "workload_ranks") {
-      spec.ranks = static_cast<int>(value.as_int());
-      SMPI_REQUIRE(spec.ranks > 0, "workload_ranks must be > 0");
-    } else if (key == "workload_seed") {
-      SMPI_REQUIRE(value.as_int() >= 0, "workload_seed must be >= 0");
-      spec.seed = static_cast<std::uint64_t>(value.as_int());
-    } else if (key == "workload_bytes") {
-      const long long bytes = value.as_int();
-      SMPI_REQUIRE(bytes >= 0, "workload_bytes must be >= 0");
-      for (auto& phase : spec.phases) phase.bytes = {bytes};
-    } else if (key == "workload_iterations") {
-      const int iterations = static_cast<int>(value.as_int());
-      SMPI_REQUIRE(iterations >= 1, "workload_iterations must be >= 1");
-      for (auto& phase : spec.phases) phase.iterations = iterations;
-    } else if (key == "workload_imbalance") {
-      const double imbalance = value.as_number();
-      SMPI_REQUIRE(imbalance >= 0 && imbalance < 1, "workload_imbalance must be in [0, 1)");
-      for (auto& phase : spec.phases) phase.compute.imbalance = imbalance;
-    }
+    const Param* param = param_of(key);
+    if (param == nullptr || param->workload == nullptr) continue;
+    SMPI_REQUIRE(campaign.has_workload,
+                 "campaign axis '" + key + "' needs a workload trace source, not a capture");
+    param->workload(spec, value.as_number());
   }
   // Contracts the parser enforced against the original rank count must
   // survive the override — an explicit grid that no longer tiles the ranks,

@@ -33,48 +33,53 @@
 //     ]
 //   }
 //
-// Parameters:
-//   host_speed_scale      x all hosts' flop rate          (number > 0)
-//   link_bandwidth_scale  x all links' bandwidth          (number > 0)
-//   link_latency_scale    x all links' latency            (number >= 0)
-//   host_speed            absolute flop rate, needs "host" (number > 0)
-//   link_bandwidth        absolute bytes/s,   needs "link" (number > 0)
-//   link_latency          absolute seconds,   needs "link" (number >= 0)
-//   cpu_scale             SmpiConfig::cpu_scale            (number > 0)
-//   topology_nodes        rebuild the flat base cluster with N nodes (int;
-//                         flat base only; N < ranks oversubscribes hosts)
-//   placement             rank->host mapping: round_robin | block | stride:<k>
+// Parameters and their values' contract (one row each in spec.cpp's kParams,
+// with its effect); numbers are finite, ints are integral numbers:
+//   host_speed_scale      x all hosts' flop rate                number > 0
+//   link_bandwidth_scale  x all links' bandwidth                number > 0
+//   link_latency_scale    x all links' latency                  number >= 0
+//   host_speed            absolute flop rate, needs "host"      number > 0
+//   link_bandwidth        absolute bytes/s, needs "link"        number > 0
+//   link_latency          absolute seconds, needs "link"        number >= 0
+//   cpu_scale             SmpiConfig::cpu_scale                 number > 0
+//   topology_nodes        rebuild the flat base with N nodes    int in [1, 2^31)
+//                         (N < ranks oversubscribes hosts)
+//   placement             round_robin | block | stride:<k> (rank->host map; int k >= 1)
 //   coll_bcast            auto | binomial | scatter_ring_allgather
 //   coll_alltoall         auto | bruck | basic | pairwise
 //   coll_allreduce        auto | recursive_doubling | rabenseifner | reduce_bcast
 //   coll_allgather        auto | recursive_doubling | ring
 //   payload_free          true | false (replay with or without payload motion)
-//   eager_threshold       Personality::eager_threshold in bytes (number >= 0;
-//                         the eager/rendezvous protocol switch point)
-//   overhead_send         Personality::overhead_send_s in seconds (number >= 0;
-//                         per-message CPU cost charged to the sender)
-//   overhead_recv         Personality::overhead_recv_s in seconds (number >= 0;
-//                         per-message CPU cost charged to the receiver)
-//   copy_cost             Personality::copy_cost_s_per_byte (number >= 0;
-//                         per-byte staging-copy cost on eager sends)
-//   workload_ranks        regenerate the workload at N ranks      (int > 0)
-//   workload_bytes        every phase's message size, in bytes    (int >= 0)
-//   workload_iterations   every phase's iteration count           (int >= 1)
-//   workload_imbalance    every phase's compute.imbalance     (number in [0,1))
-//   workload_seed         the workload RNG seed                   (int >= 0)
-//   fault_seed            the fault generator's RNG seed          (int >= 0)
-//   fault_time_scale      x all fault times (events and the random window)
-//                         (number > 0)
-//   fault_count_scale     x the random fault counts, rounded      (number >= 0)
-//   noise_seed            the noise model's base RNG seed         (int >= 0)
+//   eager_threshold       Personality::eager_threshold, bytes   number in [0, 2^64)
+//   overhead_send         sender's per-message CPU cost, s      number >= 0
+//   overhead_recv         receiver's per-message CPU cost, s    number >= 0
+//   copy_cost             eager staging-copy cost, s per byte   number >= 0
+//   workload_ranks        regenerate the workload at N ranks    int in [1, 2^31)
+//   workload_bytes        every phase's message size, bytes     int in [0, 2^63)
+//   workload_iterations   every phase's iteration count         int in [1, 2^31)
+//   workload_imbalance    every phase's compute.imbalance       number in [0, 1)
+//   workload_seed         the workload RNG seed                 int in [0, 2^63)
+//   fault_seed            the fault generator's RNG seed        int in [0, 2^63)
+//   fault_time_scale      x all fault times and the random window  number > 0
+//   fault_count_scale     x the random fault counts, rounded    number >= 0
+//   noise_seed            the noise model's base RNG seed       int in [0, 2^63)
 //
-// The fault_* parameters modify the campaign-level failure model declared by
-// the spec's top-level "faults" key (an inline fault spec or a path to one;
-// see src/sim/fault.hpp). fault_seed and fault_count_scale require that spec
-// to carry a "random" block. A top-level "timeout_s" sets the per-scenario
-// wall-clock watchdog the runner enforces (0 = none; the CLI can override).
-// A top-level "analysis": false turns off the per-scenario wait-state /
-// critical-path analysis (on by default; see src/obs/analysis.hpp).
+// CampaignSpec::parse checks every value against its contract, and that the
+// spec holds what the param needs: a top-level "faults" spec for fault_* (an
+// inline fault spec or a path to one, see src/sim/fault.hpp) with a "random"
+// block for fault_seed and fault_count_scale, a "noise" spec for noise_seed,
+// the flat base for topology_nodes. An out-of-contract value thus fails the
+// parse before any scenario runs. Host and link names can only be checked
+// against the built platform: an unknown one fails its scenario when it is
+// materialized (an ignored override would poison the sweep's conclusions).
+// The workload_* parameters re-run the generator inside the
+// worker, so they need a workload trace source, which the CLI may supply
+// after the parse: against a captured trace they fail their scenario.
+//
+// A top-level "timeout_s" sets the per-scenario wall-clock watchdog the
+// runner enforces (0 = none; the CLI can override). A top-level "analysis":
+// false turns off the per-scenario wait-state / critical-path analysis (on
+// by default; see src/obs/analysis.hpp).
 //
 // Monte-Carlo campaigns: a top-level "noise" key (an inline noise spec or a
 // path to one; see src/noise/noise.hpp) perturbs every scenario's platform
@@ -85,16 +90,8 @@
 // the report folds the N simulated times into per-scenario statistics
 // (mean, stddev, p5/p50/p95, bootstrap CI) plus a campaign-level
 // rank-stability verdict. The noise_seed axis rebases the noise spec's seed
-// per scenario (requires a campaign-level "noise" spec); replications > 1
-// likewise requires one — replicating a deterministic scenario would
-// measure nothing.
-//
-// The workload_* parameters require the campaign's trace source to be a
-// workload (they re-run the generator inside the worker with the overridden
-// spec); using one against a captured trace is a hard error. Overriding a
-// host/link that does not exist in the scenario's platform is likewise a
-// hard error when the scenario is materialized — a silently ignored
-// override would poison the whole sweep's conclusions.
+// per scenario; replications > 1 needs a "noise" spec too — replicating a
+// deterministic scenario would measure nothing.
 #pragma once
 
 #include <string>
@@ -137,9 +134,7 @@ struct CampaignSpec {
   // Campaign-level noise model (noise_seed axis rebases its seed); empty =
   // fully deterministic scenarios.
   noise::NoiseSpec noise;
-  // Runs per scenario under independent noise sub-seeds; > 1 requires a
-  // non-empty noise spec.
-  int replications = 1;
+  int replications = 1;  // runs per scenario, under independent noise sub-seeds
   // Per-scenario wall-clock watchdog in seconds (0 = none).
   double timeout_s = 0;
   // Run the wait-state / critical-path analysis inside every replay (JSON
@@ -154,7 +149,9 @@ struct CampaignSpec {
   bool resources = true;
   std::vector<Axis> axes;
 
-  // True when any axis sweeps a workload_* parameter.
+  // True when any axis sweeps a workload_* parameter. Every scenario but
+  // the baseline then overrides the workload, and the runner regenerates
+  // its trace instead of replaying the shared baseline.
   bool sweeps_workload() const;
 
   static CampaignSpec parse(const util::JsonValue& doc);
@@ -175,7 +172,7 @@ struct Scenario {
 std::vector<Scenario> enumerate_scenarios(const CampaignSpec& spec);
 
 // Platform + config for one scenario, ready to hand to replay_trace. Throws
-// ContractError on unknown host/link targets or out-of-contract values.
+// ContractError on unknown host/link targets.
 struct ScenarioSetup {
   platform::Platform platform;
   core::SmpiConfig config;
@@ -187,14 +184,11 @@ struct ScenarioSetup {
 ScenarioSetup materialize(const CampaignSpec& spec, const Scenario& scenario, int nranks,
                           int replication = 0);
 
-// True when the scenario overrides any workload_* parameter (the runner
-// must then regenerate the trace instead of replaying the shared baseline).
-bool has_workload_override(const Scenario& scenario);
-
-// The base workload spec with the scenario's workload_* overrides applied
-// to every phase; re-validates grid/root/degree contracts against an
-// overridden rank count. Throws ContractError on violations.
-workload::WorkloadSpec apply_workload_overrides(const workload::WorkloadSpec& base,
+// The campaign's workload spec with the scenario's workload_* overrides
+// applied to every phase; re-validates grid/root/degree contracts against an
+// overridden rank count. Throws ContractError on violations, and when the
+// campaign's trace source is a capture.
+workload::WorkloadSpec apply_workload_overrides(const CampaignSpec& campaign,
                                                 const Scenario& scenario);
 
 }  // namespace smpi::campaign

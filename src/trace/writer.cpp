@@ -25,10 +25,13 @@ void TiWriter::append(int rank, const TiRecord& record) {
   SMPI_REQUIRE(rank >= 0 && rank < nranks_, "trace record for out-of-range rank");
   SMPI_REQUIRE(!finished_, "trace writer already finished");
   auto& buffer = buffers_[static_cast<std::size_t>(rank)];
+  const std::size_t before = buffer.size();
   buffer += serialize_record(record);
   buffer += '\n';
+  buffered_ += buffer.size() - before;
   ++records_;
-  if (buffer.size() >= kFlushBytes) flush_rank(rank);
+  if (buffered_ < kBufferBytes) return;
+  for (int r = 0; r < nranks_; ++r) flush_rank(r);
 }
 
 void TiWriter::flush_rank(int rank) {
@@ -38,11 +41,10 @@ void TiWriter::flush_rank(int rank) {
   std::FILE* f = std::fopen(rank_path(rank).c_str(), first ? "w" : "a");
   SMPI_ENSURE(f != nullptr, "cannot open trace file for writing");
   truncated_[static_cast<std::size_t>(rank)] = true;
-  if (!buffer.empty()) {
-    std::fwrite(buffer.data(), 1, buffer.size(), f);
-    buffer.clear();
-  }
+  std::fwrite(buffer.data(), 1, buffer.size(), f);
   std::fclose(f);
+  buffered_ -= buffer.size();
+  std::string().swap(buffer);  // a kept capacity would escape the bound
 }
 
 void TiWriter::finish() {

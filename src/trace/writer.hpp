@@ -2,10 +2,11 @@
 //
 // Capture happens on the simulation's hot path (every MPI call emits one
 // record), so records are serialized into an in-memory buffer per rank and
-// flushed to `<dir>/rank_<r>.ti` only when the buffer exceeds a threshold —
-// capture must never add a syscall per MPI call. finish() flushes every
-// buffer and writes `<dir>/manifest.txt`; the destructor calls it if the
-// caller forgot.
+// appended to `<dir>/rank_<r>.ti` only when all buffers together hold
+// kBufferBytes — capture must never add a syscall per MPI call, and an
+// N-rank capture must not hold N buffers' worth of text. finish() flushes
+// every buffer and writes `<dir>/manifest.txt`; the destructor calls it if
+// the caller forgot.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,8 @@ namespace smpi::trace {
 
 class TiWriter {
  public:
+  static constexpr std::size_t kBufferBytes = 1 << 20;  // all ranks' buffers together
+
   // Creates `dir` (and parents) if needed; truncates any previous trace for
   // the same rank count.
   TiWriter(std::string dir, int nranks, std::string app = "app");
@@ -35,8 +38,6 @@ class TiWriter {
   std::uint64_t records_written() const { return records_; }
 
  private:
-  static constexpr std::size_t kFlushBytes = 1 << 20;
-
   std::string rank_path(int rank) const;
   void flush_rank(int rank);
 
@@ -44,6 +45,7 @@ class TiWriter {
   int nranks_;
   std::string app_;
   std::vector<std::string> buffers_;
+  std::size_t buffered_ = 0;  // total size of buffers_
   std::vector<bool> truncated_;  // first flush truncates, later ones append
   std::uint64_t records_ = 0;
   bool finished_ = false;

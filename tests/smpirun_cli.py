@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """End-to-end checks of the smpirun command line, online and --replay.
 
-    python3 tests/smpirun_cli.py path/to/smpirun path/to/smpi_workload
+    python3 tests/smpirun_cli.py path/to/smpirun path/to/smpi_workload path/to/ti_inspect
 
 Covers what unit tests cannot see: a 16-rank online capture replays to the
 same simulated time, the exit-code contract (1 usage, 2 abort, 3 deadlock,
 4 time limit), the --verbose counter block and the exact bytes of two
 contended --resources reports, one network-bound and one CPU-bound
-(tests/fixtures/smpirun_*.txt). Prints one line per failed check and exits
-1 if any failed.
+(tests/fixtures/smpirun_*.txt), and ti_inspect's argument checks on the
+captured trace. Prints one line per failed check and exits 1 if any failed.
 """
 import re
 import subprocess
@@ -18,6 +18,7 @@ from pathlib import Path
 
 SMPIRUN = sys.argv[1]
 SMPI_WORKLOAD = sys.argv[2]
+TI_INSPECT = sys.argv[3]
 ONLINE = ["--np", "16", "--cluster", "16", "--app", "alltoall", "--bytes", "65536"]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 FAULTS = ('{"policy": "%s", "events": '
@@ -54,6 +55,18 @@ with tempfile.TemporaryDirectory() as tmp:
     t_online, t_replay = simulated_time(online), simulated_time(replayed)
     check(t_online is not None and t_replay is not None and abs(t_online - t_replay) <= 1e-9,
           "replay time %s != online time %s" % (t_replay, t_online))
+
+    # ti_inspect dumps one rank only when asked for a whole rank number in
+    # [0, ranks), and knows no mode but its own.
+    proc = run([ti_dir, "--dump", "3"], program=TI_INSPECT)
+    dumped = proc.stdout.splitlines()
+    check(proc.returncode == 0 and dumped and all(l.split()[0] == "3" for l in dumped),
+          "ti_inspect --dump 3 should print rank 3's records only", proc)
+    for bad in [["--dump", "abc"], ["--dump", "2x"], ["--dump", "16"], ["--dump", "-1"],
+                ["--bogus"], ["--summary", "3"]]:
+        proc = run([ti_dir] + bad, program=TI_INSPECT)
+        check(proc.returncode == 1 and not proc.stdout,
+              "ti_inspect %s: expected exit 1 and no output" % " ".join(bad), proc)
 
     modes = {"online": ONLINE, "replay": replay}
 

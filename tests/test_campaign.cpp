@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -149,6 +150,90 @@ TEST(CampaignSpec, RejectsUnknownCollectiveVariants) {
             (std::vector<std::string>{"recursive_doubling", "rabenseifner", "reduce_bcast"}));
 }
 
+// Every parameter of spec.hpp's list checks its values at parse: one valid
+// value parses, and each out-of-contract value (out of bounds, the wrong
+// kind, a number beyond double range, a spec lacking what the param needs)
+// throws a ContractError that names the param, before any scenario exists.
+TEST(CampaignSpec, EveryParamEnforcesItsContractAtParse) {
+  struct Case {
+    const char* param;
+    const char* target;  // ", \"host\": ..." for targeted params
+    const char* valid;
+    std::vector<const char*> bad;
+    const char* need;  // the spec key the param needs, dropped in one check
+  };
+  const std::vector<Case> cases = {
+      {"host_speed_scale", "", "2", {"0", "-1", "\"x\""}, nullptr},
+      {"link_bandwidth_scale", "", "0.5", {"0", "-2", "true"}, nullptr},
+      {"link_latency_scale", "", "0", {"-0.5", "\"x\""}, nullptr},
+      {"host_speed", R"(, "host": "node-0")", "1e9", {"0", "-1e9", "\"fast\""}, nullptr},
+      {"link_bandwidth", R"(, "link": "l0")", "1e9", {"0", "\"x\""}, nullptr},
+      {"link_latency", R"(, "link": "l0")", "0", {"-1e-6", "\"x\""}, nullptr},
+      {"cpu_scale", "", "3", {"0", "-3", "\"x\""}, nullptr},
+      {"topology_nodes", "", "9", {"0", "2.5", "2147483648", "\"x\""}, "platform"},
+      {"placement", "", "\"stride:2\"", {"\"diagonal\"", "\"stride:0\"", "\"stride:abc\"",
+                                         "\"stride:99999999999\"", "\"stride:2x\"", "2"},
+       nullptr},
+      {"coll_bcast", "", "\"binomial\"", {"\"ring\"", "1"}, nullptr},
+      {"coll_alltoall", "", "\"pairwise\"", {"\"brukc\"", "false"}, nullptr},
+      {"coll_allreduce", "", "\"rabenseifner\"", {"\"recursive_dubling\"", "1"}, nullptr},
+      {"coll_allgather", "", "\"ring\"", {"\"bruck\"", "1"}, nullptr},
+      {"payload_free", "", "false", {"1", "\"true\""}, nullptr},
+      {"eager_threshold", "", "65536", {"-1", "18446744073709551616", "\"64KiB\""}, nullptr},
+      {"overhead_send", "", "1e-6", {"-1e-6", "\"x\""}, nullptr},
+      {"overhead_recv", "", "1e-6", {"-1e-6", "\"x\""}, nullptr},
+      {"copy_cost", "", "1e-9", {"-1e-9", "\"x\""}, nullptr},
+      {"workload_ranks", "", "8", {"0", "1.5", "2147483648", "\"x\""}, nullptr},
+      {"workload_bytes", "", "512", {"-1", "0.5", "\"x\""}, nullptr},
+      {"workload_iterations", "", "3", {"0", "1.5", "\"x\""}, nullptr},
+      {"workload_imbalance", "", "0.5", {"1", "-0.1", "\"x\""}, nullptr},
+      {"workload_seed", "", "7", {"-1", "0.5", "9223372036854775808", "\"x\""}, nullptr},
+      {"fault_seed", "", "7", {"-1", "0.5", "\"x\""}, "random"},
+      {"fault_time_scale", "", "2", {"0", "-2", "\"x\""}, "faults"},
+      {"fault_count_scale", "", "0", {"-1", "\"x\""}, "random"},
+      {"noise_seed", "", "5", {"-1", "1.5", "\"x\""}, "noise"},
+  };
+  // A spec that holds everything any param needs; `drop` leaves one out.
+  const auto spec_text = [](const Case& c, const std::string& value, const char* drop) {
+    std::string text = "{";
+    text += std::strcmp(drop, "platform") == 0 ? R"("platform": {"kind": "hierarchical-gdx"},)"
+                                                : R"("platform": {"kind": "flat", "nodes": 4},)";
+    if (std::strcmp(drop, "faults") != 0) {
+      text += std::strcmp(drop, "random") == 0
+                  ? R"("faults": {"policy": "abort", "events": [{"kind": "host_crash",
+                        "time": 1, "host": "node-0"}]},)"
+                  : R"("faults": {"policy": "abort", "random": {"seed": 1, "host_crashes": 1,
+                        "time_min": 0, "time_max": 1}},)";
+    }
+    if (std::strcmp(drop, "noise") != 0) {
+      text += R"("noise": {"seed": 9, "host_speed": {"dist": "normal", "mean": 1,
+                 "sigma": 0.05}},)";
+    }
+    return text + R"("axes": [{"param": ")" + c.param + "\"" + c.target + R"(, "values": [)" +
+           value + "]}]}";
+  };
+  const auto expect_rejected = [&](const Case& c, const std::string& value, const char* drop) {
+    try {
+      parse_spec(spec_text(c, value, drop));
+      ADD_FAILURE() << c.param << " accepted " << value << " (without: " << drop << ")";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + c.param + "'"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const Case& c : cases) {
+    const auto spec = parse_spec(spec_text(c, c.valid, ""));
+    ASSERT_EQ(spec.axes.size(), 1u);
+    EXPECT_EQ(spec.axes[0].param, c.param);
+    for (const char* value : c.bad) expect_rejected(c, value, "");
+    for (const char* huge : {"1e400", "-1e400"}) expect_rejected(c, huge, "");
+    if (c.need != nullptr) {
+      expect_rejected(c, c.valid, c.need);
+      if (std::strcmp(c.need, "random") == 0) expect_rejected(c, c.valid, "faults");
+    }
+  }
+}
+
 TEST(CampaignSpec, EnumeratesBaselinePlusCrossProduct) {
   const auto spec = parse_spec(R"({
     "axes": [
@@ -219,7 +304,7 @@ TEST(CampaignMaterialize, UnknownTargetsAreHardErrors) {
 TEST(CampaignMaterialize, PlacementPolicies) {
   const auto spec = parse_spec(R"({
     "platform": {"kind": "flat", "nodes": 4},
-    "axes": [{"param": "placement", "values": ["block", "stride:2", "round_robin", "diagonal"]}]
+    "axes": [{"param": "placement", "values": ["block", "stride:2", "round_robin"]}]
   })");
   const auto scenarios = cp::enumerate_scenarios(spec);
   const auto block = cp::materialize(spec, scenarios[1], 8);
@@ -228,7 +313,14 @@ TEST(CampaignMaterialize, PlacementPolicies) {
   EXPECT_EQ(strided.config.placement, (std::vector<int>{0, 2, 0, 2, 0, 2, 0, 2}));
   const auto rr = cp::materialize(spec, scenarios[3], 8);
   EXPECT_EQ(rr.config.placement, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
-  EXPECT_THROW(cp::materialize(spec, scenarios[4], 8), ContractError);  // unknown policy
+  // An unknown policy, or a stride that is not a whole int >= 1, fails the parse.
+  for (const char* policy : {"diagonal", "stride:0", "stride:abc", "stride:99999999999",
+                             "stride:2x", "stride:"}) {
+    EXPECT_THROW(parse_spec(std::string(R"({"axes": [{"param": "placement", "values": [")") +
+                            policy + "\"]}]}"),
+                 ContractError)
+        << policy;
+  }
 }
 
 TEST(CampaignMaterialize, TopologyNodesRebuildsFlatBase) {
@@ -692,11 +784,10 @@ TEST(CampaignReplication, SpecValidation) {
   EXPECT_FALSE(spec.noise.empty());
   EXPECT_EQ(spec.noise.seed, 9u);
   // A noise_seed axis needs the campaign-level noise spec to override.
-  const auto seedless = parse_spec(R"({
+  EXPECT_THROW(parse_spec(R"({
     "platform": {"kind": "flat", "nodes": 4},
     "axes": [{"param": "noise_seed", "values": [1, 2]}]
-  })");
-  EXPECT_THROW(cp::materialize(seedless, cp::enumerate_scenarios(seedless)[1], 4),
+  })"),
                ContractError);
 }
 

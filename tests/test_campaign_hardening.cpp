@@ -170,16 +170,22 @@ TEST(CampaignHardening, FailedWorldDoesNotPoisonTheWorker) {
 
 TEST(CampaignHardening, FaultAxesRejectSpecsWithoutFaults) {
   // fault_seed is only meaningful with a campaign-level random fault block;
-  // the contract fires when the scenario is materialized.
-  const auto spec = cp::CampaignSpec::parse(parse_json(R"({
+  // the contract fires when the spec is parsed, before any scenario runs.
+  EXPECT_THROW(cp::CampaignSpec::parse(parse_json(R"({
     "platform": {"kind": "flat"},
     "axes": [{"param": "fault_seed", "values": [1]}]
   })",
-                                                       "test spec"));
-  const auto scenarios = cp::enumerate_scenarios(spec);
-  ASSERT_EQ(scenarios.size(), 2u);
-  EXPECT_NO_THROW(cp::materialize(spec, scenarios[0], 4));  // baseline: no override
-  EXPECT_THROW(cp::materialize(spec, scenarios[1], 4), ContractError);
+                                                  "test spec")),
+               ContractError);
+  // A spec with fault events but no random block has no seed to override.
+  EXPECT_THROW(cp::CampaignSpec::parse(parse_json(R"({
+    "platform": {"kind": "flat"},
+    "faults": {"policy": "abort",
+               "events": [{"kind": "host_crash", "time": 0.5, "host": "node-0"}]},
+    "axes": [{"param": "fault_seed", "values": [1]}]
+  })",
+                                                  "test spec")),
+               ContractError);
 }
 
 TEST(CampaignHardening, WatchdogFarBeyondAnyRunIsInRange) {

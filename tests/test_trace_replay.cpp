@@ -375,6 +375,35 @@ TEST(TiWriterReader, WriterProducesLoadableTraces) {
   EXPECT_EQ(rank0[1].value, 5e6);
 }
 
+// The writer bounds the text all ranks buffer together, not each rank's:
+// 64 ranks that together pass kBufferBytes, each far below it, have all
+// reached their files before finish(), and the files read back in order.
+TEST(TiWriterReader, WriterBoundsTotalBufferedText) {
+  TempDir dir;
+  const int nranks = 64;
+  tr::TiRecord r;
+  r.op = tr::TiOp::kCompute;
+  r.value = 123456789.0;
+  const std::size_t line = tr::serialize_record(r).size() + 1;
+  const std::size_t per_rank = tr::TiWriter::kBufferBytes / line / nranks + 1;
+  {
+    tr::TiWriter writer(dir.str(), nranks, "bound");
+    for (std::size_t i = 0; i < per_rank; ++i) {
+      for (int rank = 0; rank < nranks; ++rank) writer.append(rank, r);
+    }
+    for (int rank = 0; rank < nranks; ++rank) {
+      const fs::path file = dir.path / ("rank_" + std::to_string(rank) + ".ti");
+      ASSERT_TRUE(fs::exists(file)) << file;
+      EXPECT_GT(fs::file_size(file), 0u) << file;
+    }
+  }
+  const tr::TiTrace trace = tr::load_ti_trace(dir.str(), /*validate=*/false);
+  ASSERT_EQ(trace.nranks, nranks);
+  for (int rank = 0; rank < nranks; ++rank) {
+    ASSERT_EQ(trace.ranks[static_cast<std::size_t>(rank)].size(), per_rank);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Capture -> replay equivalence
 // ---------------------------------------------------------------------------

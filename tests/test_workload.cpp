@@ -412,6 +412,6 @@ TEST(WorkloadCampaign, OverridesRevalidateContracts) {
                                                                     "campaign"));
   const auto scenarios = smpi::campaign::enumerate_scenarios(spec);
   // Scenario 1 overrides ranks to 32 under an explicit 4x4 grid: rejected.
-  EXPECT_THROW(smpi::campaign::apply_workload_overrides(spec.workload, scenarios[1]),
+  EXPECT_THROW(smpi::campaign::apply_workload_overrides(spec, scenarios[1]),
                ContractError);
 }

@@ -9,11 +9,12 @@
 //   ti_inspect <trace-dir> --check     static sanity check: unmatched p2p
 //                                      counterparts, collective divergence
 //
-// Exit code: 0 on success, 1 on usage/load errors or --check findings.
+// Exit code: 0 on success, 1 on usage/load errors or --check findings. The
+// --dump rank is a whole int in [0, ranks); any other mode is a usage error.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "trace/check.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
+#include "util/units.hpp"
 
 namespace {
 
@@ -72,21 +74,24 @@ long long percentile(const std::vector<long long>& sorted, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const std::string mode = argc >= 3 ? argv[2] : "";
+  if (argc < 2 || argc > (mode == "--dump" ? 4 : 3) ||
+      !(mode.empty() || mode == "--dump" || mode == "--summary" || mode == "--check")) {
     std::fprintf(stderr, "usage: ti_inspect <trace-dir> [--dump [rank] | --summary | --check]\n");
     return 1;
   }
   const std::string dir = argv[1];
-  const bool dump = argc >= 3 && std::strcmp(argv[2], "--dump") == 0;
-  const bool summary = argc >= 3 && std::strcmp(argv[2], "--summary") == 0;
-  const bool check = argc >= 3 && std::strcmp(argv[2], "--check") == 0;
-  const int dump_rank = argc >= 4 ? std::atoi(argv[3]) : -1;
 
   try {
+    const int dump_rank = argc == 4 ? smpi::util::parse_number<int>("--dump rank", argv[3]) : -1;
     // Lenient load: the inspector must be able to show how far an
     // interrupted capture got, which strict validation would reject.
     const smpi::trace::TiTrace trace = smpi::trace::load_ti_trace(dir, /*validate=*/false);
-    if (dump) {
+    if (mode == "--dump") {
+      if (argc == 4 && (dump_rank < 0 || dump_rank >= trace.nranks)) {
+        throw std::out_of_range("--dump rank " + std::to_string(dump_rank) + " is not in [0, " +
+                                std::to_string(trace.nranks) + ")");
+      }
       for (int rank = 0; rank < trace.nranks; ++rank) {
         if (dump_rank >= 0 && rank != dump_rank) continue;
         for (const auto& record : trace.ranks[static_cast<std::size_t>(rank)]) {
@@ -96,7 +101,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (check) {
+    if (mode == "--check") {
       const smpi::trace::TraceCheckReport report = smpi::trace::check_trace(trace);
       if (report.ok()) {
         std::printf("trace: %s\nranks: %d\ncheck: ok\n", dir.c_str(), trace.nranks);
@@ -110,7 +115,7 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    if (summary) {
+    if (mode == "--summary") {
       // Replay on a flat cluster sized to the trace so the counters reflect
       // the same collective algorithms a real sweep would drive. Payload-free
       // replay moves no bytes, so the eager copy counters report pool reuse
