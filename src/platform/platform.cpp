@@ -1,16 +1,25 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.hpp"
 
 namespace smpi::platform {
 
+namespace {
+
+// A speed or bandwidth the solver can share: an infinite one (a scaled
+// override that overflowed, say) would leave its flows unbounded.
+bool valid_rating(double value) { return value > 0 && std::isfinite(value); }
+
+}  // namespace
+
 int Platform::add_host(HostSpec spec) {
   SMPI_REQUIRE(!spec.name.empty(), "host needs a name");
   SMPI_REQUIRE(host_index_.find(spec.name) == host_index_.end(),
                "duplicate host '" + spec.name + "'");
-  SMPI_REQUIRE(spec.speed_flops > 0, "host speed must be positive");
+  SMPI_REQUIRE(valid_rating(spec.speed_flops), "host speed must be positive and finite");
   SMPI_REQUIRE(spec.cores >= 1, "host needs at least one core");
   const int id = static_cast<int>(hosts_.size());
   host_index_.emplace(spec.name, id);
@@ -23,7 +32,7 @@ int Platform::add_link(LinkSpec spec) {
   SMPI_REQUIRE(!spec.name.empty(), "link needs a name");
   SMPI_REQUIRE(link_index_.find(spec.name) == link_index_.end(),
                "duplicate link '" + spec.name + "'");
-  SMPI_REQUIRE(spec.bandwidth_bps > 0, "link bandwidth must be positive");
+  SMPI_REQUIRE(valid_rating(spec.bandwidth_bps), "link bandwidth must be positive and finite");
   SMPI_REQUIRE(spec.latency_s >= 0, "link latency must be >= 0");
   const int id = static_cast<int>(links_.size());
   link_index_.emplace(spec.name, id);
@@ -69,13 +78,13 @@ void Platform::attach_host(int host, int switch_id, int up_link, int down_link) 
 
 void Platform::set_host_speed(int id, double speed_flops) {
   SMPI_REQUIRE(id >= 0 && id < host_count(), "host id out of range");
-  SMPI_REQUIRE(speed_flops > 0, "host speed must be positive");
+  SMPI_REQUIRE(valid_rating(speed_flops), "host speed must be positive and finite");
   hosts_[static_cast<std::size_t>(id)].speed_flops = speed_flops;
 }
 
 void Platform::set_link_bandwidth(int id, double bandwidth_bps) {
   SMPI_REQUIRE(id >= 0 && id < link_count(), "link id out of range");
-  SMPI_REQUIRE(bandwidth_bps > 0, "link bandwidth must be positive");
+  SMPI_REQUIRE(valid_rating(bandwidth_bps), "link bandwidth must be positive and finite");
   links_[static_cast<std::size_t>(id)].bandwidth_bps = bandwidth_bps;
 }
 

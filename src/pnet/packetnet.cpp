@@ -34,7 +34,7 @@ sim::ActivityPtr PacketNetworkModel::start_flow(int src_node, int dst_node, doub
   auto* engine = sim::Engine::current();
   SMPI_REQUIRE(engine != nullptr, "start_flow outside a simulation");
 
-  auto activity = sim::new_activity("pnet-flow");
+  auto activity = sim::new_activity();
   if (src_node == dst_node) {
     activity->finish(sim::Activity::State::kDone);
     return activity;

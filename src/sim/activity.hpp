@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 
 #include "sim/small.hpp"
 
@@ -16,14 +15,10 @@ class Engine;
 
 class Activity {
  public:
-  enum class State { kRunning, kDone, kFailed, kCanceled };
-
-  explicit Activity(std::string label = "");
-  virtual ~Activity() = default;
+  enum class State { kRunning, kDone, kFailed };
 
   State state() const { return state_; }
   bool completed() const { return state_ != State::kRunning; }
-  const std::string& label() const { return label_; }
 
   // Block the calling actor until the activity completes. Returns the final
   // state. Must be called from actor context.
@@ -39,31 +34,28 @@ class Activity {
 
   // Mark complete and wake all waiting actors (at the engine's current time).
   void finish(State state);
-  // Cancel; resources held by model actions are released by the owner model.
-  virtual void cancel() { finish(State::kCanceled); }
 
   // Virtual time at which the activity completed (meaningful once completed).
   double finish_time() const { return finish_time_; }
 
  private:
   friend class Engine;
-  std::string label_;
   State state_ = State::kRunning;
   double finish_time_ = -1;
-  // Inline capacity 2: the common fan-out is one waiter and/or one callback
-  // (a waitany-style helper may add a second), so a pooled Activity's whole
-  // construct/wait/finish/destroy cycle allocates nothing.
+  // The common fan-out is one waiter (a waitany-style helper may add a
+  // second) and at most one callback, so a pooled Activity's whole
+  // construct/wait/finish/destroy cycle allocates nothing. A second
+  // callback spills to the heap; no hot path registers one.
   InlineVec<Actor*, 2> waiters_;
-  InlineVec<CompletionFn, 2> callbacks_;
+  InlineVec<CompletionFn, 1> callbacks_;
 };
 
 using ActivityPtr = std::shared_ptr<Activity>;
 
 // Engine-pooled Activity factory: recycles the object + control-block
 // storage from the current engine's BlockPool when one exists and pooling
-// is enabled, else falls back to a plain make_shared. `label` must be a
-// short literal (SSO) for the pooled path to stay allocation-free.
-ActivityPtr new_activity(const char* label);
+// is enabled, else falls back to a plain make_shared.
+ActivityPtr new_activity();
 
 // Lazy remaining-work accounting for fluid activities (flows, executions).
 //

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "sim/asan.hpp"
 #include "sim/mapped_region.hpp"
 #include "util/check.hpp"
 
@@ -72,26 +73,8 @@ asm(".text\n"
 // stack-buffer-overflow / use-after-return the moment the scheduler resumes
 // an actor. Every switch is therefore bracketed with
 // __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber in ASan
-// builds; the helpers compile to nothing otherwise.
+// builds (sim/asan.hpp); the helpers compile to nothing otherwise.
 // ---------------------------------------------------------------------------
-#if defined(__SANITIZE_ADDRESS__)
-#define SMPI_ASAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SMPI_ASAN_FIBERS 1
-#endif
-#endif
-
-#if defined(SMPI_ASAN_FIBERS)
-extern "C" {
-void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* stack_bottom,
-                                    std::size_t stack_size);
-void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** stack_bottom_old,
-                                     std::size_t* stack_size_old);
-void __asan_unpoison_memory_region(void const volatile* addr, std::size_t size);
-}
-#endif
-
 namespace smpi::sim {
 namespace {
 
@@ -99,7 +82,7 @@ namespace {
 // on the final switch out of a dying fiber, releasing its fake frames).
 inline void asan_start_switch(void** save, const void* target_bottom,
                               std::size_t target_size) {
-#if defined(SMPI_ASAN_FIBERS)
+#if defined(SMPI_ASAN)
   __sanitizer_start_switch_fiber(save, target_bottom, target_size);
 #else
   (void)save;
@@ -112,7 +95,7 @@ inline void asan_start_switch(void** save, const void* target_bottom,
 // (nullptr on a fiber's first activation). Reports the previous stack's
 // bounds through the out-params — how the fiber learns the kernel stack.
 inline void asan_finish_switch(void* save, const void** old_bottom, std::size_t* old_size) {
-#if defined(SMPI_ASAN_FIBERS)
+#if defined(SMPI_ASAN)
   __sanitizer_finish_switch_fiber(save, old_bottom, old_size);
 #else
   (void)save;
@@ -134,13 +117,11 @@ inline void asan_finish_switch(void* save, const void** old_bottom, std::size_t*
 struct FiberStack {
   FiberStack(std::size_t bytes, std::string owner)
       : region(bytes, /*guard_page=*/true), name(std::move(owner)) {
-#if defined(SMPI_ASAN_FIBERS)
     // The mapping may reuse the addresses of an unmapped fiber stack whose
     // frames that never returned (a finished fiber's trampoline, say) left
     // their redzones poisoned in ASan's shadow; that poison is not this
     // fiber's and would be reported as a stack-buffer-overflow in it.
-    __asan_unpoison_memory_region(region.data(), region.size());
-#endif
+    asan_unpoison(region.data(), region.size());
   }
   MappedRegion region;
   std::string name;  // printed by the overflow report

@@ -20,8 +20,6 @@ void Model::request_settle() {
 // Activity
 // ---------------------------------------------------------------------------
 
-Activity::Activity(std::string label) : label_(std::move(label)) {}
-
 Activity::State Activity::wait() {
   if (!completed()) {
     Engine* engine = Engine::current();
@@ -42,7 +40,7 @@ void Activity::on_completion(CompletionFn callback) {
 
 void Activity::finish(State state) {
   SMPI_REQUIRE(state != State::kRunning, "finish() with kRunning");
-  if (completed()) return;  // idempotent (cancel after completion, etc.)
+  if (completed()) return;  // idempotent (a late finish of a merged token, etc.)
   state_ = state;
   Engine* engine = Engine::current();
   finish_time_ = engine != nullptr ? engine->now() : 0;
@@ -59,13 +57,12 @@ void Activity::finish(State state) {
   }
 }
 
-ActivityPtr new_activity(const char* label) {
+ActivityPtr new_activity() {
   Engine* engine = Engine::current();
   if (engine != nullptr && engine->pooling()) {
-    return std::allocate_shared<Activity>(PoolAllocator<Activity>(&engine->object_pool()),
-                                          label);
+    return std::allocate_shared<Activity>(PoolAllocator<Activity>(&engine->object_pool()));
   }
-  return std::make_shared<Activity>(label);
+  return std::make_shared<Activity>();
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +234,7 @@ void Engine::wait_on(Activity& activity) {
 
 void Engine::sleep_for(double duration) {
   SMPI_REQUIRE(duration >= 0, "negative sleep");
-  auto token = new_activity("sleep");
+  auto token = new_activity();
   add_timer(now_ + duration, [token] { token->finish(Activity::State::kDone); });
   wait_on(*token);
 }

@@ -166,14 +166,20 @@ class Process;
 // Envelopes are enqueued at the receiver in send order, which preserves the
 // MPI non-overtaking guarantee even when rendezvous control messages are
 // emulated (their latency delays the data transfer, not the matching).
+//
+// Zero-copy eager envelopes stay live until their CollSendScope ends, so
+// each field costs once per message sent: the layout is packed (the flags
+// sit next to the ints, one flow pointer serves both protocols) to keep a
+// pooled Envelope plus its shared_ptr control block within 128 bytes.
 struct Envelope {
   int src_comm_rank = 0;  // rank in the communicator
   int src_world_rank = 0;
   int dst_world_rank = 0;
   int tag = 0;
   int comm_id = 0;
-  std::size_t bytes = 0;
   bool eager = true;
+  bool matched = false;
+  std::size_t bytes = 0;
   // Eager snapshot: owned (pooled) copy of the packed payload. Null for
   // zero-copy eager sends (payload read from `zc_src` at match time) and
   // for rendezvous (payload read from the sender's buffer at transfer end).
@@ -184,9 +190,9 @@ struct Envelope {
   // the collective's own send/recv causality precedes any later overwrite.
   const unsigned char* zc_src = nullptr;
   Request* send_request = nullptr;  // rendezvous back-pointer
-  sim::ActivityPtr data_flow;       // eager: started at send time
-  sim::ActivityPtr rts_flow;        // rendezvous protocol emulation, until matched
-  bool matched = false;
+  // Eager: the data flow, started at send time. Rendezvous with emulated
+  // protocol messages: the RTS flow, until matched. Otherwise null.
+  sim::ActivityPtr flow;
   // Observability (set only while obs spans are enabled): the simulated date
   // the sender posted this envelope — for eager sends, also when the data
   // flow started.

@@ -173,7 +173,7 @@ void match(std::shared_ptr<Envelope> env, Request& recv) {
     // write, and simulated time is untouched.
     copy_payload_to_receiver(*env, recv);
     Request* recv_ptr = &recv;
-    env->data_flow->on_completion([recv_ptr, o_recv](sim::Activity& flow) {
+    env->flow->on_completion([recv_ptr, o_recv](sim::Activity& flow) {
       if (SmpiWorld::instance()->aborted()) return;  // recv frame may be gone
       complete_receive_after(*recv_ptr, o_recv, flow.state());
     });
@@ -199,10 +199,10 @@ void match(std::shared_ptr<Envelope> env, Request& recv) {
         start_rendezvous_transfer(env, *recv_ptr);
       });
     };
-    SMPI_ENSURE(env->rts_flow != nullptr, "emulated rendezvous without RTS");
+    SMPI_ENSURE(env->flow != nullptr, "emulated rendezvous without RTS");
     // The callback holds the envelope, so the envelope lets go of the RTS
     // first (see start_rendezvous_transfer).
-    const sim::ActivityPtr rts = std::move(env->rts_flow);
+    const sim::ActivityPtr rts = std::move(env->flow);
     rts->on_completion(after_rts);
     return;
   }
@@ -354,13 +354,13 @@ void post_send(Request& request) {
         ++world->p2p_raw().eager_snapshots;
       }
     }
-    env->data_flow = world->network().start_flow(request.owner->node, receiver->node,
-                                                 static_cast<double>(bytes));
+    env->flow = world->network().start_flow(request.owner->node, receiver->node,
+                                            static_cast<double>(bytes));
   } else {
-    request.token = sim::new_activity("send");
+    request.token = sim::new_activity();
     env->send_request = &request;
     if (personality.emulate_protocol_messages) {
-      env->rts_flow = world->network().start_flow(request.owner->node, receiver->node, 0);
+      env->flow = world->network().start_flow(request.owner->node, receiver->node, 0);
     }
   }
   try_match_new_envelope(*receiver, std::move(env));
@@ -377,7 +377,7 @@ void post_recv(Request& request) {
     request.status_tag = MPI_ANY_TAG;
     return;
   }
-  request.token = sim::new_activity("recv");
+  request.token = sim::new_activity();
 
   if (obs::SpanCollector* spans = request.owner->world->observers().spans) {
     request.obs_flow_start = -1;  // (re)set before a match can fill them in
@@ -644,7 +644,7 @@ void charge_unsuccessful_poll(SourceCollector&& collect_wake_sources) {
   if (wake_sources.empty()) {
     engine.sleep_for(kTestPollInterval);
   } else {
-    auto merged = sim::new_activity("poll");
+    auto merged = sim::new_activity();
     for (const auto& source : wake_sources) {
       // One forwarder per token, ever: it wakes the *current* block. (If a
       // never-completing token dies and a new one is allocated at the same
@@ -944,7 +944,7 @@ int wait_any(int count, MPI_Request requests[]) {
   // Block on a fresh merged token finished by whichever request completes
   // first. Late finishes on the same token are harmless (finish is
   // idempotent).
-  auto merged = sim::new_activity("waitany");
+  auto merged = sim::new_activity();
   for (int i = 0; i < count; ++i) {
     if (in_flight(requests[i])) {
       requests[i]->token->on_completion(
@@ -1124,7 +1124,7 @@ int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status
     // The next thing that can change the answer is an envelope arrival.
     charge_unsuccessful_poll([&proc] {
       if (proc.arrival_signal == nullptr) {
-        proc.arrival_signal = sim::new_activity("probe");
+        proc.arrival_signal = sim::new_activity();
       }
       return std::vector<sim::ActivityPtr>{proc.arrival_signal};
     });
@@ -1169,7 +1169,7 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
       return MPI_SUCCESS;
     }
     if (proc.arrival_signal == nullptr) {
-      proc.arrival_signal = sim::new_activity("probe");
+      proc.arrival_signal = sim::new_activity();
     }
     // Hold the signal: the arrival that finishes it also drops the
     // process's reference before this wait returns.

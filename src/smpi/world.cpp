@@ -346,7 +346,7 @@ void handle_operation_failure(Process& proc, const std::string& what) {
   // the deadlock detector then reports the full wait-for state. The actor
   // is unwound by the engine teardown (ForcedExit through this wait).
   SMPI_LOG_WARN(log_smpi, "detect policy: " << os.str() << " — rank parked for the detector");
-  auto black_hole = sim::new_activity("failed-op");
+  auto black_hole = sim::new_activity();
   // Keep the peer/tag/comm of the failed operation for the reporter; only
   // relabel it so the diagnostic says the wait can never succeed.
   proc.blocked.op = "failed-op";

@@ -26,7 +26,7 @@ sim::ActivityPtr CpuModel::execute(int node, double flops) {
   SMPI_REQUIRE(flops >= 0, "negative computation");
   auto* engine = sim::Engine::current();
   SMPI_REQUIRE(engine != nullptr, "execute outside a simulation");
-  auto activity = sim::new_activity("exec");
+  auto activity = sim::new_activity();
   if (!host_is_up(node)) {
     activity->finish(sim::Activity::State::kFailed);
     return activity;

@@ -76,7 +76,7 @@ sim::ActivityPtr FlowNetworkModel::start_flow(int src_node, int dst_node, double
   auto* engine = sim::Engine::current();
   SMPI_REQUIRE(engine != nullptr, "start_flow outside a simulation");
 
-  auto activity = sim::new_activity("flow");
+  auto activity = sim::new_activity();
   if (src_node == dst_node) {
     // Loopback: modeled as instantaneous (memcpy cost is charged by the MPI
     // layer's personality overheads, not the network); fails with its host.

@@ -1,10 +1,14 @@
 #include "workload/spec.hpp"
 
+#include <limits>
+
 #include "util/check.hpp"
 
 namespace smpi::workload {
 
 namespace {
+
+constexpr double kMaxFlops = std::numeric_limits<double>::max() / 4;
 
 const std::pair<const char*, Pattern> kPatterns[] = {
     {"stencil2d", Pattern::kStencil2d},   {"stencil3d", Pattern::kStencil3d},
@@ -56,8 +60,12 @@ PhaseSpec parse_phase(const util::JsonValue& doc, int ranks, std::size_t index) 
   if (const auto* compute = doc.find("compute")) {
     SMPI_REQUIRE(compute->is_object(), context + ": compute must be an object");
     if (const auto* flops = compute->find("flops")) {
+      // Imbalance and jitter each scale a draw by less than 2, so a quarter
+      // of the largest double is the most that stays finite after both
+      // (the trace reader refuses a non-finite compute record).
       phase.compute.flops = flops->as_number();
-      SMPI_REQUIRE(phase.compute.flops >= 0, context + ": compute.flops must be >= 0");
+      SMPI_REQUIRE(phase.compute.flops >= 0 && phase.compute.flops <= kMaxFlops,
+                   context + ": compute.flops must be in [0, DBL_MAX / 4 ~ 4.49e307]");
     }
     if (const auto* imbalance = compute->find("imbalance")) {
       phase.compute.imbalance = parse_halfwidth(*imbalance, "imbalance");

@@ -9,15 +9,21 @@
 // global operator new for this test binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "sim/activity.hpp"
+#include "sim/asan.hpp"
+#include "sim/pool.hpp"
 #include "smpi/coll.h"
+#include "smpi/internals.hpp"
 #include "smpi_test_util.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
@@ -29,9 +35,11 @@
 
 namespace {
 std::uint64_t g_alloc_count = 0;
+std::size_t g_last_alloc_bytes = 0;
 
 void* counted_alloc(std::size_t size) {
   ++g_alloc_count;
+  g_last_alloc_bytes = size;
   void* p = std::malloc(size ? size : 1);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -228,6 +236,154 @@ TEST(P2pPool, SteadyStateCollectiveLoopAllocatesNothing) {
   }, arm_config(true));
   EXPECT_EQ(steady_allocs, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// One type per BlockPool size class: the pinned pool counters of a workload
+// are those of its types only while no two of them share a free list. A
+// zero-copy eager send keeps an Envelope and its flow Activity alive until
+// its collective scope ends, so their sizes are also the simulator's own
+// memory per retained message.
+// ---------------------------------------------------------------------------
+
+// Records the bytes std::allocate_shared asks for (object + control block).
+// It holds one pointer, as PoolAllocator does, so the control block it
+// makes is the size of a pooled one.
+template <typename T>
+struct ProbeAllocator {
+  using value_type = T;
+
+  explicit ProbeAllocator(std::size_t* requested) noexcept : requested(requested) {}
+  template <typename U>
+  ProbeAllocator(const ProbeAllocator<U>& other) noexcept : requested(other.requested) {}
+
+  T* allocate(std::size_t n) {
+    *requested = n * sizeof(T);
+    return std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept { std::allocator<T>().deallocate(p, n); }
+
+  template <typename U>
+  bool operator==(const ProbeAllocator<U>& other) const noexcept {
+    return requested == other.requested;
+  }
+  template <typename U>
+  bool operator!=(const ProbeAllocator<U>& other) const noexcept {
+    return requested != other.requested;
+  }
+
+  std::size_t* requested;
+};
+static_assert(sizeof(ProbeAllocator<char>) == sizeof(smpi::sim::PoolAllocator<char>));
+
+template <typename T>
+std::size_t pooled_request_bytes() {
+  std::size_t requested = 0;
+  const auto object = std::allocate_shared<T>(ProbeAllocator<T>(&requested));
+  return requested;
+}
+
+TEST(P2pPool, ActivityAndEnvelopeEachOwnAPoolClass) {
+  using smpi::sim::BlockPool;
+  const std::size_t activity = pooled_request_bytes<smpi::sim::Activity>();
+  const std::size_t envelope = pooled_request_bytes<smpi::core::Envelope>();
+  EXPECT_NE(BlockPool::class_of(activity), BlockPool::class_of(envelope));
+  EXPECT_EQ(BlockPool::class_of(envelope), BlockPool::class_of(128)) << envelope << " B";
+  EXPECT_EQ(BlockPool::class_of(activity), BlockPool::class_of(192)) << activity << " B";
+}
+
+// ---------------------------------------------------------------------------
+// BlockPool: misses are carved from slabs, hits come from the free lists.
+// ---------------------------------------------------------------------------
+
+TEST(BlockPool, SlabCarvedBlocksAreDistinctAlignedAndCounted) {
+  using smpi::sim::BlockPool;
+  constexpr std::size_t kBytes = 192;
+  // Crosses two slab boundaries.
+  const std::size_t count = 2 * (BlockPool::kSlabBytes / kBytes) + 3;
+  BlockPool pool;
+  std::vector<unsigned char*> blocks;
+  for (std::size_t i = 0; i < count; ++i) {
+    auto* block = static_cast<unsigned char*>(pool.allocate(kBytes));
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(block) % 16, 0u) << i;
+    std::memset(block, static_cast<int>(i & 0xff), kBytes);
+    blocks.push_back(block);
+  }
+  EXPECT_EQ(pool.stats().misses, count);
+  EXPECT_EQ(pool.stats().hits, 0u);
+  EXPECT_EQ(pool.outstanding(), count);
+  // Every block kept its own bytes: none overlaps another.
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(std::all_of(blocks[i], blocks[i] + kBytes,
+                            [i](unsigned char c) { return c == (i & 0xff); }))
+        << i;
+  }
+  std::vector<unsigned char*> sorted = blocks;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 1; i < count; ++i) {
+    EXPECT_GE(static_cast<std::size_t>(sorted[i] - sorted[i - 1]), kBytes) << i;
+  }
+
+  // Released blocks come back as hits; another class still misses.
+  for (unsigned char* block : blocks) pool.deallocate(block, kBytes);
+  EXPECT_EQ(pool.outstanding(), 0u);
+  std::vector<unsigned char*> again;
+  for (std::size_t i = 0; i < count; ++i) {
+    again.push_back(static_cast<unsigned char*>(pool.allocate(kBytes)));
+  }
+  EXPECT_EQ(pool.stats().hits, count);
+  EXPECT_EQ(pool.stats().misses, count);
+  std::sort(again.begin(), again.end());
+  EXPECT_EQ(again, sorted);
+  void* small = pool.allocate(64);
+  EXPECT_EQ(pool.stats().misses, count + 1);
+  EXPECT_EQ(pool.outstanding(), count + 1);
+
+  // Above kMaxBlockBytes a request is its own heap block, and the slab it
+  // would have come from is left as it was.
+  const std::uint64_t heap_before = g_alloc_count;
+  void* big = pool.allocate(BlockPool::kMaxBlockBytes + 1);
+  EXPECT_EQ(g_alloc_count, heap_before + 1);
+  EXPECT_EQ(g_last_alloc_bytes, BlockPool::kMaxBlockBytes + 1);
+  EXPECT_EQ(pool.stats().misses, count + 2);
+  void* next = pool.allocate(64);
+  EXPECT_EQ(static_cast<unsigned char*>(next), static_cast<unsigned char*>(small) + 64);
+  EXPECT_EQ(g_alloc_count, heap_before + 1);
+
+  pool.deallocate(big, BlockPool::kMaxBlockBytes + 1);
+  pool.deallocate(next, 64);
+  pool.deallocate(small, 64);
+  for (unsigned char* block : again) pool.deallocate(block, kBytes);
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+#if defined(SMPI_ASAN)
+// Slabs hide pooled blocks from ASan's own heap checks, so the pool poisons
+// what is not handed out and refuses to die with blocks outstanding.
+TEST(BlockPoolDeathTest, AsanSeesFreedBlocksSlabTailsAndLeaks) {
+  using smpi::sim::BlockPool;
+  EXPECT_DEATH(
+      {
+        BlockPool pool;
+        auto* block = static_cast<volatile unsigned char*>(pool.allocate(64));
+        pool.deallocate(const_cast<unsigned char*>(block), 64);
+        block[0] = 1;
+      },
+      "use-after-poison");
+  EXPECT_DEATH(
+      {
+        BlockPool pool;
+        auto* block = static_cast<volatile unsigned char*>(pool.allocate(64));
+        block[64] = 1;
+      },
+      "use-after-poison");
+  EXPECT_DEATH(
+      {
+        BlockPool pool;
+        pool.allocate(64);
+      },
+      "BlockPool destroyed with 1 block\\(s\\) outstanding");
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Replay canary: capture a trace, replay it — the replayed simulated time

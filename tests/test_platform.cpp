@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -110,6 +112,25 @@ TEST(Platform, ParameterOverridesKeepContracts) {
   EXPECT_THROW(p.set_link_bandwidth(l, -1), ContractError);
   EXPECT_THROW(p.set_link_latency(l, -1e-6), ContractError);
   EXPECT_THROW(p.set_link_latency(l + 7, 1e-6), ContractError);
+}
+
+// A scaled override that overflows is refused where it is applied, not in
+// the solver, where an infinite rating leaves its flows unbounded.
+TEST(Platform, RatingsMustBeFinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  sp::Platform p;
+  const int h = p.add_host({"a", 1e9, 4});
+  const int l = p.add_link({"l", 1e8, 1e-4, sp::LinkSharing::kShared});
+  EXPECT_THROW(p.set_host_speed(h, p.host(h).speed_flops * 1e300), ContractError);
+  EXPECT_THROW(p.set_link_bandwidth(l, p.link(l).bandwidth_bps * 1e301), ContractError);
+  EXPECT_THROW(p.set_host_speed(h, std::nan("")), ContractError);
+  EXPECT_THROW(p.add_host({"b", inf, 1}), ContractError);
+  EXPECT_THROW(p.add_link({"m", inf, 0, sp::LinkSharing::kShared}), ContractError);
+  // The refused overrides left the ratings as they were.
+  EXPECT_EQ(p.host(h).speed_flops, 1e9);
+  EXPECT_EQ(p.link(l).bandwidth_bps, 1e8);
+  p.set_host_speed(h, std::numeric_limits<double>::max());
+  EXPECT_EQ(p.host(h).speed_flops, std::numeric_limits<double>::max());
 }
 
 TEST(Platform, SymmetricRoutesReverseLinkOrder) {

@@ -85,7 +85,7 @@ TEST(Engine, TimersFireAtTheirDate) {
 
 TEST(Engine, ActivityWaitBlocksUntilFinish) {
   ss::Engine engine;
-  auto token = std::make_shared<ss::Activity>("token");
+  auto token = std::make_shared<ss::Activity>();
   double waited_until = -1;
   engine.spawn("waiter", 0, [&] {
     token->wait();
@@ -103,7 +103,7 @@ TEST(Engine, ActivityWaitBlocksUntilFinish) {
 
 TEST(Engine, MultipleWaitersAllWake) {
   ss::Engine engine;
-  auto token = std::make_shared<ss::Activity>("token");
+  auto token = std::make_shared<ss::Activity>();
   int woke = 0;
   for (int i = 0; i < 4; ++i) {
     engine.spawn("w" + std::to_string(i), 0, [&] {
@@ -121,7 +121,7 @@ TEST(Engine, MultipleWaitersAllWake) {
 
 TEST(Engine, CompletionCallbacksFire) {
   ss::Engine engine;
-  auto token = std::make_shared<ss::Activity>("token");
+  auto token = std::make_shared<ss::Activity>();
   std::vector<std::string> events;
   token->on_completion([&](ss::Activity&) { events.push_back("cb1"); });
   engine.spawn("f", 0, [&] {
@@ -136,7 +136,7 @@ TEST(Engine, CompletionCallbacksFire) {
 
 TEST(Engine, FinishIsIdempotent) {
   ss::Engine engine;
-  auto token = std::make_shared<ss::Activity>("token");
+  auto token = std::make_shared<ss::Activity>();
   engine.spawn("f", 0, [&] {
     token->finish(ss::Activity::State::kDone);
     token->finish(ss::Activity::State::kFailed);  // ignored
@@ -147,7 +147,7 @@ TEST(Engine, FinishIsIdempotent) {
 
 TEST(Engine, WaitOnCompletedActivityReturnsImmediately) {
   ss::Engine engine;
-  auto token = std::make_shared<ss::Activity>("token");
+  auto token = std::make_shared<ss::Activity>();
   double t = -1;
   engine.spawn("a", 0, [&] {
     token->finish(ss::Activity::State::kDone);
@@ -160,7 +160,7 @@ TEST(Engine, WaitOnCompletedActivityReturnsImmediately) {
 
 TEST(Engine, DeadlockIsDetected) {
   ss::Engine engine;
-  auto never = std::make_shared<ss::Activity>("never");
+  auto never = std::make_shared<ss::Activity>();
   engine.spawn("stuck", 0, [&] { never->wait(); });
   EXPECT_THROW(engine.run(), ss::DeadlockError);
 }

@@ -8,8 +8,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -140,6 +143,11 @@ TEST(WorkloadSpec, RejectsContractViolations) {
   EXPECT_THROW(
       parse_spec(R"({"ranks": 4, "pattern": "ring", "compute": {"flops": 1, "imbalance": 1}})"),
       ContractError);
+  // 1e400 parses as inf; 5e307 is finite but its perturbed draws may not be.
+  EXPECT_THROW(parse_spec(R"({"ranks": 4, "pattern": "ring", "compute": {"flops": 1e400}})"),
+               ContractError);
+  EXPECT_THROW(parse_spec(R"({"ranks": 4, "pattern": "ring", "compute": {"flops": 5e307}})"),
+               ContractError);
 }
 
 TEST(WorkloadSpec, FactorsGridsNearSquare) {
@@ -204,6 +212,34 @@ TEST(WorkloadGenerate, BitIdenticalAcrossRunsAndOutputPaths) {
   auto reseeded = spec;
   reseeded.seed = 32;
   EXPECT_NE(trace_text(wl::generate_workload(reseeded)), trace_text(a));
+}
+
+// The largest accepted flops, perturbed by the widest imbalance and jitter,
+// still writes a trace the reader takes back record for record.
+TEST(WorkloadGenerate, LargestFlopsRoundTripsThroughTheTraceReader) {
+  char json[256];
+  std::snprintf(json, sizeof(json),
+                R"({"ranks": 6, "pattern": "ring", "iterations": 8, "bytes": 64, "seed": 5,
+                    "compute": {"flops": %.17g, "imbalance": 0.999, "jitter": 0.999}})",
+                std::numeric_limits<double>::max() / 4);
+  const auto spec = parse_spec(json);
+  const tr::TiTrace generated = wl::generate_workload(spec);
+  TempDir dir;
+  wl::write_trace(generated, dir.str());
+  const tr::TiTrace loaded = tr::load_ti_trace(dir.str());
+  EXPECT_EQ(trace_text(loaded), trace_text(generated));
+  int computes = 0;
+  double hi = 0;
+  for (const auto& records : loaded.ranks) {
+    for (const auto& r : records) {
+      if (r.op != tr::TiOp::kCompute) continue;
+      ++computes;
+      EXPECT_TRUE(std::isfinite(r.value));
+      hi = std::max(hi, r.value);
+    }
+  }
+  EXPECT_EQ(computes, 6 * 8);
+  EXPECT_GT(hi, std::numeric_limits<double>::max() / 4);  // the draws did widen it
 }
 
 TEST(WorkloadGenerate, ImbalanceSpreadsComputeAcrossRanks) {
